@@ -25,6 +25,8 @@ Midpoints of normal distributions are computed by lifting the endpoints to
 the identity and the exponential of the connecting generator, running the
 mean iteration upstairs, projecting, and undoing the normalization; the
 halved exponential provides an independent cross-check of the same point.
+Dyadic interpolation shares one such solve: each interior point is the
+mean-iteration midpoint of its two lifted neighbours.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import check_special_symmetry, require_spd, spd_inv, spd_sqrt, sym, sym_exp
-from .manifold import GaussianPoint, normalize_to_identity, unembed
+from .manifold import AffineMap, GaussianPoint, Tangent, normalize_to_identity, unembed
 from .geodesic import exp_map, log_map
 from .sympair import MEMBERSHIP_TOL, horizontal_lift, submersion_project
 
@@ -100,6 +102,26 @@ def direct_midpoint(p0: np.ndarray, q0: np.ndarray) -> np.ndarray:
     return sym(root @ inner @ root)
 
 
+def _checked_point(lifted: np.ndarray, xi: Tangent, t: float, denorm: AffineMap) -> GaussianPoint:
+    """Project a mean-iteration limit and cross-check it against ``exp_map(xi, t)``.
+
+    Verifies that the limit kept the exchange symmetry, projects it through
+    the submersion, and denormalizes it with ``denorm``; the exponential of
+    the same tangent at the same time is an independent computation of the
+    point.
+    """
+    residual = check_special_symmetry(lifted)
+    if residual > MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(lifted))):
+        raise ArithmeticError(f"mean iteration limit left the symmetric slice: residual {residual:.3e}")
+    result = denorm.apply(unembed(submersion_project(lifted)))
+    reference = denorm.apply(exp_map(xi, t))
+    deviation = float(np.linalg.norm(result.sigma - reference.sigma)) + float(np.linalg.norm(result.mu - reference.mu))
+    scale = max(1.0, float(np.linalg.norm(reference.sigma)))
+    if deviation > MIDPOINT_CROSSCHECK_TOL * scale:
+        raise ArithmeticError(f"mean-iteration point at t={t:g} disagrees with the exponential by {deviation:.3e}")
+    return result
+
+
 def midpoint_N(p: GaussianPoint, q: GaussianPoint, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER, **log_opts) -> GaussianPoint:
     """Midpoint of the geodesic segment between two normal distributions.
 
@@ -112,32 +134,38 @@ def midpoint_N(p: GaussianPoint, q: GaussianPoint, tol: float = AHM_TOL, max_ite
     """
     if p.close_to(q):
         return p
-    chart = normalize_to_identity(p)
     xi = log_map(p, q, **log_opts)
-    n = xi.n
-    lifted_mid = ahm_midpoint(np.eye(2 * n + 1), sym_exp(horizontal_lift(xi).matrix()), tol=tol, max_iter=max_iter)
-    residual = check_special_symmetry(lifted_mid)
-    if residual > MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(lifted_mid))):
-        raise ArithmeticError(f"mean iteration limit left the symmetric slice: residual {residual:.3e}")
-    result = chart.inverse().apply(unembed(submersion_project(lifted_mid)))
-    reference = chart.inverse().apply(exp_map(xi, 0.5))
-    deviation = float(np.linalg.norm(result.sigma - reference.sigma)) + float(np.linalg.norm(result.mu - reference.mu))
-    scale = max(1.0, float(np.linalg.norm(reference.sigma)))
-    if deviation > MIDPOINT_CROSSCHECK_TOL * scale:
-        raise ArithmeticError(f"mean-iteration midpoint disagrees with the halved exponential by {deviation:.3e}")
-    return result
+    lifted_mid = ahm_midpoint(np.eye(2 * xi.n + 1), sym_exp(horizontal_lift(xi).matrix()), tol=tol, max_iter=max_iter)
+    return _checked_point(lifted_mid, xi, 0.5, normalize_to_identity(p).inverse())
 
 
-def interpolate(p: GaussianPoint, q: GaussianPoint, depth: int, **opts) -> list[GaussianPoint]:
+def interpolate(
+    p: GaussianPoint, q: GaussianPoint, depth: int, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER, **log_opts
+) -> list[GaussianPoint]:
     """Dyadic geodesic interpolation: 2**depth + 1 points from ``p`` to ``q``.
 
-    Endpoints are returned exactly; interior points are recursive midpoints.
+    Endpoints are returned exactly.  Interior points come from one shared
+    solve: the connecting tangent is shot once, the endpoints are lifted to
+    the identity and the exponential of its generator, and each dyadic point
+    is the mean-iteration midpoint of its two lifted neighbours (points of
+    one one-parameter group, so their geometric mean sits at the mean
+    time).  Every interior point gets the checks of :func:`midpoint_N`.
     """
     if depth < 1:
         raise ValueError("depth must be a positive integer")
-    if depth == 1:
-        return [p, midpoint_N(p, q, **opts), q]
-    mid = midpoint_N(p, q, **opts)
-    left = interpolate(p, mid, depth - 1, **opts)
-    right = interpolate(mid, q, depth - 1, **opts)
-    return left + right[1:]
+    count = 2 ** depth
+    if p.close_to(q):
+        return [p] * count + [q]
+    xi = log_map(p, q, **log_opts)
+    lifted = [None] * (count + 1)
+    lifted[0], lifted[count] = np.eye(2 * xi.n + 1), sym_exp(horizontal_lift(xi).matrix())
+    points = [p] + [None] * (count - 1) + [q]
+    denorm = normalize_to_identity(p).inverse()
+    span = count
+    while span > 1:
+        for lo in range(0, count, span):
+            mid = lo + span // 2
+            lifted[mid] = ahm_midpoint(lifted[lo], lifted[lo + span], tol=tol, max_iter=max_iter)
+            points[mid] = _checked_point(lifted[mid], xi, mid / count, denorm)
+        span //= 2
+    return points

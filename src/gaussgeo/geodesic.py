@@ -14,10 +14,15 @@ second-order equations
 used here as a finite-difference correctness oracle.
 
 The inverse problem (log map) is solved by damped Gauss-Newton shooting on
-the embedded residual with a finite-difference Jacobian, falling back to
-recursive path subdivision for distant targets.  The solver returns the
-solution found in its shooting basin; no claim of global minimality is
-made when the connecting geodesic is not unique.
+the embedded residual, falling back to recursive path subdivision for
+distant targets.  The Jacobian is exact: the leading block of the Frechet
+derivative of ``exp``, given by the Daleckii-Krein formula from one
+eigendecomposition of the generator.  Every residual, the accepted iterate
+included, goes through the validated :func:`exp_map`; a line-search trial
+whose generator norm exceeds ``MAX_TRIAL_NORM``, or whose exponential fails
+that validation, counts as a rejected step and halves the step length.
+The solver returns the solution found in its shooting basin; no claim of
+global minimality is made when the connecting geodesic is not unique.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,12 +41,17 @@ from .manifold import (
     embed,
     metric_at_identity,
     normalize_to_identity,
+    tangent_norm,
     unembed,
 )
 from .sympair import horizontal_lift
 
 STRUCTURE_TOL = 1e-8
-FD_JACOBIAN_STEP = 1e-6
+# Shooting trials whose generator has a larger Frobenius (= paper-metric)
+# norm are rejected before exponentiation.  That norm bounds the spectrum, so
+# exp stays below e^40 ~ 2e17, far from overflow; an exponential with
+# condition number up to e^80 is beyond the block factorization anyway.
+MAX_TRIAL_NORM = 40.0
 
 
 class ShootingError(RuntimeError):
@@ -215,32 +226,69 @@ def _unpack(vec: np.ndarray, n: int) -> Tangent:
     return Tangent(A0=a, a0=vec[k:])
 
 
+@lru_cache(maxsize=8)
+def _generator_basis(n: int) -> np.ndarray:
+    """Horizontal generators of the packed basis tangents, stacked (read-only)."""
+    k = n * (n + 1) // 2 + n
+    basis = np.stack([horizontal_lift(_unpack(e, n)).matrix() for e in np.eye(k)])
+    basis.flags.writeable = False
+    return basis
+
+
+def _residual_jacobian(vec: np.ndarray, n: int) -> np.ndarray:
+    """Exact Jacobian of the shooting residual by the Daleckii-Krein formula.
+
+    With ``V = U diag(w) U^T`` the Frechet derivative of ``exp`` at ``V`` in
+    direction ``E`` is ``U (Phi o U^T E U) U^T``, where ``Phi_ij`` is the
+    divided difference ``(e^{w_i} - e^{w_j}) / (w_i - w_j)`` (``e^{w_i}``
+    when the eigenvalues coincide), written as
+    ``e^{(w_i + w_j)/2} sinh(h) / h`` with ``h = (w_i - w_j)/2`` so that
+    near-equal eigenvalues lose no digits.  Column j is the leading
+    (n+1)-block of that derivative in the direction of the j-th basis
+    generator; all columns come from one eigendecomposition.
+    """
+    basis = _generator_basis(n)
+    w, u = np.linalg.eigh(np.tensordot(vec, basis, axes=1))
+    half = 0.5 * (w[:, None] - w[None, :])
+    safe = np.where(half == 0.0, 1.0, half)
+    phi = np.exp(0.5 * (w[:, None] + w[None, :])) * np.where(half == 0.0, 1.0, np.sinh(safe) / safe)
+    lead = u[: n + 1]
+    derivs = lead @ (phi * (u.T @ basis @ u)) @ lead.T
+    return derivs.reshape(len(derivs), -1).T
+
+
 def _shoot(target: np.ndarray, guess: np.ndarray, n: int, tol: float, max_iter: int) -> tuple[np.ndarray, float]:
     scale = max(1.0, float(np.linalg.norm(target)))
 
-    def residual(vec: np.ndarray) -> np.ndarray:
-        return (embed(exp_map(_unpack(vec, n), 1.0)) - target).ravel()
+    def residual(vec: np.ndarray) -> np.ndarray | None:
+        # None marks a rejected trial: beyond the exponent cap, or its
+        # exponential failed the validation inside exp_map.
+        xi = _unpack(vec, n)
+        if tangent_norm(xi) > MAX_TRIAL_NORM:
+            return None
+        try:
+            return (embed(exp_map(xi, 1.0)) - target).ravel()
+        except (ArithmeticError, ValueError):
+            return None
 
     vec = guess.copy()
     f = residual(vec)
+    if f is None:
+        raise ShootingError("shooting guess failed validation", residual=float("inf"))
     res = float(np.linalg.norm(f))
     for _ in range(max_iter):
         if res <= tol * scale:
             return vec, res
-        jac = np.empty((f.size, vec.size))
-        for j in range(vec.size):
-            bumped = vec.copy()
-            bumped[j] += FD_JACOBIAN_STEP
-            jac[:, j] = (residual(bumped) - f) / FD_JACOBIAN_STEP
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+        step, *_ = np.linalg.lstsq(_residual_jacobian(vec, n), -f, rcond=None)
         alpha = 1.0
         while alpha > 2.0 ** -20:
             trial = vec + alpha * step
             f_trial = residual(trial)
-            res_trial = float(np.linalg.norm(f_trial))
-            if res_trial < res:
-                vec, f, res = trial, f_trial, res_trial
-                break
+            if f_trial is not None:
+                res_trial = float(np.linalg.norm(f_trial))
+                if res_trial < res:
+                    vec, f, res = trial, f_trial, res_trial
+                    break
             alpha *= 0.5
         else:
             break  # no descent direction left; let the caller subdivide
@@ -276,14 +324,18 @@ def log_map(
 ) -> Tangent:
     """Initial direction (in the normalized chart at ``p``) of the geodesic reaching ``q`` at time 1.
 
-    Damped Gauss-Newton shooting on the embedded residual; converged when
-    the Frobenius residual drops below ``tol`` times the target scale.
-    Distant targets are handled by recursive path subdivision.
+    Damped Gauss-Newton shooting on the embedded residual with the
+    Daleckii-Krein Jacobian; converged when the Frobenius residual drops
+    below ``tol`` times the target scale.  A line-search trial that exceeds
+    ``MAX_TRIAL_NORM`` or fails the validation of :func:`exp_map` is
+    rejected like a non-descent step.  Distant targets, and initial guesses
+    that fail validation, are handled by recursive path subdivision.
 
     Raises
     ------
     ShootingError
-        If the iteration stalls; the exception carries the last residual.
+        If the iteration stalls; the exception carries the last residual
+        (``inf`` when even the initial guess failed validation).
     """
     if p.n != q.n:
         raise ValueError("points must share a dimension")

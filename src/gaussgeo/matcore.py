@@ -15,6 +15,7 @@ checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,14 @@ def sym(a: np.ndarray) -> np.ndarray:
 
 
 def require_symmetric(a: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry within ``tol`` (relative) and return the symmetrized copy."""
+    """Validate finiteness and symmetry within ``tol`` (relative); return the symmetrized copy."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.linalg.norm(a)))
+    norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise ValueError(f"{name} has a non-finite Frobenius norm ({norm})")
+    scale = max(1.0, norm)
     skew = float(np.linalg.norm(a - a.T))
     if skew > tol * scale:
         raise ValueError(f"{name} is not symmetric: asymmetry {skew:.3e} exceeds {tol:.1e} * {scale:.3e}")

@@ -17,6 +17,7 @@ from gaussgeo import (
     midpoint_N,
     sym_exp,
 )
+import gaussgeo.ahm as ahm_mod
 from gaussgeo.ahm import AhmPair, ahm_sequence, gap_identity_residual
 from gaussgeo.sympair import block_exchange
 from util import random_point, random_spd, random_tangent
@@ -200,6 +201,34 @@ class TestInterpolate:
         pts = interpolate(p, q, 2)
         gaps = [distance(a, b) for a, b in zip(pts, pts[1:])]
         assert max(gaps) - min(gaps) <= 1e-6
+
+    def test_one_shared_solve(self, monkeypatch):
+        calls = []
+
+        def counting_log_map(*args, **kwargs):
+            calls.append(args)
+            return log_map(*args, **kwargs)
+
+        monkeypatch.setattr(ahm_mod, "log_map", counting_log_map)
+        rng = np.random.default_rng(48)
+        for n in (1, 2, 3):
+            p, q = random_point(rng, n), random_point(rng, n)
+            depth = 3
+            calls.clear()
+            pts = interpolate(p, q, depth)
+            assert len(calls) == 1
+            xi = log_map(p, q)
+            for k, pt in enumerate(pts):
+                ref = exp_map_from(p, xi, k / 2 ** depth)
+                dev = np.linalg.norm(pt.sigma - ref.sigma) + np.linalg.norm(pt.mu - ref.mu)
+                assert dev <= 1e-10 * max(1.0, np.linalg.norm(ref.sigma))
+
+    def test_coincident_points(self):
+        rng = np.random.default_rng(49)
+        p = random_point(rng, 2)
+        q = GaussianPoint(p.sigma.copy(), p.mu.copy())
+        pts = interpolate(p, q, 2)
+        assert pts[:-1] == [p] * 4 and pts[-1] is q
 
     def test_rejects_nonpositive_depth(self):
         rng = np.random.default_rng(47)

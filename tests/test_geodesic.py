@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from gaussgeo import (
     trajectory,
 )
 from gaussgeo.geodesic import (
+    _pack,
+    _residual_jacobian,
+    _unpack,
     ambient_exponentials,
     read_trajectory_csv,
     recovered_initial_direction,
@@ -245,6 +249,84 @@ class TestLogMap:
         with pytest.raises(ShootingError) as excinfo:
             log_map(p, q, max_iter=1, init_scale=0.01)
         assert excinfo.value.residual > 0
+
+
+def central_difference_jacobian(vec, n, h=1e-5):
+    """Oracle: central differences of the embedded shooting residual."""
+    cols = []
+    for j in range(vec.size):
+        bump = np.zeros(vec.size)
+        bump[j] = h
+        plus = embed(exp_map(_unpack(vec + bump, n), 1.0))
+        minus = embed(exp_map(_unpack(vec - bump, n), 1.0))
+        cols.append((plus - minus).ravel() / (2.0 * h))
+    return np.array(cols).T
+
+
+# Far pairs of the benchmark (seed 1, paper norm 4-8) whose first
+# Gauss-Newton steps overshoot: ops 71 (n = 2), whose trials exceed the
+# exponent cap, and 12 (n = 3), one of whose trials has an exponential that
+# is not positive definite in the block factorization.
+FAR_PAIRS = {
+    "op71-n2": (
+        GaussianPoint(
+            np.array([[1.1417781432608998, 0.45853474532795374], [0.45853474532795374, 1.4578205540623477]]),
+            np.array([-0.2669546437526993, 0.21241819174534207]),
+        ),
+        GaussianPoint(
+            np.array([[12.53073043728552, 2.4637090470755223], [2.4637090470755223, 0.7502014462013217]]),
+            np.array([1.3165514087562988, -1.820710627986607]),
+        ),
+    ),
+    "op12-n3": (
+        GaussianPoint(
+            np.array([
+                [1.2615579107013783, -0.051155897353088994, -0.1369845901924137],
+                [-0.051155897353088994, 0.7251043660048354, -0.20487667373898039],
+                [-0.1369845901924137, -0.20487667373898039, 0.9809443698507774],
+            ]),
+            np.array([0.7272999020487253, -1.8275862457309329, 0.7838677215294181]),
+        ),
+        GaussianPoint(
+            np.array([
+                [0.6411148633404579, -1.192710876112848, -0.35071756063829745],
+                [-1.192710876112848, 2.9678594642620992, 1.6230131848253617],
+                [-0.35071756063829745, 1.6230131848253617, 1.61022319381599],
+            ]),
+            np.array([-0.7079545883113293, -2.2989387186735337, 0.19171379080867157]),
+        ),
+    ),
+}
+
+
+class TestShootingJacobian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_central_differences(self, n):
+        rng = np.random.default_rng(60 + n)
+        for norm in (0.5, 2.0, 6.0):
+            vec = _pack(random_tangent(rng, n, norm=norm))
+            exact = _residual_jacobian(vec, n)
+            oracle = central_difference_jacobian(vec, n)
+            assert exact.shape == oracle.shape == ((n + 1) ** 2, vec.size)
+            assert np.linalg.norm(exact - oracle) <= 1e-7 * np.linalg.norm(exact)
+
+    def test_repeated_eigenvalues(self):
+        # A scalar-variance direction with a0 = 0 has a triply repeated
+        # spectrum; the divided differences must take their limit there.
+        vec = _pack(Tangent(np.eye(2), np.zeros(2)))
+        exact = _residual_jacobian(vec, 2)
+        assert np.all(np.isfinite(exact))
+        assert np.linalg.norm(exact - central_difference_jacobian(vec, 2)) <= 1e-7 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("pair", sorted(FAR_PAIRS))
+    def test_overshooting_trials_are_rejected_steps(self, pair):
+        p, q = FAR_PAIRS[pair]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            xi = log_map(p, q)
+            hit = exp_map_from(p, xi, 1.0)
+        assert np.linalg.norm(embed(hit) - embed(q)) <= 1e-8 * np.linalg.norm(embed(q))
+        assert 4.0 <= distance(p, q) <= 8.0
 
 
 class TestDistance:

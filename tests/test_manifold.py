@@ -16,6 +16,12 @@ from gaussgeo import (
 from util import random_point, random_sym, random_tangent
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gaussian_point_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        GaussianPoint(np.array([[bad, 0.0], [0.0, 1.0]]), np.zeros(2))
+
+
 class TestEmbed:
     def test_identity_point(self):
         assert np.allclose(embed(GaussianPoint.identity(3)), np.eye(4))

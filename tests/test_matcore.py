@@ -8,6 +8,7 @@ from gaussgeo.matcore import (
     block_cholesky,
     check_special_symmetry,
     require_spd,
+    require_symmetric,
     spd_inv,
     spd_log,
     spd_sqrt,
@@ -112,6 +113,13 @@ class TestSpdFunctions:
     def test_require_spd_rejects(self):
         with pytest.raises(NotSpdError):
             require_spd(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("validator", [require_symmetric, require_spd])
+def test_validators_reject_non_finite(validator, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        validator(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestBlockCholesky:
