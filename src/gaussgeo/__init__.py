@@ -14,6 +14,7 @@ from .matcore import (
     EigenError,
     NotSpdError,
     block_cholesky,
+    block_exchange,
     check_special_symmetry,
     spd_inv,
     spd_log,
@@ -25,23 +26,17 @@ from .matcore import (
 from .manifold import (
     AffineMap,
     GaussianPoint,
-    NaturalPoint,
     Tangent,
     alt_embed_check,
     embed,
     fisher_numeric,
-    from_natural,
     metric_at_identity,
     normalize_to_identity,
     tangent_norm,
-    to_natural,
     unembed,
 )
 from .sympair import (
-    HorizontalGenerator,
     LieAlgebraElement,
-    PointM,
-    block_exchange,
     decompose_km,
     horizontal_lift,
     horizontal_vertical_split,
@@ -60,7 +55,7 @@ from .geodesic import (
     trajectory,
 )
 from .ahm import AhmPair, ahm_midpoint, ahm_step, direct_midpoint, interpolate, midpoint_N
-from .laxflow import LaxMatrices, LaxState, integrate, lax_closed_form, verify_lax
+from .laxflow import LaxState, integrate, lax_closed_form, verify_lax
 
 __version__ = "0.1.0"
 
@@ -72,13 +67,9 @@ __all__ = [
     "EigenError",
     "GaussianPoint",
     "GeodesicTrajectory",
-    "HorizontalGenerator",
-    "LaxMatrices",
     "LaxState",
     "LieAlgebraElement",
-    "NaturalPoint",
     "NotSpdError",
-    "PointM",
     "ShootingError",
     "Tangent",
     "ahm_midpoint",
@@ -95,7 +86,6 @@ __all__ = [
     "exp_map_from",
     "first_integrals",
     "fisher_numeric",
-    "from_natural",
     "geodesic_residual",
     "horizontal_lift",
     "horizontal_vertical_split",
@@ -115,7 +105,6 @@ __all__ = [
     "sym_eigen",
     "sym_exp",
     "tangent_norm",
-    "to_natural",
     "trajectory",
     "unembed",
     "verify_lax",

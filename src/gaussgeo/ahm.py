@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import check_special_symmetry, require_spd, spd_inv, spd_sqrt, sym, sym_exp
-from .manifold import AffineMap, GaussianPoint, Tangent, normalize_to_identity, unembed
+from .manifold import AffineMap, GaussianPoint, Tangent, normalize_to_identity, require_finite_means, unembed
 from .geodesic import exp_map, log_map
 from .sympair import MEMBERSHIP_TOL, horizontal_lift, submersion_project
 
@@ -132,10 +132,11 @@ def midpoint_N(p: GaussianPoint, q: GaussianPoint, tol: float = AHM_TOL, max_ite
     cross-checked against the halved exponential of the same tangent; the
     two routes are independent computations of one point.
     """
+    require_finite_means(p, q)
     if p.close_to(q):
         return p
     xi = log_map(p, q, **log_opts)
-    lifted_mid = ahm_midpoint(np.eye(2 * xi.n + 1), sym_exp(horizontal_lift(xi).matrix()), tol=tol, max_iter=max_iter)
+    lifted_mid = ahm_midpoint(np.eye(2 * xi.n + 1), sym_exp(horizontal_lift(xi)), tol=tol, max_iter=max_iter)
     return _checked_point(lifted_mid, xi, 0.5, normalize_to_identity(p).inverse())
 
 
@@ -153,12 +154,13 @@ def interpolate(
     """
     if depth < 1:
         raise ValueError("depth must be a positive integer")
+    require_finite_means(p, q)
     count = 2 ** depth
     if p.close_to(q):
         return [p] * count + [q]
     xi = log_map(p, q, **log_opts)
     lifted = [None] * (count + 1)
-    lifted[0], lifted[count] = np.eye(2 * xi.n + 1), sym_exp(horizontal_lift(xi).matrix())
+    lifted[0], lifted[count] = np.eye(2 * xi.n + 1), sym_exp(horizontal_lift(xi))
     points = [p] + [None] * (count - 1) + [q]
     denorm = normalize_to_identity(p).inverse()
     span = count

@@ -18,9 +18,9 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .matcore import (
     special_structure_residuals,
     sym,
 )
-from .manifold import GaussianPoint, Tangent, corner_residual, embed, fisher_numeric, metric_at_identity, tangent_norm
+from .manifold import GaussianPoint, Tangent, embed, fisher_numeric, metric_at_identity, tangent_norm
 from . import geodesic as geo
 from .geodesic import ShootingError
 from . import ahm as ahm_mod
@@ -58,39 +58,11 @@ class InputError(ValueError):
     """Malformed or schema-violating input."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated numeric parameters of one CLI run."""
-
-    command: str
-    tol: float = 1e-12
-    max_iter: int = 60
-    metric: str = "paper"
-    dt: float = 1e-3
-    steps: int = 100
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
-        if self.max_iter <= 0:
-            raise InputError("max-iter must be positive")
-        if self.dt <= 0:
-            raise InputError("dt must be positive")
-        if self.steps <= 0:
-            raise InputError("steps must be positive")
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        return RunConfig(
-            command=args.command,
-            tol=getattr(args, "tol", 1e-12),
-            max_iter=getattr(args, "max_iter", 60),
-            metric=getattr(args, "metric", "paper"),
-            dt=getattr(args, "dt", 1e-3),
-            steps=getattr(args, "steps", 100),
-            seed=getattr(args, "seed", None),
-        )
+def _check_positive(args) -> None:
+    """Reject a nonpositive ``--tol``, ``--max-iter``, ``--dt`` or ``--steps`` of the subcommand."""
+    for name in ("tol", "max_iter", "dt", "steps"):
+        if getattr(args, name, 1) <= 0:
+            raise InputError(f"{name.replace('_', '-')} must be positive")
 
 
 def _setup_logging() -> None:
@@ -148,7 +120,16 @@ def _parse_vector(raw, n: int, name: str) -> np.ndarray:
         raise InputError(f"{name} must be a numeric array") from exc
     if vec.shape != (n,):
         raise InputError(f"{name} must have length {n}, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise InputError(f"{name} must be finite")
     return vec
+
+
+def _parse_t_end(obj) -> float:
+    t_end = float(obj.get("t_end", 1.0))
+    if not math.isfinite(t_end):
+        raise InputError("t_end must be finite")
+    return t_end
 
 
 def parse_point(obj, what: str = "point") -> GaussianPoint:
@@ -205,7 +186,7 @@ def _t_grid(obj, steps: int) -> np.ndarray:
     if raw is None:
         if "t_end" not in obj:
             raise InputError("input must provide t_grid (sample times) or t_end (with --steps)")
-        t_end = float(obj["t_end"])
+        t_end = _parse_t_end(obj)
         if t_end <= 0:
             raise InputError("t_end must be positive")
         return np.linspace(0.0, t_end, steps + 1)
@@ -215,34 +196,32 @@ def _t_grid(obj, steps: int) -> np.ndarray:
         raise InputError("t_grid must be a numeric array") from exc
     if ts.ndim != 1 or ts.size < 1:
         raise InputError("t_grid must be a non-empty 1-d array")
+    if not np.all(np.isfinite(ts)):
+        raise InputError("t_grid must be finite")
     if np.any(np.diff(ts) < 0):
         raise InputError("t_grid must be nondecreasing")
     return ts
 
 
 def cmd_shoot(args) -> int:
-    cfg = RunConfig.from_args(args)
+    _check_positive(args)
     obj = _load_input(args.input)
     _require_keys(obj, ("tangent",), "input")
     xi = parse_tangent(obj["tangent"])
     base = parse_point(obj["point"], "point") if "point" in obj else None
-    ts = _t_grid(obj, cfg.steps)
+    ts = _t_grid(obj, args.steps)
     traj = geo.trajectory(xi, ts, basepoint=base)
-    for point in traj.points:
-        res = corner_residual(embed(point))
-        if res > 1e-8 * max(1.0, float(np.linalg.norm(point.sigma))):
-            raise ArithmeticError(f"emitted point violates the corner identity: residual {res:.3e}")
     buf = io.StringIO()
-    geo.write_trajectory_csv(traj, buf)
+    geo.write_samples_csv(buf, ("sigma", "mu"), ((t, p.sigma, p.mu) for t, p in zip(traj.ts, traj.points)))
     _emit(buf.getvalue(), args.output)
     return 0
 
 
 def cmd_log(args) -> int:
-    cfg = RunConfig.from_args(args)
+    _check_positive(args)
     obj = _load_input(args.input)
     p, q = parse_pair(obj)
-    xi = geo.log_map(p, q, tol=cfg.tol, max_iter=cfg.max_iter, init_scale=args.init_scale)
+    xi = geo.log_map(p, q, tol=args.tol, max_iter=args.max_iter, init_scale=args.init_scale)
     residual = float(np.linalg.norm(embed(geo.exp_map_from(p, xi, 1.0)) - embed(q)))
     results = {"tangent": tangent_to_json(xi), "residual": residual}
     _report("log", _digest(obj), results, {}, args.output)
@@ -250,46 +229,45 @@ def cmd_log(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    cfg = RunConfig.from_args(args)
+    _check_positive(args)
     obj = _load_input(args.input)
     p, q = parse_pair(obj)
-    value = geo.distance(p, q, convention=cfg.metric, tol=cfg.tol, max_iter=cfg.max_iter)
-    _report("dist", _digest(obj), {"distance": value, "convention": cfg.metric}, {}, args.output)
+    value = geo.distance(p, q, convention=args.metric, tol=args.tol, max_iter=args.max_iter)
+    _report("dist", _digest(obj), {"distance": value, "convention": args.metric}, {}, args.output)
     return 0
 
 
 def cmd_midpoint(args) -> int:
-    cfg = RunConfig.from_args(args)
+    _check_positive(args)
     obj = _load_input(args.input)
     p, q = parse_pair(obj)
-    mid = ahm_mod.midpoint_N(p, q, tol=cfg.tol, max_iter=cfg.max_iter)
+    mid = ahm_mod.midpoint_N(p, q, tol=args.tol, max_iter=args.max_iter)
     results = point_to_json(mid)
     _report("midpoint", _digest(obj), results, {}, args.output)
     return 0
 
 
 def cmd_interp(args) -> int:
-    cfg = RunConfig.from_args(args)
+    _check_positive(args)
     obj = _load_input(args.input)
     p, q = parse_pair(obj)
     depth = int(obj.get("depth", args.depth))
     if depth < 1:
         raise InputError("depth must be a positive integer")
-    points = ahm_mod.interpolate(p, q, depth, tol=cfg.tol, max_iter=cfg.max_iter)
+    points = ahm_mod.interpolate(p, q, depth, tol=args.tol, max_iter=args.max_iter)
     results = {"depth": depth, "points": [point_to_json(pt) for pt in points]}
     _report("interp", _digest(obj), results, {}, args.output)
     return 0
 
 
 def cmd_lax(args) -> int:
-    cfg = RunConfig.from_args(args)
+    _check_positive(args)
     obj = _load_input(args.input)
     _require_keys(obj, ("tangent",), "input")
     xi = parse_tangent(obj["tangent"])
-    t_end = float(obj.get("t_end", 1.0))
-    samples = lax_mod.integrate(args.rhs, xi, t_end, dt=cfg.dt)
+    samples = lax_mod.integrate(args.rhs, xi, _parse_t_end(obj), dt=args.dt)
     buf = io.StringIO()
-    lax_mod.write_lax_csv(samples, buf)
+    geo.write_samples_csv(buf, ("Q", "r"), ((t, s.Q, s.r) for t, s in samples))
     _emit(buf.getvalue(), args.output)
     return 0
 
@@ -302,20 +280,20 @@ def _random_unit_tangent(n: int, rng: np.random.Generator) -> Tangent:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
+    _check_positive(args)
     obj = _load_input(args.input)
     if "tangent" in obj:
         xi = parse_tangent(obj["tangent"])
     elif "n" in obj:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         xi = _random_unit_tangent(int(obj["n"]), rng)
-        log.info("generated random unit tangent for n=%d (seed=%s)", xi.n, cfg.seed)
+        log.info("generated random unit tangent for n=%d (seed=%s)", xi.n, args.seed)
     else:
         raise InputError("verify input needs a tangent or a dimension n")
-    t_end = float(obj.get("t_end", 1.0))
+    t_end = _parse_t_end(obj)
     if t_end <= 0:
         raise InputError("t_end must be positive")
-    h = cfg.dt
+    h = args.dt
     steps = max(4, int(round(t_end / h)))
     ts = np.linspace(0.0, steps * h, steps + 1)
 

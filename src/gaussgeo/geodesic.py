@@ -41,6 +41,7 @@ from .manifold import (
     embed,
     metric_at_identity,
     normalize_to_identity,
+    require_finite_means,
     tangent_norm,
     unembed,
 )
@@ -95,7 +96,7 @@ def exp_map(xi: Tangent, t: float) -> GaussianPoint:
     n = xi.n
     if t == 0.0:
         return GaussianPoint.identity(n)
-    g = sym_exp(t * horizontal_lift(xi).matrix())
+    g = sym_exp(t * horizontal_lift(xi))
     m, d = block_cholesky(g)
     worst = max(special_structure_residuals(m, d).values())
     if worst > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(g))):
@@ -111,7 +112,7 @@ def exp_map_from(p: GaussianPoint, xi: Tangent, t: float) -> GaussianPoint:
 
 def ambient_exponentials(xi: Tangent, ts: np.ndarray) -> np.ndarray:
     """Stack of lifted geodesic matrices ``exp(t V)`` for each t (one shared eigenbasis)."""
-    v = horizontal_lift(xi).matrix()
+    v = horizontal_lift(xi)
     w, u = sym_eigen(v)
     ts = np.asarray(ts, dtype=float)
     return np.einsum("ik,tk,jk->tij", u, np.exp(np.outer(ts, w)), u)
@@ -135,14 +136,19 @@ def trajectory(xi: Tangent, ts, basepoint: GaussianPoint | None = None) -> Geode
     return GeodesicTrajectory(ts=ts, points=tuple(points), source=xi, basepoint=basepoint)
 
 
-def _stencil(traj: GeodesicTrajectory, h: float) -> tuple[np.ndarray, np.ndarray, int]:
-    ts = traj.ts
+def _stencil_offset(ts: np.ndarray, h: float) -> int:
+    """Sample offset of the central difference with step ``h`` on the grid ``ts``.
+
+    Raises ``ValueError`` unless ``ts`` is a uniform increasing grid of at
+    least three samples and ``h`` a positive multiple of its spacing that
+    fits inside the grid on both sides of some sample.
+    """
     if ts.size < 3:
-        raise ValueError("trajectory must contain at least three samples")
+        raise ValueError("need at least three samples")
     deltas = np.diff(ts)
     spacing = float(deltas[0])
     if spacing <= 0 or np.max(np.abs(deltas - spacing)) > 1e-9 * max(spacing, 1e-30):
-        raise ValueError("trajectory grid must be uniform and increasing")
+        raise ValueError("samples must lie on a uniform increasing grid")
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     m = int(round(h / spacing))
@@ -151,7 +157,12 @@ def _stencil(traj: GeodesicTrajectory, h: float) -> tuple[np.ndarray, np.ndarray
     if abs(m * spacing - h) > 1e-9 * h:
         raise ValueError(f"step {h:.3e} is not a multiple of the grid spacing {spacing:.3e}")
     if ts.size < 2 * m + 1:
-        raise ValueError("trajectory range too short for the requested finite-difference step")
+        raise ValueError("sampled range too short for the requested finite-difference step")
+    return m
+
+
+def _stencil(traj: GeodesicTrajectory, h: float) -> tuple[np.ndarray, np.ndarray, int]:
+    m = _stencil_offset(traj.ts, h)
     sigmas = np.stack([p.sigma for p in traj.points])
     mus = np.stack([p.mu for p in traj.points])
     return sigmas, mus, m
@@ -230,7 +241,7 @@ def _unpack(vec: np.ndarray, n: int) -> Tangent:
 def _generator_basis(n: int) -> np.ndarray:
     """Horizontal generators of the packed basis tangents, stacked (read-only)."""
     k = n * (n + 1) // 2 + n
-    basis = np.stack([horizontal_lift(_unpack(e, n)).matrix() for e in np.eye(k)])
+    basis = np.stack([horizontal_lift(_unpack(e, n)) for e in np.eye(k)])
     basis.flags.writeable = False
     return basis
 
@@ -345,32 +356,32 @@ def log_map(
 
 def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", **opts) -> float:
     """Geodesic distance: the metric norm of the connecting log tangent."""
+    require_finite_means(p, q)
     if p.close_to(q):
         return 0.0
     xi = log_map(p, q, **opts)
     return float(np.sqrt(max(0.0, metric_at_identity(xi, xi, convention))))
 
 
-def trajectory_header(n: int) -> list[str]:
-    cols = ["t"]
-    cols += [f"sigma_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    cols += [f"mu_{i + 1}" for i in range(n)]
-    return cols
+def write_samples_csv(fh, names: tuple[str, str], samples) -> None:
+    """Write ``(t, matrix, vector)`` samples as CSV: t, row-major matrix entries, vector entries.
 
-
-def write_trajectory_csv(traj: GeodesicTrajectory, fh) -> None:
-    """Write samples as CSV: t, row-major covariance entries, mean entries."""
+    ``names`` label the matrix and the vector columns: ``("sigma", "mu")``
+    gives the header ``t,sigma_11,...,sigma_nn,mu_1,...,mu_n``.
+    """
+    samples = list(samples)
+    n = len(samples[0][2])
+    mat, vec = names
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(trajectory_header(traj.n))
-    for t, point in zip(traj.ts, traj.points):
-        row = [f"{t:.17g}"]
-        row += [f"{v:.17g}" for v in point.sigma.ravel()]
-        row += [f"{v:.17g}" for v in point.mu]
-        writer.writerow(row)
+    writer.writerow(
+        ["t"] + [f"{mat}_{i + 1}{j + 1}" for i in range(n) for j in range(n)] + [f"{vec}_{i + 1}" for i in range(n)]
+    )
+    for t, matrix, vector in samples:
+        writer.writerow([f"{v:.17g}" for v in (t, *matrix.ravel(), *vector)])
 
 
 def read_trajectory_csv(fh) -> tuple[np.ndarray, list[GaussianPoint]]:
-    """Parse the CSV format written by :func:`write_trajectory_csv`."""
+    """Parse a trajectory written by :func:`write_samples_csv` with names ``("sigma", "mu")``."""
     reader = csv.reader(io.StringIO(fh.read()) if isinstance(fh, str) else fh)
     header = next(reader)
     width = len(header) - 1

@@ -38,13 +38,15 @@ the open Toda chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matcore import block_cholesky, sym_exp
 from .manifold import Tangent
-from .sympair import horizontal_lift
+from .geodesic import _stencil_offset
+from .sympair import horizontal_lift, split_orthogonal
 
 DEFAULT_DT = 1e-3
 CONSISTENCY_TOL = 1e-10
@@ -62,38 +64,14 @@ class LaxState:
         return self.Q.shape[0]
 
 
-@dataclass(frozen=True)
-class LaxMatrices:
-    """Assembled Lax pair."""
-
-    L: np.ndarray
-    M: np.ndarray
-
-
 def build_L(state: LaxState, a0: np.ndarray) -> np.ndarray:
-    n = state.n
-    l = np.zeros((2 * n + 1, 2 * n + 1))
-    l[:n, :n] = -state.Q
-    l[:n, n] = state.r
-    l[n, :n] = a0
-    l[n, n + 1:] = -state.r
-    l[n + 1:, n] = -a0
-    l[n + 1:, n + 1:] = state.Q.T
-    return l
+    """Lax matrix ``[[-Q, r, 0], [a0^T, 0, -r^T], [0, -a0, Q^T]]``."""
+    return split_orthogonal(state.Q, state.r, a0, 0.0, 0.0)
 
 
 def build_M(state: LaxState, a0: np.ndarray) -> np.ndarray:
-    n = state.n
-    m = np.zeros((2 * n + 1, 2 * n + 1))
-    m[:n, :n] = -state.Q
-    m[n, :n] = a0
-    m[n + 1:, n] = -a0
-    m[n + 1:, n + 1:] = state.Q.T
-    return m
-
-
-def lax_matrices(state: LaxState, a0: np.ndarray) -> LaxMatrices:
-    return LaxMatrices(L=build_L(state, a0), M=build_M(state, a0))
+    """Block lower-triangular projection of :func:`build_L` (the r-borders dropped)."""
+    return split_orthogonal(state.Q, 0.0, a0, 0.0, 0.0)
 
 
 def state_from_L(l: np.ndarray) -> LaxState:
@@ -138,6 +116,8 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
         If the state stops being finite (step size too large for the
         front's stiffness); the message reports the offending time.
     """
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise ValueError(f"t_end and dt must be finite, got {t_end} and {dt}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
@@ -202,7 +182,7 @@ def lax_closed_form(xi: Tangent, t: float) -> np.ndarray:
     generator by ``G1^{-1}``, cross-checks against the (equivalent)
     conjugation by ``G2``, and validates the sparse form.
     """
-    v = horizontal_lift(xi).matrix()
+    v = horizontal_lift(xi)
     g = sym_exp(t * v)
     m, d = block_cholesky(g)
     g1 = m.assemble() @ d.assemble()
@@ -225,23 +205,11 @@ def verify_lax(samples: list[tuple[float, LaxState]], a0: np.ndarray, h: float) 
     spectral drift is the worst deviation of ``trace(L^k)`` from its initial
     value for k up to the matrix order.
     """
-    if len(samples) < 3:
-        raise ValueError("need at least three samples")
-    ts = np.array([t for t, _ in samples])
-    deltas = np.diff(ts)
-    spacing = float(deltas[0])
-    if spacing <= 0 or np.max(np.abs(deltas - spacing)) > 1e-9 * max(spacing, 1e-30):
-        raise ValueError("samples must lie on a uniform increasing grid")
-    m = int(round(h / spacing))
-    if m < 1:
-        raise ValueError(f"grid too coarse relative to h: spacing {spacing:.3e} exceeds step {h:.3e}")
-    if abs(m * spacing - h) > 1e-9 * h:
-        raise ValueError(f"step {h:.3e} is not a multiple of the sampling spacing {spacing:.3e}")
-    if ts.size < 2 * m + 1:
-        raise ValueError("sampled range too short for the requested finite-difference step")
+    m = _stencil_offset(np.array([t for t, _ in samples]), h)
 
-    ls = np.stack([build_L(s, a0) for _, s in samples])
-    ms = np.stack([build_M(s, a0) for _, s in samples])
+    qs = np.stack([s.Q for _, s in samples])
+    ls = split_orthogonal(qs, np.stack([s.r for _, s in samples]), a0, 0.0, 0.0)
+    ms = split_orthogonal(qs, 0.0, a0, 0.0, 0.0)
 
     ldot = (ls[2 * m:] - ls[:-2 * m]) / (2.0 * h)
     center_l = ls[m:-m]
@@ -258,24 +226,3 @@ def verify_lax(samples: list[tuple[float, LaxState]], a0: np.ndarray, h: float) 
     traces = np.stack(traces)  # (order, samples)
     drift = float(np.max(np.abs(traces - traces[:, :1])))
     return comm_residual, drift
-
-
-def lax_header(n: int) -> list[str]:
-    cols = ["t"]
-    cols += [f"Q_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    cols += [f"r_{i + 1}" for i in range(n)]
-    return cols
-
-
-def write_lax_csv(samples: list[tuple[float, LaxState]], fh) -> None:
-    """Write flow samples as CSV: t, row-major Q entries, r entries."""
-    import csv
-
-    n = samples[0][1].n
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(lax_header(n))
-    for t, state in samples:
-        row = [f"{t:.17g}"]
-        row += [f"{v:.17g}" for v in state.Q.ravel()]
-        row += [f"{v:.17g}" for v in state.r]
-        writer.writerow(row)

@@ -66,12 +66,15 @@ class GaussianPoint:
         )
 
 
-@dataclass(frozen=True)
-class NaturalPoint:
-    """Natural parameters: ``theta = sigma^{-1}``, ``delta = sigma^{-1} mu``."""
+def require_finite_means(*points: GaussianPoint) -> None:
+    """Raise ``ValueError`` if the mean of any of ``points`` is not finite.
 
-    theta: np.ndarray
-    delta: np.ndarray
+    The constructor leaves the mean unchecked to keep per-sample point
+    construction cheap; public operations on given points call this once.
+    """
+    for p in points:
+        if not np.all(np.isfinite(p.mu)):
+            raise ValueError(f"mean must be finite, got {p.mu}")
 
 
 @dataclass(frozen=True)
@@ -108,16 +111,6 @@ class Tangent:
         t[:n, n] = self.a0
         t[n, :n] = self.a0
         return t
-
-
-def to_natural(p: GaussianPoint) -> NaturalPoint:
-    theta = spd_inv(p.sigma)
-    return NaturalPoint(theta=theta, delta=theta @ p.mu)
-
-
-def from_natural(q: NaturalPoint) -> GaussianPoint:
-    sigma = spd_inv(require_spd(q.theta, name="theta"))
-    return GaussianPoint(sigma, sigma @ q.delta)
 
 
 def embed(p: GaussianPoint) -> np.ndarray:

@@ -57,18 +57,6 @@ def require_symmetric(a: np.ndarray, tol: float = 1e-12, name: str = "matrix") -
     return sym(a)
 
 
-def is_spd(a: np.ndarray) -> bool:
-    """Cheap SPD check via Cholesky success."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or np.linalg.norm(a - a.T) > 1e-10 * max(1.0, np.linalg.norm(a)):
-        return False
-    try:
-        np.linalg.cholesky(sym(a))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def require_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate symmetric positive definiteness; return the symmetrized copy."""
     a = require_symmetric(a, tol=1e-10, name=name)
@@ -138,9 +126,8 @@ def spd_log(p: np.ndarray) -> np.ndarray:
     return sym(v @ (np.log(w)[:, None] * v.T))
 
 
-def _jmat(n: int) -> np.ndarray:
-    # Exchange matrix of order 2n+1: swaps the leading and trailing n
-    # coordinates, fixes the middle one.  Canonical home: sympair module.
+def block_exchange(n: int) -> np.ndarray:
+    """Exchange matrix of order 2n+1 swapping the outer n-blocks and fixing the middle coordinate."""
     m = 2 * n + 1
     j = np.zeros((m, m))
     j[:n, n + 1:] = np.eye(n)
@@ -161,7 +148,7 @@ def check_special_symmetry(g: np.ndarray) -> float:
     if m % 2 == 0 or m < 3:
         raise ValueError(f"order must be odd and >= 3, got {m}")
     n = (m - 1) // 2
-    j = _jmat(n)
+    j = block_exchange(n)
     return float(np.linalg.norm(j @ spd_inv(g) @ j - g))
 
 

@@ -27,15 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import SYM_TOL, _jmat, check_special_symmetry, require_spd, require_symmetric, sym
+from .matcore import SYM_TOL, block_exchange, check_special_symmetry, require_spd, sym
 from .manifold import Tangent, corner_residual
 
 MEMBERSHIP_TOL = SYM_TOL
-
-
-def block_exchange(n: int) -> np.ndarray:
-    """Exchange matrix of order 2n+1 swapping the outer n-blocks."""
-    return _jmat(n)
 
 
 def sigma_group(g: np.ndarray) -> np.ndarray:
@@ -55,6 +50,28 @@ def sigma_algebra(x: np.ndarray) -> np.ndarray:
 def tau_algebra(x: np.ndarray) -> np.ndarray:
     """Cartan involution ``X -> -X^T``."""
     return -x.T
+
+
+def split_orthogonal(Q: np.ndarray, r, t, R, S) -> np.ndarray:
+    """The block layout ``[[-Q, r, R], [t^T, 0, -r^T], [S, -t, Q^T]]`` of order 2n+1.
+
+    The one writer of the split orthogonal layout: the horizontal generator,
+    :class:`LieAlgebraElement` and the Lax pair all assemble through it.  A
+    block or vector given as the scalar 0.0 is written as zeros.  Leading
+    axes of ``Q`` stack the result; the other arguments broadcast against
+    them.
+    """
+    n = Q.shape[-1]
+    x = np.zeros(Q.shape[:-2] + (2 * n + 1, 2 * n + 1))
+    x[..., :n, :n] = -Q
+    x[..., :n, n] = r
+    x[..., :n, n + 1:] = R
+    x[..., n, :n] = t
+    x[..., n, n + 1:] = -r
+    x[..., n + 1:, :n] = S
+    x[..., n + 1:, n] = -t
+    x[..., n + 1:, n + 1:] = np.swapaxes(Q, -1, -2)
+    return x
 
 
 def _blocks(x: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -93,17 +110,7 @@ class LieAlgebraElement:
         return self.Q.shape[0]
 
     def assemble(self) -> np.ndarray:
-        n = self.n
-        x = np.zeros((2 * n + 1, 2 * n + 1))
-        x[:n, :n] = -self.Q
-        x[:n, n] = self.r
-        x[:n, n + 1:] = self.R
-        x[n, :n] = self.t
-        x[n, n + 1:] = -self.r
-        x[n + 1:, :n] = self.S
-        x[n + 1:, n] = -self.t
-        x[n + 1:, n + 1:] = self.Q.T
-        return x
+        return split_orthogonal(self.Q, self.r, self.t, self.R, self.S)
 
     @staticmethod
     def from_matrix(x: np.ndarray, tol: float = 1e-10) -> "LieAlgebraElement":
@@ -130,40 +137,13 @@ class LieAlgebraElement:
         )
 
 
-@dataclass(frozen=True)
-class HorizontalGenerator:
-    """Horizontal direction (A0, a0); assembles to the traceless symmetric generator."""
+def horizontal_lift(xi: Tangent) -> np.ndarray:
+    """Lift a tangent at the identity to its horizontal generator upstairs.
 
-    A0: np.ndarray
-    a0: np.ndarray
-
-    def __post_init__(self):
-        A0 = require_symmetric(self.A0, name="A0")
-        a0 = np.atleast_1d(np.asarray(self.a0, dtype=float))
-        if a0.shape[0] != A0.shape[0]:
-            raise ValueError("a0 length must match A0 order")
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "a0", a0)
-
-    @property
-    def n(self) -> int:
-        return self.A0.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        n = self.n
-        v = np.zeros((2 * n + 1, 2 * n + 1))
-        v[:n, :n] = -self.A0
-        v[:n, n] = self.a0
-        v[n, :n] = self.a0
-        v[n, n + 1:] = -self.a0
-        v[n + 1:, n] = -self.a0
-        v[n + 1:, n + 1:] = self.A0
-        return v
-
-
-def horizontal_lift(xi: Tangent) -> HorizontalGenerator:
-    """Lift a tangent at the identity to its horizontal generator upstairs."""
-    return HorizontalGenerator(A0=xi.A0, a0=xi.a0)
+    Returns the traceless symmetric array ``[[-A0, a0, 0], [a0^T, 0, -a0^T],
+    [0, -a0, A0]]`` of order 2n+1.
+    """
+    return split_orthogonal(xi.A0, xi.a0, xi.a0, 0.0, 0.0)
 
 
 def decompose_km(x: LieAlgebraElement) -> tuple[LieAlgebraElement, LieAlgebraElement]:
@@ -185,64 +165,26 @@ def _require_m_shaped(x: LieAlgebraElement, tol: float = 1e-10) -> None:
         raise ValueError("element is not in the symmetric part (Q symmetric, t = r, S = -R required)")
 
 
-def horizontal_vertical_split(xm: LieAlgebraElement) -> tuple[HorizontalGenerator, LieAlgebraElement]:
+def horizontal_vertical_split(xm: LieAlgebraElement) -> tuple[Tangent, LieAlgebraElement]:
     """Split a symmetric-part element into horizontal (Q, r) and vertical (R) data.
 
-    The two parts are trace-orthogonal; the vertical part is the kernel of
-    the submersion differential at the identity.
+    The horizontal part is returned as the tangent whose :func:`horizontal_lift`
+    it is.  The two parts are trace-orthogonal; the vertical part is the
+    kernel of the submersion differential at the identity.
     """
     _require_m_shaped(xm)
     n = xm.n
-    h = HorizontalGenerator(A0=sym(xm.Q), a0=xm.r)
+    h = Tangent(A0=sym(xm.Q), a0=xm.r)
     v = LieAlgebraElement(Q=np.zeros((n, n)), R=xm.R, S=-xm.R, r=np.zeros(n), t=np.zeros(n))
     return h, v
 
 
-@dataclass(frozen=True)
-class PointM:
-    """A point of the totally geodesic submanifold, with its block view."""
-
-    G: np.ndarray
-
-    def __post_init__(self):
-        g = require_spd(self.G, name="lifted point")
-        res = check_special_symmetry(g)
-        if res > MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(g))):
-            raise ValueError(f"matrix violates the exchange symmetry: residual {res:.3e}")
-        object.__setattr__(self, "G", g)
-
-    @property
-    def n(self) -> int:
-        return (self.G.shape[0] - 1) // 2
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.G[: self.n, : self.n]
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.G[: self.n, self.n]
-
-    @property
-    def g13(self) -> np.ndarray:
-        return self.G[: self.n, self.n + 1:]
-
-    @property
-    def g23(self) -> np.ndarray:
-        return self.G[self.n, self.n + 1:]
-
-    @property
-    def g33(self) -> np.ndarray:
-        return self.G[self.n + 1:, self.n + 1:]
-
-
-def submersion_project(m) -> np.ndarray:
+def submersion_project(g: np.ndarray) -> np.ndarray:
     """Project a lifted point onto the leading (n+1)-block (the submersion).
 
-    Accepts a :class:`PointM` or a raw SPD array; validates membership in
-    the submanifold and the corner identity of the projected block.
+    Validates membership of the SPD array ``g`` in the submanifold and the
+    corner identity of the projected block.
     """
-    g = m.G if isinstance(m, PointM) else np.asarray(m, dtype=float)
     g = require_spd(g, name="lifted point")
     order = g.shape[0]
     if order % 2 == 0 or order < 3:
@@ -267,5 +209,4 @@ def submersion_differential(x) -> Tangent:
     """
     if not isinstance(x, LieAlgebraElement):
         x = LieAlgebraElement.from_matrix(np.asarray(x, dtype=float))
-    _require_m_shaped(x)
-    return Tangent(A0=sym(x.Q), a0=x.r)
+    return horizontal_vertical_split(x)[0]

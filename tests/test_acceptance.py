@@ -119,7 +119,7 @@ def test_criterion_5_mean_iteration():
     rng = np.random.default_rng(1005)
     worst_matrix, worst_gap, worst_det = 0.0, 0.0, 0.0
     for n in (1, 2, 3):
-        v = horizontal_lift(random_tangent(rng, n)).matrix()
+        v = horizontal_lift(random_tangent(rng, n))
         p0, q0 = np.eye(2 * n + 1), sym_exp(v)
         mid = ahm_midpoint(p0, q0)
         worst_matrix = max(worst_matrix, float(np.linalg.norm(mid - sym_exp(0.5 * v))))

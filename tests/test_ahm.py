@@ -19,7 +19,7 @@ from gaussgeo import (
 )
 import gaussgeo.ahm as ahm_mod
 from gaussgeo.ahm import AhmPair, ahm_sequence, gap_identity_residual
-from gaussgeo.sympair import block_exchange
+from gaussgeo.matcore import block_exchange
 from util import random_point, random_spd, random_tangent
 
 
@@ -73,7 +73,7 @@ class TestConvergence:
 
     def test_identity_base_reduces_to_square_root(self):
         rng = np.random.default_rng(33)
-        v = horizontal_lift(random_tangent(rng, 2)).matrix()
+        v = horizontal_lift(random_tangent(rng, 2))
         q0 = sym_exp(v)
         mid = ahm_midpoint(np.eye(5), q0)
         assert np.linalg.norm(mid - sym_exp(0.5 * v)) <= 1e-10 * max(1.0, np.linalg.norm(mid))
@@ -100,7 +100,7 @@ class TestConvergence:
 class TestLiftedInvariants:
     def _lifted_pair(self, seed, n=2, t=1.0):
         rng = np.random.default_rng(seed)
-        v = horizontal_lift(random_tangent(rng, n)).matrix()
+        v = horizontal_lift(random_tangent(rng, n))
         return np.eye(2 * n + 1), sym_exp(t * v), n
 
     def test_determinant_product_is_conserved(self):
@@ -235,3 +235,15 @@ class TestInterpolate:
         p = random_point(rng, 1)
         with pytest.raises(ValueError):
             interpolate(p, p, 0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("op", ["distance", "midpoint_N", "interpolate"])
+def test_public_operations_reject_non_finite_mean(op, bad):
+    call = {"distance": distance, "midpoint_N": midpoint_N, "interpolate": lambda a, b: interpolate(a, b, 2)}[op]
+    rng = np.random.default_rng(51)
+    p = random_point(rng, 2)
+    q = GaussianPoint(p.sigma, np.array([bad, 0.0]))
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            call(a, b)

@@ -62,6 +62,41 @@ class TestErrorsAndExitCodes:
         code, _out, err = run(capsys, ["dist", "--input", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, obj",
+        [
+            (["dist"], {"p": point_json([[1.0]], [math.inf]), "q": point_json([[2.0]], [0.0])}),
+            (["midpoint"], {"p": point_json([[1.0]], [math.inf]), "q": point_json([[2.0]], [0.0])}),
+            (["dist"], {"p": point_json([[1.0]], [math.nan]), "q": point_json([[2.0]], [0.0])}),
+            (["lax"], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": math.nan}),
+            (["lax"], {"tangent": tangent_json([[0.1]], [math.inf])}),
+            (["shoot"], {"tangent": tangent_json([[0.1]], [0.2]), "t_grid": [0.0, math.inf]}),
+            (["verify"], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": math.inf}),
+        ],
+        ids=["dist-inf-mu", "midpoint-inf-mu", "dist-nan-mu", "lax-nan-t_end", "lax-inf-a0", "shoot-inf-t_grid", "verify-inf-t_end"],
+    )
+    def test_non_finite_input_is_input_error(self, tmp_path, capsys, argv, obj):
+        path = write_json(tmp_path, "in.json", obj)
+        code, out, err = run(capsys, [*argv, "--input", path])
+        assert code == 2
+        assert out == ""
+        assert "input error" in err and "must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dist", "--tol", "0"], "tol must be positive"),
+            (["log", "--max-iter", "0"], "max-iter must be positive"),
+            (["lax", "--dt", "0"], "dt must be positive"),
+        ],
+    )
+    def test_nonpositive_option_rejected(self, tmp_path, capsys, argv, message):
+        obj = {"p": point_json([[1.0]], [0.0]), "q": point_json([[2.0]], [0.0]), "tangent": tangent_json([[0.1]], [0.2])}
+        path = write_json(tmp_path, "in.json", obj)
+        code, _out, err = run(capsys, [*argv, "--input", path])
+        assert code == 2
+        assert err == f"gaussgeo: input error: {message}\n"
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # absurd step size blows up the flow
         obj = {"tangent": tangent_json([[0.0]], [80.0]), "t_end": 10.0}
@@ -114,7 +149,24 @@ class TestShoot:
         path = write_json(tmp_path, "in.json", obj)
         code, _out, err = run(capsys, ["shoot", "--input", path, "--steps", "0"])
         assert code == 2
-        assert "positive" in err
+        assert err == "gaussgeo: input error: steps must be positive\n"
+
+    def test_large_mean_basepoint(self, tmp_path, capsys):
+        # The embedded corner 1 + mu^T sigma^{-1} mu is about 2e4 here, far
+        # above |sigma|; roundoff in it is no reason to refuse the trajectory.
+        sigma = [[0.22552908595028626, 0.41782815239847226], [0.41782815239847226, 0.7745811214215405]]
+        mu = [86.28336918035048, -59.09169588398616]
+        obj = {
+            "tangent": tangent_json(np.diag([0.1, -0.05]), [0.02, 0.01]),
+            "point": point_json(sigma, mu),
+            "t_grid": [0.0, 0.5, 1.0],
+        }
+        path = write_json(tmp_path, "in.json", obj)
+        code, out, err = run(capsys, ["shoot", "--input", path])
+        assert code == 0 and err == ""
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 3
+        assert np.allclose(rows[0][1:5], np.ravel(sigma), rtol=1e-12) and np.allclose(rows[0][5:], mu, rtol=1e-12)
 
     def test_basepoint_is_respected(self, tmp_path, capsys):
         obj = {

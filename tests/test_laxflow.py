@@ -8,14 +8,13 @@ from gaussgeo import Tangent, horizontal_lift, integrate, lax_closed_form, verif
 from gaussgeo.laxflow import (
     LaxState,
     build_L,
-    lax_header,
-    lax_matrices,
+    build_M,
     lax_pattern_residual,
     rhs_bilinear,
     rhs_riccati,
     state_from_L,
-    write_lax_csv,
 )
+from gaussgeo.geodesic import write_samples_csv
 from gaussgeo.sympair import sigma_algebra
 from util import random_sym, random_tangent
 
@@ -85,6 +84,11 @@ class TestIntegrate:
         with pytest.raises(ArithmeticError, match="finite"):
             integrate("riccati", scalar_tangent(beta=80.0), 10.0, dt=1.0)
 
+    @pytest.mark.parametrize("t_end, dt", [(math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)])
+    def test_non_finite_times_rejected(self, t_end, dt):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate("bilinear", scalar_tangent(), t_end, dt=dt)
+
     def test_unknown_rhs_rejected(self):
         with pytest.raises(ValueError):
             integrate("v3", scalar_tangent(), 1.0)
@@ -130,14 +134,14 @@ class TestAssembly:
         n = 2
         state = LaxState(Q=rng.standard_normal((n, n)), r=rng.standard_normal(n))
         a0 = rng.standard_normal(n)
-        pair = lax_matrices(state, a0)
-        assert np.array_equal(pair.L[:n, :n], -state.Q)
-        assert np.array_equal(pair.L[:n, n], state.r)
-        assert np.array_equal(pair.M[:n, n], np.zeros(n))
+        l_mat, m_mat = build_L(state, a0), build_M(state, a0)
+        assert np.array_equal(l_mat[:n, :n], -state.Q)
+        assert np.array_equal(l_mat[:n, n], state.r)
+        assert np.array_equal(m_mat[:n, n], np.zeros(n))
         # both lie in the split orthogonal algebra exactly
-        assert np.array_equal(sigma_algebra(pair.L), pair.L)
-        assert np.array_equal(sigma_algebra(pair.M), pair.M)
-        back = state_from_L(pair.L)
+        assert np.array_equal(sigma_algebra(l_mat), l_mat)
+        assert np.array_equal(sigma_algebra(m_mat), m_mat)
+        back = state_from_L(l_mat)
         assert np.array_equal(back.Q, state.Q) and np.array_equal(back.r, state.r)
 
     def test_trace_free(self):
@@ -152,13 +156,13 @@ class TestClosedForm:
         rng = np.random.default_rng(116)
         xi = random_tangent(rng, 2)
         l0 = lax_closed_form(xi, 0.0)
-        assert np.linalg.norm(l0 - horizontal_lift(xi).matrix()) <= 1e-12
+        assert np.linalg.norm(l0 - horizontal_lift(xi)) <= 1e-12
 
     def test_constant_without_coupling(self):
         rng = np.random.default_rng(117)
         a_mat = random_sym(rng, 2)
         xi = Tangent(a_mat, np.zeros(2))
-        v = horizontal_lift(xi).matrix()
+        v = horizontal_lift(xi)
         for t in (0.5, 1.5):
             assert np.linalg.norm(lax_closed_form(xi, t) - v) <= 1e-10 * max(1.0, np.linalg.norm(v))
 
@@ -223,10 +227,12 @@ class TestCsv:
         xi = scalar_tangent()
         samples = integrate("bilinear", xi, 0.2, dt=0.1)
         buf = io.StringIO()
-        write_lax_csv(samples, buf)
+        write_samples_csv(buf, ("Q", "r"), ((t, s.Q, s.r) for t, s in samples))
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,Q_11,r_1"
-        assert lax_header(2) == ["t", "Q_11", "Q_12", "Q_21", "Q_22", "r_1", "r_2"]
+        buf = io.StringIO()
+        write_samples_csv(buf, ("Q", "r"), [(0.0, np.zeros((2, 2)), np.zeros(2))])
+        assert buf.getvalue().splitlines()[0] == "t,Q_11,Q_12,Q_21,Q_22,r_1,r_2"
         parsed = [float(x) for x in lines[-1].split(",")]
         assert parsed[0] == 0.2
         assert parsed[1] == samples[-1][1].Q[0, 0]

@@ -7,10 +7,8 @@ from gaussgeo import (
     alt_embed_check,
     embed,
     fisher_numeric,
-    from_natural,
     metric_at_identity,
     normalize_to_identity,
-    to_natural,
     unembed,
 )
 from util import random_point, random_sym, random_tangent
@@ -63,13 +61,6 @@ class TestUnembed:
             scale = max(1.0, np.linalg.norm(p.sigma))
             assert np.linalg.norm(back.sigma - p.sigma) <= 1e-10 * scale
             assert np.linalg.norm(back.mu - p.mu) <= 1e-10 * scale
-
-    def test_natural_round_trip(self):
-        rng = np.random.default_rng(65)
-        p = random_point(rng, 3)
-        back = from_natural(to_natural(p))
-        assert np.linalg.norm(back.sigma - p.sigma) <= 1e-12 * max(1.0, np.linalg.norm(p.sigma))
-        assert np.linalg.norm(back.mu - p.mu) <= 1e-12 * max(1.0, np.linalg.norm(p.mu))
 
 
 class TestAltEmbed:

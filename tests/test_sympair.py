@@ -3,7 +3,6 @@ import pytest
 
 from gaussgeo import (
     GaussianPoint,
-    PointM,
     Tangent,
     block_exchange,
     check_special_symmetry,
@@ -29,18 +28,18 @@ def test_exchange_matrix_is_involution():
 
 class TestHorizontalLift:
     def test_zero(self):
-        assert np.array_equal(horizontal_lift(Tangent.zero(2)).matrix(), np.zeros((5, 5)))
+        assert np.array_equal(horizontal_lift(Tangent.zero(2)), np.zeros((5, 5)))
 
     def test_scalar_layout(self):
         alpha, beta = 0.3, -1.2
-        v = horizontal_lift(Tangent(np.array([[alpha]]), np.array([beta]))).matrix()
+        v = horizontal_lift(Tangent(np.array([[alpha]]), np.array([beta])))
         expected = np.array([[-alpha, beta, 0.0], [beta, 0.0, -beta], [0.0, -beta, alpha]])
         assert np.array_equal(v, expected)
 
     def test_structural_invariants(self):
         rng = np.random.default_rng(90)
         for n in (1, 2, 3):
-            v = horizontal_lift(random_tangent(rng, n)).matrix()
+            v = horizontal_lift(random_tangent(rng, n))
             j = block_exchange(n)
             assert np.array_equal(v, v.T)
             # diagonal entries cancel in exact pairs; only summation-order
@@ -124,15 +123,15 @@ class TestHorizontalVerticalSplit:
         xm = self._random_m_part(rng, 2)
         only_r = LieAlgebraElement(Q=np.zeros((2, 2)), R=xm.R, S=-xm.R, r=np.zeros(2), t=np.zeros(2))
         h, _v = horizontal_vertical_split(only_r)
-        assert np.allclose(h.matrix(), 0.0)
+        assert np.allclose(horizontal_lift(h), 0.0)
 
     def test_trace_orthogonality(self):
         rng = np.random.default_rng(98)
         for n in (2, 3):
             xm = self._random_m_part(rng, n)
             h, v = horizontal_vertical_split(xm)
-            assert abs(np.trace(h.matrix() @ v.assemble())) <= 1e-12
-            assert np.allclose(h.matrix() + v.assemble(), xm.assemble())
+            assert abs(np.trace(horizontal_lift(h) @ v.assemble())) <= 1e-12
+            assert np.allclose(horizontal_lift(h) + v.assemble(), xm.assemble())
 
     def test_rejects_non_m_shaped(self):
         rng = np.random.default_rng(99)
@@ -147,7 +146,7 @@ class TestSubmersion:
 
     def test_scalar_mean_direction(self):
         xi = Tangent(np.zeros((1, 1)), np.array([1.0]))
-        g = sym_exp(horizontal_lift(xi).matrix())
+        g = sym_exp(horizontal_lift(xi))
         h = submersion_project(g)
         assert np.allclose(h, g[:2, :2])
         # consistency of the corner identity on the projection
@@ -157,23 +156,13 @@ class TestSubmersion:
     def test_projection_is_spd(self):
         rng = np.random.default_rng(101)
         for n in (1, 2, 3):
-            g = sym_exp(horizontal_lift(random_tangent(rng, n)).matrix())
+            g = sym_exp(horizontal_lift(random_tangent(rng, n)))
             h = submersion_project(g)
             assert np.all(np.linalg.eigvalsh(h) > 0)
 
     def test_rejects_non_member(self):
         with pytest.raises(ValueError, match="symmetry"):
             submersion_project(np.diag([2.0, 1.0, 1.0]))
-
-    def test_point_view_blocks(self):
-        rng = np.random.default_rng(102)
-        n = 2
-        g = sym_exp(horizontal_lift(random_tangent(rng, n)).matrix())
-        m = PointM(g)
-        assert np.allclose(m.theta, g[:n, :n])
-        assert np.allclose(m.delta, g[:n, n])
-        assert np.allclose(m.g33, g[n + 1:, n + 1:])
-        assert np.allclose(submersion_project(m), g[:n + 1, :n + 1])
 
 
 class TestSubmersionDifferential:
@@ -184,7 +173,7 @@ class TestSubmersionDifferential:
     def test_inverts_horizontal_lift(self):
         rng = np.random.default_rng(103)
         xi = random_tangent(rng, 3)
-        back = submersion_differential(horizontal_lift(xi).matrix())
+        back = submersion_differential(horizontal_lift(xi))
         assert np.allclose(back.A0, xi.A0) and np.allclose(back.a0, xi.a0)
 
     def test_isometry_on_horizontal_subspace(self):
@@ -192,7 +181,7 @@ class TestSubmersionDifferential:
         for _ in range(100):
             n = int(rng.integers(1, 4))
             xi = random_tangent(rng, n, norm=float(rng.uniform(0.1, 3.0)))
-            v = horizontal_lift(xi).matrix()
+            v = horizontal_lift(xi)
             upstairs = float(np.trace(v @ v))
             downstairs = metric_at_identity(submersion_differential(v), submersion_differential(v), "paper")
             assert abs(upstairs - downstairs) <= 1e-12 * upstairs
@@ -202,7 +191,7 @@ class TestGeodesicStaysOnSlice:
     def test_symmetry_and_determinant_along_curve(self):
         rng = np.random.default_rng(105)
         for n in (1, 2, 3):
-            v = horizontal_lift(random_tangent(rng, n)).matrix()
+            v = horizontal_lift(random_tangent(rng, n))
             for t in np.linspace(-2.0, 2.0, 9):
                 g = sym_exp(t * v)
                 assert check_special_symmetry(g) <= 1e-10
@@ -223,7 +212,7 @@ class TestGeodesicStaysOnSlice:
 def test_projected_point_matches_unembed_route():
     rng = np.random.default_rng(107)
     xi = random_tangent(rng, 2)
-    g = sym_exp(horizontal_lift(xi).matrix())
+    g = sym_exp(horizontal_lift(xi))
     via_projection = unembed(submersion_project(g))
     assert isinstance(via_projection, GaussianPoint)
     h = embed(via_projection)
