@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import check_special_symmetry, require_spd, spd_inv, spd_sqrt, sym, sym_exp
-from .manifold import AffineMap, GaussianPoint, Tangent, normalize_to_identity, require_finite_means, unembed
+from .manifold import AffineMap, GaussianPoint, Tangent, normalize_to_identity, unembed
 from .geodesic import exp_map, log_map
 from .sympair import MEMBERSHIP_TOL, horizontal_lift, submersion_project
 
@@ -132,7 +132,6 @@ def midpoint_N(p: GaussianPoint, q: GaussianPoint, tol: float = AHM_TOL, max_ite
     cross-checked against the halved exponential of the same tangent; the
     two routes are independent computations of one point.
     """
-    require_finite_means(p, q)
     if p.close_to(q):
         return p
     xi = log_map(p, q, **log_opts)
@@ -154,7 +153,6 @@ def interpolate(
     """
     if depth < 1:
         raise ValueError("depth must be a positive integer")
-    require_finite_means(p, q)
     count = 2 ** depth
     if p.close_to(q):
         return [p] * count + [q]

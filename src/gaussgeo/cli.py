@@ -125,6 +125,14 @@ def _parse_vector(raw, n: int, name: str) -> np.ndarray:
     return vec
 
 
+def _positive_int(raw, name: str) -> int:
+    """A count from the input: a positive integral number (not a bool, string or non-finite float)."""
+    integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not integral or raw < 1:
+        raise InputError(f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _parse_t_end(obj) -> float:
     t_end = float(obj.get("t_end", 1.0))
     if not math.isfinite(t_end):
@@ -134,9 +142,7 @@ def _parse_t_end(obj) -> float:
 
 def parse_point(obj, what: str = "point") -> GaussianPoint:
     _require_keys(obj, ("n", "sigma", "mu"), what)
-    n = int(obj["n"])
-    if n < 1:
-        raise InputError(f"{what}: n must be positive")
+    n = _positive_int(obj["n"], f"{what}.n")
     sigma = _parse_matrix(obj["sigma"], n, f"{what}.sigma")
     mu = _parse_vector(obj["mu"], n, f"{what}.mu")
     try:
@@ -147,9 +153,7 @@ def parse_point(obj, what: str = "point") -> GaussianPoint:
 
 def parse_tangent(obj, what: str = "tangent") -> Tangent:
     _require_keys(obj, ("n", "A0", "a0"), what)
-    n = int(obj["n"])
-    if n < 1:
-        raise InputError(f"{what}: n must be positive")
+    n = _positive_int(obj["n"], f"{what}.n")
     a_mat = _parse_matrix(obj["A0"], n, f"{what}.A0")
     a_vec = _parse_vector(obj["a0"], n, f"{what}.a0")
     return Tangent(A0=a_mat, a0=a_vec)
@@ -212,7 +216,7 @@ def cmd_shoot(args) -> int:
     ts = _t_grid(obj, args.steps)
     traj = geo.trajectory(xi, ts, basepoint=base)
     buf = io.StringIO()
-    geo.write_samples_csv(buf, ("sigma", "mu"), ((t, p.sigma, p.mu) for t, p in zip(traj.ts, traj.points)))
+    geo.write_samples_csv(buf, ("sigma", "mu"), zip(traj.ts, traj.sigmas, traj.mus))
     _emit(buf.getvalue(), args.output)
     return 0
 
@@ -251,9 +255,7 @@ def cmd_interp(args) -> int:
     _check_positive(args)
     obj = _load_input(args.input)
     p, q = parse_pair(obj)
-    depth = int(obj.get("depth", args.depth))
-    if depth < 1:
-        raise InputError("depth must be a positive integer")
+    depth = _positive_int(obj.get("depth", args.depth), "depth")
     points = ahm_mod.interpolate(p, q, depth, tol=args.tol, max_iter=args.max_iter)
     results = {"depth": depth, "points": [point_to_json(pt) for pt in points]}
     _report("interp", _digest(obj), results, {}, args.output)
@@ -286,7 +288,7 @@ def cmd_verify(args) -> int:
         xi = parse_tangent(obj["tangent"])
     elif "n" in obj:
         rng = np.random.default_rng(args.seed)
-        xi = _random_unit_tangent(int(obj["n"]), rng)
+        xi = _random_unit_tangent(_positive_int(obj["n"], "n"), rng)
         log.info("generated random unit tangent for n=%d (seed=%s)", xi.n, args.seed)
     else:
         raise InputError("verify input needs a tangent or a dimension n")
@@ -301,11 +303,7 @@ def cmd_verify(args) -> int:
     samples = lax_mod.integrate("bilinear", xi, float(ts[-1]), dt=h)
 
     if args.perturb:
-        mid = len(traj.points) // 2
-        points = list(traj.points)
-        bad = points[mid]
-        points[mid] = GaussianPoint(bad.sigma, bad.mu + args.perturb)
-        traj = traj.with_points(points)
+        traj.mus[len(traj.ts) // 2] += args.perturb
         t_mid, s_mid = samples[len(samples) // 2]
         samples[len(samples) // 2] = (t_mid, lax_mod.LaxState(Q=s_mid.Q + args.perturb, r=s_mid.r))
         log.info("injected perturbation of size %g", args.perturb)
@@ -344,8 +342,8 @@ def cmd_verify(args) -> int:
 def cmd_fisher_check(args) -> int:
     obj = _load_input(args.input)
     _require_keys(obj, ("n",), "input")
-    n = int(obj["n"])
-    nodes = int(obj.get("nodes", 20))
+    n = _positive_int(obj["n"], "n")
+    nodes = _positive_int(obj.get("nodes", 20), "nodes")
     identity = GaussianPoint.identity(n)
     basis: list[Tangent] = []
     for i in range(n):
@@ -384,9 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol_default=1e-12, iter_default=60):
+    def io_args(sp):
         sp.add_argument("--input", "-i", default="-", help="input JSON file, or - for stdin (default)")
         sp.add_argument("--output", "-o", default="-", help="output file, or - for stdout (default)")
+
+    def common(sp, tol_default=1e-12, iter_default=60):
+        io_args(sp)
         sp.add_argument("--tol", type=float, default=tol_default, help=f"convergence tolerance (default {tol_default:g})")
         sp.add_argument("--max-iter", type=int, default=iter_default, help=f"iteration cap (default {iter_default})")
 
@@ -434,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("fisher-check", help="quadrature oracle vs closed-form metric at the identity")
-    common(sp)
+    io_args(sp)
     sp.set_defaults(func=cmd_fisher_check)
 
     return parser

@@ -28,20 +28,18 @@ global minimality is made when the connecting geodesic is not unique.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .matcore import block_cholesky, spd_log, special_structure_residuals, sym, sym_eigen, sym_exp
+from .matcore import NotSpdError, block_cholesky, spd_log, special_structure_residuals, sym, sym_eigen, sym_exp
 from .manifold import (
     GaussianPoint,
     Tangent,
     embed,
     metric_at_identity,
     normalize_to_identity,
-    require_finite_means,
     tangent_norm,
     unembed,
 )
@@ -65,25 +63,11 @@ class ShootingError(RuntimeError):
 
 @dataclass(frozen=True)
 class GeodesicTrajectory:
-    """Samples of a geodesic: times, points, generating tangent, base point."""
+    """Samples of a geodesic: times ``ts (T,)``, covariances ``sigmas (T, n, n)``, means ``mus (T, n)``."""
 
     ts: np.ndarray
-    points: tuple[GaussianPoint, ...]
-    source: Tangent
-    basepoint: GaussianPoint
-
-    @property
-    def n(self) -> int:
-        return self.source.n
-
-    def with_points(self, points) -> "GeodesicTrajectory":
-        return replace(self, points=tuple(points))
-
-
-def _point_from_ambient(g: np.ndarray, n: int) -> GaussianPoint:
-    theta = sym(g[:n, :n])
-    sigma = sym(np.linalg.inv(theta))
-    return GaussianPoint(sigma, sigma @ g[:n, n])
+    sigmas: np.ndarray
+    mus: np.ndarray
 
 
 def exp_map(xi: Tangent, t: float) -> GaussianPoint:
@@ -122,18 +106,37 @@ def trajectory(xi: Tangent, ts, basepoint: GaussianPoint | None = None) -> Geode
     """Sample the geodesic with direction ``xi`` at the given times.
 
     Equivalent to calling :func:`exp_map` (or :func:`exp_map_from`) per
-    sample, computed through one shared eigendecomposition.
+    sample, computed through one shared eigendecomposition and one batched
+    inverse.  Every sample is checked to be finite and positive definite.
+
+    Raises
+    ------
+    ArithmeticError
+        If a sample overflows (the times reach too far along the geodesic).
+    NotSpdError
+        If a sampled covariance is not positive definite.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = xi.n
-    gs = ambient_exponentials(xi, ts)
-    points = [_point_from_ambient(g, n) for g in gs]
-    if basepoint is None:
-        basepoint = GaussianPoint.identity(n)
-    else:
-        denorm = normalize_to_identity(basepoint).inverse()
-        points = [denorm.apply(p) for p in points]
-    return GeodesicTrajectory(ts=ts, points=tuple(points), source=xi, basepoint=basepoint)
+    # A leading block that roundoff left singular fails like a covariance
+    # that is not positive definite; overflow fails the finiteness check,
+    # without numpy warnings.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gs = ambient_exponentials(xi, ts)
+            sigmas = sym(np.linalg.inv(sym(gs[:, :n, :n])))
+            mus = (sigmas @ gs[:, :n, n, None])[..., 0]
+            if basepoint is not None:
+                denorm = normalize_to_identity(basepoint).inverse()
+                sigmas = sym(denorm.A @ sigmas @ denorm.A.T)
+                mus = (denorm.A @ mus[..., None])[..., 0] + denorm.b
+        finite = np.isfinite(sigmas).all(axis=(1, 2)) & np.isfinite(mus).all(axis=1)
+        if not finite.all():
+            raise ArithmeticError(f"geodesic stopped being finite at t = {ts[np.argmin(finite)]:.6g}")
+        np.linalg.cholesky(sigmas)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError("sigma is not positive definite") from exc
+    return GeodesicTrajectory(ts=ts, sigmas=sigmas, mus=mus)
 
 
 def _stencil_offset(ts: np.ndarray, h: float) -> int:
@@ -161,13 +164,6 @@ def _stencil_offset(ts: np.ndarray, h: float) -> int:
     return m
 
 
-def _stencil(traj: GeodesicTrajectory, h: float) -> tuple[np.ndarray, np.ndarray, int]:
-    m = _stencil_offset(traj.ts, h)
-    sigmas = np.stack([p.sigma for p in traj.points])
-    mus = np.stack([p.mu for p in traj.points])
-    return sigmas, mus, m
-
-
 def geodesic_residual(traj: GeodesicTrajectory, h: float) -> float:
     """Max finite-difference residual of the geodesic equations over the grid.
 
@@ -176,7 +172,8 @@ def geodesic_residual(traj: GeodesicTrajectory, h: float) -> float:
     returned value is the max over interior samples of the Frobenius norm of
     the covariance equation plus the norm of the mean equation.
     """
-    sigmas, mus, m = _stencil(traj, h)
+    m = _stencil_offset(traj.ts, h)
+    sigmas, mus = traj.sigmas, traj.mus
     lo, hi = m, len(traj.ts) - m
     s0, sm, sp = sigmas[lo:hi], sigmas[lo - m:hi - m], sigmas[lo + m:hi + m]
     mu0, mum, mup = mus[lo:hi], mus[lo - m:hi - m], mus[lo + m:hi + m]
@@ -193,7 +190,8 @@ def geodesic_residual(traj: GeodesicTrajectory, h: float) -> float:
 
 
 def _recovered_series(traj: GeodesicTrajectory, h: float) -> tuple[np.ndarray, np.ndarray]:
-    sigmas, mus, m = _stencil(traj, h)
+    m = _stencil_offset(traj.ts, h)
+    sigmas, mus = traj.sigmas, traj.mus
     lo, hi = m, len(traj.ts) - m
     s0 = sigmas[lo:hi]
     sd = (sigmas[lo + m:hi + m] - sigmas[lo - m:hi - m]) / (2.0 * h)
@@ -356,7 +354,6 @@ def log_map(
 
 def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", **opts) -> float:
     """Geodesic distance: the metric norm of the connecting log tangent."""
-    require_finite_means(p, q)
     if p.close_to(q):
         return 0.0
     xi = log_map(p, q, **opts)
@@ -378,20 +375,3 @@ def write_samples_csv(fh, names: tuple[str, str], samples) -> None:
     )
     for t, matrix, vector in samples:
         writer.writerow([f"{v:.17g}" for v in (t, *matrix.ravel(), *vector)])
-
-
-def read_trajectory_csv(fh) -> tuple[np.ndarray, list[GaussianPoint]]:
-    """Parse a trajectory written by :func:`write_samples_csv` with names ``("sigma", "mu")``."""
-    reader = csv.reader(io.StringIO(fh.read()) if isinstance(fh, str) else fh)
-    header = next(reader)
-    width = len(header) - 1
-    n = int(round((np.sqrt(4 * width + 1) - 1) / 2))  # width = n^2 + n
-    if n * n + n != width:
-        raise ValueError(f"malformed trajectory header of width {width}")
-    ts, points = [], []
-    for row in reader:
-        vals = [float(v) for v in row]
-        ts.append(vals[0])
-        sigma = np.array(vals[1:1 + n * n]).reshape(n, n)
-        points.append(GaussianPoint(sym(sigma), np.array(vals[1 + n * n:])))
-    return np.array(ts), points

@@ -108,7 +108,8 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
     follows the Lax flow only for commuting data (``a0`` zero or an
     eigenvector of ``A0``); otherwise it departs from the bilinear solution
     (see the commutator identity in the module docstring).  The last sample
-    lands on ``t_end`` exactly (a final partial step is allowed).
+    lands on ``t_end`` exactly (a final partial step is allowed).  Each
+    sample's ``Q`` and ``r`` are views of the RK4 state vector of its step.
 
     Raises
     ------
@@ -122,24 +123,23 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    n = xi.n
-    a0 = xi.a0.copy()
-    A0 = xi.A0.copy()
-
-    if rhs == "bilinear":
-        def f(y: np.ndarray) -> np.ndarray:
-            d = rhs_bilinear(_unpack_state(y, n), a0)
-            return _pack_state(d)
-    elif rhs == "riccati":
-        def f(y: np.ndarray) -> np.ndarray:
-            d = rhs_riccati(_unpack_state(y, n), A0, a0)
-            return _pack_state(d)
-    else:
+    rights = {"bilinear": lambda s: rhs_bilinear(s, xi.a0), "riccati": lambda s: rhs_riccati(s, xi.A0, xi.a0)}
+    if rhs not in rights:
         raise ValueError(f"unknown right side {rhs!r}; expected 'bilinear' or 'riccati'")
+    right = rights[rhs]
+    n = xi.n
 
-    y = _pack_state(LaxState(Q=A0.copy(), r=a0.copy()))
+    def view(y: np.ndarray) -> LaxState:
+        # the state (Q, r) lives in one flat vector; a LaxState is a view of it
+        return LaxState(Q=y[: n * n].reshape(n, n), r=y[n * n:])
+
+    def f(y: np.ndarray) -> np.ndarray:
+        d = right(view(y))
+        return np.concatenate((d.Q, d.r), axis=None)
+
+    y = np.concatenate((xi.A0, xi.a0), axis=None)
     t = 0.0
-    samples = [(0.0, _unpack_state(y, n))]
+    samples = [(0.0, view(y))]
     # overflow is handled by the finiteness check below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end - 1e-12 * max(1.0, t_end):
@@ -148,16 +148,8 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
             t = min(t + step, t_end)
             if not np.all(np.isfinite(y)):
                 raise ArithmeticError(f"flow stopped being finite at t = {t:.6g}; reduce dt")
-            samples.append((t, _unpack_state(y, n)))
+            samples.append((t, view(y)))
     return samples
-
-
-def _pack_state(s: LaxState) -> np.ndarray:
-    return np.concatenate([s.Q.ravel(), s.r])
-
-
-def _unpack_state(y: np.ndarray, n: int) -> LaxState:
-    return LaxState(Q=y[: n * n].reshape(n, n).copy(), r=y[n * n:].copy())
 
 
 def lax_pattern_residual(l: np.ndarray, a0: np.ndarray) -> float:

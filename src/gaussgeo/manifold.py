@@ -47,6 +47,8 @@ class GaussianPoint:
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         if mu.ndim != 1 or mu.shape[0] != sigma.shape[0]:
             raise ValueError(f"mu must be a vector of length {sigma.shape[0]}, got shape {mu.shape}")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError(f"mean must be finite, got {mu}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "mu", mu)
 
@@ -64,17 +66,6 @@ class GaussianPoint:
             np.linalg.norm(self.sigma - other.sigma) <= tol * scale
             and np.linalg.norm(self.mu - other.mu) <= tol * scale
         )
-
-
-def require_finite_means(*points: GaussianPoint) -> None:
-    """Raise ``ValueError`` if the mean of any of ``points`` is not finite.
-
-    The constructor leaves the mean unchecked to keep per-sample point
-    construction cheap; public operations on given points call this once.
-    """
-    for p in points:
-        if not np.all(np.isfinite(p.mu)):
-            raise ValueError(f"mean must be finite, got {p.mu}")
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ class NotSpdError(ValueError):
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetrize by averaging with the transpose."""
-    return 0.5 * (a + a.T)
+    """Symmetrize by averaging with the transpose (of each matrix of a stack)."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def require_symmetric(a: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:

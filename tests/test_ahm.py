@@ -235,15 +235,3 @@ class TestInterpolate:
         p = random_point(rng, 1)
         with pytest.raises(ValueError):
             interpolate(p, p, 0)
-
-
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
-@pytest.mark.parametrize("op", ["distance", "midpoint_N", "interpolate"])
-def test_public_operations_reject_non_finite_mean(op, bad):
-    call = {"distance": distance, "midpoint_N": midpoint_N, "interpolate": lambda a, b: interpolate(a, b, 2)}[op]
-    rng = np.random.default_rng(51)
-    p = random_point(rng, 2)
-    q = GaussianPoint(p.sigma, np.array([bad, 0.0]))
-    for a, b in ((p, q), (q, p)):
-        with pytest.raises(ValueError, match="mean must be finite"):
-            call(a, b)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,32 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert err == f"gaussgeo: input error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, obj",
+        [
+            (["shoot"], {"tangent": {**tangent_json([[0.1]], [0.2]), "n": math.inf}, "t_end": 1.0}),
+            (["shoot"], {"tangent": {**tangent_json(np.eye(2), [0.2, 0.1]), "n": 2.7}, "t_end": 1.0}),
+            (["dist"], {"p": {**point_json(np.eye(2), [0.0, 0.0]), "n": "2"}, "q": point_json(np.eye(2), [1.0, 0.0])}),
+            (["dist"], {"p": {**point_json([[1.0]], [0.0]), "n": True}, "q": point_json([[2.0]], [0.0])}),
+            (["dist"], {"p": {**point_json([[1.0]], [0.0]), "n": 1.5}, "q": point_json([[2.0]], [0.0])}),
+            (["interp"], {"p": point_json([[1.0]], [0.0]), "q": point_json([[2.0]], [0.0]), "depth": 1.9}),
+            (["interp"], {"p": point_json([[1.0]], [0.0]), "q": point_json([[2.0]], [0.0]), "depth": math.inf}),
+            (["verify"], {"n": 0}),
+            (["fisher-check"], {"n": 0}),
+            (["fisher-check"], {"n": 1, "nodes": 2.5}),
+        ],
+        ids=[
+            "tangent-inf-n", "tangent-fractional-n", "point-string-n", "point-bool-n", "pair-fractional-n",
+            "fractional-depth", "inf-depth", "verify-zero-n", "fisher-zero-n", "fractional-nodes",
+        ],
+    )
+    def test_counts_must_be_positive_integers(self, tmp_path, capsys, argv, obj):
+        path = write_json(tmp_path, "in.json", obj)
+        code, out, err = run(capsys, [*argv, "--input", path])
+        assert code == 2
+        assert out == ""
+        assert "input error" in err and "must be a positive integer" in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # absurd step size blows up the flow
         obj = {"tangent": tangent_json([[0.0]], [80.0]), "t_end": 10.0}
@@ -180,6 +207,17 @@ class TestShoot:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert abs(float(rows[0][1]) - 4.0) <= 1e-12
         assert abs(float(rows[1][1]) - 4.0 * math.e) <= 1e-11
+
+
+    def test_overflowing_geodesic_is_numerical_failure(self, tmp_path, capsys):
+        obj = {"tangent": tangent_json([[0.5, 0.1], [0.1, -0.3]], [0.4, 0.2]), "t_grid": [0.0, 1.0, 1000.0]}
+        path = write_json(tmp_path, "in.json", obj)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, ["shoot", "--input", path])
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err and "finite" in err
 
 
 class TestJsonCommands:
@@ -283,3 +321,10 @@ class TestFisherCheck:
         payload = json.loads(out)
         assert payload["checks"]["fisher_agreement"]["pass"]
         assert payload["results"]["max_deviation"] <= 1e-6
+
+    @pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+    def test_solver_options_not_offered(self, tmp_path, capsys, flag):
+        path = write_json(tmp_path, "in.json", {"n": 1})
+        with pytest.raises(SystemExit) as exc:
+            main(["fisher-check", "--input", path, flag, "5"])
+        assert exc.value.code == 2

@@ -7,6 +7,7 @@ import pytest
 
 from gaussgeo import (
     GaussianPoint,
+    NotSpdError,
     ShootingError,
     Tangent,
     distance,
@@ -26,7 +27,6 @@ from gaussgeo.geodesic import (
     _residual_jacobian,
     _unpack,
     ambient_exponentials,
-    read_trajectory_csv,
     recovered_initial_direction,
     write_samples_csv,
 )
@@ -155,11 +155,8 @@ class TestResiduals:
         rng = np.random.default_rng(10)
         xi = random_tangent(rng, 2)
         traj = trajectory(xi, np.linspace(0.0, 1.0, 1001))
-        points = list(traj.points)
-        bad = points[500]
-        points[500] = GaussianPoint(bad.sigma, bad.mu + 1e-2)
-        corrupted = traj.with_points(points)
-        assert geodesic_residual(corrupted, 1e-3) > 1e-3
+        traj.mus[500] += 1e-2
+        assert geodesic_residual(traj, 1e-3) > 1e-3
 
     def test_grid_preconditions(self):
         rng = np.random.default_rng(11)
@@ -197,10 +194,22 @@ class TestResiduals:
         xi = random_tangent(rng, 2)
         ts = np.linspace(0.0, 1.5, 7)
         traj = trajectory(xi, ts)
-        for t, stored in zip(ts, traj.points):
+        for t, sigma, mu in zip(ts, traj.sigmas, traj.mus):
             fresh = exp_map(xi, float(t))
-            assert np.linalg.norm(fresh.sigma - stored.sigma) <= 1e-12 * max(1.0, np.linalg.norm(stored.sigma))
-            assert np.linalg.norm(fresh.mu - stored.mu) <= 1e-12 * max(1.0, np.linalg.norm(stored.mu))
+            assert np.linalg.norm(fresh.sigma - sigma) <= 1e-12 * max(1.0, np.linalg.norm(sigma))
+            assert np.linalg.norm(fresh.mu - mu) <= 1e-12 * max(1.0, np.linalg.norm(mu))
+
+    @pytest.mark.parametrize(
+        "t_far, error, message",
+        [(1000.0, ArithmeticError, "stopped being finite"), (200.0, NotSpdError, "not positive definite")],
+        ids=["overflow", "not-spd"],
+    )
+    def test_far_samples_raise_typed_errors(self, t_far, error, message):
+        xi = Tangent(np.array([[0.5, 0.1], [0.1, -0.3]]), np.array([0.4, 0.2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error, match=message):
+                trajectory(xi, [0.0, 1.0, t_far])
 
 
 class TestLogMap:
@@ -363,18 +372,17 @@ class TestTrajectoryCsv:
         xi = random_tangent(rng, 2)
         traj = trajectory(xi, np.linspace(0.0, 1.0, 5), basepoint=random_point(rng, 2))
         buf = io.StringIO()
-        write_samples_csv(buf, ("sigma", "mu"), ((t, p.sigma, p.mu) for t, p in zip(traj.ts, traj.points)))
+        write_samples_csv(buf, ("sigma", "mu"), zip(traj.ts, traj.sigmas, traj.mus))
         buf.seek(0)
-        ts, points = read_trajectory_csv(buf)
-        assert np.array_equal(ts, traj.ts)
-        for a, b in zip(points, traj.points):
-            assert np.array_equal(a.sigma, b.sigma)
-            assert np.array_equal(a.mu, b.mu)
+        table = np.loadtxt(buf, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], traj.ts)
+        assert np.array_equal(table[:, 1:5].reshape(-1, 2, 2), traj.sigmas)
+        assert np.array_equal(table[:, 5:], traj.mus)
 
     def test_header_layout(self):
         xi = Tangent.zero(2)
         traj = trajectory(xi, [0.0, 1.0])
         buf = io.StringIO()
-        write_samples_csv(buf, ("sigma", "mu"), ((t, p.sigma, p.mu) for t, p in zip(traj.ts, traj.points)))
+        write_samples_csv(buf, ("sigma", "mu"), zip(traj.ts, traj.sigmas, traj.mus))
         header = buf.getvalue().splitlines()[0]
         assert header == "t,sigma_11,sigma_12,sigma_21,sigma_22,mu_1,mu_2"

@@ -18,6 +18,8 @@ from util import random_point, random_sym, random_tangent
 def test_gaussian_point_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         GaussianPoint(np.array([[bad, 0.0], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="mean must be finite"):
+        GaussianPoint(np.eye(2), np.array([bad, 0.0]))
 
 
 class TestEmbed:
