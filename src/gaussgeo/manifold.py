@@ -49,6 +49,10 @@ class GaussianPoint:
             raise ValueError(f"mu must be a vector of length {sigma.shape[0]}, got shape {mu.shape}")
         if not np.all(np.isfinite(mu)):
             raise ValueError(f"mean must be finite, got {mu}")
+        # Own read-only arrays, so the checks above hold for the point's life.
+        mu = mu.copy()
+        sigma.flags.writeable = False
+        mu.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "mu", mu)
 

@@ -235,3 +235,26 @@ class TestInterpolate:
         p = random_point(rng, 1)
         with pytest.raises(ValueError):
             interpolate(p, p, 0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("op", ["distance", "midpoint_N", "interpolate"])
+def test_public_operations_reject_non_finite_mean(op, bad):
+    call = {"distance": distance, "midpoint_N": midpoint_N, "interpolate": lambda a, b: interpolate(a, b, 2)}[op]
+    rng = np.random.default_rng(51)
+    p = random_point(rng, 2)
+    for first in (True, False):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            q = GaussianPoint(p.sigma, np.array([bad, 0.0]))
+            call(*((p, q) if first else (q, p)))
+    # Nor can a point be given a non-finite mean after construction.
+    mu = np.zeros(2)
+    q = GaussianPoint(p.sigma, mu)
+    mu[0] = bad
+    assert np.all(np.isfinite(q.mu))
+    with pytest.raises(ValueError, match="read-only"):
+        q.mu[0] = bad
+    with pytest.raises(ValueError, match="read-only"):
+        q.sigma[0, 0] = bad
+    for a, b in ((p, q), (q, p)):
+        call(a, b)
