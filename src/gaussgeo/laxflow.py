@@ -34,6 +34,10 @@ powers (similarity invariants that need no nonsymmetric eigensolver).  For
 scalar data with ``A0 = 0`` the Riccati form integrates to
 ``Q(t) = -sqrt(2) a tanh(a t / sqrt(2))``, the classic saturating front of
 the open Toda chain.
+
+:func:`integrate` runs classical RK4 on the explicit system over
+preallocated buffers: the right sides write into their stage slots in
+place, and every state is one row of a single stacked array.
 """
 
 from __future__ import annotations
@@ -79,25 +83,21 @@ def state_from_L(l: np.ndarray) -> LaxState:
     return LaxState(Q=-l[:n, :n].copy(), r=l[:n, n].copy())
 
 
-def rhs_bilinear(state: LaxState, a0: np.ndarray) -> LaxState:
-    """Right side of the bilinear form: (-r a0^T, Q r)."""
-    return LaxState(Q=-np.outer(state.r, a0), r=state.Q @ state.r)
+def rhs_bilinear(state: LaxState, a0: np.ndarray, out: LaxState) -> LaxState:
+    """Right side of the bilinear form, (-r a0^T, Q r), written into ``out``."""
+    np.multiply(state.r[:, None], -a0, out=out.Q)
+    np.matmul(state.Q, state.r, out=out.r)
+    return out
 
 
-def rhs_riccati(state: LaxState, A0: np.ndarray, a0: np.ndarray) -> LaxState:
-    """Right side of the Riccati form: ((Q^2 - A0^2 - 2 a0 a0^T)/2, Q r)."""
-    return LaxState(
-        Q=0.5 * (state.Q @ state.Q - A0 @ A0 - 2.0 * np.outer(a0, a0)),
-        r=state.Q @ state.r,
-    )
-
-
-def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rhs_riccati(state: LaxState, A0: np.ndarray, a0: np.ndarray, out: LaxState) -> LaxState:
+    """Right side of the Riccati form, ((Q^2 - A0^2 - 2 a0 a0^T)/2, Q r), written into ``out``."""
+    dq = np.matmul(state.Q, state.Q, out=out.Q)
+    dq -= A0 @ A0
+    dq -= 2.0 * np.outer(a0, a0)
+    dq *= 0.5
+    np.matmul(state.Q, state.r, out=out.r)
+    return out
 
 
 def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> list[tuple[float, LaxState]]:
@@ -108,14 +108,16 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
     follows the Lax flow only for commuting data (``a0`` zero or an
     eigenvector of ``A0``); otherwise it departs from the bilinear solution
     (see the commutator identity in the module docstring).  The last sample
-    lands on ``t_end`` exactly (a final partial step is allowed).  Each
-    sample's ``Q`` and ``r`` are views of the RK4 state vector of its step.
+    lands on ``t_end`` exactly (a final partial step is allowed).  All
+    states live in one ``(samples, n*n + n)`` array, filled step by step
+    from preallocated stage buffers; each sample's ``Q`` and ``r`` are views
+    of its row.
 
     Raises
     ------
     ArithmeticError
         If the state stops being finite (step size too large for the
-        front's stiffness); the message reports the offending time.
+        front's stiffness); the message reports the first such time.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise ValueError(f"t_end and dt must be finite, got {t_end} and {dt}")
@@ -123,33 +125,57 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    rights = {"bilinear": lambda s: rhs_bilinear(s, xi.a0), "riccati": lambda s: rhs_riccati(s, xi.A0, xi.a0)}
+    rights = {"bilinear": (rhs_bilinear, (xi.a0,)), "riccati": (rhs_riccati, (xi.A0, xi.a0))}
     if rhs not in rights:
         raise ValueError(f"unknown right side {rhs!r}; expected 'bilinear' or 'riccati'")
-    right = rights[rhs]
+    right, coeffs = rights[rhs]
     n = xi.n
+    nn = n * n
+
+    steps, times = [], [0.0]
+    t = 0.0
+    while t < t_end - 1e-12 * max(1.0, t_end):
+        step = min(dt, t_end - t)
+        t = min(t + step, t_end)
+        steps.append(step)
+        times.append(t)
 
     def view(y: np.ndarray) -> LaxState:
-        # the state (Q, r) lives in one flat vector; a LaxState is a view of it
-        return LaxState(Q=y[: n * n].reshape(n, n), r=y[n * n:])
+        return LaxState(Q=y[:nn].reshape(n, n), r=y[nn:])
 
-    def f(y: np.ndarray) -> np.ndarray:
-        d = right(view(y))
-        return np.concatenate((d.Q, d.r), axis=None)
-
-    y = np.concatenate((xi.A0, xi.a0), axis=None)
-    t = 0.0
-    samples = [(0.0, view(y))]
+    ys = np.empty((len(times), nn + n))
+    ys[0] = np.concatenate((xi.A0, xi.a0), axis=None)
+    states = [view(y) for y in ys]
+    stage = np.empty(nn + n)
+    ks = np.empty((4, nn + n))
+    k1, k2, k3, k4 = ks
+    at_stage = view(stage)
+    d1, d2, d3, d4 = (view(k) for k in ks)
     # overflow is handled by the finiteness check below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_end - 1e-12 * max(1.0, t_end):
-            step = min(dt, t_end - t)
-            y = _rk4_step(f, y, step)
-            t = min(t + step, t_end)
-            if not np.all(np.isfinite(y)):
-                raise ArithmeticError(f"flow stopped being finite at t = {t:.6g}; reduce dt")
-            samples.append((t, view(y)))
-    return samples
+        for j, h in enumerate(steps):
+            y, y_next = ys[j], ys[j + 1]
+            right(states[j], *coeffs, d1)
+            np.add(y, np.multiply(k1, 0.5 * h, out=stage), out=stage)
+            right(at_stage, *coeffs, d2)
+            np.add(y, np.multiply(k2, 0.5 * h, out=stage), out=stage)
+            right(at_stage, *coeffs, d3)
+            np.add(y, np.multiply(k3, h, out=stage), out=stage)
+            right(at_stage, *coeffs, d4)
+            # y + (h/6) (((k1 + 2 k2) + 2 k3) + k4): the textbook order, so the bits
+            # match a stepper that allocates every stage afresh
+            k2 *= 2.0
+            k3 *= 2.0
+            np.add(k1, k2, out=y_next)
+            y_next += k3
+            y_next += k4
+            y_next *= h / 6.0
+            np.add(y, y_next, out=y_next)
+    # a non-finite entry stays non-finite in every later step
+    bad = ~np.isfinite(ys).all(axis=1)
+    if bad.any():
+        raise ArithmeticError(f"flow stopped being finite at t = {times[int(np.argmax(bad))]:.6g}; reduce dt")
+    return list(zip(times, states))
 
 
 def lax_pattern_residual(l: np.ndarray, a0: np.ndarray) -> float:

@@ -4,7 +4,7 @@ Each fixture under ``tests/golden/`` holds the argv, the input JSON, the exit
 code and the standard output of one run.  The test replays the run and
 compares exit codes, JSON keys, CSV headers and row counts exactly, and
 every number within ``GOLDEN_REL`` of the largest number in the stored
-output.  Running this file as a script rewrites the fixtures from the
+output; the ``lax`` fixtures must also match byte for byte.  Running this file as a script rewrites the fixtures from the
 current source::
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -120,6 +120,8 @@ def test_matches_golden(path, tmp_path):
     want = _parse(fixture["stdout"])
     tol = GOLDEN_REL * max([1.0, *_numbers(want)])
     _compare(_parse(out), want, tol)
+    if path.stem.startswith("lax_"):
+        assert out == fixture["stdout"]  # the Lax flow CSV is also pinned byte for byte
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gaussgeo.laxflow import (
     rhs_riccati,
     state_from_L,
 )
+from gaussgeo.cli import _random_unit_tangent
 from gaussgeo.geodesic import write_samples_csv
 from gaussgeo.sympair import sigma_algebra
 from util import random_sym, random_tangent
@@ -23,13 +25,45 @@ def scalar_tangent(alpha=0.0, beta=1.0):
     return Tangent(np.array([[alpha]]), np.array([beta]))
 
 
+def _rhs(right, state, *coeffs):
+    """Right side at ``state``, written into a fresh state."""
+    return right(state, *coeffs, LaxState(Q=np.empty_like(state.Q), r=np.empty_like(state.r)))
+
+
+def _textbook_rk4(rhs, xi, t_end, dt):
+    """Classical RK4 on the packed state, one fresh array per stage: the reference for ``integrate``."""
+    n, A0, a0 = xi.n, xi.A0, xi.a0
+
+    def f(y):
+        q, r = y[: n * n].reshape(n, n), y[n * n:]
+        if rhs == "bilinear":
+            dq = -np.outer(r, a0)
+        else:
+            dq = 0.5 * (q @ q - A0 @ A0 - 2.0 * np.outer(a0, a0))
+        return np.concatenate((dq, q @ r), axis=None)
+
+    y = np.concatenate((A0, a0), axis=None)
+    t = 0.0
+    out = [(t, y)]
+    while t < t_end - 1e-12 * max(1.0, t_end):
+        step = min(dt, t_end - t)
+        k1 = f(y)
+        k2 = f(y + 0.5 * step * k1)
+        k3 = f(y + 0.5 * step * k2)
+        k4 = f(y + step * k3)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = min(t + step, t_end)
+        out.append((t, y))
+    return out
+
+
 class TestRightSides:
     def test_bilinear_stationary_without_coupling(self):
-        d = rhs_bilinear(LaxState(Q=np.array([[2.0]]), r=np.zeros(1)), np.zeros(1))
+        d = _rhs(rhs_bilinear, LaxState(Q=np.array([[2.0]]), r=np.zeros(1)), np.zeros(1))
         assert np.array_equal(d.Q, np.zeros((1, 1))) and np.array_equal(d.r, np.zeros(1))
 
     def test_bilinear_scalar_values(self):
-        d = rhs_bilinear(LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.array([1.0]))
+        d = _rhs(rhs_bilinear, LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.array([1.0]))
         assert d.Q[0, 0] == -1.0 and d.r[0] == 0.0
 
     def test_bilinear_trace_rate(self):
@@ -37,17 +71,17 @@ class TestRightSides:
         n = 3
         state = LaxState(Q=rng.standard_normal((n, n)), r=rng.standard_normal(n))
         a0 = rng.standard_normal(n)
-        d = rhs_bilinear(state, a0)
+        d = _rhs(rhs_bilinear, state, a0)
         assert abs(np.trace(d.Q) + state.r @ a0) <= 1e-14
 
     def test_riccati_equilibrium_at_start_without_coupling(self):
         a_mat = random_sym(np.random.default_rng(111), 2)
-        d = rhs_riccati(LaxState(Q=a_mat, r=np.zeros(2)), a_mat, np.zeros(2))
+        d = _rhs(rhs_riccati, LaxState(Q=a_mat, r=np.zeros(2)), a_mat, np.zeros(2))
         assert np.linalg.norm(d.Q) <= 1e-14 and np.linalg.norm(d.r) <= 1e-14
 
     def test_riccati_matches_bilinear_at_shared_start(self):
-        d1 = rhs_bilinear(LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.array([1.0]))
-        d2 = rhs_riccati(LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.zeros((1, 1)), np.array([1.0]))
+        d1 = _rhs(rhs_bilinear, LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.array([1.0]))
+        d2 = _rhs(rhs_riccati, LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.zeros((1, 1)), np.array([1.0]))
         assert abs(d1.Q[0, 0] - d2.Q[0, 0]) <= 1e-15
         assert abs(d1.r[0] - d2.r[0]) <= 1e-15
 
@@ -81,8 +115,25 @@ class TestIntegrate:
         assert samples[-1][0] == 0.55
 
     def test_blowup_detection(self):
-        with pytest.raises(ArithmeticError, match="finite"):
-            integrate("riccati", scalar_tangent(beta=80.0), 10.0, dt=1.0)
+        # the reported time is the first at which the state is not finite,
+        # and the overflow on the way raises no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArithmeticError, match=r"^flow stopped being finite at t = 2; reduce dt$"):
+                integrate("riccati", scalar_tangent(beta=80.0), 10.0, dt=1.0)
+
+    @pytest.mark.parametrize("rhs", ["bilinear", "riccati"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("t_end, dt", [(0.55, 0.1), (2.0, 0.01)])
+    def test_bit_identical_to_textbook_rk4(self, rhs, n, t_end, dt):
+        xi = random_tangent(np.random.default_rng(130 + n), n)
+        samples = integrate(rhs, xi, t_end, dt=dt)
+        reference = _textbook_rk4(rhs, xi, t_end, dt)
+        assert len(samples) == len(reference)
+        for (t, s), (t_ref, y_ref) in zip(samples, reference):
+            assert t == t_ref
+            assert np.array_equal(s.Q, y_ref[: n * n].reshape(n, n))
+            assert np.array_equal(s.r, y_ref[n * n:])
 
     @pytest.mark.parametrize("t_end, dt", [(math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)])
     def test_non_finite_times_rejected(self, t_end, dt):
@@ -180,6 +231,13 @@ class TestClosedForm:
             for t, state in samples[::250]:
                 dev = np.linalg.norm(build_L(state, xi.a0) - lax_closed_form(xi, t))
                 assert dev <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_matches_integrated_flow_over_whole_interval(self, n):
+        xi = _random_unit_tangent(n, np.random.default_rng(140 + n))
+        samples = integrate("bilinear", xi, 2.0)
+        for t, state in samples[::100]:
+            assert np.linalg.norm(build_L(state, xi.a0) - lax_closed_form(xi, t)) <= 1e-10
 
     def test_pattern_residual_flags_junk(self):
         rng = np.random.default_rng(119)
