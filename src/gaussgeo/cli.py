@@ -207,9 +207,7 @@ def _t_grid(obj, steps: int) -> np.ndarray:
     return ts
 
 
-def cmd_shoot(args) -> int:
-    _check_positive(args)
-    obj = _load_input(args.input)
+def cmd_shoot(args, obj) -> int:
     _require_keys(obj, ("tangent",), "input")
     xi = parse_tangent(obj["tangent"])
     base = parse_point(obj["point"], "point") if "point" in obj else None
@@ -221,9 +219,7 @@ def cmd_shoot(args) -> int:
     return 0
 
 
-def cmd_log(args) -> int:
-    _check_positive(args)
-    obj = _load_input(args.input)
+def cmd_log(args, obj) -> int:
     p, q = parse_pair(obj)
     xi = geo.log_map(p, q, tol=args.tol, max_iter=args.max_iter, init_scale=args.init_scale)
     residual = float(np.linalg.norm(embed(geo.exp_map_from(p, xi, 1.0)) - embed(q)))
@@ -232,18 +228,14 @@ def cmd_log(args) -> int:
     return 0
 
 
-def cmd_dist(args) -> int:
-    _check_positive(args)
-    obj = _load_input(args.input)
+def cmd_dist(args, obj) -> int:
     p, q = parse_pair(obj)
     value = geo.distance(p, q, convention=args.metric, tol=args.tol, max_iter=args.max_iter)
     _report("dist", _digest(obj), {"distance": value, "convention": args.metric}, {}, args.output)
     return 0
 
 
-def cmd_midpoint(args) -> int:
-    _check_positive(args)
-    obj = _load_input(args.input)
+def cmd_midpoint(args, obj) -> int:
     p, q = parse_pair(obj)
     mid = ahm_mod.midpoint_N(p, q, tol=args.tol, max_iter=args.max_iter)
     results = point_to_json(mid)
@@ -251,9 +243,7 @@ def cmd_midpoint(args) -> int:
     return 0
 
 
-def cmd_interp(args) -> int:
-    _check_positive(args)
-    obj = _load_input(args.input)
+def cmd_interp(args, obj) -> int:
     p, q = parse_pair(obj)
     depth = _positive_int(obj.get("depth", args.depth), "depth")
     points = ahm_mod.interpolate(p, q, depth, tol=args.tol, max_iter=args.max_iter)
@@ -262,9 +252,7 @@ def cmd_interp(args) -> int:
     return 0
 
 
-def cmd_lax(args) -> int:
-    _check_positive(args)
-    obj = _load_input(args.input)
+def cmd_lax(args, obj) -> int:
     _require_keys(obj, ("tangent",), "input")
     xi = parse_tangent(obj["tangent"])
     samples = lax_mod.integrate(args.rhs, xi, _parse_t_end(obj), dt=args.dt)
@@ -281,9 +269,7 @@ def _random_unit_tangent(n: int, rng: np.random.Generator) -> Tangent:
     return xi.scaled(1.0 / tangent_norm(xi))
 
 
-def cmd_verify(args) -> int:
-    _check_positive(args)
-    obj = _load_input(args.input)
+def cmd_verify(args, obj) -> int:
     if "tangent" in obj:
         xi = parse_tangent(obj["tangent"])
     elif "n" in obj:
@@ -339,22 +325,13 @@ def cmd_verify(args) -> int:
     return 0 if all(c["pass"] for c in checks.values()) else 1
 
 
-def cmd_fisher_check(args) -> int:
-    obj = _load_input(args.input)
+def cmd_fisher_check(args, obj) -> int:
     _require_keys(obj, ("n",), "input")
     n = _positive_int(obj["n"], "n")
     nodes = _positive_int(obj.get("nodes", 20), "nodes")
     identity = GaussianPoint.identity(n)
-    basis: list[Tangent] = []
-    for i in range(n):
-        for j in range(i, n):
-            a_mat = np.zeros((n, n))
-            a_mat[i, j] = a_mat[j, i] = 1.0
-            basis.append(Tangent(a_mat, np.zeros(n)))
-    for i in range(n):
-        vec = np.zeros(n)
-        vec[i] = 1.0
-        basis.append(Tangent(np.zeros((n, n)), vec))
+    # the packed coordinate basis: upper-triangle entries of A0, then a0
+    basis = [geo._unpack(e, n) for e in np.eye(n * (n + 1) // 2 + n)]
 
     worst = 0.0
     for x in basis:
@@ -446,7 +423,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _check_positive(args)
+        return args.func(args, _load_input(args.input))
     except InputError as exc:
         print(f"gaussgeo: input error: {exc}", file=sys.stderr)
         return 2

@@ -38,7 +38,6 @@ from .manifold import (
     GaussianPoint,
     Tangent,
     embed,
-    metric_at_identity,
     normalize_to_identity,
     tangent_norm,
     unembed,
@@ -85,7 +84,7 @@ def exp_map(xi: Tangent, t: float) -> GaussianPoint:
     worst = max(special_structure_residuals(m, d).values())
     if worst > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(g))):
         raise ArithmeticError(f"lifted geodesic lost its block structure: residual {worst:.3e}")
-    return unembed(sym(g[: n + 1, : n + 1]))
+    return unembed(g[: n + 1, : n + 1])
 
 
 def exp_map_from(p: GaussianPoint, xi: Tangent, t: float) -> GaussianPoint:
@@ -356,8 +355,7 @@ def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", **op
     """Geodesic distance: the metric norm of the connecting log tangent."""
     if p.close_to(q):
         return 0.0
-    xi = log_map(p, q, **opts)
-    return float(np.sqrt(max(0.0, metric_at_identity(xi, xi, convention))))
+    return tangent_norm(log_map(p, q, **opts), convention)
 
 
 def write_samples_csv(fh, names: tuple[str, str], samples) -> None:

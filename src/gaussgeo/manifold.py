@@ -82,8 +82,14 @@ class Tangent:
     def __post_init__(self):
         A0 = require_symmetric(self.A0, name="A0")
         a0 = np.atleast_1d(np.asarray(self.a0, dtype=float))
-        if a0.shape[0] != A0.shape[0]:
-            raise ValueError(f"a0 must have length {A0.shape[0]}, got {a0.shape[0]}")
+        if a0.ndim != 1 or a0.shape[0] != A0.shape[0]:
+            raise ValueError(f"a0 must be a vector of length {A0.shape[0]}, got shape {a0.shape}")
+        if not np.all(np.isfinite(a0)):
+            raise ValueError(f"a0 must be finite, got {a0}")
+        # Own read-only arrays, so the checks above hold for the tangent's life.
+        a0 = a0.copy()
+        A0.flags.writeable = False
+        a0.flags.writeable = False
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "a0", a0)
 
@@ -126,12 +132,13 @@ def embed(p: GaussianPoint) -> np.ndarray:
 
 
 def corner_residual(h: np.ndarray) -> float:
-    """Deviation of the corner entry from ``1 + delta^T theta^{-1} delta``."""
-    h = require_symmetric(h, tol=1e-10, name="embedded point")
+    """Deviation of the corner entry from ``1 + delta^T theta^{-1} delta``.
+
+    Unchecked: callers ensure ``h`` is symmetric with an SPD leading block.
+    """
     n = h.shape[0] - 1
-    theta = require_spd(h[:n, :n], name="leading block")
     delta = h[:n, n]
-    return abs(float(h[n, n]) - 1.0 - float(delta @ np.linalg.solve(theta, delta)))
+    return abs(float(h[n, n]) - 1.0 - float(delta @ np.linalg.solve(h[:n, :n], delta)))
 
 
 def unembed(h: np.ndarray, tol: float = CONSISTENCY_TOL) -> GaussianPoint:
@@ -146,11 +153,12 @@ def unembed(h: np.ndarray, tol: float = CONSISTENCY_TOL) -> GaussianPoint:
     """
     h = require_symmetric(h, tol=1e-10, name="embedded point")
     n = h.shape[0] - 1
+    theta = require_spd(h[:n, :n], name="leading block")
     res = corner_residual(h)
     scale = max(1.0, float(np.linalg.norm(h)))
     if res > tol * scale:
         raise ValueError(f"corner entry inconsistent with leading blocks: residual {res:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    sigma = spd_inv(require_spd(h[:n, :n], name="leading block"))
+    sigma = spd_inv(theta)
     return GaussianPoint(sigma, sigma @ h[:n, n])
 
 

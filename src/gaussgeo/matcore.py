@@ -20,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative Frobenius tolerances for the kernel contracts (double precision,
-# O(n^3) error growth, matrix orders <= ~50).
-EIG_TOL = 1e-12
-SQRT_TOL = 1e-12
-CHOL_TOL = 1e-12
+# Relative Frobenius tolerance of membership in the symmetric slice (double
+# precision, O(n^3) error growth, matrix orders <= ~50).
 SYM_TOL = 1e-10
-DET_TOL = 1e-9
 
 
 class EigenError(RuntimeError):
@@ -71,7 +67,7 @@ def sym_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns eigenvalues in ascending order and an orthogonal frame ``v`` with
-    ``v @ diag(w) @ v.T`` reconstructing the input within ``EIG_TOL``
+    ``v @ diag(w) @ v.T`` reconstructing the input within 1e-12
     (relative Frobenius).
 
     Raises

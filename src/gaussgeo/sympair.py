@@ -194,7 +194,8 @@ def submersion_project(g: np.ndarray) -> np.ndarray:
     res = check_special_symmetry(g)
     if res > MEMBERSHIP_TOL * scale:
         raise ValueError(f"input is not in the lifted submanifold: symmetry residual {res:.3e}")
-    h = sym(g[: n + 1, : n + 1])
+    h = g[: n + 1, : n + 1]
+    require_spd(h[:n, :n], name="leading block")
     corner = corner_residual(h)
     if corner > MEMBERSHIP_TOL * scale:
         raise ValueError(f"projected block violates the corner identity: residual {corner:.3e}")

@@ -18,8 +18,9 @@ from gaussgeo import (
     sym_exp,
 )
 import gaussgeo.ahm as ahm_mod
+import gaussgeo.sympair as sympair
 from gaussgeo.ahm import AhmPair, ahm_sequence, gap_identity_residual
-from gaussgeo.matcore import block_exchange
+from gaussgeo.matcore import NotSpdError, block_exchange
 from util import random_point, random_spd, random_tangent
 
 
@@ -53,6 +54,24 @@ class TestAhmStep:
     def test_iteration_counter(self):
         pair = scalar_pair(4.0, 1.0)
         assert ahm_step(ahm_step(pair)).iteration == 2
+
+
+class TestAhmPair:
+    @pytest.mark.parametrize("which", ["P", "Q"])
+    def test_rejects_non_spd(self, which):
+        arrays = {"P": np.eye(2), "Q": np.eye(2)}
+        arrays[which] = np.diag([1.0, -1.0])
+        with pytest.raises(NotSpdError, match=f"^{which} is not positive definite$"):
+            AhmPair(**arrays)
+
+    def test_keeps_read_only_copies(self):
+        p = np.diag([4.0, 1.0])
+        pair = AhmPair(P=p, Q=np.eye(2))
+        p[0, 0] = -1.0
+        assert pair.P[0, 0] == 4.0
+        for a in (pair.P, pair.Q):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
 
 
 class TestConvergence:
@@ -229,6 +248,24 @@ class TestInterpolate:
         q = GaussianPoint(p.sigma.copy(), p.mu.copy())
         pts = interpolate(p, q, 2)
         assert pts[:-1] == [p] * 4 and pts[-1] is q
+
+    def test_each_point_is_slice_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting_check(g):
+            calls.append(None)
+            return check_special_symmetry(g)
+
+        # every module that could run the slice test on a projected point
+        for module in (ahm_mod, sympair):
+            monkeypatch.setattr(module, "check_special_symmetry", counting_check, raising=False)
+        rng = np.random.default_rng(50)
+        p, q = random_point(rng, 2), random_point(rng, 2)
+        midpoint_N(p, q)
+        assert len(calls) == 1
+        calls.clear()
+        interpolate(p, q, 3)
+        assert len(calls) == 7
 
     def test_rejects_nonpositive_depth(self):
         rng = np.random.default_rng(47)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gaussgeo.laxflow as laxflow
 from gaussgeo import Tangent, horizontal_lift, integrate, lax_closed_form, verify_lax
 from gaussgeo.laxflow import (
     LaxState,
@@ -121,6 +122,20 @@ class TestIntegrate:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ArithmeticError, match=r"^flow stopped being finite at t = 2; reduce dt$"):
                 integrate("riccati", scalar_tangent(beta=80.0), 10.0, dt=1.0)
+
+    def test_blowup_stops_the_integration(self, monkeypatch):
+        # 20,000 steps are asked for; the state is non-finite from t = 0.2 on,
+        # and the integration stops within a few hundred steps of that
+        calls = []
+
+        def counting_rhs(*args):
+            calls.append(None)
+            return rhs_riccati(*args)
+
+        monkeypatch.setattr(laxflow, "rhs_riccati", counting_rhs)
+        with pytest.raises(ArithmeticError, match=r"^flow stopped being finite at t = 0.2; reduce dt$"):
+            integrate("riccati", scalar_tangent(beta=80.0), 1000.0, dt=0.05)
+        assert len(calls) <= 2048  # 80,000 if every step ran
 
     @pytest.mark.parametrize("rhs", ["bilinear", "riccati"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

@@ -22,6 +22,28 @@ def test_gaussian_point_rejects_non_finite(bad):
         GaussianPoint(np.eye(2), np.array([bad, 0.0]))
 
 
+class TestTangentBoundary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_a0(self, bad):
+        with pytest.raises(ValueError, match="a0 must be finite"):
+            Tangent(np.eye(2), np.array([bad, 0.0]))
+
+    def test_rejects_column_a0(self):
+        a_mat = np.array([[0.3, 0.1], [0.1, -0.2]])
+        with pytest.raises(ValueError, match="a0 must be a vector of length 2"):
+            Tangent(a_mat, np.array([0.5, -0.4])[:, None])
+
+    def test_keeps_read_only_copies(self):
+        a_mat, a_vec = np.eye(2), np.array([0.5, -0.4])
+        x = Tangent(a_mat, a_vec)
+        a_mat[0, 0] = a_vec[0] = np.nan
+        assert np.all(np.isfinite(x.A0)) and np.all(np.isfinite(x.a0))
+        with pytest.raises(ValueError, match="read-only"):
+            x.a0[0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            x.A0[0, 0] = np.nan
+
+
 class TestEmbed:
     def test_identity_point(self):
         assert np.allclose(embed(GaussianPoint.identity(3)), np.eye(4))
