@@ -221,7 +221,7 @@ def cmd_shoot(args, obj) -> int:
 
 def cmd_log(args, obj) -> int:
     p, q = parse_pair(obj)
-    xi = geo.log_map(p, q, tol=args.tol, max_iter=args.max_iter, init_scale=args.init_scale)
+    xi = geo.log_map(p, q, tol=args.tol, max_iter=args.max_iter)
     residual = float(np.linalg.norm(embed(geo.exp_map_from(p, xi, 1.0)) - embed(q)))
     results = {"tangent": tangent_to_json(xi), "residual": residual}
     _report("log", _digest(obj), results, {}, args.output)
@@ -375,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("log", help="connecting tangent between two points; JSON output")
     common(sp, iter_default=100)
-    sp.add_argument("--init-scale", type=float, default=1.0, help="scaling of the shooting initial guess")
     sp.set_defaults(func=cmd_log)
 
     sp = sub.add_parser("dist", help="geodesic distance between two points; JSON output")

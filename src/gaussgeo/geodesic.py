@@ -14,15 +14,15 @@ second-order equations
 used here as a finite-difference correctness oracle.
 
 The inverse problem (log map) is solved by damped Gauss-Newton shooting on
-the embedded residual, falling back to recursive path subdivision for
-distant targets.  The Jacobian is exact: the leading block of the Frechet
-derivative of ``exp``, given by the Daleckii-Krein formula from one
-eigendecomposition of the generator.  Every residual, the accepted iterate
-included, goes through the validated :func:`exp_map`; a line-search trial
-whose generator norm exceeds ``MAX_TRIAL_NORM``, or whose exponential fails
-that validation, counts as a rejected step and halves the step length.
-The solver returns the solution found in its shooting basin; no claim of
-global minimality is made when the connecting geodesic is not unique.
+the leading (n+1)-block of ``exp(V)``, falling back to recursive path
+subdivision for distant targets.  The Jacobian is exact: the leading block
+of the Frechet derivative of ``exp`` by the Daleckii-Krein formula.  Each
+trial takes one eigendecomposition of the generator; one whose norm exceeds
+``MAX_TRIAL_NORM`` (or is NaN) counts as a rejected step and halves the step
+length.  Only the converged solution goes through the validated
+:func:`exp_map`.  The solver returns the solution found in its shooting
+basin; no claim of global minimality is made when the connecting geodesic
+is not unique.
 """
 
 from __future__ import annotations
@@ -243,7 +243,19 @@ def _generator_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _residual_jacobian(vec: np.ndarray, n: int) -> np.ndarray:
+def _lifted(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(w, u)`` = eigh of the generator of ``vec``, and the unchecked leading block ``h`` of its exponential.
+
+    ``None`` when the generator's Frobenius (= paper-metric) norm is NaN or exceeds ``MAX_TRIAL_NORM``.
+    """
+    v = np.tensordot(vec, _generator_basis(n), axes=1)
+    if not np.linalg.norm(v) <= MAX_TRIAL_NORM:
+        return None
+    w, u = np.linalg.eigh(v)
+    return w, u, (u[: n + 1] * np.exp(w)) @ u[: n + 1].T
+
+
+def _residual_jacobian(w: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """Exact Jacobian of the shooting residual by the Daleckii-Krein formula.
 
     With ``V = U diag(w) U^T`` the Frechet derivative of ``exp`` at ``V`` in
@@ -253,10 +265,9 @@ def _residual_jacobian(vec: np.ndarray, n: int) -> np.ndarray:
     ``e^{(w_i + w_j)/2} sinh(h) / h`` with ``h = (w_i - w_j)/2`` so that
     near-equal eigenvalues lose no digits.  Column j is the leading
     (n+1)-block of that derivative in the direction of the j-th basis
-    generator; all columns come from one eigendecomposition.
+    generator; all columns come from the one eigendecomposition of :func:`_lifted`.
     """
     basis = _generator_basis(n)
-    w, u = np.linalg.eigh(np.tensordot(vec, basis, axes=1))
     half = 0.5 * (w[:, None] - w[None, :])
     safe = np.where(half == 0.0, 1.0, half)
     phi = np.exp(0.5 * (w[:, None] + w[None, :])) * np.where(half == 0.0, 1.0, np.sinh(safe) / safe)
@@ -265,62 +276,54 @@ def _residual_jacobian(vec: np.ndarray, n: int) -> np.ndarray:
     return derivs.reshape(len(derivs), -1).T
 
 
-def _shoot(target: np.ndarray, guess: np.ndarray, n: int, tol: float, max_iter: int) -> tuple[np.ndarray, float]:
+def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> Tangent:
     scale = max(1.0, float(np.linalg.norm(target)))
-
-    def residual(vec: np.ndarray) -> np.ndarray | None:
-        # None marks a rejected trial: beyond the exponent cap, or its
-        # exponential failed the validation inside exp_map.
-        xi = _unpack(vec, n)
-        if tangent_norm(xi) > MAX_TRIAL_NORM:
-            return None
-        try:
-            return (embed(exp_map(xi, 1.0)) - target).ravel()
-        except (ArithmeticError, ValueError):
-            return None
-
-    vec = guess.copy()
-    f = residual(vec)
-    if f is None:
-        raise ShootingError("shooting guess failed validation", residual=float("inf"))
+    lifted = _lifted(vec, n)
+    if lifted is None:
+        raise ShootingError("shooting guess exceeds the exponent cap", residual=float("inf"))
+    w, u, h = lifted
+    f = (h - target).ravel()
     res = float(np.linalg.norm(f))
     for _ in range(max_iter):
         if res <= tol * scale:
-            return vec, res
-        step, *_ = np.linalg.lstsq(_residual_jacobian(vec, n), -f, rcond=None)
+            break
+        step, *_ = np.linalg.lstsq(_residual_jacobian(w, u, n), -f, rcond=None)
         alpha = 1.0
         while alpha > 2.0 ** -20:
             trial = vec + alpha * step
-            f_trial = residual(trial)
-            if f_trial is not None:
+            lifted = _lifted(trial, n)  # None: a rejected trial, beyond the exponent cap
+            if lifted is not None:
+                f_trial = (lifted[2] - target).ravel()
                 res_trial = float(np.linalg.norm(f_trial))
                 if res_trial < res:
                     vec, f, res = trial, f_trial, res_trial
+                    w, u, _ = lifted
                     break
             alpha *= 0.5
         else:
             break  # no descent direction left; let the caller subdivide
-    if res <= tol * scale:
-        return vec, res
-    raise ShootingError(f"shooting stalled at residual {res:.3e}", residual=res)
-
-
-def _log_normalized(qn: GaussianPoint, tol: float, max_iter: int, init_scale: float, depth: int = 8) -> Tangent:
-    n = qn.n
-    target = embed(qn)
-    guess = init_scale * _pack(Tangent(A0=spd_log(qn.sigma), a0=qn.mu))
+    if res > tol * scale:
+        raise ShootingError(f"shooting stalled at residual {res:.3e}", residual=res)
+    xi = _unpack(vec, n)
     try:
-        vec, _ = _shoot(target, guess, n, tol, max_iter)
-        return _unpack(vec, n)
+        exp_map(xi, 1.0)
+    except (ArithmeticError, ValueError) as exc:
+        raise ShootingError(f"shooting solution failed validation: {exc}", residual=res) from exc
+    return xi
+
+
+def _log_normalized(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8) -> Tangent:
+    target = embed(qn)
+    try:
+        return _shoot(target, _pack(Tangent(A0=spd_log(qn.sigma), a0=qn.mu)), qn.n, tol, max_iter)
     except ShootingError:
         if depth <= 0:
             raise
     # Path subdivision: solve toward a halfway target on a cheap connecting
     # curve, then retry the full problem from the doubled tangent.
     half = GaussianPoint(sym_exp(0.5 * spd_log(qn.sigma)), 0.5 * qn.mu)
-    xi_half = _log_normalized(half, tol, max_iter, init_scale, depth - 1)
-    vec, _ = _shoot(target, 2.0 * _pack(xi_half), n, tol, max_iter)
-    return _unpack(vec, n)
+    xi_half = _log_normalized(half, tol, max_iter, depth - 1)
+    return _shoot(target, 2.0 * _pack(xi_half), qn.n, tol, max_iter)
 
 
 def log_map(
@@ -328,27 +331,26 @@ def log_map(
     q: GaussianPoint,
     tol: float = 1e-12,
     max_iter: int = 100,
-    init_scale: float = 1.0,
 ) -> Tangent:
     """Initial direction (in the normalized chart at ``p``) of the geodesic reaching ``q`` at time 1.
 
-    Damped Gauss-Newton shooting on the embedded residual with the
+    Damped Gauss-Newton shooting on the lifted residual with the
     Daleckii-Krein Jacobian; converged when the Frobenius residual drops
-    below ``tol`` times the target scale.  A line-search trial that exceeds
-    ``MAX_TRIAL_NORM`` or fails the validation of :func:`exp_map` is
-    rejected like a non-descent step.  Distant targets, and initial guesses
-    that fail validation, are handled by recursive path subdivision.
+    below ``tol`` times the target scale.  A line-search trial beyond
+    ``MAX_TRIAL_NORM`` is rejected like a non-descent step.  Distant targets,
+    guesses beyond the cap and solutions that fail :func:`exp_map`'s
+    validation are handled by recursive path subdivision.
 
     Raises
     ------
     ShootingError
-        If the iteration stalls; the exception carries the last residual
-        (``inf`` when even the initial guess failed validation).
+        If the iteration stalls or its solution fails validation; carries
+        the last residual (``inf`` when even the initial guess was beyond the cap).
     """
     if p.n != q.n:
         raise ValueError("points must share a dimension")
     chart = normalize_to_identity(p)
-    return _log_normalized(chart.apply(q), tol, max_iter, init_scale)
+    return _log_normalized(chart.apply(q), tol, max_iter)
 
 
 def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", **opts) -> float:

@@ -135,8 +135,8 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
     nn = n * n
 
     steps, times = [], [0.0]
-    t = 0.0
-    while t < t_end - 1e-12 * max(1.0, t_end):
+    t, stop = 0.0, t_end - 1e-12 * max(1.0, t_end)
+    while t < stop:
         step = min(dt, t_end - t)
         t = min(t + step, t_end)
         steps.append(step)
@@ -148,7 +148,7 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
     ys = np.empty((len(times), nn + n))
     filled = len(times)
     ys[0] = np.concatenate((xi.A0, xi.a0), axis=None)
-    states = [view(y) for y in ys]
+    states = []  # a view of each row, made when a step first reads it
     stage = np.empty(nn + n)
     ks = np.empty((4, nn + n))
     k1, k2, k3, k4 = ks
@@ -158,6 +158,7 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
     with np.errstate(over="ignore", invalid="ignore"):
         for j, h in enumerate(steps):
             y, y_next = ys[j], ys[j + 1]
+            states.append(view(y))
             right(states[j], *coeffs, d1)
             np.add(y, np.multiply(k1, 0.5 * h, out=stage), out=stage)
             right(at_stage, *coeffs, d2)
@@ -182,7 +183,7 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
     bad = ~np.isfinite(ys[:filled]).all(axis=1)
     if bad.any():
         raise ArithmeticError(f"flow stopped being finite at t = {times[int(np.argmax(bad))]:.6g}; reduce dt")
-    return list(zip(times, states))
+    return list(zip(times, states + [view(ys[-1])]))
 
 
 def lax_pattern_residual(l: np.ndarray, a0: np.ndarray) -> float:

@@ -141,14 +141,14 @@ def corner_residual(h: np.ndarray) -> float:
     return abs(float(h[n, n]) - 1.0 - float(delta @ np.linalg.solve(h[:n, :n], delta)))
 
 
-def unembed(h: np.ndarray, tol: float = CONSISTENCY_TOL) -> GaussianPoint:
+def unembed(h: np.ndarray) -> GaussianPoint:
     """Invert :func:`embed`.
 
     Raises
     ------
     ValueError
         If the corner entry is inconsistent with the leading blocks beyond
-        ``tol`` (scaled), i.e. the input does not represent a normal
+        ``CONSISTENCY_TOL`` (scaled), i.e. the input does not represent a normal
         distribution.
     """
     h = require_symmetric(h, tol=1e-10, name="embedded point")
@@ -156,8 +156,8 @@ def unembed(h: np.ndarray, tol: float = CONSISTENCY_TOL) -> GaussianPoint:
     theta = require_spd(h[:n, :n], name="leading block")
     res = corner_residual(h)
     scale = max(1.0, float(np.linalg.norm(h)))
-    if res > tol * scale:
-        raise ValueError(f"corner entry inconsistent with leading blocks: residual {res:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    if res > CONSISTENCY_TOL * scale:
+        raise ValueError(f"corner entry inconsistent with leading blocks: residual {res:.3e} exceeds {CONSISTENCY_TOL:.1e} * {scale:.3e}")
     sigma = spd_inv(theta)
     return GaussianPoint(sigma, sigma @ h[:n, n])
 

@@ -30,8 +30,6 @@ import numpy as np
 from .matcore import SYM_TOL, block_exchange, check_special_symmetry, require_spd, sym
 from .manifold import Tangent, corner_residual
 
-MEMBERSHIP_TOL = SYM_TOL
-
 
 def sigma_group(g: np.ndarray) -> np.ndarray:
     """Group involution ``g -> J g^{-T} J`` (fixed points: the split orthogonal group)."""
@@ -192,12 +190,12 @@ def submersion_project(g: np.ndarray) -> np.ndarray:
     n = (order - 1) // 2
     scale = max(1.0, float(np.linalg.norm(g)))
     res = check_special_symmetry(g)
-    if res > MEMBERSHIP_TOL * scale:
+    if res > SYM_TOL * scale:
         raise ValueError(f"input is not in the lifted submanifold: symmetry residual {res:.3e}")
     h = g[: n + 1, : n + 1]
     require_spd(h[:n, :n], name="leading block")
     corner = corner_residual(h)
-    if corner > MEMBERSHIP_TOL * scale:
+    if corner > SYM_TOL * scale:
         raise ValueError(f"projected block violates the corner identity: residual {corner:.3e}")
     return h
 

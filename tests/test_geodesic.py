@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gaussgeo.geodesic as geodesic
 from gaussgeo import (
     GaussianPoint,
     NotSpdError,
@@ -23,6 +24,7 @@ from gaussgeo import (
     trajectory,
 )
 from gaussgeo.geodesic import (
+    _lifted,
     _pack,
     _residual_jacobian,
     _unpack,
@@ -254,9 +256,9 @@ class TestLogMap:
 
     def test_nonconvergence_error_carries_residual(self):
         p = GaussianPoint.identity(1)
-        q = GaussianPoint(np.array([[math.e ** 4]]), np.array([0.0]))
+        q = GaussianPoint(np.array([[math.e ** 4]]), np.array([2.0]))
         with pytest.raises(ShootingError) as excinfo:
-            log_map(p, q, max_iter=1, init_scale=0.01)
+            log_map(p, q, max_iter=1)
         assert excinfo.value.residual > 0
 
 
@@ -273,9 +275,10 @@ def central_difference_jacobian(vec, n, h=1e-5):
 
 
 # Far pairs of the benchmark (seed 1, paper norm 4-8) whose first
-# Gauss-Newton steps overshoot: ops 71 (n = 2), whose trials exceed the
-# exponent cap, and 12 (n = 3), one of whose trials has an exponential that
-# is not positive definite in the block factorization.
+# Gauss-Newton steps overshoot: ops 71 (n = 2), whose trials keep exceeding
+# the exponent cap until the first solve stalls and subdivision takes over
+# (two solves), and 12 (n = 3), whose first full step exceeds the cap, so the
+# halved step is taken and one solve converges.
 FAR_PAIRS = {
     "op71-n2": (
         GaussianPoint(
@@ -314,7 +317,7 @@ class TestShootingJacobian:
         rng = np.random.default_rng(60 + n)
         for norm in (0.5, 2.0, 6.0):
             vec = _pack(random_tangent(rng, n, norm=norm))
-            exact = _residual_jacobian(vec, n)
+            exact = _residual_jacobian(*_lifted(vec, n)[:2], n)
             oracle = central_difference_jacobian(vec, n)
             assert exact.shape == oracle.shape == ((n + 1) ** 2, vec.size)
             assert np.linalg.norm(exact - oracle) <= 1e-7 * np.linalg.norm(exact)
@@ -323,7 +326,7 @@ class TestShootingJacobian:
         # A scalar-variance direction with a0 = 0 has a triply repeated
         # spectrum; the divided differences must take their limit there.
         vec = _pack(Tangent(np.eye(2), np.zeros(2)))
-        exact = _residual_jacobian(vec, 2)
+        exact = _residual_jacobian(*_lifted(vec, 2)[:2], 2)
         assert np.all(np.isfinite(exact))
         assert np.linalg.norm(exact - central_difference_jacobian(vec, 2)) <= 1e-7 * np.linalg.norm(exact)
 
@@ -336,6 +339,45 @@ class TestShootingJacobian:
             hit = exp_map_from(p, xi, 1.0)
         assert np.linalg.norm(embed(hit) - embed(q)) <= 1e-8 * np.linalg.norm(embed(q))
         assert 4.0 <= distance(p, q) <= 8.0
+
+
+def count_calls(monkeypatch, name):
+    """Replace ``geodesic.<name>`` by a wrapper; returns the list of its successful results."""
+    results = []
+    real = getattr(geodesic, name)
+
+    def counting(*args):
+        out = real(*args)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(geodesic, name, counting)
+    return results
+
+
+class TestLiftedShooting:
+    def test_near_pair_validates_once(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        p = random_point(rng, 3)
+        q = exp_map_from(p, random_tangent(rng, 3, norm=1.0), 1.0)
+        exp_calls = count_calls(monkeypatch, "exp_map")
+        log_map(p, q)
+        assert len(exp_calls) == 1
+
+    def test_far_pair_validates_once_per_solve(self, monkeypatch):
+        p, q = FAR_PAIRS["op12-n3"]
+        exp_calls = count_calls(monkeypatch, "exp_map")
+        solves = count_calls(monkeypatch, "_shoot")
+        log_map(p, q)
+        assert len(solves) >= 1
+        assert len(exp_calls) == len(solves)
+
+    def test_lifted_rejects_nan_and_beyond_cap(self):
+        rng = np.random.default_rng(71)
+        vec = _pack(random_tangent(rng, 2, norm=1.0))
+        assert _lifted(np.full_like(vec, np.nan), 2) is None
+        assert _lifted(40.5 * vec, 2) is None
+        assert _lifted(39.5 * vec, 2) is not None
 
 
 class TestDistance:
