@@ -9,8 +9,6 @@ Lax flow.
 """
 
 from .matcore import (
-    BlockDiag3,
-    BlockUnitLower,
     EigenError,
     NotSpdError,
     block_cholesky,
@@ -35,14 +33,7 @@ from .manifold import (
     tangent_norm,
     unembed,
 )
-from .sympair import (
-    LieAlgebraElement,
-    decompose_km,
-    horizontal_lift,
-    horizontal_vertical_split,
-    submersion_differential,
-    submersion_project,
-)
+from .sympair import horizontal_lift, submersion_project
 from .geodesic import (
     GeodesicTrajectory,
     ShootingError,
@@ -62,13 +53,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineMap",
     "AhmPair",
-    "BlockDiag3",
-    "BlockUnitLower",
     "EigenError",
     "GaussianPoint",
     "GeodesicTrajectory",
     "LaxState",
-    "LieAlgebraElement",
     "NotSpdError",
     "ShootingError",
     "Tangent",
@@ -78,7 +66,6 @@ __all__ = [
     "block_cholesky",
     "block_exchange",
     "check_special_symmetry",
-    "decompose_km",
     "direct_midpoint",
     "distance",
     "embed",
@@ -88,7 +75,6 @@ __all__ = [
     "fisher_numeric",
     "geodesic_residual",
     "horizontal_lift",
-    "horizontal_vertical_split",
     "integrate",
     "interpolate",
     "lax_closed_form",
@@ -99,7 +85,6 @@ __all__ = [
     "spd_inv",
     "spd_log",
     "spd_sqrt",
-    "submersion_differential",
     "submersion_project",
     "sym",
     "sym_eigen",

@@ -125,7 +125,7 @@ def _checked_point(lifted: np.ndarray, xi: Tangent, t: float, denorm: AffineMap)
     return result
 
 
-def midpoint_N(p: GaussianPoint, q: GaussianPoint, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER, **log_opts) -> GaussianPoint:
+def midpoint_N(p: GaussianPoint, q: GaussianPoint, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> GaussianPoint:
     """Midpoint of the geodesic segment between two normal distributions.
 
     Pipeline: normalize ``p`` to the identity, shoot the connecting tangent,
@@ -133,17 +133,14 @@ def midpoint_N(p: GaussianPoint, q: GaussianPoint, tol: float = AHM_TOL, max_ite
     generator, run the mean iteration upstairs, verify the limit kept the
     exchange symmetry, project, and denormalize.  The result is
     cross-checked against the halved exponential of the same tangent; the
-    two routes are independent computations of one point.
+    two routes are independent computations of one point.  This is the
+    interior point of :func:`interpolate` at depth 1.
     """
-    if p.close_to(q):
-        return p
-    xi = log_map(p, q, **log_opts)
-    lifted_mid = ahm_midpoint(np.eye(2 * xi.n + 1), sym_exp(horizontal_lift(xi)), tol=tol, max_iter=max_iter)
-    return _checked_point(lifted_mid, xi, 0.5, normalize_to_identity(p).inverse())
+    return interpolate(p, q, 1, tol=tol, max_iter=max_iter)[1]
 
 
 def interpolate(
-    p: GaussianPoint, q: GaussianPoint, depth: int, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER, **log_opts
+    p: GaussianPoint, q: GaussianPoint, depth: int, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER
 ) -> list[GaussianPoint]:
     """Dyadic geodesic interpolation: 2**depth + 1 points from ``p`` to ``q``.
 
@@ -152,14 +149,15 @@ def interpolate(
     the identity and the exponential of its generator, and each dyadic point
     is the mean-iteration midpoint of its two lifted neighbours (points of
     one one-parameter group, so their geometric mean sits at the mean
-    time).  Every interior point gets the checks of :func:`midpoint_N`.
+    time).  Each interior point is projected through the submersion and
+    cross-checked against the exponential of the same tangent.
     """
     if depth < 1:
         raise ValueError("depth must be a positive integer")
     count = 2 ** depth
     if p.close_to(q):
         return [p] * count + [q]
-    xi = log_map(p, q, **log_opts)
+    xi = log_map(p, q)
     lifted = [None] * (count + 1)
     lifted[0], lifted[count] = np.eye(2 * xi.n + 1), sym_exp(horizontal_lift(xi))
     points = [p] + [None] * (count - 1) + [q]

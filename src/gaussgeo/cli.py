@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-iter", type=int, default=iter_default, help=f"iteration cap (default {iter_default})")
 
     sp = sub.add_parser("shoot", help="sample a geodesic; CSV output")
-    common(sp)
+    io_args(sp)
     sp.add_argument("--steps", type=int, default=100, help="grid intervals when the input gives t_end instead of t_grid")
     sp.set_defaults(func=cmd_shoot)
 
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_interp)
 
     sp = sub.add_parser("lax", help="integrate the isospectral flow; CSV output")
-    common(sp)
+    io_args(sp)
     sp.add_argument("--dt", type=float, default=1e-3, help="integration step (default 1e-3)")
     sp.add_argument(
         "--rhs",
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_lax)
 
     sp = sub.add_parser("verify", help="run the invariant checks on one tangent; JSON report")
-    common(sp)
+    io_args(sp)
     sp.add_argument("--dt", type=float, default=1e-3, help="grid spacing / finite-difference step")
     sp.add_argument("--seed", type=int, default=0, help="seed for the generated tangent when input gives only n")
     sp.add_argument("--perturb", type=float, default=0.0, help="inject a fault of this size (harness self-test)")

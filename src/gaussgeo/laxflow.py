@@ -134,29 +134,27 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
     n = xi.n
     nn = n * n
 
-    steps, times = [], [0.0]
-    t, stop = 0.0, t_end - 1e-12 * max(1.0, t_end)
-    while t < stop:
-        step = min(dt, t_end - t)
-        t = min(t + step, t_end)
-        steps.append(step)
-        times.append(t)
-
     def view(y: np.ndarray) -> LaxState:
         return LaxState(Q=y[:nn].reshape(n, n), r=y[nn:])
 
-    ys = np.empty((len(times), nn + n))
-    filled = len(times)
+    # every step but the last (a partial step, or a sliver left by rounding)
+    # is a full dt, so the rows fit in this buffer; it is cut to the rows filled
+    ys = np.empty((math.ceil(t_end / dt) + 2, nn + n))
     ys[0] = np.concatenate((xi.A0, xi.a0), axis=None)
+    times = [0.0]
     states = []  # a view of each row, made when a step first reads it
     stage = np.empty(nn + n)
     ks = np.empty((4, nn + n))
     k1, k2, k3, k4 = ks
     at_stage = view(stage)
     d1, d2, d3, d4 = (view(k) for k in ks)
+    t, stop = 0.0, t_end - 1e-12 * max(1.0, t_end)
     # overflow is handled by the finiteness checks, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, h in enumerate(steps):
+        while t < stop:
+            h = min(dt, t_end - t)
+            t = min(t + h, t_end)
+            j = len(states)
             y, y_next = ys[j], ys[j + 1]
             states.append(view(y))
             right(states[j], *coeffs, d1)
@@ -175,12 +173,13 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
             y_next += k4
             y_next *= h / 6.0
             np.add(y, y_next, out=y_next)
+            times.append(t)
             # a non-finite entry stays non-finite in every later step, so the
             # newest row shows a blow-up and the steps after it can be skipped
             if j % FINITE_CHECK_STEPS == FINITE_CHECK_STEPS - 1 and not np.isfinite(y_next).all():
-                filled = j + 2
                 break
-    bad = ~np.isfinite(ys[:filled]).all(axis=1)
+    ys = ys[:len(times)]
+    bad = ~np.isfinite(ys).all(axis=1)
     if bad.any():
         raise ArithmeticError(f"flow stopped being finite at t = {times[int(np.argmax(bad))]:.6g}; reduce dt")
     return list(zip(times, states + [view(ys[-1])]))
@@ -211,9 +210,9 @@ def lax_closed_form(xi: Tangent, t: float) -> np.ndarray:
     v = horizontal_lift(xi)
     g = sym_exp(t * v)
     m, d = block_cholesky(g)
-    g1 = m.assemble() @ d.assemble()
+    g1 = m @ d
     l = np.linalg.solve(g1, v @ g1)
-    g2 = m.assemble().T
+    g2 = m.T
     l_alt = g2 @ v @ np.linalg.inv(g2)
     scale = max(1.0, float(np.linalg.norm(l)))
     if np.linalg.norm(l - l_alt) > CONSISTENCY_TOL * scale:

@@ -16,7 +16,6 @@ checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,54 +147,14 @@ def check_special_symmetry(g: np.ndarray) -> float:
     return float(np.linalg.norm(j @ spd_inv(g) @ j - g))
 
 
-@dataclass(frozen=True)
-class BlockUnitLower:
-    """Unit block-lower factor of the (n,1,n) block LDL^T.
-
-    Layout::
-
-        [ id_n    0     0   ]
-        [ m21     1     0   ]
-        [ m31   m32col id_n ]
-
-    ``m21`` is a length-n row, ``m32col`` a length-n column, ``m31`` an
-    n-by-n block.  When the factored matrix satisfies the exchange symmetry,
-    ``m32col == -m21`` and ``m31 + m31.T == -outer(m21, m21)``.
-    """
-
-    n: int
-    m21: np.ndarray
-    m32col: np.ndarray
-    m31: np.ndarray
-
-    def assemble(self) -> np.ndarray:
-        n = self.n
-        m = np.eye(2 * n + 1)
-        m[n, :n] = self.m21
-        m[n + 1:, :n] = self.m31
-        m[n + 1:, n] = self.m32col
-        return m
-
-
-@dataclass(frozen=True)
-class BlockDiag3:
-    """Block-diagonal factor diag(d11, d22, d33) with SPD corner blocks."""
-
-    d11: np.ndarray
-    d22: float
-    d33: np.ndarray
-
-    def assemble(self) -> np.ndarray:
-        n = self.d11.shape[0]
-        d = np.zeros((2 * n + 1, 2 * n + 1))
-        d[:n, :n] = self.d11
-        d[n, n] = self.d22
-        d[n + 1:, n + 1:] = self.d33
-        return d
-
-
-def block_cholesky(g: np.ndarray) -> tuple[BlockUnitLower, BlockDiag3]:
+def block_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block LDL^T factorization ``g = M D M.T`` with block sizes (n, 1, n).
+
+    Returns the assembled arrays::
+
+        M = [ id_n   0    0   ]        D = [ d11   0    0  ]
+            [ m21    1    0   ]            [  0   d22   0  ]
+            [ m31   m32  id_n ]            [  0    0   d33 ]
 
     ``M`` is unit block-lower triangular, ``D`` block diagonal with SPD
     blocks; both are unique.  Computed by two-stage Schur complementation;
@@ -223,9 +182,6 @@ def block_cholesky(g: np.ndarray) -> tuple[BlockUnitLower, BlockDiag3]:
     # First Schur complement: eliminate the leading n-by-n pivot.
     ainv_b = np.linalg.solve(a, b)
     ainv_c = np.linalg.solve(a, c)
-    m21 = ainv_b  # row of M, stored as a 1-d vector
-    m31 = ainv_c.T
-
     s11 = float(g[n, n] - b @ ainv_b)
     s12 = g[n, n + 1:] - b @ ainv_c
     s22 = sym(g[n + 1:, n + 1:] - c.T @ ainv_c)
@@ -233,30 +189,36 @@ def block_cholesky(g: np.ndarray) -> tuple[BlockUnitLower, BlockDiag3]:
         raise NotSpdError(f"pivot block (2,2) lost positivity: {s11:.3e}")
 
     # Second stage: eliminate the scalar pivot of the trailing Schur block.
-    m32col = s12 / s11
     d33 = sym(s22 - np.outer(s12, s12) / s11)
     try:
         np.linalg.cholesky(d33)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError("pivot block (3,3) is not positive definite") from exc
 
-    return (
-        BlockUnitLower(n=n, m21=m21, m32col=m32col, m31=m31),
-        BlockDiag3(d11=sym(a), d22=s11, d33=d33),
-    )
+    lower = np.eye(m)
+    lower[n, :n] = ainv_b
+    lower[n + 1:, :n] = ainv_c.T
+    lower[n + 1:, n] = s12 / s11
+    diag = np.zeros((m, m))
+    diag[:n, :n] = sym(a)
+    diag[n, n] = s11
+    diag[n + 1:, n + 1:] = d33
+    return lower, diag
 
 
-def special_structure_residuals(m: BlockUnitLower, d: BlockDiag3) -> dict[str, float]:
-    """Residuals of the structure forced on (M, D) by the exchange symmetry.
+def special_structure_residuals(m: np.ndarray, d: np.ndarray) -> dict[str, float]:
+    """Residuals of the structure forced on :func:`block_cholesky`'s (M, D) by the exchange symmetry.
 
     For a factored matrix with ``J g^{-1} J = g`` all four values vanish:
-    ``d22`` is 1, ``d33`` is the inverse of ``d11``, the (3,2) column of M
-    is ``-m21``, and ``m31 + m31.T + outer(m21, m21)`` is zero.
+    ``d22`` is 1, ``d33`` is the inverse of ``d11``, ``m32`` is ``-m21``,
+    and ``m31 + m31.T + outer(m21, m21)`` is zero.
     """
-    d11_inv = spd_inv(d.d11)
+    n = (m.shape[0] - 1) // 2
+    m21, m31 = m[n, :n], m[n + 1:, :n]
+    d11_inv = spd_inv(d[:n, :n])
     return {
-        "d22_minus_one": abs(d.d22 - 1.0),
-        "d33_vs_d11_inv": float(np.linalg.norm(d.d33 - d11_inv) / max(1.0, np.linalg.norm(d11_inv))),
-        "m32_vs_minus_m21": float(np.linalg.norm(m.m32col + m.m21)),
-        "m31_symmetry_relation": float(np.linalg.norm(m.m31 + m.m31.T + np.outer(m.m21, m.m21))),
+        "d22_minus_one": abs(float(d[n, n]) - 1.0),
+        "d33_vs_d11_inv": float(np.linalg.norm(d[n + 1:, n + 1:] - d11_inv) / max(1.0, np.linalg.norm(d11_inv))),
+        "m32_vs_minus_m21": float(np.linalg.norm(m[n + 1:, n] + m21)),
+        "m31_symmetry_relation": float(np.linalg.norm(m31 + m31.T + np.outer(m21, m21))),
     }

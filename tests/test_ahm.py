@@ -192,7 +192,8 @@ class TestInterpolate:
         assert len(pts) == 3
         assert pts[0] is p and pts[2] is q
         mid = midpoint_N(p, q)
-        assert np.linalg.norm(pts[1].sigma - mid.sigma) <= 1e-12
+        assert np.array_equal(pts[1].sigma, mid.sigma)
+        assert np.array_equal(pts[1].mu, mid.mu)
 
     def test_depth_two_scalar_closed_form(self):
         p = GaussianPoint(np.array([[1.0]]), np.array([0.0]))

@@ -323,8 +323,9 @@ class TestFisherCheck:
         assert payload["results"]["max_deviation"] <= 1e-6
 
     @pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
-    def test_solver_options_not_offered(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("subcommand", ["fisher-check", "shoot", "lax", "verify"])
+    def test_solver_options_not_offered(self, tmp_path, capsys, subcommand, flag):
         path = write_json(tmp_path, "in.json", {"n": 1})
         with pytest.raises(SystemExit) as exc:
-            main(["fisher-check", "--input", path, flag, "5"])
+            main([subcommand, "--input", path, flag, "5"])
         assert exc.value.code == 2

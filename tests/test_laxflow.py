@@ -18,8 +18,7 @@ from gaussgeo.laxflow import (
 )
 from gaussgeo.cli import _random_unit_tangent
 from gaussgeo.geodesic import write_samples_csv
-from gaussgeo.sympair import sigma_algebra
-from util import random_sym, random_tangent
+from util import random_sym, random_tangent, sigma_algebra
 
 
 def scalar_tangent(alpha=0.0, beta=1.0):

@@ -6,18 +6,19 @@ from gaussgeo import (
     Tangent,
     block_exchange,
     check_special_symmetry,
-    decompose_km,
     embed,
     horizontal_lift,
-    horizontal_vertical_split,
-    metric_at_identity,
-    submersion_differential,
     submersion_project,
     sym_exp,
     unembed,
 )
-from gaussgeo.sympair import LieAlgebraElement, sigma_algebra, sigma_group, tau_algebra
-from util import expm_taylor, random_tangent
+from gaussgeo.sympair import split_orthogonal
+from util import expm_taylor, random_algebra, random_tangent, sigma_algebra, sigma_group, tau_algebra
+
+
+def cartan_parts(x):
+    """The skew (isotropy) and symmetric parts of an algebra element."""
+    return 0.5 * (x - x.T), 0.5 * (x + x.T)
 
 
 def test_exchange_matrix_is_involution():
@@ -49,49 +50,34 @@ class TestHorizontalLift:
 
 
 class TestLieAlgebra:
-    def test_assemble_round_trip(self):
-        rng = np.random.default_rng(91)
-        x = LieAlgebraElement.random(3, rng)
-        back = LieAlgebraElement.from_matrix(x.assemble())
-        assert np.allclose(back.assemble(), x.assemble())
-
     def test_members_are_fixed_by_involution(self):
         rng = np.random.default_rng(92)
         for n in (1, 2, 3):
-            x = LieAlgebraElement.random(n, rng).assemble()
+            x = random_algebra(n, rng)
             assert np.allclose(sigma_algebra(x), x, atol=1e-14)
-
-    def test_non_member_rejected(self):
-        bad = np.zeros((3, 3))
-        bad[0, 0] = 1.0  # trailing block must then be -1, not 0
-        with pytest.raises(ValueError):
-            LieAlgebraElement.from_matrix(bad)
 
     def test_decompose_symmetric_input(self):
         rng = np.random.default_rng(93)
-        x = LieAlgebraElement.random(2, rng)
-        m_full = 0.5 * (x.assemble() + x.assemble().T)
-        k_part, m_part = decompose_km(LieAlgebraElement.from_matrix(m_full))
-        assert np.allclose(k_part.assemble(), 0.0, atol=1e-14)
-        assert np.allclose(m_part.assemble(), m_full)
+        _k_part, m_part = cartan_parts(random_algebra(2, rng))
+        assert np.allclose(sigma_algebra(m_part), m_part, atol=1e-14)
+        assert np.array_equal(tau_algebra(m_part), -m_part)
+        assert np.allclose(cartan_parts(m_part)[0], 0.0, atol=1e-14)
 
     def test_decompose_skew_input(self):
         rng = np.random.default_rng(94)
-        x = LieAlgebraElement.random(2, rng)
-        k_full = 0.5 * (x.assemble() - x.assemble().T)
-        k_part, m_part = decompose_km(LieAlgebraElement.from_matrix(k_full))
-        assert np.allclose(m_part.assemble(), 0.0, atol=1e-14)
-        assert np.allclose(k_part.assemble(), k_full)
-        assert np.allclose(tau_algebra(k_full), k_full)
+        k_part, _m_part = cartan_parts(random_algebra(2, rng))
+        assert np.allclose(sigma_algebra(k_part), k_part, atol=1e-14)
+        assert np.array_equal(tau_algebra(k_part), k_part)
+        assert np.allclose(cartan_parts(k_part)[1], 0.0, atol=1e-14)
 
     def test_bracket_relations(self):
         rng = np.random.default_rng(95)
         n = 2
         for _ in range(10):
-            xk = decompose_km(LieAlgebraElement.random(n, rng))[0].assemble()
-            yk = decompose_km(LieAlgebraElement.random(n, rng))[0].assemble()
-            xm = decompose_km(LieAlgebraElement.random(n, rng))[1].assemble()
-            ym = decompose_km(LieAlgebraElement.random(n, rng))[1].assemble()
+            xk = cartan_parts(random_algebra(n, rng))[0]
+            yk = cartan_parts(random_algebra(n, rng))[0]
+            xm = cartan_parts(random_algebra(n, rng))[1]
+            ym = cartan_parts(random_algebra(n, rng))[1]
 
             def bracket(a, b):
                 return a @ b - b @ a
@@ -108,36 +94,41 @@ class TestLieAlgebra:
 
 
 class TestHorizontalVerticalSplit:
+    """A symmetric-part element is the horizontal lift of its (Q, r) data plus its R-block."""
+
     def _random_m_part(self, rng, n):
-        return decompose_km(LieAlgebraElement.random(n, rng))[1]
+        return cartan_parts(random_algebra(n, rng))[1]
+
+    def _split(self, xm):
+        n = (xm.shape[0] - 1) // 2
+        big_r = xm[:n, n + 1:]
+        horizontal = horizontal_lift(Tangent(A0=-xm[:n, :n], a0=xm[:n, n]))
+        return horizontal, split_orthogonal(np.zeros((n, n)), 0.0, 0.0, big_r, -big_r)
 
     def test_no_vertical_component(self):
         rng = np.random.default_rng(96)
         xm = self._random_m_part(rng, 2)
-        no_r = LieAlgebraElement(Q=xm.Q, R=np.zeros((2, 2)), S=np.zeros((2, 2)), r=xm.r, t=xm.t)
-        _h, v = horizontal_vertical_split(no_r)
-        assert np.allclose(v.assemble(), 0.0)
+        xm[:2, 3:] = xm[3:, :2] = 0.0
+        h, v = self._split(xm)
+        assert np.allclose(v, 0.0)
+        assert np.allclose(h, xm)
 
     def test_no_horizontal_component(self):
         rng = np.random.default_rng(97)
         xm = self._random_m_part(rng, 2)
-        only_r = LieAlgebraElement(Q=np.zeros((2, 2)), R=xm.R, S=-xm.R, r=np.zeros(2), t=np.zeros(2))
-        h, _v = horizontal_vertical_split(only_r)
-        assert np.allclose(horizontal_lift(h), 0.0)
+        xm[:, 2] = xm[2, :] = 0.0
+        xm[:2, :2] = xm[3:, 3:] = 0.0
+        h, v = self._split(xm)
+        assert np.allclose(h, 0.0)
+        assert np.allclose(v, xm)
 
     def test_trace_orthogonality(self):
         rng = np.random.default_rng(98)
         for n in (2, 3):
             xm = self._random_m_part(rng, n)
-            h, v = horizontal_vertical_split(xm)
-            assert abs(np.trace(horizontal_lift(h) @ v.assemble())) <= 1e-12
-            assert np.allclose(horizontal_lift(h) + v.assemble(), xm.assemble())
-
-    def test_rejects_non_m_shaped(self):
-        rng = np.random.default_rng(99)
-        k_part = decompose_km(LieAlgebraElement.random(2, rng))[0]
-        with pytest.raises(ValueError, match="symmetric part"):
-            horizontal_vertical_split(k_part)
+            h, v = self._split(xm)
+            assert abs(np.trace(h @ v)) <= 1e-12
+            assert np.allclose(h + v, xm)
 
 
 class TestSubmersion:
@@ -166,25 +157,22 @@ class TestSubmersion:
 
 
 class TestSubmersionDifferential:
-    def test_zero(self):
-        xi = submersion_differential(np.zeros((5, 5)))
-        assert np.allclose(xi.A0, 0.0) and np.allclose(xi.a0, 0.0)
-
-    def test_inverts_horizontal_lift(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_central_difference_of_projection(self, n):
+        """The differential at the identity inverts the horizontal lift and kills the R-block."""
         rng = np.random.default_rng(103)
-        xi = random_tangent(rng, 3)
-        back = submersion_differential(horizontal_lift(xi))
-        assert np.allclose(back.A0, xi.A0) and np.allclose(back.a0, xi.a0)
+        step = 1e-5
 
-    def test_isometry_on_horizontal_subspace(self):
-        rng = np.random.default_rng(104)
-        for _ in range(100):
-            n = int(rng.integers(1, 4))
-            xi = random_tangent(rng, n, norm=float(rng.uniform(0.1, 3.0)))
-            v = horizontal_lift(xi)
-            upstairs = float(np.trace(v @ v))
-            downstairs = metric_at_identity(submersion_differential(v), submersion_differential(v), "paper")
-            assert abs(upstairs - downstairs) <= 1e-12 * upstairs
+        def differential(x):
+            ahead = submersion_project(sym_exp(step * x))
+            behind = submersion_project(sym_exp(-step * x))
+            return (ahead - behind) / (2.0 * step)
+
+        xi = random_tangent(rng, n)
+        assert np.linalg.norm(differential(horizontal_lift(xi)) - xi.embedded()) <= 1e-7
+        a = rng.standard_normal((n, n))
+        big_r = 0.5 * (a - a.T)
+        assert np.linalg.norm(differential(split_orthogonal(np.zeros((n, n)), 0.0, 0.0, big_r, -big_r))) <= 1e-7
 
 
 class TestGeodesicStaysOnSlice:
@@ -200,11 +188,11 @@ class TestGeodesicStaysOnSlice:
     def test_group_involution_fixes_isotropy_exponentials(self):
         rng = np.random.default_rng(106)
         for n in (1, 2, 3):
-            k_part = decompose_km(LieAlgebraElement.random(n, rng, scale=0.5))[0].assemble()
+            k_part = cartan_parts(random_algebra(n, rng, scale=0.5))[0]
             g = expm_taylor(k_part)
             assert np.linalg.norm(sigma_group(g) - g) <= 1e-10 * max(1.0, np.linalg.norm(g))
             # exponentials of the full algebra are fixed as well
-            x = LieAlgebraElement.random(n, rng, scale=0.4).assemble()
+            x = random_algebra(n, rng, scale=0.4)
             gx = expm_taylor(x)
             assert np.linalg.norm(sigma_group(gx) - gx) <= 1e-10 * max(1.0, np.linalg.norm(gx))
 

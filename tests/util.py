@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from gaussgeo import GaussianPoint, Tangent, tangent_norm
+from gaussgeo import GaussianPoint, Tangent, block_exchange, tangent_norm
+from gaussgeo.sympair import split_orthogonal
 
 
 def random_sym(rng, n, scale=1.0):
@@ -22,6 +23,37 @@ def random_tangent(rng, n, norm=1.0):
 
 def random_point(rng, n, spread=0.5):
     return GaussianPoint(random_spd(rng, n, spread), spread * rng.standard_normal(n))
+
+
+def random_algebra(n, rng, scale=1.0):
+    """Random element of the split orthogonal algebra, in the layout of ``split_orthogonal``."""
+
+    def skew(a):
+        return 0.5 * (a - a.T)
+
+    q = scale * rng.standard_normal((n, n))
+    big_r = skew(scale * rng.standard_normal((n, n)))
+    big_s = skew(scale * rng.standard_normal((n, n)))
+    r = scale * rng.standard_normal(n)
+    t = scale * rng.standard_normal(n)
+    return split_orthogonal(q, r, t, big_r, big_s)
+
+
+def sigma_group(g):
+    """Group involution ``g -> J g^{-T} J`` (fixed points: the split orthogonal group)."""
+    j = block_exchange((g.shape[0] - 1) // 2)
+    return j @ np.linalg.inv(g).T @ j
+
+
+def sigma_algebra(x):
+    """Algebra involution ``X -> -J X^T J`` (fixed points: the split orthogonal algebra)."""
+    j = block_exchange((x.shape[0] - 1) // 2)
+    return -j @ x.T @ j
+
+
+def tau_algebra(x):
+    """Cartan involution ``X -> -X^T`` (fixed points: the skew, isotropy part)."""
+    return -x.T
 
 
 def scalar_ldl(g):
