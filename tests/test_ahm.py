@@ -10,6 +10,7 @@ from gaussgeo import (
     check_special_symmetry,
     direct_midpoint,
     distance,
+    exp_map,
     exp_map_from,
     horizontal_lift,
     interpolate,
@@ -18,10 +19,11 @@ from gaussgeo import (
     sym_exp,
 )
 import gaussgeo.ahm as ahm_mod
+import gaussgeo.geodesic as geodesic
 import gaussgeo.sympair as sympair
-from gaussgeo.ahm import AhmPair, ahm_sequence, gap_identity_residual
+from gaussgeo.ahm import AhmPair, ahm_sequence
 from gaussgeo.matcore import NotSpdError, block_exchange
-from util import random_point, random_spd, random_tangent
+from util import gap_identity_residual, random_point, random_spd, random_tangent
 
 
 def scalar_pair(p, q):
@@ -105,6 +107,24 @@ class TestConvergence:
             assert np.linalg.eigvalsh(nxt.Q - prev.Q).min() >= -1e-12
             assert np.linalg.eigvalsh(nxt.P - nxt.Q).min() >= -1e-12
             assert np.linalg.eigvalsh(prev.P - nxt.P).min() >= -1e-12
+
+    def test_lifted_midpoint_sweep(self):
+        # n x paper norm, 5 tangents per cell: the upstairs midpoint of (I, exp V) is exp(V/2)
+        rng = np.random.default_rng(52)
+        worst_mid = worst_step = 0.0
+        for n in (1, 2, 3, 5, 8):
+            for norm in (0.5, 1.0, 2.0, 4.0, 8.0):
+                for _ in range(5):
+                    v = horizontal_lift(random_tangent(rng, n, norm=norm))
+                    p0, q0 = np.eye(2 * n + 1), sym_exp(v)
+                    ref = sym_exp(0.5 * v)
+                    worst_mid = max(worst_mid, np.linalg.norm(ahm_midpoint(p0, q0) - ref) / np.linalg.norm(ref))
+                    # the three-inverse harmonic mean is the oracle of the one-solve step
+                    harmonic = 2.0 * np.linalg.inv(np.linalg.inv(p0) + np.linalg.inv(q0))
+                    step = ahm_step(AhmPair(P=p0, Q=q0)).Q
+                    worst_step = max(worst_step, np.linalg.norm(step - harmonic) / np.linalg.norm(harmonic))
+        assert worst_mid <= 1e-14
+        assert worst_step <= 1e-13
 
     def test_quadratic_gap_contraction(self):
         rng = np.random.default_rng(35)
@@ -267,6 +287,42 @@ class TestInterpolate:
         calls.clear()
         interpolate(p, q, 3)
         assert len(calls) == 7
+
+    @pytest.mark.parametrize("which", ["P", "Q"])
+    def test_midpoint_checks_its_inputs(self, which):
+        arrays = {"P": np.eye(2), "Q": np.eye(2)}
+        arrays[which] = np.diag([1.0, -1.0])
+        with pytest.raises(NotSpdError, match=f"^{which} is not positive definite$"):
+            ahm_midpoint(arrays["P"], arrays["Q"])
+
+    def test_one_batched_crosscheck(self, monkeypatch):
+        trajectories, stray_exps, inside_log = [], [], []
+
+        def counting_trajectory(*args, **kwargs):
+            trajectories.append(None)
+            return geodesic.trajectory(*args, **kwargs)
+
+        def counting_exp_map(*args, **kwargs):
+            if not inside_log:
+                stray_exps.append(None)
+            return exp_map(*args, **kwargs)
+
+        def flagged_log_map(*args, **kwargs):
+            inside_log.append(None)
+            try:
+                return log_map(*args, **kwargs)
+            finally:
+                inside_log.pop()
+
+        monkeypatch.setattr(ahm_mod, "trajectory", counting_trajectory)
+        monkeypatch.setattr(ahm_mod, "log_map", flagged_log_map)
+        for module in (ahm_mod, geodesic):
+            monkeypatch.setattr(module, "exp_map", counting_exp_map, raising=False)
+        rng = np.random.default_rng(53)
+        p, q = random_point(rng, 2), random_point(rng, 2)
+        assert len(interpolate(p, q, 3)) == 9
+        assert len(trajectories) == 1
+        assert not stray_exps
 
     def test_rejects_nonpositive_depth(self):
         rng = np.random.default_rng(47)

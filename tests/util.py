@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gaussgeo import GaussianPoint, Tangent, block_exchange, tangent_norm
+from gaussgeo import GaussianPoint, Tangent, block_exchange, sym, tangent_norm
 from gaussgeo.sympair import split_orthogonal
 
 
@@ -37,6 +37,13 @@ def random_algebra(n, rng, scale=1.0):
     r = scale * rng.standard_normal(n)
     t = scale * rng.standard_normal(n)
     return split_orthogonal(q, r, t, big_r, big_s)
+
+
+def gap_identity_residual(before, after):
+    """Residual of the exact one-step contraction of the mean iteration's gap, ``Q' - P'``."""
+    delta = before.Q - before.P
+    predicted = -0.5 * delta @ np.linalg.solve(before.P + before.Q, delta)
+    return float(np.linalg.norm((after.Q - after.P) - sym(predicted)))
 
 
 def sigma_group(g):
