@@ -8,19 +8,7 @@ iteration, and the same factorization yields an isospectral (Toda-type)
 Lax flow.
 """
 
-from .matcore import (
-    EigenError,
-    NotSpdError,
-    block_cholesky,
-    block_exchange,
-    check_special_symmetry,
-    spd_inv,
-    spd_log,
-    spd_sqrt,
-    sym,
-    sym_eigen,
-    sym_exp,
-)
+from .matcore import EigenError, NotSpdError, block_cholesky, check_special_symmetry
 from .manifold import (
     AffineMap,
     GaussianPoint,
@@ -64,7 +52,6 @@ __all__ = [
     "ahm_step",
     "alt_embed_check",
     "block_cholesky",
-    "block_exchange",
     "check_special_symmetry",
     "direct_midpoint",
     "distance",
@@ -82,13 +69,7 @@ __all__ = [
     "metric_at_identity",
     "midpoint_N",
     "normalize_to_identity",
-    "spd_inv",
-    "spd_log",
-    "spd_sqrt",
     "submersion_project",
-    "sym",
-    "sym_eigen",
-    "sym_exp",
     "tangent_norm",
     "trajectory",
     "unembed",

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import require_spd, spd_sqrt, sym, sym_exp
-from .manifold import GaussianPoint, normalize_to_identity, unembed
+from .manifold import GaussianPoint, normalize_to_identity, read_embedded
 from .geodesic import log_map, trajectory
 from .sympair import horizontal_lift, submersion_project
 
@@ -60,6 +60,8 @@ class AhmPair:
             a = require_spd(getattr(self, name), name=name)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        if self.P.shape != self.Q.shape:
+            raise ValueError(f"P and Q must share a shape, got {self.P.shape} and {self.Q.shape}")
 
     def gap(self) -> float:
         return float(np.linalg.norm(self.Q - self.P))
@@ -104,13 +106,15 @@ def ahm_sequence(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter:
 
 def ahm_midpoint(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> np.ndarray:
     """Geodesic midpoint (matrix geometric mean) of an SPD pair; the inputs are checked once, the iterates not."""
-    return _mean(require_spd(p0, name="P"), require_spd(q0, name="Q"), tol, max_iter)
+    pair = AhmPair(P=p0, Q=q0)
+    return _mean(pair.P, pair.Q, tol, max_iter)
 
 
 def direct_midpoint(p0: np.ndarray, q0: np.ndarray) -> np.ndarray:
     """Closed-form geometric mean, the independent reference for the iteration."""
-    root = spd_sqrt(require_spd(p0, name="P0"))
-    inner = spd_sqrt(sym(np.linalg.solve(root, np.linalg.solve(root, q0).T).T))
+    pair = AhmPair(P=p0, Q=q0)
+    root = spd_sqrt(pair.P)
+    inner = spd_sqrt(sym(np.linalg.solve(root, np.linalg.solve(root, pair.Q).T).T))
     return sym(root @ inner @ root)
 
 
@@ -161,7 +165,7 @@ def interpolate(
     except ValueError as exc:
         raise ArithmeticError(f"mean iteration limit does not project: {exc}") from exc
     denorm = normalize_to_identity(p).inverse()
-    inner = [denorm.apply(unembed(g)) for g in projected]
+    inner = [denorm.apply(read_embedded(h)) for h in projected]
     reference = trajectory(xi, np.arange(1, count) / count, basepoint=p)
     deviation = np.linalg.norm(np.array([pt.sigma for pt in inner]) - reference.sigmas, axis=(1, 2))
     deviation += np.linalg.norm(np.array([pt.mu for pt in inner]) - reference.mus, axis=1)

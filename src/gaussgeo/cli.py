@@ -107,6 +107,8 @@ def _parse_matrix(raw, n: int, name: str, symmetric_tol: float = 1e-12) -> np.nd
         raise InputError(f"{name} must be a nested numeric array") from exc
     if mat.shape != (n, n):
         raise InputError(f"{name} must be {n}x{n}, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise InputError(f"{name} must be finite")
     scale = max(1.0, float(np.linalg.norm(mat)))
     if np.linalg.norm(mat - mat.T) > symmetric_tol * scale:
         raise InputError(f"{name} must be symmetric within {symmetric_tol:.0e} (relative)")

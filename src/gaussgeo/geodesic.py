@@ -28,6 +28,7 @@ is not unique.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,8 +40,8 @@ from .manifold import (
     Tangent,
     embed,
     normalize_to_identity,
+    read_embedded,
     tangent_norm,
-    unembed,
 )
 from .sympair import horizontal_lift
 
@@ -69,22 +70,34 @@ class GeodesicTrajectory:
     mus: np.ndarray
 
 
+def lifted_exponential(v: np.ndarray, t: float) -> np.ndarray:
+    """``exp(t v)``: ``ValueError`` for a non-finite ``t``, ``ArithmeticError`` (no numpy warning) on overflow."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = sym_exp(t * v)
+        norm = float(np.linalg.norm(g))
+    if not math.isfinite(norm):
+        raise ArithmeticError(f"geodesic stopped being finite at t = {t:.6g}")
+    return g
+
+
 def exp_map(xi: Tangent, t: float) -> GaussianPoint:
     """Geodesic from the identity point with initial direction ``xi``, at time ``t``.
 
     Exponentiates the horizontal generator, verifies the block structure of
     the factorization (determinant-one middle pivot, reciprocal corner
-    blocks), and reads off the normal point.
+    blocks), and reads off the normal point from the verified pivot (1,1).
     """
     n = xi.n
     if t == 0.0:
         return GaussianPoint.identity(n)
-    g = sym_exp(t * horizontal_lift(xi))
+    g = lifted_exponential(horizontal_lift(xi), t)
     m, d = block_cholesky(g)
     worst = max(special_structure_residuals(m, d).values())
     if worst > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(g))):
         raise ArithmeticError(f"lifted geodesic lost its block structure: residual {worst:.3e}")
-    return unembed(g[: n + 1, : n + 1])
+    return read_embedded(g[: n + 1, : n + 1])
 
 
 def exp_map_from(p: GaussianPoint, xi: Tangent, t: float) -> GaussianPoint:
@@ -348,7 +361,7 @@ def log_map(
         the last residual (``inf`` when even the initial guess was beyond the cap).
     """
     if p.n != q.n:
-        raise ValueError("points must share a dimension")
+        raise ValueError(f"points must share a dimension, got n = {p.n} and n = {q.n}")
     chart = normalize_to_identity(p)
     return _log_normalized(chart.apply(q), tol, max_iter)
 

@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import block_cholesky, sym_exp
+from .matcore import block_cholesky
 from .manifold import Tangent
-from .geodesic import _stencil_offset
+from .geodesic import _stencil_offset, lifted_exponential
 from .sympair import horizontal_lift, split_orthogonal
 
 DEFAULT_DT = 1e-3
@@ -208,8 +208,7 @@ def lax_closed_form(xi: Tangent, t: float) -> np.ndarray:
     conjugation by ``G2``, and validates the sparse form.
     """
     v = horizontal_lift(xi)
-    g = sym_exp(t * v)
-    m, d = block_cholesky(g)
+    m, d = block_cholesky(lifted_exponential(v, t))
     g1 = m @ d
     l = np.linalg.solve(g1, v @ g1)
     g2 = m.T

@@ -35,6 +35,21 @@ CONSISTENCY_TOL = 1e-8
 FISHER_QUAD_MAX_DIM = 3
 
 
+def _own_checked(obj, matrix_field: str, matrix: np.ndarray, vector_field: str, what: str) -> None:
+    """Check the vector field of ``obj`` (finite, of the checked matrix's order); set read-only copies of both.
+
+    Owning read-only arrays keeps the checks valid for the object's life.
+    """
+    vector = np.atleast_1d(np.asarray(getattr(obj, vector_field), dtype=float))
+    if vector.ndim != 1 or vector.shape[0] != matrix.shape[0]:
+        raise ValueError(f"{vector_field} must be a vector of length {matrix.shape[0]}, got shape {vector.shape}")
+    if not np.all(np.isfinite(vector)):
+        raise ValueError(f"{what} must be finite, got {vector}")
+    for field, a in ((matrix_field, matrix), (vector_field, vector.copy())):
+        a.flags.writeable = False
+        object.__setattr__(obj, field, a)
+
+
 @dataclass(frozen=True)
 class GaussianPoint:
     """A normal distribution: covariance ``sigma`` (SPD) and mean ``mu``."""
@@ -43,18 +58,7 @@ class GaussianPoint:
     mu: np.ndarray
 
     def __post_init__(self):
-        sigma = require_spd(self.sigma, name="sigma")
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if mu.ndim != 1 or mu.shape[0] != sigma.shape[0]:
-            raise ValueError(f"mu must be a vector of length {sigma.shape[0]}, got shape {mu.shape}")
-        if not np.all(np.isfinite(mu)):
-            raise ValueError(f"mean must be finite, got {mu}")
-        # Own read-only arrays, so the checks above hold for the point's life.
-        mu = mu.copy()
-        sigma.flags.writeable = False
-        mu.flags.writeable = False
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "mu", mu)
+        _own_checked(self, "sigma", require_spd(self.sigma, name="sigma"), "mu", "mean")
 
     @property
     def n(self) -> int:
@@ -67,7 +71,8 @@ class GaussianPoint:
     def close_to(self, other: "GaussianPoint", tol: float = 1e-12) -> bool:
         scale = max(1.0, float(np.linalg.norm(self.sigma)), float(np.linalg.norm(self.mu)))
         return (
-            np.linalg.norm(self.sigma - other.sigma) <= tol * scale
+            other.n == self.n
+            and np.linalg.norm(self.sigma - other.sigma) <= tol * scale
             and np.linalg.norm(self.mu - other.mu) <= tol * scale
         )
 
@@ -80,18 +85,7 @@ class Tangent:
     a0: np.ndarray
 
     def __post_init__(self):
-        A0 = require_symmetric(self.A0, name="A0")
-        a0 = np.atleast_1d(np.asarray(self.a0, dtype=float))
-        if a0.ndim != 1 or a0.shape[0] != A0.shape[0]:
-            raise ValueError(f"a0 must be a vector of length {A0.shape[0]}, got shape {a0.shape}")
-        if not np.all(np.isfinite(a0)):
-            raise ValueError(f"a0 must be finite, got {a0}")
-        # Own read-only arrays, so the checks above hold for the tangent's life.
-        a0 = a0.copy()
-        A0.flags.writeable = False
-        a0.flags.writeable = False
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "a0", a0)
+        _own_checked(self, "A0", require_symmetric(self.A0, name="A0"), "a0", "a0")
 
     @property
     def n(self) -> int:
@@ -147,18 +141,25 @@ def unembed(h: np.ndarray) -> GaussianPoint:
     Raises
     ------
     ValueError
-        If the corner entry is inconsistent with the leading blocks beyond
-        ``CONSISTENCY_TOL`` (scaled), i.e. the input does not represent a normal
-        distribution.
+        If ``h`` is not symmetric of order >= 2 with an SPD leading block, or
+        its corner entry is inconsistent with the leading blocks beyond
+        ``CONSISTENCY_TOL`` (scaled): the input does not represent a normal distribution.
     """
     h = require_symmetric(h, tol=1e-10, name="embedded point")
+    if h.shape[0] < 2:
+        raise ValueError(f"embedded point must have order >= 2, got {h.shape[0]}")
+    require_spd(h[:-1, :-1], name="leading block")
+    return read_embedded(h)
+
+
+def read_embedded(h: np.ndarray) -> GaussianPoint:
+    """:func:`unembed` after its corner check alone: callers ensure ``h`` is symmetric with an SPD leading block."""
     n = h.shape[0] - 1
-    theta = require_spd(h[:n, :n], name="leading block")
     res = corner_residual(h)
     scale = max(1.0, float(np.linalg.norm(h)))
     if res > CONSISTENCY_TOL * scale:
         raise ValueError(f"corner entry inconsistent with leading blocks: residual {res:.3e} exceeds {CONSISTENCY_TOL:.1e} * {scale:.3e}")
-    sigma = spd_inv(theta)
+    sigma = spd_inv(h[:n, :n])
     return GaussianPoint(sigma, sigma @ h[:n, n])
 
 

@@ -7,10 +7,11 @@ eigendecomposition, spectral functions (exp, log, sqrt, powers), the
 residual of the exchange symmetry J G^{-1} J = G that cuts out the totally
 geodesic submanifold used by the lift.
 
-All functions are pure and operate on plain ``numpy.ndarray`` values;
-results of nominally symmetric computations are re-symmetrized by averaging
-with the transpose so that roundoff drift never contaminates positivity
-checks.
+All functions are pure and operate on plain ``numpy.ndarray`` values.  Input
+is checked by ``require_symmetric``, ``require_spd``, ``block_cholesky`` and
+``check_special_symmetry`` only; the spectral kernels trust their caller.
+Nominally symmetric results are re-symmetrized by averaging with the
+transpose so that roundoff drift never contaminates positivity checks.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def require_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def sym_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix (unchecked: the caller vouches for a finite symmetric ``s``).
 
     Returns eigenvalues in ascending order and an orthogonal frame ``v`` with
     ``v @ diag(w) @ v.T`` reconstructing the input within 1e-12
@@ -75,7 +76,6 @@ def sym_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         If the backend iteration fails to converge; the message carries the
         off-diagonal norm of the offending matrix as a diagnostic.
     """
-    s = require_symmetric(s, name="eigen input")
     try:
         w, v = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import SYM_TOL, check_special_symmetry, require_spd
+from .matcore import SYM_TOL, check_special_symmetry, sym
 from .manifold import Tangent, corner_residual
 
 
@@ -62,20 +62,16 @@ def horizontal_lift(xi: Tangent) -> np.ndarray:
 def submersion_project(g: np.ndarray) -> np.ndarray:
     """Project a lifted point onto the leading (n+1)-block (the submersion).
 
-    Validates membership of the SPD array ``g`` in the submanifold and the
-    corner identity of the projected block.
+    Validates membership of the SPD array ``g`` in the submanifold (one
+    :func:`check_special_symmetry`) and the corner identity of the projected block.
     """
-    g = require_spd(g, name="lifted point")
-    order = g.shape[0]
-    if order % 2 == 0 or order < 3:
-        raise ValueError(f"order must be odd and >= 3, got {order}")
-    n = (order - 1) // 2
-    scale = max(1.0, float(np.linalg.norm(g)))
     res = check_special_symmetry(g)
+    g = np.asarray(g, dtype=float)
+    n = (g.shape[0] - 1) // 2
+    scale = max(1.0, float(np.linalg.norm(g)))
     if res > SYM_TOL * scale:
         raise ValueError(f"input is not in the lifted submanifold: symmetry residual {res:.3e}")
-    h = g[: n + 1, : n + 1]
-    require_spd(h[:n, :n], name="leading block")
+    h = sym(g[: n + 1, : n + 1])
     corner = corner_residual(h)
     if corner > SYM_TOL * scale:
         raise ValueError(f"projected block violates the corner identity: residual {corner:.3e}")

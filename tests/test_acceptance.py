@@ -36,7 +36,6 @@ from gaussgeo import (
     log_map,
     metric_at_identity,
     midpoint_N,
-    sym_exp,
     tangent_norm,
     trajectory,
     verify_lax,
@@ -44,7 +43,7 @@ from gaussgeo import (
 from gaussgeo.ahm import AhmPair, ahm_sequence, ahm_step
 from gaussgeo.geodesic import ambient_exponentials
 from gaussgeo.laxflow import build_L, state_from_L
-from gaussgeo.matcore import block_cholesky, special_structure_residuals
+from gaussgeo.matcore import block_cholesky, special_structure_residuals, sym_exp
 from util import gap_identity_residual, random_point, random_sym, random_tangent
 
 DIMS = (1, 2, 3, 5)

@@ -16,14 +16,30 @@ from gaussgeo import (
     interpolate,
     log_map,
     midpoint_N,
-    sym_exp,
 )
 import gaussgeo.ahm as ahm_mod
 import gaussgeo.geodesic as geodesic
+import gaussgeo.laxflow as laxflow
+import gaussgeo.manifold as manifold
+import gaussgeo.matcore as matcore
 import gaussgeo.sympair as sympair
 from gaussgeo.ahm import AhmPair, ahm_sequence
-from gaussgeo.matcore import NotSpdError, block_exchange
+from gaussgeo.matcore import NotSpdError, block_exchange, sym_exp
 from util import gap_identity_residual, random_point, random_spd, random_tangent
+
+
+def count_everywhere(monkeypatch, home, name):
+    """Wrap ``home.<name>`` in every gaussgeo module that binds it; returns the list of its calls."""
+    calls, real = [], getattr(home, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for module in (matcore, manifold, sympair, geodesic, ahm_mod, laxflow):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def scalar_pair(p, q):
@@ -288,6 +304,19 @@ class TestInterpolate:
         interpolate(p, q, 3)
         assert len(calls) == 7
 
+    def test_lifted_points_are_read_without_unembed(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        xi = random_tangent(rng, 2)
+        p, q = random_point(rng, 2), random_point(rng, 2)
+        unembeds = count_everywhere(monkeypatch, manifold, "unembed")
+        slice_checks = count_everywhere(monkeypatch, matcore, "check_special_symmetry")
+        symmetry_checks = count_everywhere(monkeypatch, matcore, "require_symmetric")
+        exp_map(xi, 1.0)
+        # the factorization's input and the new point's covariance are checked, nothing more
+        assert (len(unembeds), len(symmetry_checks)) == (0, 2)
+        interpolate(p, q, 3)
+        assert (len(unembeds), len(slice_checks)) == (0, 7)
+
     @pytest.mark.parametrize("which", ["P", "Q"])
     def test_midpoint_checks_its_inputs(self, which):
         arrays = {"P": np.eye(2), "Q": np.eye(2)}
@@ -352,3 +381,18 @@ def test_public_operations_reject_non_finite_mean(op, bad):
         q.sigma[0, 0] = bad
     for a, b in ((p, q), (q, p)):
         call(a, b)
+
+
+@pytest.mark.parametrize("op", ["distance", "midpoint_N", "interpolate"])
+def test_points_of_different_dimension_are_rejected(op):
+    call = {"distance": distance, "midpoint_N": midpoint_N, "interpolate": lambda a, b: interpolate(a, b, 2)}[op]
+    p, q = GaussianPoint.identity(2), GaussianPoint(2.0 * np.eye(3), np.ones(3))
+    with pytest.raises(ValueError, match="^points must share a dimension, got n = 2 and n = 3$"):
+        call(p, q)
+
+
+@pytest.mark.parametrize("op", ["AhmPair", "ahm_midpoint", "ahm_sequence", "direct_midpoint"])
+def test_pairs_of_different_shape_are_rejected(op):
+    call = {"AhmPair": AhmPair, "ahm_midpoint": ahm_midpoint, "ahm_sequence": ahm_sequence, "direct_midpoint": direct_midpoint}[op]
+    with pytest.raises(ValueError, match=r"^P and Q must share a shape, got \(2, 2\) and \(3, 3\)$"):
+        call(np.eye(2), np.eye(3))

@@ -1,0 +1,38 @@
+"""Distances against closed forms that do not go through the lift.
+
+The formulas are the benchmark's own oracles (``perfbench/oracles.py``),
+imported rather than copied, so the tests and the benchmark gate on one
+definition.  Both are in the ``fisher`` convention.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gaussgeo import GaussianPoint, distance
+from util import random_point, random_spd
+
+_SPEC = importlib.util.spec_from_file_location("oracles", Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(oracles)
+
+
+def test_univariate_distance():
+    # the oracle's arccosh loses digits near 1, hence the 1e-10 bound
+    rng = np.random.default_rng(80)
+    for _ in range(40):
+        p, q = random_point(rng, 1), random_point(rng, 1)
+        oracle = oracles.univariate_distance(p.sigma[0, 0], p.mu[0], q.sigma[0, 0], q.mu[0])
+        assert abs(distance(p, q, convention="fisher") - oracle) <= 1e-10 * oracle
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_equal_mean_distance(n):
+    rng = np.random.default_rng(81 + n)
+    for _ in range(8):
+        mu = rng.standard_normal(n)
+        p, q = GaussianPoint(random_spd(rng, n), mu), GaussianPoint(random_spd(rng, n), mu)
+        oracle = oracles.equal_mean_distance(p.sigma, q.sigma)
+        assert abs(distance(p, q, convention="fisher") - oracle) <= 1e-12 * max(1.0, oracle)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,7 +21,6 @@ from gaussgeo import (
     horizontal_lift,
     log_map,
     submersion_project,
-    sym_exp,
     trajectory,
 )
 from gaussgeo.geodesic import (
@@ -32,6 +32,7 @@ from gaussgeo.geodesic import (
     recovered_initial_direction,
     write_samples_csv,
 )
+from gaussgeo.matcore import sym_exp
 from util import integrate_geodesic_ode, random_point, random_tangent
 
 
@@ -86,6 +87,25 @@ class TestExpMap:
             lhs = sym_exp((s + t) * v)
             rhs = sym_exp(s * v) @ sym_exp(t * v)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
+
+
+class TestExpMapTime:
+    XI = Tangent(np.array([[0.3, 0.1], [0.1, -0.2]]), np.array([0.4, 0.2]))
+    CALLS = {"exp_map": exp_map, "exp_map_from": lambda xi, t: exp_map_from(GaussianPoint.identity(2), xi, t)}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejects_non_finite_time(self, call, t):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            self.CALLS[call](self.XI, t)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [1e3, -1e3, 1e308])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_overflow_is_arithmetic_error(self, call, t):
+        with pytest.raises(ArithmeticError, match=f"^geodesic stopped being finite at t = {re.escape(f'{t:.6g}')}$"):
+            self.CALLS[call](self.XI, t)
 
 
 class TestExpMapFrom:

@@ -217,6 +217,17 @@ class TestAssembly:
 
 
 class TestClosedForm:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "t, error, message",
+        [(math.nan, ValueError, "^t must be finite"), (math.inf, ValueError, "^t must be finite"),
+         (1e3, ArithmeticError, "^geodesic stopped being finite at t = 1000$")],
+        ids=["nan", "inf", "overflow"],
+    )
+    def test_time_is_checked_at_entry(self, t, error, message):
+        with pytest.raises(error, match=message):
+            lax_closed_form(scalar_tangent(0.3, 0.4), t)
+
     def test_time_zero_is_the_generator(self):
         rng = np.random.default_rng(116)
         xi = random_tangent(rng, 2)

@@ -72,6 +72,11 @@ class TestUnembed:
         assert abs(p.sigma[0, 0] - 2.0) <= 1e-14
         assert abs(p.mu[0] - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_rejects_order_below_two(self, order):
+        with pytest.raises(ValueError, match="^embedded point must have order >= 2"):
+            unembed(np.eye(order))
+
     def test_rejects_inconsistent_corner(self):
         with pytest.raises(ValueError, match="corner"):
             unembed(np.array([[1.0, 0.0], [0.0, 2.0]]))

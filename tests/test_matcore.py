@@ -16,8 +16,12 @@ from gaussgeo.matcore import (
     sym_eigen,
     sym_exp,
 )
-from gaussgeo.sympair import horizontal_lift
-from gaussgeo.manifold import Tangent
+import gaussgeo
+import gaussgeo.matcore as matcore
+from gaussgeo.ahm import AhmPair, ahm_midpoint, ahm_sequence, direct_midpoint
+from gaussgeo.cli import parse_point, parse_tangent
+from gaussgeo.sympair import horizontal_lift, submersion_project
+from gaussgeo.manifold import GaussianPoint, Tangent, unembed
 from util import blocked_from_scalar, random_spd, random_sym, random_tangent
 
 
@@ -47,9 +51,49 @@ class TestSymEigen:
             assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-12
             assert np.all(np.diff(w) >= -1e-14)
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+def _bad(order, kind):
+    """An order-``order`` SPD-looking matrix made asymmetric, or given a non-finite entry."""
+    a = np.eye(order)
+    if kind == "asymmetric":
+        a[0, 1] = 0.5
+    else:
+        a[0, 0] = {"nan": math.nan, "inf": math.inf}[kind]
+    return a
+
+
+# Every public entry that takes a raw matrix, with a call that feeds it the bad one.
+PUBLIC_ENTRIES = {
+    "GaussianPoint": lambda kind: GaussianPoint(_bad(2, kind), np.zeros(2)),
+    "Tangent": lambda kind: Tangent(_bad(2, kind), np.zeros(2)),
+    "AhmPair": lambda kind: AhmPair(P=np.eye(2), Q=_bad(2, kind)),
+    "parse_point": lambda kind: parse_point({"n": 2, "sigma": _bad(2, kind).tolist(), "mu": [0.0, 0.0]}),
+    "parse_tangent": lambda kind: parse_tangent({"n": 2, "A0": _bad(2, kind).tolist(), "a0": [0.0, 0.0]}),
+    "block_cholesky": lambda kind: block_cholesky(_bad(3, kind)),
+    "check_special_symmetry": lambda kind: check_special_symmetry(_bad(3, kind)),
+    "submersion_project": lambda kind: submersion_project(_bad(3, kind)),
+    "unembed": lambda kind: unembed(_bad(2, kind)),
+    "ahm_midpoint": lambda kind: ahm_midpoint(_bad(2, kind), np.eye(2)),
+    "ahm_sequence": lambda kind: ahm_sequence(np.eye(2), _bad(2, kind)),
+    "direct_midpoint": lambda kind: direct_midpoint(np.eye(2), _bad(2, kind)),
+}
+
+
+@pytest.mark.parametrize("kind", ["asymmetric", "nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(PUBLIC_ENTRIES))
+def test_public_entries_reject_bad_matrices(entry, kind):
+    # The kernels trust their caller; the check runs once, where the array enters.
+    with pytest.raises(ValueError, match="symmetric|finite"):
+        PUBLIC_ENTRIES[entry](kind)
+
+
+MOVED_TO_MATCORE = ("spd_inv", "spd_log", "spd_sqrt", "sym", "sym_eigen", "sym_exp", "block_exchange")
+
+
+def test_matrix_utilities_live_in_matcore_only():
+    for name in MOVED_TO_MATCORE:
+        assert not hasattr(gaussgeo, name) and name not in gaussgeo.__all__
+        assert callable(getattr(matcore, name))
 
 
 class TestSymExp:

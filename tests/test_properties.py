@@ -1,4 +1,5 @@
-"""Property tests (hypothesis): half-distance midpoints, symmetric distance, rank-one Lax flow.
+"""Property tests (hypothesis): half-distance midpoints, symmetric and affine-invariant
+distance, time reparametrisation of the exponential, rank-one Lax flow.
 
 Examples are derandomized and few, so the suite stays deterministic and fast;
 each example draws a seed for the shared numpy generators of ``util``.
@@ -7,7 +8,7 @@ each example draws a seed for the shared numpy generators of ``util``.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gaussgeo import distance, integrate, midpoint_N
+from gaussgeo import AffineMap, distance, exp_map, integrate, midpoint_N
 from util import random_point, random_tangent
 
 PROPERTY = settings(derandomize=True, max_examples=8, deadline=None, database=None)
@@ -33,6 +34,27 @@ def test_distance_is_symmetric(seed, n, spread):
     p, q = random_point(rng, n, spread), random_point(rng, n, spread)
     d = distance(p, q)
     assert abs(d - distance(q, p)) <= 1e-9 * max(1.0, d)
+
+
+@PROPERTY
+@given(seed=seeds, n=dims, spread=st.floats(0.1, 1.0))
+def test_distance_is_affine_invariant(seed, n, spread):
+    # x -> A x + b is a sufficient statistic, hence an isometry
+    rng = np.random.default_rng(seed)
+    p, q = random_point(rng, n, spread), random_point(rng, n, spread)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    f = AffineMap(basis * np.exp(rng.uniform(-1.0, 1.0, n)), rng.standard_normal(n))
+    d = distance(p, q)
+    assert abs(distance(f.apply(p), f.apply(q)) - d) <= 1e-11 * max(1.0, d)
+
+
+@PROPERTY
+@given(seed=seeds, n=dims, s=st.floats(-2.0, 2.0), t=st.floats(-1.5, 1.5))
+def test_exp_map_reparametrises_time(seed, n, s, t):
+    xi = random_tangent(np.random.default_rng(seed), n)
+    a, b = exp_map(xi, s * t), exp_map(xi.scaled(s), t)
+    assert np.linalg.norm(a.sigma - b.sigma) <= 1e-12 * max(1.0, np.linalg.norm(a.sigma))
+    assert np.linalg.norm(a.mu - b.mu) <= 1e-12 * max(1.0, np.linalg.norm(a.mu))
 
 
 @PROPERTY

@@ -4,14 +4,13 @@ import pytest
 from gaussgeo import (
     GaussianPoint,
     Tangent,
-    block_exchange,
     check_special_symmetry,
     embed,
     horizontal_lift,
     submersion_project,
-    sym_exp,
     unembed,
 )
+from gaussgeo.matcore import block_exchange, sym_exp
 from gaussgeo.sympair import split_orthogonal
 from util import expm_taylor, random_algebra, random_tangent, sigma_algebra, sigma_group, tau_algebra
 

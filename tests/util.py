@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from gaussgeo import GaussianPoint, Tangent, block_exchange, sym, tangent_norm
+from gaussgeo import GaussianPoint, Tangent, tangent_norm
+from gaussgeo.matcore import block_exchange, sym
 from gaussgeo.sympair import split_orthogonal
 
 
