@@ -13,16 +13,23 @@ second-order equations
 
 used here as a finite-difference correctness oracle.
 
-The inverse problem (log map) is solved by damped Gauss-Newton shooting on
-the leading (n+1)-block of ``exp(V)``, falling back to recursive path
-subdivision for distant targets.  The Jacobian is exact: the leading block
-of the Frechet derivative of ``exp`` by the Daleckii-Krein formula.  Each
-trial takes one eigendecomposition of the generator; one whose norm exceeds
+The inverse problem (log map) is solved in the fibre of the block-Cholesky
+lift.  Every lifted point over the target ``(sigma, mu)`` is
+``G(S) = M D M^T`` with ``D = diag(sigma^{-1}, 1, sigma)`` and ``M`` unit
+block-lower, free only in a skew block ``S``; the connecting geodesic is
+horizontal, so a damped Newton over ``S`` drives the vertical (skew ``R``)
+block of ``log G(S)`` to zero, with the Daleckii-Krein Jacobian of ``log``
+from one eigendecomposition of ``G(S)`` per iteration.  The horizontal part
+of that logarithm seeds a polish: damped Gauss-Newton shooting on the
+leading (n+1)-block of ``exp(V)``, whose Jacobian is the leading block of
+the Frechet derivative of ``exp`` by the same formula.  Each shooting trial
+takes one eigendecomposition of the generator; one whose norm exceeds
 ``MAX_TRIAL_NORM`` (or is NaN) counts as a rejected step and halves the step
-length.  Only the converged solution goes through the validated
-:func:`exp_map`.  The solver returns the solution found in its shooting
-basin; no claim of global minimality is made when the connecting geodesic
-is not unique.
+length.  If the fibre route fails, shooting restarts from the chart guess
+``(log sigma, mu)`` with recursive path subdivision.  Only the converged
+solution goes through the validated :func:`exp_map`.  The solver returns the
+solution found in its basin; no claim of global minimality is made when the
+connecting geodesic is not unique.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matcore import NotSpdError, block_cholesky, spd_log, special_structure_residuals, sym, sym_eigen, sym_exp
+from .matcore import NotSpdError, block_cholesky, spd_inv, spd_log, special_structure_residuals, sym, sym_eigen, sym_exp
 from .manifold import (
     GaussianPoint,
     Tangent,
@@ -87,17 +94,19 @@ def exp_map(xi: Tangent, t: float) -> GaussianPoint:
 
     Exponentiates the horizontal generator, verifies the block structure of
     the factorization (determinant-one middle pivot, reciprocal corner
-    blocks), and reads off the normal point from the verified pivot (1,1).
+    blocks), and reads off the normal point from the verified pivot (1,1),
+    whose inverse serves both the structure check and ``sigma``.
     """
     n = xi.n
     if t == 0.0:
         return GaussianPoint.identity(n)
     g = lifted_exponential(horizontal_lift(xi), t)
     m, d = block_cholesky(g)
-    worst = max(special_structure_residuals(m, d).values())
+    sigma = spd_inv(d[:n, :n])
+    worst = max(special_structure_residuals(m, d, sigma).values())
     if worst > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(g))):
         raise ArithmeticError(f"lifted geodesic lost its block structure: residual {worst:.3e}")
-    return read_embedded(g[: n + 1, : n + 1])
+    return read_embedded(g[: n + 1, : n + 1], sigma)
 
 
 def exp_map_from(p: GaussianPoint, xi: Tangent, t: float) -> GaussianPoint:
@@ -232,14 +241,23 @@ def recovered_initial_direction(traj: GeodesicTrajectory, h: float) -> Tangent:
     return Tangent(A0=sym(big_a[0]), a0=a_series[0])
 
 
+@lru_cache(maxsize=16)
+def _triu(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k)``, cached: building them costs more than the small arrays they index."""
+    iu = np.triu_indices(n, k)
+    for index in iu:
+        index.flags.writeable = False
+    return iu
+
+
 def _pack(xi: Tangent) -> np.ndarray:
     n = xi.n
-    iu = np.triu_indices(n)
+    iu = _triu(n)
     return np.concatenate([xi.A0[iu], xi.a0])
 
 
 def _unpack(vec: np.ndarray, n: int) -> Tangent:
-    iu = np.triu_indices(n)
+    iu = _triu(n)
     a = np.zeros((n, n))
     k = iu[0].size
     a[iu] = vec[:k]
@@ -268,24 +286,33 @@ def _lifted(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return w, u, (u[: n + 1] * np.exp(w)) @ u[: n + 1].T
 
 
+def _daleckii_krein(u: np.ndarray, phi: np.ndarray, e: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Blocks ``[rows, cols]`` of ``U (Phi o U^T E U) U^T`` for each ``E`` of the stack ``e``.
+
+    With ``X = U diag(w) U^T`` and ``Phi`` the divided differences of a scalar
+    function ``f`` on ``w``, this is the Frechet derivative of ``f`` at ``X``
+    in the direction ``E`` (the Daleckii-Krein formula; Bhatia, *Matrix
+    Analysis*, ch. V).
+    """
+    return u[rows] @ (phi * (u.T @ e @ u)) @ u[cols].T
+
+
 def _residual_jacobian(w: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     """Exact Jacobian of the shooting residual by the Daleckii-Krein formula.
 
-    With ``V = U diag(w) U^T`` the Frechet derivative of ``exp`` at ``V`` in
-    direction ``E`` is ``U (Phi o U^T E U) U^T``, where ``Phi_ij`` is the
-    divided difference ``(e^{w_i} - e^{w_j}) / (w_i - w_j)`` (``e^{w_i}``
-    when the eigenvalues coincide), written as
-    ``e^{(w_i + w_j)/2} sinh(h) / h`` with ``h = (w_i - w_j)/2`` so that
-    near-equal eigenvalues lose no digits.  Column j is the leading
-    (n+1)-block of that derivative in the direction of the j-th basis
-    generator; all columns come from the one eigendecomposition of :func:`_lifted`.
+    With ``V = U diag(w) U^T`` the divided differences of ``exp`` are
+    ``(e^{w_i} - e^{w_j}) / (w_i - w_j)`` (``e^{w_i}`` when the eigenvalues
+    coincide), written as ``e^{(w_i + w_j)/2} sinh(h) / h`` with
+    ``h = (w_i - w_j)/2`` so that near-equal eigenvalues lose no digits.
+    Column j is the leading (n+1)-block of the derivative of ``exp`` in the
+    direction of the j-th basis generator; all columns come from the one
+    eigendecomposition of :func:`_lifted`.
     """
-    basis = _generator_basis(n)
     half = 0.5 * (w[:, None] - w[None, :])
     safe = np.where(half == 0.0, 1.0, half)
     phi = np.exp(0.5 * (w[:, None] + w[None, :])) * np.where(half == 0.0, 1.0, np.sinh(safe) / safe)
-    lead = u[: n + 1]
-    derivs = lead @ (phi * (u.T @ basis @ u)) @ lead.T
+    lead = slice(None, n + 1)
+    derivs = _daleckii_krein(u, phi, _generator_basis(n), lead, lead)
     return derivs.reshape(len(derivs), -1).T
 
 
@@ -325,7 +352,169 @@ def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: in
     return xi
 
 
-def _log_normalized(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8) -> Tangent:
+def _fibre_point(sigma: np.ndarray, mu: np.ndarray, skew: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block LDL^T factors ``(M, D)`` of the lifted point ``G(S) = M D M^T`` over ``(sigma, mu)``.
+
+    In :func:`block_cholesky`'s layout: ``D = diag(theta, 1, sigma)`` with
+    ``theta = sigma^{-1}``, and ``M`` is unit block-lower with
+    ``m21 = mu^T``, ``m32 = -mu`` and ``m31 = -mu mu^T / 2 + S``.  These are
+    the constraints of :func:`special_structure_residuals`, so ``G(S)`` lies
+    on the exchange-symmetric slice for every skew ``S``; its leading
+    (n+1)-block is the embedding of ``(sigma, mu)``, and ``S`` moves it along
+    the fibre of the submersion.
+    """
+    n = mu.shape[0]
+    m = np.eye(2 * n + 1)
+    m[n, :n] = mu
+    m[n + 1:, n] = -mu
+    m[n + 1:, :n] = skew - 0.5 * np.outer(mu, mu)
+    d = np.zeros((2 * n + 1, 2 * n + 1))
+    d[:n, :n] = theta
+    d[n, n] = 1.0
+    d[n + 1:, n + 1:] = sigma
+    return m, d
+
+
+@lru_cache(maxsize=8)
+def _fibre_basis(n: int) -> np.ndarray:
+    """Derivatives of the fibre point's ``M`` along the packed entries of ``S`` (read-only stack)."""
+    eye = np.eye(n)
+    units = []
+    for i, j in zip(*_triu(n, 1)):
+        e = np.zeros((n, n))
+        e[i, j], e[j, i] = 1.0, -1.0
+        units.append(_fibre_point(eye, np.zeros(n), e, eye)[0] - np.eye(2 * n + 1))
+    basis = np.stack(units)
+    basis.flags.writeable = False
+    return basis
+
+
+def _log_divided_differences(w: np.ndarray) -> np.ndarray:
+    """Divided differences ``(log w_i - log w_j) / (w_i - w_j)`` of ``log`` on a positive spectrum.
+
+    Near-equal eigenvalues (``|z| < 1/2`` with ``z = (w_i - w_j) / (w_i + w_j)``)
+    use ``2 atanh(z) / (w_i - w_j)``, which loses no digits and tends to
+    ``1 / w_i``; distant ones the plain quotient, where ``atanh`` would
+    round ``z`` to ``+-1``.
+    """
+    diff = w[:, None] - w[None, :]
+    total = w[:, None] + w[None, :]
+    z = diff / total
+    near = np.abs(z) < 0.5
+    zs = np.where(near & (z != 0.0), z, 0.25)
+    ratio = np.where(z == 0.0, 1.0, np.arctanh(zs) / zs)
+    log_w = np.log(w)
+    far = (log_w[:, None] - log_w[None, :]) / np.where(near, 1.0, diff)
+    return np.where(near, 2.0 * ratio / total, far)
+
+
+def _skew(s: np.ndarray, n: int) -> np.ndarray:
+    """The skew n x n matrix with strictly upper entries ``s`` (row-major)."""
+    a = np.zeros((n, n))
+    a[_triu(n, 1)] = s
+    return a - a.T
+
+
+def _vertical_part(v: np.ndarray) -> np.ndarray:
+    """Strictly upper entries of the skew ``R`` block of a lifted generator: its vertical part."""
+    n = (v.shape[0] - 1) // 2
+    return v[:n, n + 1:][_triu(n, 1)]
+
+
+def _fibre_log(qn: GaussianPoint, theta: np.ndarray, s: np.ndarray):
+    """``(M, D, w, u, V)`` at the packed skew ``s``: the fibre point's factors, eigh of ``G(S)`` and ``V = log G(S)``.
+
+    ``None`` when the explicitly formed ``G(S)`` is not finite or has lost
+    positivity (a rejected trial).
+    """
+    m, d = _fibre_point(qn.sigma, qn.mu, _skew(s, qn.n), theta)
+    g = m @ d @ m.T
+    if not np.all(np.isfinite(g)):
+        return None
+    w, u = np.linalg.eigh(g)
+    if not w[0] > 0.0:
+        return None
+    return m, d, w, u, (u * np.log(w)) @ u.T
+
+
+def _fibre_jacobian(m: np.ndarray, d: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Jacobian of ``_vertical_part(log G(S))`` in the packed ``S``, from the eigh ``(w, u)`` of ``G = M D M^T``.
+
+    Column k is the vertical part of the derivative of ``log`` (Daleckii-Krein)
+    in the direction ``dG = dM D M^T + M D dM^T``, with ``dM`` the k-th
+    fibre basis matrix.
+    """
+    n = (m.shape[0] - 1) // 2
+    iu = _triu(n, 1)
+    dm = _fibre_basis(n) @ (d @ m.T)
+    dg = dm + dm.swapaxes(-1, -2)
+    derivs = _daleckii_krein(u, _log_divided_differences(w), dg, slice(None, n), slice(n + 1, None))
+    return derivs[:, iu[0], iu[1]].T
+
+
+def _fibre_newton(qn: GaussianPoint, theta: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, V)``: the packed skew ``S`` where the vertical part of ``V = log G(S)`` vanishes, and that ``V``.
+
+    Damped Newton over the n(n-1)/2 strictly upper entries of ``S`` from
+    ``S = 0``, with the Jacobian of :func:`_fibre_jacobian`.  A trial is
+    rejected like a non-descent step when its ``G(S)`` loses positivity, or
+    when ``log G(S)`` is longer than ``log G(0)``: the horizontal point is
+    the point of the fibre nearest the identity, and far from it the
+    residual also decays as ``S`` runs off to infinity.  Stops at ``tol``
+    (relative to the norm of ``log G(0)``), after ``max_iter`` steps or when
+    the line search finds no descent; the polish makes the tangent exact.
+    For n = 1 there is no unknown and ``V = log G(0)``.
+    """
+    s = np.zeros(qn.n * (qn.n - 1) // 2)
+    lifted = _fibre_log(qn, theta, s)
+    if lifted is None:
+        raise ShootingError("fibre point lost positivity", residual=float("inf"))
+    m, d, w, u, v = lifted
+    f = _vertical_part(v)
+    res = float(np.linalg.norm(f))
+    length = float(np.linalg.norm(v))
+    scale = max(1.0, length)
+    for _ in range(max_iter):
+        if res <= tol * scale:
+            break
+        try:
+            step = np.linalg.solve(_fibre_jacobian(m, d, w, u), -f)
+        except np.linalg.LinAlgError:
+            break  # a singular Jacobian: the polish takes over from here
+        alpha = 1.0
+        while alpha > 2.0 ** -20:
+            trial = s + alpha * step
+            lifted = _fibre_log(qn, theta, trial)
+            # rejected trials: G(S) lost positivity (None), or log G(S) grew longer than log G(0)
+            if lifted is not None and np.linalg.norm(lifted[4]) <= length:
+                f_trial = _vertical_part(lifted[4])
+                res_trial = float(np.linalg.norm(f_trial))
+                if res_trial < res:
+                    s, f, res = trial, f_trial, res_trial
+                    m, d, w, u, v = lifted
+                    break
+            alpha *= 0.5
+        else:
+            break  # no descent left; the polish takes over from here
+    return s, v
+
+
+def _log_normalized(qn: GaussianPoint, tol: float, max_iter: int) -> Tangent:
+    """The fibre route: Newton on the skew block, then :func:`_shoot` from its horizontal part.
+
+    On a ``ShootingError`` it falls back to :func:`_log_subdivided`.
+    """
+    n = qn.n
+    target = embed(qn)
+    try:
+        _, v = _fibre_newton(qn, target[:n, :n], tol, max_iter)
+        return _shoot(target, _pack(Tangent(A0=sym(-v[:n, :n]), a0=v[:n, n])), n, tol, max_iter)
+    except ShootingError:
+        return _log_subdivided(qn, tol, max_iter)
+
+
+def _log_subdivided(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8) -> Tangent:
+    """Shooting from the chart guess ``(log sigma, mu)``, with recursive path subdivision on failure."""
     target = embed(qn)
     try:
         return _shoot(target, _pack(Tangent(A0=spd_log(qn.sigma), a0=qn.mu)), qn.n, tol, max_iter)
@@ -335,7 +524,7 @@ def _log_normalized(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8
     # Path subdivision: solve toward a halfway target on a cheap connecting
     # curve, then retry the full problem from the doubled tangent.
     half = GaussianPoint(sym_exp(0.5 * spd_log(qn.sigma)), 0.5 * qn.mu)
-    xi_half = _log_normalized(half, tol, max_iter, depth - 1)
+    xi_half = _log_subdivided(half, tol, max_iter, depth - 1)
     return _shoot(target, 2.0 * _pack(xi_half), qn.n, tol, max_iter)
 
 
@@ -347,12 +536,17 @@ def log_map(
 ) -> Tangent:
     """Initial direction (in the normalized chart at ``p``) of the geodesic reaching ``q`` at time 1.
 
-    Damped Gauss-Newton shooting on the lifted residual with the
-    Daleckii-Krein Jacobian; converged when the Frobenius residual drops
-    below ``tol`` times the target scale.  A line-search trial beyond
-    ``MAX_TRIAL_NORM`` is rejected like a non-descent step.  Distant targets,
-    guesses beyond the cap and solutions that fail :func:`exp_map`'s
-    validation are handled by recursive path subdivision.
+    Damped Newton in the fibre of the lift over ``q`` (the skew block ``S``
+    of ``G(S)``, until the vertical part of ``log G(S)`` vanishes), then
+    damped Gauss-Newton shooting on the lifted residual from the horizontal
+    part of that logarithm, both with Daleckii-Krein Jacobians; converged
+    when the shooting residual drops below ``tol`` times the target scale.
+    ``tol`` and ``max_iter`` govern both stages.  A shooting trial beyond
+    ``MAX_TRIAL_NORM``, and a Newton trial whose ``G(S)`` loses positivity or
+    whose logarithm grows longer than ``log G(0)``, are rejected like
+    non-descent steps.  If the fibre route fails (a stall, or a solution
+    that fails :func:`exp_map`'s validation), shooting restarts from
+    ``(log sigma, mu)`` with recursive path subdivision.
 
     Raises
     ------

@@ -152,14 +152,18 @@ def unembed(h: np.ndarray) -> GaussianPoint:
     return read_embedded(h)
 
 
-def read_embedded(h: np.ndarray) -> GaussianPoint:
-    """:func:`unembed` after its corner check alone: callers ensure ``h`` is symmetric with an SPD leading block."""
+def read_embedded(h: np.ndarray, sigma: np.ndarray | None = None) -> GaussianPoint:
+    """:func:`unembed` after its corner check alone: callers ensure ``h`` is symmetric with an SPD leading block.
+
+    A caller that already holds ``spd_inv(h[:n, :n])`` passes it as ``sigma``.
+    """
     n = h.shape[0] - 1
     res = corner_residual(h)
     scale = max(1.0, float(np.linalg.norm(h)))
     if res > CONSISTENCY_TOL * scale:
         raise ValueError(f"corner entry inconsistent with leading blocks: residual {res:.3e} exceeds {CONSISTENCY_TOL:.1e} * {scale:.3e}")
-    sigma = spd_inv(h[:n, :n])
+    if sigma is None:
+        sigma = spd_inv(h[:n, :n])
     return GaussianPoint(sigma, sigma @ h[:n, n])
 
 

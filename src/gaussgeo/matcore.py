@@ -179,9 +179,13 @@ def block_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NotSpdError("pivot block (1,1) is not positive definite") from exc
 
-    # First Schur complement: eliminate the leading n-by-n pivot.
-    ainv_b = np.linalg.solve(a, b)
-    ainv_c = np.linalg.solve(a, c)
+    # First Schur complement: eliminate the leading n-by-n pivot.  Far along
+    # a geodesic the pivot can pass its Cholesky test yet be singular to LU.
+    try:
+        ainv_b = np.linalg.solve(a, b)
+        ainv_c = np.linalg.solve(a, c)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError("pivot block (1,1) is numerically singular") from exc
     s11 = float(g[n, n] - b @ ainv_b)
     s12 = g[n, n + 1:] - b @ ainv_c
     s22 = sym(g[n + 1:, n + 1:] - c.T @ ainv_c)
@@ -206,16 +210,18 @@ def block_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, diag
 
 
-def special_structure_residuals(m: np.ndarray, d: np.ndarray) -> dict[str, float]:
+def special_structure_residuals(m: np.ndarray, d: np.ndarray, d11_inv: np.ndarray | None = None) -> dict[str, float]:
     """Residuals of the structure forced on :func:`block_cholesky`'s (M, D) by the exchange symmetry.
 
     For a factored matrix with ``J g^{-1} J = g`` all four values vanish:
     ``d22`` is 1, ``d33`` is the inverse of ``d11``, ``m32`` is ``-m21``,
-    and ``m31 + m31.T + outer(m21, m21)`` is zero.
+    and ``m31 + m31.T + outer(m21, m21)`` is zero.  A caller that already
+    holds ``spd_inv(d[:n, :n])`` passes it as ``d11_inv``.
     """
     n = (m.shape[0] - 1) // 2
     m21, m31 = m[n, :n], m[n + 1:, :n]
-    d11_inv = spd_inv(d[:n, :n])
+    if d11_inv is None:
+        d11_inv = spd_inv(d[:n, :n])
     return {
         "d22_minus_one": abs(float(d[n, n]) - 1.0),
         "d33_vs_d11_inv": float(np.linalg.norm(d[n + 1:, n + 1:] - d11_inv) / max(1.0, np.linalg.norm(d11_inv))),

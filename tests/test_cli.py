@@ -5,7 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+import gaussgeo.laxflow as laxflow
+from gaussgeo import horizontal_lift
 from gaussgeo.cli import main
+from gaussgeo.geodesic import lifted_exponential
+from util import random_tangent
 
 
 def run(capsys, argv):
@@ -123,6 +127,24 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert out == ""
         assert "input error" in err and "must be a positive integer" in err
+
+    def test_singular_leading_pivot_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # Far along a unit geodesic (n = 2, t ~ 105) the leading pivot of the
+        # lifted exponential passes its Cholesky test yet is singular to LU.
+        # verify's sampled trajectory stops such tangents before the Lax
+        # closed form, so that far matrix is handed to the closed form here.
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            random_tangent(rng, 1)
+        xi = random_tangent(rng, 2)
+        far = lifted_exponential(horizontal_lift(xi), float(np.logspace(0.0, 3.2, 20)[12]))
+        monkeypatch.setattr(laxflow, "lifted_exponential", lambda v, t: far)
+        obj = {"tangent": tangent_json(xi.A0, xi.a0), "t_end": 0.1}
+        path = write_json(tmp_path, "in.json", obj)
+        code, out, err = run(capsys, ["verify", "--input", path])
+        assert code == 3
+        assert out == ""
+        assert "numerical failure: pivot block (1,1) is numerically singular" in err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # absurd step size blows up the flow

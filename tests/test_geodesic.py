@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gaussgeo.geodesic as geodesic
+import gaussgeo.matcore as matcore
 from gaussgeo import (
     GaussianPoint,
     NotSpdError,
@@ -20,19 +21,27 @@ from gaussgeo import (
     geodesic_residual,
     horizontal_lift,
     log_map,
+    normalize_to_identity,
     submersion_project,
     trajectory,
 )
 from gaussgeo.geodesic import (
+    _fibre_jacobian,
+    _fibre_log,
+    _fibre_newton,
+    _fibre_point,
     _lifted,
+    _log_divided_differences,
     _pack,
     _residual_jacobian,
+    _skew,
     _unpack,
+    _vertical_part,
     ambient_exponentials,
     recovered_initial_direction,
     write_samples_csv,
 )
-from gaussgeo.matcore import sym_exp
+from gaussgeo.matcore import block_cholesky, check_special_symmetry, spd_inv, sym_exp
 from util import integrate_geodesic_ode, random_point, random_tangent
 
 
@@ -106,6 +115,39 @@ class TestExpMapTime:
     def test_overflow_is_arithmetic_error(self, call, t):
         with pytest.raises(ArithmeticError, match=f"^geodesic stopped being finite at t = {re.escape(f'{t:.6g}')}$"):
             self.CALLS[call](self.XI, t)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_unit_geodesics_raise_typed_errors(self):
+        # Far along unit geodesics the leading pivot can pass its Cholesky
+        # test yet be singular to the LU solve of the block factorization;
+        # that is a NotSpdError naming pivot (1,1), not a bare LinAlgError.
+        rng = np.random.default_rng(5)
+        ts = np.logspace(0.0, 3.2, 20)
+        errors = []
+        for n in (1, 2, 3, 5, 8):
+            for _ in range(4):
+                xi = random_tangent(rng, n)
+                for t in (*ts, *-ts):
+                    try:
+                        exp_map(xi, float(t))
+                    except (NotSpdError, ArithmeticError) as exc:
+                        errors.append(exc)
+        assert errors
+        assert any("pivot block (1,1) is numerically singular" in str(exc) for exc in errors)
+
+    def test_one_leading_block_inverse(self, monkeypatch):
+        # one eigendecomposition for the exponential, one for the inverse of
+        # pivot (1,1), which serves the structure check and sigma alike
+        calls = []
+        real = matcore.sym_eigen
+
+        def counting(s):
+            calls.append(s.shape)
+            return real(s)
+
+        monkeypatch.setattr(matcore, "sym_eigen", counting)
+        exp_map(random_tangent(np.random.default_rng(9), 3), 1.0)
+        assert calls == [(7, 7), (3, 3)]
 
 
 class TestExpMapFrom:
@@ -275,8 +317,9 @@ class TestLogMap:
         assert np.linalg.norm(embed(hit) - embed(q)) <= 1e-8 * max(1.0, np.linalg.norm(embed(q)))
 
     def test_nonconvergence_error_carries_residual(self):
-        p = GaussianPoint.identity(1)
-        q = GaussianPoint(np.array([[math.e ** 4]]), np.array([2.0]))
+        # n = 2: at n = 1 the fibre is a point and its guess is exact
+        p = GaussianPoint.identity(2)
+        q = GaussianPoint(np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
         with pytest.raises(ShootingError) as excinfo:
             log_map(p, q, max_iter=1)
         assert excinfo.value.residual > 0
@@ -294,11 +337,13 @@ def central_difference_jacobian(vec, n, h=1e-5):
     return np.array(cols).T
 
 
-# Far pairs of the benchmark (seed 1, paper norm 4-8) whose first
-# Gauss-Newton steps overshoot: ops 71 (n = 2), whose trials keep exceeding
-# the exponent cap until the first solve stalls and subdivision takes over
-# (two solves), and 12 (n = 3), whose first full step exceeds the cap, so the
-# halved step is taken and one solve converges.
+# Far pairs of the benchmark (seed 1, paper norm 4-8) on which shooting
+# from the chart guess ``(log sigma, mu)`` overshoots: ops 71 (n = 2), whose
+# trials keep exceeding the exponent cap until the first solve stalls and
+# subdivision takes over (two solves), and 12 (n = 3), whose first full step
+# exceeds the cap, so the halved step is taken and one solve converges.  The
+# fibre route solves both without a rejected trial; the chart guess is the
+# fallback, tested on them directly.
 FAR_PAIRS = {
     "op71-n2": (
         GaussianPoint(
@@ -359,6 +404,95 @@ class TestShootingJacobian:
             hit = exp_map_from(p, xi, 1.0)
         assert np.linalg.norm(embed(hit) - embed(q)) <= 1e-8 * np.linalg.norm(embed(q))
         assert 4.0 <= distance(p, q) <= 8.0
+
+
+def fibre_case(seed, n, norm=2.0):
+    """A normalized target ``q = exp_map(xi, 1)``, its ``theta = sigma^{-1}`` and a random packed skew."""
+    rng = np.random.default_rng(seed)
+    q = exp_map(random_tangent(rng, n, norm=norm), 1.0)
+    return q, spd_inv(q.sigma), 0.3 * rng.standard_normal(n * (n - 1) // 2)
+
+
+def central_difference_fibre_jacobian(q, theta, s, h=1e-6):
+    """Oracle: central differences of the vertical part of ``log G(S)``."""
+    cols = []
+    for j in range(s.size):
+        bump = np.zeros(s.size)
+        bump[j] = h
+        plus = _vertical_part(_fibre_log(q, theta, s + bump)[4])
+        minus = _vertical_part(_fibre_log(q, theta, s - bump)[4])
+        cols.append((plus - minus) / (2.0 * h))
+    return np.array(cols).T
+
+
+class TestFibre:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_fibre_point_is_the_block_factorization(self, n):
+        q, theta, s = fibre_case(80 + n, n)
+        m, d = _fibre_point(q.sigma, q.mu, _skew(s, n), theta)
+        g = m @ d @ m.T
+        m2, d2 = block_cholesky(g)
+        assert np.linalg.norm(m2 - m) <= 1e-10 * np.linalg.norm(m)
+        assert np.linalg.norm(d2 - d) <= 1e-10 * np.linalg.norm(d)
+        assert check_special_symmetry(g) <= 1e-10 * np.linalg.norm(g)
+        ref = embed(q)
+        assert np.linalg.norm(g[: n + 1, : n + 1] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_jacobian_matches_central_differences(self, n):
+        for norm in (0.5, 2.0, 6.0):
+            q, theta, s = fibre_case(85 + n, n, norm)
+            exact = _fibre_jacobian(*_fibre_log(q, theta, s)[:4])
+            oracle = central_difference_fibre_jacobian(q, theta, s)
+            assert exact.shape == oracle.shape == (s.size, s.size)
+            assert np.linalg.norm(exact - oracle) <= 1e-7 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_jacobian_on_repeated_spectrum(self, scale):
+        # sigma = scale * id with mu = 0 and S = 0: G = diag(id / scale, 1, scale * id)
+        q = GaussianPoint(scale * np.eye(3), np.zeros(3))
+        theta, s = np.eye(3) / scale, np.zeros(3)
+        exact = _fibre_jacobian(*_fibre_log(q, theta, s)[:4])
+        assert np.all(np.isfinite(exact))
+        oracle = central_difference_fibre_jacobian(q, theta, s)
+        assert np.linalg.norm(exact - oracle) <= 1e-7 * np.linalg.norm(exact)
+
+    def test_log_divided_differences_across_scales(self):
+        # the spread of a norm-16 lifted point: z = (w_i - w_j) / (w_i + w_j) rounds to +-1
+        w = np.array([1e-14, 1e-14 * (1.0 + 1e-9), 0.5, 1.0, 1.0, 3.0, 1e14])
+        phi = _log_divided_differences(w)
+        for i in range(w.size):
+            for j in range(w.size):
+                if w[i] == w[j]:
+                    expected = 1.0 / w[i]
+                elif abs(w[i] - w[j]) < 1e-6 * w[i]:
+                    expected = 2.0 / (w[i] + w[j])
+                else:
+                    expected = (math.log(w[i]) - math.log(w[j])) / (w[i] - w[j])
+                assert abs(phi[i, j] - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_newton_zeroes_the_vertical_part(self, n):
+        q, theta, _ = fibre_case(90 + n, n, norm=6.0)
+        s, v = _fibre_newton(q, theta, 1e-12, 100)
+        assert np.linalg.norm(_vertical_part(v)) <= 1e-12 * np.linalg.norm(v)
+        assert np.linalg.norm(_skew(s, n)) > 0.0
+
+
+class TestChartGuessFallback:
+    @pytest.mark.parametrize("pair, levels", [("op71-n2", 2), ("op12-n3", 1)])
+    def test_rejects_trials_beyond_the_cap(self, monkeypatch, pair, levels):
+        p, q = FAR_PAIRS[pair]
+        qn = normalize_to_identity(p).apply(q)
+        trials = count_calls(monkeypatch, "_lifted")
+        solves = count_calls(monkeypatch, "_log_subdivided")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            xi = geodesic._log_subdivided(qn, 1e-12, 100)
+        assert any(trial is None for trial in trials)
+        assert len(solves) == levels
+        ref = embed(qn)
+        assert np.linalg.norm(embed(exp_map(xi, 1.0)) - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 def count_calls(monkeypatch, name):

@@ -1,5 +1,6 @@
 """Property tests (hypothesis): half-distance midpoints, symmetric and affine-invariant
-distance, time reparametrisation of the exponential, rank-one Lax flow.
+distance, the triangle inequality over far legs, time reparametrisation of the
+exponential, rank-one Lax flow.
 
 Examples are derandomized and few, so the suite stays deterministic and fast;
 each example draws a seed for the shared numpy generators of ``util``.
@@ -8,7 +9,7 @@ each example draws a seed for the shared numpy generators of ``util``.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gaussgeo import AffineMap, distance, exp_map, integrate, midpoint_N
+from gaussgeo import AffineMap, distance, exp_map, exp_map_from, integrate, midpoint_N
 from util import random_point, random_tangent
 
 PROPERTY = settings(derandomize=True, max_examples=8, deadline=None, database=None)
@@ -46,6 +47,18 @@ def test_distance_is_affine_invariant(seed, n, spread):
     f = AffineMap(basis * np.exp(rng.uniform(-1.0, 1.0, n)), rng.standard_normal(n))
     d = distance(p, q)
     assert abs(distance(f.apply(p), f.apply(q)) - d) <= 1e-11 * max(1.0, d)
+
+
+@PROPERTY
+@given(seed=seeds, n=dims, legs=st.tuples(st.floats(0.5, 8.0), st.floats(0.5, 8.0)))
+def test_triangle_inequality_over_far_legs(seed, n, legs):
+    # r and q lie up to paper norm 8 along geodesics from p and from r
+    rng = np.random.default_rng(seed)
+    p = random_point(rng, n)
+    r = exp_map_from(p, random_tangent(rng, n, norm=legs[0]), 1.0)
+    q = exp_map_from(r, random_tangent(rng, n, norm=legs[1]), 1.0)
+    dpr, drq = distance(p, r), distance(r, q)
+    assert distance(p, q) <= dpr + drq + 1e-9 * (dpr + drq)
 
 
 @PROPERTY
