@@ -26,7 +26,10 @@ the Frechet derivative of ``exp`` by the same formula.  Each shooting trial
 takes one eigendecomposition of the generator; one whose norm exceeds
 ``MAX_TRIAL_NORM`` (or is NaN) counts as a rejected step and halves the step
 length.  If the fibre route fails, shooting restarts from the chart guess
-``(log sigma, mu)`` with recursive path subdivision.  Only the converged
+``(log sigma, mu)`` with recursive path subdivision; that happens beyond
+paper norm about 20, where the explicitly formed ``G(S)`` spans more than
+double precision resolves and its smallest eigenvalues are rounding noise,
+while shooting exponentiates only the generator.  Only the converged
 solution goes through the validated :func:`exp_map`.  The solver returns the
 solution found in its basin; no claim of global minimality is made when the
 connecting geodesic is not unique.
@@ -502,7 +505,9 @@ def _fibre_newton(qn: GaussianPoint, theta: np.ndarray, tol: float, max_iter: in
 def _log_normalized(qn: GaussianPoint, tol: float, max_iter: int) -> Tangent:
     """The fibre route: Newton on the skew block, then :func:`_shoot` from its horizontal part.
 
-    On a ``ShootingError`` it falls back to :func:`_log_subdivided`.
+    On a ``ShootingError`` it falls back to :func:`_log_subdivided`, which
+    never forms ``G(S)``: far targets whose ``G(S)`` is beyond double
+    precision fail the fibre route by rounding, and the fallback solves many.
     """
     n = qn.n
     target = embed(qn)
