@@ -34,7 +34,7 @@ from .geodesic import (
     trajectory,
 )
 from .ahm import AhmPair, ahm_midpoint, ahm_step, direct_midpoint, interpolate, midpoint_N
-from .laxflow import LaxState, integrate, lax_closed_form, verify_lax
+from .laxflow import LaxSamples, LaxState, integrate, lax_closed_form, verify_lax
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,7 @@ __all__ = [
     "EigenError",
     "GaussianPoint",
     "GeodesicTrajectory",
+    "LaxSamples",
     "LaxState",
     "NotSpdError",
     "ShootingError",

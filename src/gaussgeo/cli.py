@@ -259,7 +259,7 @@ def cmd_lax(args, obj) -> int:
     xi = parse_tangent(obj["tangent"])
     samples = lax_mod.integrate(args.rhs, xi, _parse_t_end(obj), dt=args.dt)
     buf = io.StringIO()
-    geo.write_samples_csv(buf, ("Q", "r"), ((t, s.Q, s.r) for t, s in samples))
+    geo.write_samples_csv(buf, ("Q", "r"), zip(samples.ts, samples.Qs, samples.rs))
     _emit(buf.getvalue(), args.output)
     return 0
 
@@ -292,8 +292,7 @@ def cmd_verify(args, obj) -> int:
 
     if args.perturb:
         traj.mus[len(traj.ts) // 2] += args.perturb
-        t_mid, s_mid = samples[len(samples) // 2]
-        samples[len(samples) // 2] = (t_mid, lax_mod.LaxState(Q=s_mid.Q + args.perturb, r=s_mid.r))
+        samples.Qs[len(samples) // 2] += args.perturb
         log.info("injected perturbation of size %g", args.perturb)
 
     values = {}

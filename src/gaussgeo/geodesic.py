@@ -118,12 +118,16 @@ def exp_map_from(p: GaussianPoint, xi: Tangent, t: float) -> GaussianPoint:
     return chart.inverse().apply(exp_map(xi, t))
 
 
+def _eigen_exponentials(xi: Tangent, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors ``u`` of the horizontal generator and ``e[t] = exp(t w)``: ``exp(t V) = u diag(e[t]) u^T``."""
+    w, u = sym_eigen(horizontal_lift(xi))
+    return u, np.exp(np.outer(np.asarray(ts, dtype=float), w))
+
+
 def ambient_exponentials(xi: Tangent, ts: np.ndarray) -> np.ndarray:
     """Stack of lifted geodesic matrices ``exp(t V)`` for each t (one shared eigenbasis)."""
-    v = horizontal_lift(xi)
-    w, u = sym_eigen(v)
-    ts = np.asarray(ts, dtype=float)
-    return np.einsum("ik,tk,jk->tij", u, np.exp(np.outer(ts, w)), u)
+    u, e = _eigen_exponentials(xi, ts)
+    return np.einsum("ik,tk,jk->tij", u, e, u)
 
 
 def trajectory(xi: Tangent, ts, basepoint: GaussianPoint | None = None) -> GeodesicTrajectory:
@@ -147,7 +151,9 @@ def trajectory(xi: Tangent, ts, basepoint: GaussianPoint | None = None) -> Geode
     # without numpy warnings.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            gs = ambient_exponentials(xi, ts)
+            u, e = _eigen_exponentials(xi, ts)
+            # the point is read off the leading (n+1) x (n+1) block of exp(t V) only
+            gs = np.einsum("ik,tk,jk->tij", u[: n + 1], e, u[: n + 1])
             sigmas = sym(np.linalg.inv(sym(gs[:, :n, :n])))
             mus = (sigmas @ gs[:, :n, n, None])[..., 0]
             if basepoint is not None:
@@ -188,6 +194,14 @@ def _stencil_offset(ts: np.ndarray, h: float) -> int:
     return m
 
 
+def _solve_sampled(s0: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve(s0, b)`` over sampled covariances: one that roundoff left singular is a ``NotSpdError``."""
+    try:
+        return np.linalg.solve(s0, b)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError("a sampled sigma is singular") from exc
+
+
 def geodesic_residual(traj: GeodesicTrajectory, h: float) -> float:
     """Max finite-difference residual of the geodesic equations over the grid.
 
@@ -205,8 +219,8 @@ def geodesic_residual(traj: GeodesicTrajectory, h: float) -> float:
     sdd = (sp - 2.0 * s0 + sm) / (h * h)
     mud = (mup - mum) / (2.0 * h)
     mudd = (mup - 2.0 * mu0 + mum) / (h * h)
-    sinv_sd = np.linalg.solve(s0, sd)
-    sinv_mud = np.linalg.solve(s0, mud[..., None])[..., 0]
+    sinv_sd = _solve_sampled(s0, sd)
+    sinv_mud = _solve_sampled(s0, mud[..., None])[..., 0]
     res_sigma = sdd + np.einsum("ti,tj->tij", mud, mud) - np.einsum("tik,tkj->tij", sd, sinv_sd)
     res_mu = mudd - np.einsum("tik,tk->ti", sd, sinv_mud)
     per_t = np.linalg.norm(res_sigma, axis=(1, 2)) + np.linalg.norm(res_mu, axis=1)
@@ -220,8 +234,8 @@ def _recovered_series(traj: GeodesicTrajectory, h: float) -> tuple[np.ndarray, n
     s0 = sigmas[lo:hi]
     sd = (sigmas[lo + m:hi + m] - sigmas[lo - m:hi - m]) / (2.0 * h)
     mud = (mus[lo + m:hi + m] - mus[lo - m:hi - m]) / (2.0 * h)
-    a_series = np.linalg.solve(s0, mud[..., None])[..., 0]
-    big_a = np.linalg.solve(s0, sd) + np.einsum("i,tj->tij", a_series[0], mus[lo:hi])
+    a_series = _solve_sampled(s0, mud[..., None])[..., 0]
+    big_a = _solve_sampled(s0, sd) + np.einsum("i,tj->tij", a_series[0], mus[lo:hi])
     return a_series, big_a
 
 

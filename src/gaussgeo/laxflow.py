@@ -36,8 +36,10 @@ scalar data with ``A0 = 0`` the Riccati form integrates to
 the open Toda chain.
 
 :func:`integrate` runs classical RK4 on the explicit system over
-preallocated buffers: the right sides write into their stage slots in
-place, and every state is one row of a single stacked array.
+preallocated buffers: the right sides write into fixed ``(Q, r)`` views of
+the stage and slope buffers, and every state is one row of a single array.
+It returns the stacks (:class:`LaxSamples`), which :func:`verify_lax` reads
+directly.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ class LaxState:
     Q: np.ndarray
     r: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.Q.shape[0]
-
 
 def build_L(state: LaxState, a0: np.ndarray) -> np.ndarray:
     """Lax matrix ``[[-Q, r, 0], [a0^T, 0, -r^T], [0, -a0, Q^T]]``."""
@@ -85,24 +83,37 @@ def state_from_L(l: np.ndarray) -> LaxState:
     return LaxState(Q=-l[:n, :n].copy(), r=l[:n, n].copy())
 
 
-def rhs_bilinear(state: LaxState, a0: np.ndarray, out: LaxState) -> LaxState:
-    """Right side of the bilinear form, (-r a0^T, Q r), written into ``out``."""
-    np.multiply(state.r[:, None], -a0, out=out.Q)
-    np.matmul(state.Q, state.r, out=out.r)
-    return out
+def rhs_bilinear(q: np.ndarray, r: np.ndarray, neg_a0: np.ndarray, dq: np.ndarray, dr: np.ndarray) -> None:
+    """Right side of the bilinear form, (-r a0^T, Q r), written into C-contiguous ``dq`` and ``dr``; takes ``-a0``."""
+    np.multiply(r[:, None], neg_a0, dq)
+    np.dot(q, r, dr)
 
 
-def rhs_riccati(state: LaxState, A0: np.ndarray, a0: np.ndarray, out: LaxState) -> LaxState:
-    """Right side of the Riccati form, ((Q^2 - A0^2 - 2 a0 a0^T)/2, Q r), written into ``out``."""
-    dq = np.matmul(state.Q, state.Q, out=out.Q)
-    dq -= A0 @ A0
-    dq -= 2.0 * np.outer(a0, a0)
+def rhs_riccati(q: np.ndarray, r: np.ndarray, a0_sq: np.ndarray, two_a0a0: np.ndarray, dq: np.ndarray, dr: np.ndarray) -> None:
+    """Right side of the Riccati form, ((Q^2 - A0^2 - 2 a0 a0^T)/2, Q r), into C-contiguous ``dq``, ``dr``; takes A0^2, 2 a0 a0^T."""
+    np.dot(q, q, dq)
+    dq -= a0_sq
+    dq -= two_a0a0
     dq *= 0.5
-    np.matmul(state.Q, state.r, out=out.r)
-    return out
+    np.dot(q, r, dr)
 
 
-def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> list[tuple[float, LaxState]]:
+@dataclass(frozen=True)
+class LaxSamples:
+    """Integrated flow: times ``ts (T,)``, blocks ``Qs (T, n, n)``, vectors ``rs (T, n)``; ``[i]`` gives ``(t, LaxState)``."""
+
+    ts: np.ndarray
+    Qs: np.ndarray
+    rs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i: int) -> tuple[float, LaxState]:
+        return float(self.ts[i]), LaxState(Q=self.Qs[i], r=self.rs[i])
+
+
+def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> LaxSamples:
     """Fixed-step classical Runge-Kutta integration of the flow.
 
     ``rhs`` selects the explicit system (``"bilinear"`` or ``"riccati"``);
@@ -110,10 +121,10 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
     follows the Lax flow only for commuting data (``a0`` zero or an
     eigenvector of ``A0``); otherwise it departs from the bilinear solution
     (see the commutator identity in the module docstring).  The last sample
-    lands on ``t_end`` exactly (a final partial step is allowed).  All
-    states live in one ``(samples, n*n + n)`` array, filled step by step
-    from preallocated stage buffers; each sample's ``Q`` and ``r`` are views
-    of its row.
+    lands on ``t_end`` exactly (a final partial step is allowed).  Returns
+    the stacked samples: every state is one row of a single array, filled
+    step by step from preallocated stage and slope buffers, and ``Qs`` and
+    ``rs`` are views of its columns.
 
     Raises
     ------
@@ -127,62 +138,59 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> li
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    rights = {"bilinear": (rhs_bilinear, (xi.a0,)), "riccati": (rhs_riccati, (xi.A0, xi.a0))}
-    if rhs not in rights:
+    if rhs == "bilinear":
+        right, coeffs = rhs_bilinear, (-xi.a0,)
+    elif rhs == "riccati":
+        right, coeffs = rhs_riccati, (xi.A0 @ xi.A0, 2.0 * np.outer(xi.a0, xi.a0))
+    else:
         raise ValueError(f"unknown right side {rhs!r}; expected 'bilinear' or 'riccati'")
-    right, coeffs = rights[rhs]
     n = xi.n
     nn = n * n
-
-    def view(y: np.ndarray) -> LaxState:
-        return LaxState(Q=y[:nn].reshape(n, n), r=y[nn:])
-
     # every step but the last (a partial step, or a sliver left by rounding)
     # is a full dt, so the rows fit in this buffer; it is cut to the rows filled
     ys = np.empty((math.ceil(t_end / dt) + 2, nn + n))
     ys[0] = np.concatenate((xi.A0, xi.a0), axis=None)
+    qs, rs = ys[:, :nn].reshape(-1, n, n), ys[:, nn:]
     times = [0.0]
-    states = []  # a view of each row, made when a step first reads it
     stage = np.empty(nn + n)
     ks = np.empty((4, nn + n))
-    k1, k2, k3, k4 = ks
-    at_stage = view(stage)
-    d1, d2, d3, d4 = (view(k) for k in ks)
+    k1, k2, k3, _ = ks
+    # the right sides write into fixed (Q, r) views of the slope rows; stages
+    # 2-4 read fixed views of the stage buffer, so their arguments are fixed too
+    first, *later = ((*coeffs, k[:nn].reshape(n, n), k[nn:]) for k in ks)
+    second, third, fourth = ((stage[:nn].reshape(n, n), stage[nn:], *d) for d in later)
     t, stop = 0.0, t_end - 1e-12 * max(1.0, t_end)
     # overflow is handled by the finiteness checks, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         while t < stop:
             h = min(dt, t_end - t)
             t = min(t + h, t_end)
-            j = len(states)
+            j = len(times) - 1
             y, y_next = ys[j], ys[j + 1]
-            states.append(view(y))
-            right(states[j], *coeffs, d1)
-            np.add(y, np.multiply(k1, 0.5 * h, out=stage), out=stage)
-            right(at_stage, *coeffs, d2)
-            np.add(y, np.multiply(k2, 0.5 * h, out=stage), out=stage)
-            right(at_stage, *coeffs, d3)
-            np.add(y, np.multiply(k3, h, out=stage), out=stage)
-            right(at_stage, *coeffs, d4)
-            # y + (h/6) (((k1 + 2 k2) + 2 k3) + k4): the textbook order, so the bits
-            # match a stepper that allocates every stage afresh
-            k2 *= 2.0
-            k3 *= 2.0
-            np.add(k1, k2, out=y_next)
-            y_next += k3
-            y_next += k4
+            right(qs[j], rs[j], *first)
+            np.add(y, np.multiply(k1, 0.5 * h, stage), stage)
+            right(*second)
+            np.add(y, np.multiply(k2, 0.5 * h, stage), stage)
+            right(*third)
+            np.add(y, np.multiply(k3, h, stage), stage)
+            right(*fourth)
+            # y + (h/6) (((k1 + 2 k2) + 2 k3) + k4): the textbook order (the reduce
+            # adds the rows in turn), so the bits match a stepper that allocates
+            # every stage afresh
+            ks[1:3] *= 2.0
+            np.add.reduce(ks, axis=0, out=y_next)
             y_next *= h / 6.0
-            np.add(y, y_next, out=y_next)
+            np.add(y, y_next, y_next)
             times.append(t)
             # a non-finite entry stays non-finite in every later step, so the
             # newest row shows a blow-up and the steps after it can be skipped
             if j % FINITE_CHECK_STEPS == FINITE_CHECK_STEPS - 1 and not np.isfinite(y_next).all():
                 break
-    ys = ys[:len(times)]
-    bad = ~np.isfinite(ys).all(axis=1)
+    size = len(times)
+    bad = ~np.isfinite(ys[:size]).all(axis=1)
     if bad.any():
         raise ArithmeticError(f"flow stopped being finite at t = {times[int(np.argmax(bad))]:.6g}; reduce dt")
-    return list(zip(times, states + [view(ys[-1])]))
+    return LaxSamples(ts=np.array(times), Qs=qs[:size], rs=rs[:size])
 
 
 def lax_pattern_residual(l: np.ndarray, a0: np.ndarray) -> float:
@@ -221,7 +229,7 @@ def lax_closed_form(xi: Tangent, t: float) -> np.ndarray:
     return l
 
 
-def verify_lax(samples: list[tuple[float, LaxState]], a0: np.ndarray, h: float) -> tuple[float, float]:
+def verify_lax(samples: LaxSamples, a0: np.ndarray, h: float) -> tuple[float, float]:
     """Commutator residual and spectral drift of an integrated flow.
 
     Central finite differences (step ``h``, a multiple of the sampling
@@ -229,11 +237,9 @@ def verify_lax(samples: list[tuple[float, LaxState]], a0: np.ndarray, h: float) 
     spectral drift is the worst deviation of ``trace(L^k)`` from its initial
     value for k up to the matrix order.
     """
-    m = _stencil_offset(np.array([t for t, _ in samples]), h)
-
-    qs = np.stack([s.Q for _, s in samples])
-    ls = split_orthogonal(qs, np.stack([s.r for _, s in samples]), a0, 0.0, 0.0)
-    ms = split_orthogonal(qs, 0.0, a0, 0.0, 0.0)
+    m = _stencil_offset(samples.ts, h)
+    ls = split_orthogonal(samples.Qs, samples.rs, a0, 0.0, 0.0)
+    ms = split_orthogonal(samples.Qs, 0.0, a0, 0.0, 0.0)
 
     ldot = (ls[2 * m:] - ls[:-2 * m]) / (2.0 * h)
     center_l = ls[m:-m]

@@ -146,6 +146,22 @@ class TestErrorsAndExitCodes:
         assert out == ""
         assert "numerical failure: pivot block (1,1) is numerically singular" in err
 
+    def test_singular_sampled_covariance_is_numerical_failure(self, tmp_path, capsys):
+        # At dt = 0.02 one sampled covariance of this far n = 3 geodesic passes
+        # the trajectory's Cholesky test yet is singular to the LU solves of
+        # the finite-difference checks.
+        a_mat = [
+            [23.371865730443865, 4.9448139295707065, -25.21079934537985],
+            [4.9448139295707065, -30.473634140633717, -9.944513520665813],
+            [-25.21079934537985, -9.944513520665813, -23.519298982612014],
+        ]
+        obj = {"tangent": tangent_json(a_mat, [5.2007167586988645, 4.768609954436733, 36.32159393800869]), "t_end": 1.0}
+        path = write_json(tmp_path, "in.json", obj)
+        code, out, err = run(capsys, ["verify", "--input", path, "--dt", "0.02"])
+        assert code == 3
+        assert out == ""
+        assert "numerical failure: a sampled sigma is singular" in err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # absurd step size blows up the flow
         obj = {"tangent": tangent_json([[0.0]], [80.0]), "t_end": 10.0}

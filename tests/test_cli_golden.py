@@ -60,6 +60,7 @@ def _cases():
             (f"interp_n{n}", ["interp"], {**pair, "depth": 2}),
             (f"lax_n{n}", ["lax", "--dt", "0.01", *rhs], {"tangent": _tangent(rng, n), "t_end": 0.05}),
             (f"verify_n{n}", ["verify", "--seed", "7"], verify_in),
+            (f"verify_perturb_n{n}", ["verify", "--seed", "7", "--perturb", "1e-3"], verify_in),
             (f"fisher-check_n{n}", ["fisher-check"], {"n": n}),
         ]
     return out

@@ -263,6 +263,26 @@ class TestResiduals:
             assert np.linalg.norm(fresh.sigma - sigma) <= 1e-12 * max(1.0, np.linalg.norm(sigma))
             assert np.linalg.norm(fresh.mu - mu) <= 1e-12 * max(1.0, np.linalg.norm(mu))
 
+    @pytest.mark.parametrize("based", [False, True], ids=["identity", "basepoint"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_bit_identical_to_full_stack_read_out(self, n, based):
+        # trajectory exponentiates only the leading (n+1) x (n+1) block; the
+        # reference reads the same block off the full exp(t V) stack
+        rng = np.random.default_rng(30 + n)
+        xi = random_tangent(rng, n)
+        basepoint = random_point(rng, n) if based else None
+        for ts in (np.linspace(0.0, 2.0, 2001), np.array([-0.7, 0.0, 0.1, 0.35, 1.3])):
+            gs = ambient_exponentials(xi, ts)
+            sigmas = matcore.sym(np.linalg.inv(matcore.sym(gs[:, :n, :n])))
+            mus = (sigmas @ gs[:, :n, n, None])[..., 0]
+            if based:
+                denorm = normalize_to_identity(basepoint).inverse()
+                sigmas = matcore.sym(denorm.A @ sigmas @ denorm.A.T)
+                mus = (denorm.A @ mus[..., None])[..., 0] + denorm.b
+            traj = trajectory(xi, ts, basepoint=basepoint)
+            assert np.array_equal(traj.sigmas, sigmas)
+            assert np.array_equal(traj.mus, mus)
+
     @pytest.mark.parametrize(
         "t_far, error, message",
         [(1000.0, ArithmeticError, "stopped being finite"), (200.0, NotSpdError, "not positive definite")],

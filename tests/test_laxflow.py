@@ -18,6 +18,7 @@ from gaussgeo.laxflow import (
 )
 from gaussgeo.cli import _random_unit_tangent
 from gaussgeo.geodesic import write_samples_csv
+from gaussgeo.sympair import split_orthogonal
 from util import random_sym, random_tangent, sigma_algebra
 
 
@@ -27,7 +28,17 @@ def scalar_tangent(alpha=0.0, beta=1.0):
 
 def _rhs(right, state, *coeffs):
     """Right side at ``state``, written into a fresh state."""
-    return right(state, *coeffs, LaxState(Q=np.empty_like(state.Q), r=np.empty_like(state.r)))
+    out = LaxState(Q=np.empty_like(state.Q), r=np.empty_like(state.r))
+    right(state.Q, state.r, *coeffs, out.Q, out.r)
+    return out
+
+
+def _bilinear(state, a0):
+    return _rhs(rhs_bilinear, state, -a0)
+
+
+def _riccati(state, a_mat, a0):
+    return _rhs(rhs_riccati, state, a_mat @ a_mat, 2.0 * np.outer(a0, a0))
 
 
 def _textbook_rk4(rhs, xi, t_end, dt):
@@ -59,11 +70,11 @@ def _textbook_rk4(rhs, xi, t_end, dt):
 
 class TestRightSides:
     def test_bilinear_stationary_without_coupling(self):
-        d = _rhs(rhs_bilinear, LaxState(Q=np.array([[2.0]]), r=np.zeros(1)), np.zeros(1))
+        d = _bilinear(LaxState(Q=np.array([[2.0]]), r=np.zeros(1)), np.zeros(1))
         assert np.array_equal(d.Q, np.zeros((1, 1))) and np.array_equal(d.r, np.zeros(1))
 
     def test_bilinear_scalar_values(self):
-        d = _rhs(rhs_bilinear, LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.array([1.0]))
+        d = _bilinear(LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.array([1.0]))
         assert d.Q[0, 0] == -1.0 and d.r[0] == 0.0
 
     def test_bilinear_trace_rate(self):
@@ -71,17 +82,17 @@ class TestRightSides:
         n = 3
         state = LaxState(Q=rng.standard_normal((n, n)), r=rng.standard_normal(n))
         a0 = rng.standard_normal(n)
-        d = _rhs(rhs_bilinear, state, a0)
+        d = _bilinear(state, a0)
         assert abs(np.trace(d.Q) + state.r @ a0) <= 1e-14
 
     def test_riccati_equilibrium_at_start_without_coupling(self):
         a_mat = random_sym(np.random.default_rng(111), 2)
-        d = _rhs(rhs_riccati, LaxState(Q=a_mat, r=np.zeros(2)), a_mat, np.zeros(2))
+        d = _riccati(LaxState(Q=a_mat, r=np.zeros(2)), a_mat, np.zeros(2))
         assert np.linalg.norm(d.Q) <= 1e-14 and np.linalg.norm(d.r) <= 1e-14
 
     def test_riccati_matches_bilinear_at_shared_start(self):
-        d1 = _rhs(rhs_bilinear, LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.array([1.0]))
-        d2 = _rhs(rhs_riccati, LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.zeros((1, 1)), np.array([1.0]))
+        d1 = _bilinear(LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.array([1.0]))
+        d2 = _riccati(LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.zeros((1, 1)), np.array([1.0]))
         assert abs(d1.Q[0, 0] - d2.Q[0, 0]) <= 1e-15
         assert abs(d1.r[0] - d2.r[0]) <= 1e-15
 
@@ -91,15 +102,13 @@ class TestIntegrate:
         rng = np.random.default_rng(112)
         a_mat = random_sym(rng, 2)
         samples = integrate("bilinear", Tangent(a_mat, np.zeros(2)), 1.0, dt=1e-2)
-        for _, s in samples:
-            assert np.array_equal(s.Q, a_mat)
-            assert np.array_equal(s.r, np.zeros(2))
+        assert np.array_equal(samples.Qs, np.broadcast_to(a_mat, samples.Qs.shape))
+        assert np.array_equal(samples.rs, np.zeros_like(samples.rs))
 
     def test_scalar_riccati_closed_form(self):
         samples = integrate("riccati", scalar_tangent(), 1.0, dt=1e-3)
-        for t, s in samples[:: len(samples) // 10]:
-            expected = -math.sqrt(2.0) * math.tanh(t / math.sqrt(2.0))
-            assert abs(s.Q[0, 0] - expected) <= 1e-8
+        expected = -math.sqrt(2.0) * np.tanh(samples.ts / math.sqrt(2.0))
+        assert np.max(np.abs(samples.Qs[:, 0, 0] - expected)) <= 1e-8
 
     def test_step_halving_fourth_order(self):
         xi = scalar_tangent(beta=1.3)
@@ -144,10 +153,32 @@ class TestIntegrate:
         samples = integrate(rhs, xi, t_end, dt=dt)
         reference = _textbook_rk4(rhs, xi, t_end, dt)
         assert len(samples) == len(reference)
-        for (t, s), (t_ref, y_ref) in zip(samples, reference):
+        for t, q, r, (t_ref, y_ref) in zip(samples.ts, samples.Qs, samples.rs, reference):
             assert t == t_ref
-            assert np.array_equal(s.Q, y_ref[: n * n].reshape(n, n))
-            assert np.array_equal(s.r, y_ref[n * n:])
+            assert np.array_equal(q, y_ref[: n * n].reshape(n, n))
+            assert np.array_equal(r, y_ref[n * n:])
+
+    @pytest.mark.parametrize("rhs", ["bilinear", "riccati"])
+    def test_result_reports_the_steps_run(self, rhs, monkeypatch):
+        # a benchmark tracer counts calls of the module's right sides and
+        # reads len(result) and result[-1]; 0.55 at dt 0.1 takes 5 full steps
+        # and one partial step
+        calls = []
+        right = getattr(laxflow, f"rhs_{rhs}")
+
+        def counting_rhs(*args):
+            calls.append(None)
+            return right(*args)
+
+        monkeypatch.setattr(laxflow, f"rhs_{rhs}", counting_rhs)
+        xi = random_tangent(np.random.default_rng(150), 3)
+        samples = integrate(rhs, xi, 0.55, dt=0.1)
+        steps = 6
+        assert len(samples) == steps + 1
+        assert len(calls) == 4 * steps
+        t, state = samples[-1]
+        assert t == 0.55
+        assert np.array_equal(build_L(state, xi.a0), split_orthogonal(samples.Qs, samples.rs, xi.a0, 0.0, 0.0)[-1])
 
     @pytest.mark.parametrize("t_end, dt", [(math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)])
     def test_non_finite_times_rejected(self, t_end, dt):
@@ -162,10 +193,8 @@ class TestIntegrate:
     def _route_disagreement(xi, dt=1e-3):
         s1 = integrate("bilinear", xi, 1.0, dt=dt)
         s2 = integrate("riccati", xi, 1.0, dt=dt)
-        return max(
-            np.linalg.norm(a.Q - b.Q) + np.linalg.norm(a.r - b.r)
-            for (_, a), (_, b) in zip(s1[::100], s2[::100])
-        )
+        gap = np.linalg.norm(s1.Qs - s2.Qs, axis=(1, 2)) + np.linalg.norm(s1.rs - s2.rs, axis=1)
+        return float(np.max(gap[::100]))
 
     def test_bilinear_riccati_agree_for_scalars(self):
         rng = np.random.default_rng(113)
@@ -253,7 +282,7 @@ class TestClosedForm:
         for n in (1, 2, 3):
             xi = random_tangent(rng, n)
             samples = integrate("bilinear", xi, 1.0, dt=1e-3)
-            for t, state in samples[::250]:
+            for t, state in (samples[i] for i in range(0, len(samples), 250)):
                 dev = np.linalg.norm(build_L(state, xi.a0) - lax_closed_form(xi, t))
                 assert dev <= 1e-6
 
@@ -261,8 +290,13 @@ class TestClosedForm:
     def test_matches_integrated_flow_over_whole_interval(self, n):
         xi = _random_unit_tangent(n, np.random.default_rng(140 + n))
         samples = integrate("bilinear", xi, 2.0)
-        for t, state in samples[::100]:
-            assert np.linalg.norm(build_L(state, xi.a0) - lax_closed_form(xi, t)) <= 1e-10
+        assert len(samples) == 2001
+        worst = max(
+            np.linalg.norm(build_L(state, xi.a0) - lax_closed_form(xi, t))
+            for t, state in (samples[i] for i in range(len(samples)))
+        )
+        print(f"n = {n}: RK4 vs closed form, worst over all {len(samples)} samples {worst:.3e}")
+        assert worst <= 1e-10
 
     def test_pattern_residual_flags_junk(self):
         rng = np.random.default_rng(119)
@@ -273,7 +307,7 @@ class TestClosedForm:
         rng = np.random.default_rng(120)
         xi = random_tangent(rng, 2)
         samples = integrate("bilinear", xi, 1.0, dt=1e-3)
-        for t, state in samples[::250]:
+        for t, state in (samples[i] for i in range(0, len(samples), 250)):
             assert lax_pattern_residual(build_L(state, xi.a0), xi.a0) <= 1e-8
             closed = lax_closed_form(xi, t)
             assert lax_pattern_residual(closed, xi.a0) <= 1e-8
@@ -310,7 +344,7 @@ class TestCsv:
         xi = scalar_tangent()
         samples = integrate("bilinear", xi, 0.2, dt=0.1)
         buf = io.StringIO()
-        write_samples_csv(buf, ("Q", "r"), ((t, s.Q, s.r) for t, s in samples))
+        write_samples_csv(buf, ("Q", "r"), zip(samples.ts, samples.Qs, samples.rs))
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,Q_11,r_1"
         buf = io.StringIO()
@@ -318,4 +352,4 @@ class TestCsv:
         assert buf.getvalue().splitlines()[0] == "t,Q_11,Q_12,Q_21,Q_22,r_1,r_2"
         parsed = [float(x) for x in lines[-1].split(",")]
         assert parsed[0] == 0.2
-        assert parsed[1] == samples[-1][1].Q[0, 0]
+        assert parsed[1] == samples.Qs[-1, 0, 0]

@@ -77,6 +77,6 @@ def test_bilinear_flow_moves_q_by_rank_one_rows(seed, n, norm):
     xi = random_tangent(np.random.default_rng(seed), n, norm=norm)
     a0 = xi.a0 / np.linalg.norm(xi.a0)
     off_line = np.eye(n) - np.outer(a0, a0)
-    for _, state in integrate("bilinear", xi, 1.0, dt=1e-2):
-        drift = state.Q - xi.A0
-        assert np.linalg.norm(drift @ off_line) <= 1e-13 * max(1.0, np.linalg.norm(state.Q))
+    for q in integrate("bilinear", xi, 1.0, dt=1e-2).Qs:
+        drift = q - xi.A0
+        assert np.linalg.norm(drift @ off_line) <= 1e-13 * max(1.0, np.linalg.norm(q))
