@@ -27,8 +27,14 @@ Midpoints of normal distributions are computed by lifting the endpoints to
 the identity and the exponential of the connecting generator, running the
 mean iteration upstairs, projecting, and undoing the normalization.  Dyadic
 interpolation shares one such solve: each interior point is the
-mean-iteration midpoint of its two lifted neighbours, and one batched
-:func:`trajectory` of the same tangent cross-checks all of them.
+mean-iteration midpoint of its two lifted neighbours.  The work runs one
+dyadic level at a time on stacked arrays: the iteration takes a leading
+stack axis and runs a level's pairs together, each member stopping at its
+own convergence (so it takes exactly the steps, and gives the bits, of a
+run on its pair alone); the interior points are slice-checked, projected
+and read out as one stack; and one eigendecomposition of the connecting
+generator gives both the lifted endpoint and the trajectory that
+cross-checks every point.
 """
 
 from __future__ import annotations
@@ -37,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import require_spd, spd_sqrt, sym, sym_exp
-from .manifold import GaussianPoint, normalize_to_identity, read_embedded
-from .geodesic import log_map, trajectory
+from .matcore import _first_failure, _frobenius, _require_memory, _spectral, require_spd, spd_sqrt, sym, sym_eigen
+from .manifold import GaussianPoint, _apply_stacked, normalize_to_identity, read_embedded
+from .geodesic import _sampled, log_map
 from .sympair import horizontal_lift, submersion_project
 
 AHM_TOL = 1e-12
@@ -68,28 +74,43 @@ class AhmPair:
 
 
 def _step(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One arithmetic-harmonic step on plain arrays, with the harmonic mean in its one-solve form."""
+    """One arithmetic-harmonic step on plain arrays (or stacks of them), with the harmonic mean in its one-solve form."""
     s = p + q
     return 0.5 * s, sym(2.0 * p @ np.linalg.solve(s, q))
 
 
 def _iterates(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int):
-    """Unchecked iterates from (p, q), up to the first whose gap is below ``tol`` (relative)."""
+    """Unchecked iterates of a stack of pairs ``(m, d, d)``, each member run to its first gap below ``tol`` (relative).
+
+    Yields ``(p, q, done)`` for the members still running, with the list
+    ``done`` marking those that stop at this iterate; they take no further
+    step, so each member takes exactly the steps it would take alone (the
+    gaps round like ``np.linalg.norm`` of each matrix).  A member still
+    apart after ``max_iter`` steps raises ``RuntimeError`` with its gap.
+    """
     for k in range(max_iter + 1):
-        yield p, q
-        gap = float(np.linalg.norm(q - p))
-        if gap <= tol * max(1.0, float(np.linalg.norm(p))):
+        gaps = _frobenius(q - p).tolist()
+        done = [gap <= tol * max(1.0, norm) for gap, norm in zip(gaps, _frobenius(p).tolist())]
+        yield p, q, done
+        if all(done):
             return
         if k < max_iter:
+            if any(done):
+                keep = np.logical_not(done)
+                p, q = p[keep], q[keep]
             p, q = _step(p, q)
-    raise RuntimeError(f"mean iteration did not converge in {max_iter} steps (gap {gap:.3e})")
+    raise RuntimeError(f"mean iteration did not converge in {max_iter} steps (gap {gaps[done.index(False)]:.3e})")
 
 
 def _mean(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Limit of the unchecked mean iteration from an SPD pair."""
-    for p, q in _iterates(p, q, tol, max_iter):
-        pass
-    return 0.5 * (p + q)
+    """Limits of the unchecked mean iteration from a stack of SPD pairs ``(m, d, d)``, member by member."""
+    out, live = np.empty_like(p), np.arange(len(p))
+    for p, q, done in _iterates(p, q, tol, max_iter):
+        if any(done):
+            stop = np.array(done)
+            out[live[stop]] = 0.5 * (p[stop] + q[stop])
+            live = live[~stop]
+    return out
 
 
 def ahm_step(pair: AhmPair) -> AhmPair:
@@ -101,13 +122,14 @@ def ahm_step(pair: AhmPair) -> AhmPair:
 def ahm_sequence(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> list[AhmPair]:
     """All iterates from (p0, q0) until the gap falls below ``tol`` (relative), each one checked."""
     first = AhmPair(P=p0, Q=q0)
-    return [AhmPair(P=p, Q=q, iteration=k) for k, (p, q) in enumerate(_iterates(first.P, first.Q, tol, max_iter))]
+    iterates = _iterates(first.P[None], first.Q[None], tol, max_iter)
+    return [AhmPair(P=p[0], Q=q[0], iteration=k) for k, (p, q, _) in enumerate(iterates)]
 
 
 def ahm_midpoint(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> np.ndarray:
     """Geodesic midpoint (matrix geometric mean) of an SPD pair; the inputs are checked once, the iterates not."""
     pair = AhmPair(P=p0, Q=q0)
-    return _mean(pair.P, pair.Q, tol, max_iter)
+    return _mean(pair.P[None], pair.Q[None], tol, max_iter)[0]
 
 
 def direct_midpoint(p0: np.ndarray, q0: np.ndarray) -> np.ndarray:
@@ -138,39 +160,48 @@ def interpolate(
     """Dyadic geodesic interpolation: 2**depth + 1 points from ``p`` to ``q``.
 
     Endpoints are returned exactly.  Interior points come from one shared
-    solve: the connecting tangent is shot once, the endpoints are lifted to
-    the identity and the exponential of its generator, and each dyadic point
-    is the mean-iteration midpoint of its two lifted neighbours (points of
-    one one-parameter group, so their geometric mean sits at the mean
-    time).  Each interior point is projected through the submersion, whose
-    membership check verifies that it kept the exchange symmetry, and
-    cross-checked against one batched trajectory of the same tangent, an
-    independent computation; a failure of either is an ``ArithmeticError``.
+    solve: the connecting tangent is shot once, and one eigendecomposition
+    of its generator lifts the endpoints to the identity and its
+    exponential.  Each dyadic point is the mean-iteration midpoint of its
+    two lifted neighbours (points of one one-parameter group, so their
+    geometric mean sits at the mean time); each level runs as one stacked
+    iteration.  The interior points are then projected through the
+    submersion as one stack, whose membership check verifies that each kept
+    the exchange symmetry, read off, and cross-checked against the
+    trajectory of the same tangent sampled from the same eigendecomposition,
+    an independent computation.  A failure of either check is an
+    ``ArithmeticError`` naming the first point that fails.  A depth whose
+    lifted points could not fit in physical memory is a ``ValueError``,
+    raised before anything is allocated.
     """
     if depth < 1:
         raise ValueError("depth must be a positive integer")
+    order = 2 * p.n + 1
+    # past depth 64 no address space holds the points
+    _require_memory(8 * order * order * (2 ** min(depth, 64) + 1), f"interpolation to depth {depth}")
     count = 2 ** depth
     if p.close_to(q):
         return [p] * count + [q]
     xi = log_map(p, q)
-    lifted = [None] * (count + 1)
-    lifted[0], lifted[count] = np.eye(2 * xi.n + 1), sym_exp(horizontal_lift(xi))
+    w, u = sym_eigen(horizontal_lift(xi))
+    lifted = np.empty((count + 1, order, order))
+    lifted[0], lifted[count] = np.eye(order), _spectral(u, np.exp(w))
     span = count
     while span > 1:
-        for lo in range(0, count, span):
-            lifted[lo + span // 2] = _mean(lifted[lo], lifted[lo + span], tol, max_iter)
-        span //= 2
+        # the level's pairs are (lifted[k], lifted[k + span]) at k = 0, span, ...; their midpoints land half-way
+        half = span // 2
+        lifted[half::span] = _mean(lifted[0:count:span], lifted[span::span], tol, max_iter)
+        span = half
     try:
-        projected = [submersion_project(g) for g in lifted[1:count]]
+        projected = submersion_project(lifted[1:count])
     except ValueError as exc:
         raise ArithmeticError(f"mean iteration limit does not project: {exc}") from exc
     denorm = normalize_to_identity(p).inverse()
-    inner = [denorm.apply(read_embedded(h)) for h in projected]
-    reference = trajectory(xi, np.arange(1, count) / count, basepoint=p)
-    deviation = np.linalg.norm(np.array([pt.sigma for pt in inner]) - reference.sigmas, axis=(1, 2))
-    deviation += np.linalg.norm(np.array([pt.mu for pt in inner]) - reference.mus, axis=1)
+    sigmas, mus = _apply_stacked(denorm, *read_embedded(projected))
+    reference = _sampled(w, u, np.arange(1, count) / count, denorm)
+    deviation = np.linalg.norm(sigmas - reference.sigmas, axis=(1, 2)) + np.linalg.norm(mus - reference.mus, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(reference.sigmas, axis=(1, 2)))
-    k = int(np.argmax(deviation / scale))
-    if deviation[k] > MIDPOINT_CROSSCHECK_TOL * scale[k]:
+    k = _first_failure(deviation <= MIDPOINT_CROSSCHECK_TOL * scale)
+    if k is not None:
         raise ArithmeticError(f"mean-iteration point at t={reference.ts[k]:g} disagrees with the exponential by {deviation[k]:.3e}")
-    return [p, *inner, q]
+    return [p, *map(GaussianPoint, sigmas, mus), q]

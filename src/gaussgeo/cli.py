@@ -27,6 +27,7 @@ import numpy as np
 from .matcore import (
     EigenError,
     NotSpdError,
+    _require_memory,
     block_cholesky,
     check_special_symmetry,
     special_structure_residuals,
@@ -284,6 +285,8 @@ def cmd_verify(args, obj) -> int:
     if t_end <= 0:
         raise InputError("t_end must be positive")
     h = args.dt
+    # the sampled leading (n+1)-blocks alone, before the grid is built
+    _require_memory(8.0 * (t_end / h + 1.0) * (xi.n + 1) ** 2, f"verify on t_end = {t_end:g} at dt = {h:g}")
     steps = max(4, int(round(t_end / h)))
     ts = np.linspace(0.0, steps * h, steps + 1)
 

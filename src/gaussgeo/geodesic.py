@@ -30,7 +30,8 @@ length.  If the fibre route fails, shooting restarts from the chart guess
 paper norm about 20, where the explicitly formed ``G(S)`` spans more than
 double precision resolves and its smallest eigenvalues are rounding noise,
 while shooting exponentiates only the generator.  Only the converged
-solution goes through the validated :func:`exp_map`.  The solver returns the
+solution is validated, by :func:`exp_map`'s checks on the exponential
+rebuilt from its last eigendecomposition.  The solver returns the
 solution found in its basin; no claim of global minimality is made when the
 connecting geodesic is not unique.
 """
@@ -44,10 +45,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matcore import NotSpdError, block_cholesky, spd_inv, spd_log, special_structure_residuals, sym, sym_eigen, sym_exp
+from .matcore import NotSpdError, _spectral, block_cholesky, spd_inv, spd_log, special_structure_residuals, sym, sym_eigen, sym_exp
 from .manifold import (
+    AffineMap,
     GaussianPoint,
     Tangent,
+    _apply_stacked,
     embed,
     normalize_to_identity,
     read_embedded,
@@ -100,16 +103,26 @@ def exp_map(xi: Tangent, t: float) -> GaussianPoint:
     blocks), and reads off the normal point from the verified pivot (1,1),
     whose inverse serves both the structure check and ``sigma``.
     """
-    n = xi.n
     if t == 0.0:
-        return GaussianPoint.identity(n)
-    g = lifted_exponential(horizontal_lift(xi), t)
+        return GaussianPoint.identity(xi.n)
+    return _lifted_point(lifted_exponential(horizontal_lift(xi), t))
+
+
+def _lifted_point(g: np.ndarray) -> GaussianPoint:
+    """The normal point of the lifted geodesic matrix ``g``, after :func:`exp_map`'s validation.
+
+    Checks the block structure of the LDL^T factors of ``g`` and reads the
+    point off the verified pivot (1,1), whose inverse serves both the
+    structure check and ``sigma``.  :func:`exp_map` and the shooting
+    solver's validation of its converged tangent share it.
+    """
+    n = (g.shape[0] - 1) // 2
     m, d = block_cholesky(g)
     sigma = spd_inv(d[:n, :n])
     worst = max(special_structure_residuals(m, d, sigma).values())
     if worst > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(g))):
         raise ArithmeticError(f"lifted geodesic lost its block structure: residual {worst:.3e}")
-    return read_embedded(g[: n + 1, : n + 1], sigma)
+    return GaussianPoint(*read_embedded(g[: n + 1, : n + 1], sigma))
 
 
 def exp_map_from(p: GaussianPoint, xi: Tangent, t: float) -> GaussianPoint:
@@ -118,16 +131,10 @@ def exp_map_from(p: GaussianPoint, xi: Tangent, t: float) -> GaussianPoint:
     return chart.inverse().apply(exp_map(xi, t))
 
 
-def _eigen_exponentials(xi: Tangent, ts) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors ``u`` of the horizontal generator and ``e[t] = exp(t w)``: ``exp(t V) = u diag(e[t]) u^T``."""
-    w, u = sym_eigen(horizontal_lift(xi))
-    return u, np.exp(np.outer(np.asarray(ts, dtype=float), w))
-
-
 def ambient_exponentials(xi: Tangent, ts: np.ndarray) -> np.ndarray:
     """Stack of lifted geodesic matrices ``exp(t V)`` for each t (one shared eigenbasis)."""
-    u, e = _eigen_exponentials(xi, ts)
-    return np.einsum("ik,tk,jk->tij", u, e, u)
+    w, u = sym_eigen(horizontal_lift(xi))
+    return np.einsum("ik,tk,jk->tij", u, np.exp(np.outer(np.asarray(ts, dtype=float), w)), u)
 
 
 def trajectory(xi: Tangent, ts, basepoint: GaussianPoint | None = None) -> GeodesicTrajectory:
@@ -144,22 +151,26 @@ def trajectory(xi: Tangent, ts, basepoint: GaussianPoint | None = None) -> Geode
     NotSpdError
         If a sampled covariance is not positive definite.
     """
+    w, u = sym_eigen(horizontal_lift(xi))
+    return _sampled(w, u, ts, None if basepoint is None else normalize_to_identity(basepoint).inverse())
+
+
+def _sampled(w: np.ndarray, u: np.ndarray, ts, denorm: AffineMap | None) -> GeodesicTrajectory:
+    """:func:`trajectory` from the eigenpair ``(w, u)`` of the horizontal generator and the denormalizing map."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    n = xi.n
+    n = (len(w) - 1) // 2
     # A leading block that roundoff left singular fails like a covariance
     # that is not positive definite; overflow fails the finiteness check,
     # without numpy warnings.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            u, e = _eigen_exponentials(xi, ts)
+            e = np.exp(np.outer(ts, w))
             # the point is read off the leading (n+1) x (n+1) block of exp(t V) only
             gs = np.einsum("ik,tk,jk->tij", u[: n + 1], e, u[: n + 1])
             sigmas = sym(np.linalg.inv(sym(gs[:, :n, :n])))
             mus = (sigmas @ gs[:, :n, n, None])[..., 0]
-            if basepoint is not None:
-                denorm = normalize_to_identity(basepoint).inverse()
-                sigmas = sym(denorm.A @ sigmas @ denorm.A.T)
-                mus = (denorm.A @ mus[..., None])[..., 0] + denorm.b
+            if denorm is not None:
+                sigmas, mus = _apply_stacked(denorm, sigmas, mus)
         finite = np.isfinite(sigmas).all(axis=(1, 2)) & np.isfinite(mus).all(axis=1)
         if not finite.all():
             raise ArithmeticError(f"geodesic stopped being finite at t = {ts[np.argmin(finite)]:.6g}")
@@ -334,6 +345,15 @@ def _residual_jacobian(w: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
 
 
 def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> Tangent:
+    """Damped Gauss-Newton shooting from the packed guess ``vec`` to the embedded ``target``; the converged tangent.
+
+    Each trial takes one eigendecomposition of its generator (:func:`_lifted`).
+    The converged tangent is validated once, by :func:`exp_map`'s checks
+    (:func:`_lifted_point`) on ``exp(V)`` rebuilt from the eigenpair of the
+    last accepted trial, whose generator is the one ``exp_map(xi, 1)`` would
+    exponentiate; no further eigendecomposition runs.  A stall, or a
+    solution that fails the validation, is a ``ShootingError``.
+    """
     scale = max(1.0, float(np.linalg.norm(target)))
     lifted = _lifted(vec, n)
     if lifted is None:
@@ -361,12 +381,12 @@ def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: in
             break  # no descent direction left; let the caller subdivide
     if res > tol * scale:
         raise ShootingError(f"shooting stalled at residual {res:.3e}", residual=res)
-    xi = _unpack(vec, n)
     try:
-        exp_map(xi, 1.0)
+        # exp(V) of the last accepted trial, from its eigenpair: the generator is exp_map(xi, 1)'s
+        _lifted_point(_spectral(u, np.exp(w)))
     except (ArithmeticError, ValueError) as exc:
         raise ShootingError(f"shooting solution failed validation: {exc}", residual=res) from exc
-    return xi
+    return _unpack(vec, n)
 
 
 def _fibre_point(sigma: np.ndarray, mu: np.ndarray, skew: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

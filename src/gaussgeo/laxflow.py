@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import block_cholesky
+from .matcore import _require_memory, block_cholesky
 from .manifold import Tangent
 from .geodesic import _stencil_offset, lifted_exponential
 from .sympair import horizontal_lift, split_orthogonal
@@ -131,6 +131,10 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
     ArithmeticError
         If the state stops being finite (step size too large for the
         front's stiffness); the message reports the first such time.
+    ValueError
+        For a non-finite or negative time, a nonpositive step, an unknown
+        right side, or a step count whose state array could not fit in
+        physical memory (raised before it is allocated).
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise ValueError(f"t_end and dt must be finite, got {t_end} and {dt}")
@@ -146,6 +150,7 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
         raise ValueError(f"unknown right side {rhs!r}; expected 'bilinear' or 'riccati'")
     n = xi.n
     nn = n * n
+    _require_memory(8.0 * (t_end / dt + 2.0) * (nn + n), f"integrating to t_end = {t_end:g} at dt = {dt:g}")
     # every step but the last (a partial step, or a sliver left by rounding)
     # is a full dt, so the rows fit in this buffer; it is cut to the rows filled
     ys = np.empty((math.ceil(t_end / dt) + 2, nn + n))

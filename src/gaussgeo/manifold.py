@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import require_spd, require_symmetric, spd_inv, spd_power, spd_sqrt, sym
+from .matcore import _first_failure, _frobenius, require_spd, require_symmetric, spd_inv, spd_power, spd_sqrt, sym
 
 # unembed accepts inputs produced by iterative algorithms, whose corner
 # entry carries accumulated error.
@@ -40,12 +40,12 @@ def _own_checked(obj, matrix_field: str, matrix: np.ndarray, vector_field: str, 
 
     Owning read-only arrays keeps the checks valid for the object's life.
     """
-    vector = np.atleast_1d(np.asarray(getattr(obj, vector_field), dtype=float))
+    vector = np.array(getattr(obj, vector_field), dtype=float, ndmin=1)
     if vector.ndim != 1 or vector.shape[0] != matrix.shape[0]:
         raise ValueError(f"{vector_field} must be a vector of length {matrix.shape[0]}, got shape {vector.shape}")
-    if not np.all(np.isfinite(vector)):
+    if not np.isfinite(vector).all():
         raise ValueError(f"{what} must be finite, got {vector}")
-    for field, a in ((matrix_field, matrix), (vector_field, vector.copy())):
+    for field, a in ((matrix_field, matrix), (vector_field, vector)):
         a.flags.writeable = False
         object.__setattr__(obj, field, a)
 
@@ -125,14 +125,14 @@ def embed(p: GaussianPoint) -> np.ndarray:
     return h
 
 
-def corner_residual(h: np.ndarray) -> float:
-    """Deviation of the corner entry from ``1 + delta^T theta^{-1} delta``.
+def corner_residual(h: np.ndarray):
+    """Deviation of the corner entry from ``1 + delta^T theta^{-1} delta``, of a matrix or of each matrix of a stack.
 
     Unchecked: callers ensure ``h`` is symmetric with an SPD leading block.
     """
-    n = h.shape[0] - 1
-    delta = h[:n, n]
-    return abs(float(h[n, n]) - 1.0 - float(delta @ np.linalg.solve(h[:n, :n], delta)))
+    n = h.shape[-1] - 1
+    delta = h[..., :n, n]
+    return np.abs(h[..., n, n] - 1.0 - np.vecdot(delta, np.linalg.solve(h[..., :n, :n], delta[..., None])[..., 0]))
 
 
 def unembed(h: np.ndarray) -> GaussianPoint:
@@ -149,22 +149,30 @@ def unembed(h: np.ndarray) -> GaussianPoint:
     if h.shape[0] < 2:
         raise ValueError(f"embedded point must have order >= 2, got {h.shape[0]}")
     require_spd(h[:-1, :-1], name="leading block")
-    return read_embedded(h)
+    return GaussianPoint(*read_embedded(h))
 
 
-def read_embedded(h: np.ndarray, sigma: np.ndarray | None = None) -> GaussianPoint:
-    """:func:`unembed` after its corner check alone: callers ensure ``h`` is symmetric with an SPD leading block.
+def read_embedded(h: np.ndarray, sigma: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma, mu)`` of :func:`unembed` after its corner check alone, for a matrix or a stack of them.
 
-    A caller that already holds ``spd_inv(h[:n, :n])`` passes it as ``sigma``.
+    Callers ensure ``h`` is symmetric with an SPD leading block, and build
+    the points.  ``sigma`` is the inverse of the leading block, whose
+    eigenvalues must be positive (``NotSpdError`` otherwise); a caller that
+    already holds ``spd_inv(h[..., :n, :n])`` passes it as ``sigma``.  An
+    error names the first matrix of a stack that fails.
     """
-    n = h.shape[0] - 1
+    n = h.shape[-1] - 1
     res = corner_residual(h)
-    scale = max(1.0, float(np.linalg.norm(h)))
-    if res > CONSISTENCY_TOL * scale:
-        raise ValueError(f"corner entry inconsistent with leading blocks: residual {res:.3e} exceeds {CONSISTENCY_TOL:.1e} * {scale:.3e}")
+    scale = np.maximum(1.0, _frobenius(h))
+    k = _first_failure(res <= CONSISTENCY_TOL * scale)
+    if k is not None:
+        raise ValueError(
+            f"corner entry inconsistent with leading blocks: residual {np.ravel(res)[k]:.3e} exceeds "
+            f"{CONSISTENCY_TOL:.1e} * {np.ravel(scale)[k]:.3e}"
+        )
     if sigma is None:
-        sigma = spd_inv(h[:n, :n])
-    return GaussianPoint(sigma, sigma @ h[:n, n])
+        sigma = spd_inv(h[..., :n, :n])
+    return sigma, (sigma @ h[..., :n, n, None])[..., 0]
 
 
 def alt_embed_check(p: GaussianPoint) -> float:
@@ -218,6 +226,11 @@ class AffineMap:
     def inverse(self) -> "AffineMap":
         a_inv = np.linalg.inv(self.A)
         return AffineMap(A=a_inv, b=-a_inv @ self.b)
+
+
+def _apply_stacked(f: AffineMap, sigmas: np.ndarray, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`AffineMap.apply` on stacked covariances ``(T, n, n)`` and means ``(T, n)``, unchecked."""
+    return sym(f.A @ sigmas @ f.A.T), (f.A @ mus[..., None])[..., 0] + f.b
 
 
 def normalize_to_identity(p: GaussianPoint) -> AffineMap:

@@ -16,7 +16,9 @@ transpose so that roundoff drift never contaminates positivity checks.
 
 from __future__ import annotations
 
-import math
+import os
+import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,29 +40,81 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def require_symmetric(a: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
-    """Validate finiteness and symmetry within ``tol`` (relative); return the symmetrized copy."""
+def _frobenius(a: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack, rounded like ``np.linalg.norm`` of each one.
+
+    On the row-major arrays the package forms, both sum the squares with one
+    BLAS dot in the same order; ``norm(a, axis=(1, 2))`` rounds differently.
+    """
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def _first_failure(ok) -> int | None:
+    """Index of the first matrix that fails a check, from its pass flags: one flag, or one per matrix of a stack.
+
+    ``None`` when every matrix passes.  A single matrix is index 0.
+    """
+    if not ok.ndim:
+        return None if ok else 0
+    flags = ok.tolist()
+    return None if all(flags) else flags.index(False)
+
+
+def _require_memory(nbytes: float, what: str) -> None:
+    """``ValueError`` when ``what`` needs more bytes than the machine's physical memory.
+
+    Callers check before they allocate, so an impossible request is an input
+    error, not a ``MemoryError`` (or an overflow of the index size) part way in.
+    """
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        limit = sys.maxsize
+    if nbytes > limit:
+        raise ValueError(f"{what} needs {nbytes:.3g} bytes, more than the {limit:.3g} bytes of physical memory")
+
+
+def _matrices(a, name: str, ndim: int = 2) -> np.ndarray:
+    """``a`` as a float array of square matrices: one matrix, or (``ndim`` 3) a stack of them."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if not 2 <= a.ndim <= ndim or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    norm = float(np.linalg.norm(a))
-    if not math.isfinite(norm):
-        raise ValueError(f"{name} has a non-finite Frobenius norm ({norm})")
-    scale = max(1.0, norm)
-    skew = float(np.linalg.norm(a - a.T))
-    if skew > tol * scale:
-        raise ValueError(f"{name} is not symmetric: asymmetry {skew:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    return a
+
+
+def _symmetric(a: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """:func:`require_symmetric` of a matrix, or of each matrix of a stack; an error names the first that fails."""
+    norm = _frobenius(a)
+    k = _first_failure(norm < np.inf)
+    if k is not None:
+        raise ValueError(f"{name} has a non-finite Frobenius norm ({np.ravel(norm)[k]})")
+    skew = _frobenius(a - a.swapaxes(-1, -2))
+    # skew <= tol * max(1, norm) as two comparisons, which cost less than a maximum on one matrix
+    k = _first_failure((skew <= tol) | (skew <= tol * norm))
+    if k is not None:
+        scale = max(1.0, float(np.ravel(norm)[k]))
+        raise ValueError(f"{name} is not symmetric: asymmetry {np.ravel(skew)[k]:.3e} exceeds {tol:.1e} * {scale:.3e}")
     return sym(a)
 
 
-def require_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate symmetric positive definiteness; return the symmetrized copy."""
-    a = require_symmetric(a, tol=1e-10, name=name)
+def _positive(a: np.ndarray, name: str) -> np.ndarray:
+    """The symmetric matrix (or stack) ``a``, once a Cholesky test of each matrix passes; ``NotSpdError`` otherwise."""
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"{name} is not positive definite") from exc
     return a
+
+
+def require_symmetric(a: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
+    """Validate finiteness and symmetry within ``tol`` (relative); return the symmetrized copy."""
+    return _symmetric(_matrices(a, name), tol, name)
+
+
+def require_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Validate symmetric positive definiteness; return the symmetrized copy."""
+    return _positive(require_symmetric(a, tol=1e-10, name=name), name)
 
 
 def sym_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,15 +133,20 @@ def sym_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         w, v = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
-        off = float(np.linalg.norm(s - np.diag(np.diag(s))))
+        off = float(np.linalg.norm(s - s * np.eye(s.shape[-1])))
         raise EigenError(f"symmetric eigensolver did not converge (off-diagonal norm {off:.3e})") from exc
     return w, v
+
+
+def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sym(v diag(values) v^T)``: the symmetric matrix (or stack) with eigenvectors ``v`` and eigenvalues ``values``."""
+    return sym(v @ (values[..., None] * v.mT))
 
 
 def sym_apply(s: np.ndarray, fn) -> np.ndarray:
     """Apply a scalar function to a symmetric matrix through its spectrum."""
     w, v = sym_eigen(s)
-    return sym(v @ (fn(w)[:, None] * v.T))
+    return _spectral(v, fn(w))
 
 
 def sym_exp(s: np.ndarray) -> np.ndarray:
@@ -96,11 +155,12 @@ def sym_exp(s: np.ndarray) -> np.ndarray:
 
 
 def spd_power(p: np.ndarray, alpha: float, name: str = "matrix") -> np.ndarray:
-    """Real matrix power of an SPD matrix (covers sqrt, inverse, inverse sqrt)."""
+    """Real matrix power of an SPD matrix, or of each matrix of a stack (covers sqrt, inverse, inverse sqrt)."""
     w, v = sym_eigen(p)
-    if w[0] <= 0.0:
-        raise NotSpdError(f"{name} has a nonpositive eigenvalue {w[0]:.3e}; not SPD")
-    return sym(v @ (np.power(w, alpha)[:, None] * v.T))
+    k = _first_failure(w[..., 0] > 0.0)
+    if k is not None:
+        raise NotSpdError(f"{name} has a nonpositive eigenvalue {np.ravel(w[..., 0])[k]:.3e}; not SPD")
+    return _spectral(v, np.power(w, alpha))
 
 
 def spd_sqrt(p: np.ndarray) -> np.ndarray:
@@ -118,7 +178,7 @@ def spd_log(p: np.ndarray) -> np.ndarray:
     w, v = sym_eigen(p)
     if w[0] <= 0.0:
         raise NotSpdError(f"log input has a nonpositive eigenvalue {w[0]:.3e}; not SPD")
-    return sym(v @ (np.log(w)[:, None] * v.T))
+    return _spectral(v, np.log(w))
 
 
 def block_exchange(n: int) -> np.ndarray:
@@ -131,20 +191,31 @@ def block_exchange(n: int) -> np.ndarray:
     return j
 
 
-def check_special_symmetry(g: np.ndarray) -> float:
+@lru_cache(maxsize=16)
+def _exchange_order(n: int) -> np.ndarray:
+    """The permutation :func:`block_exchange` applies, ``J X J = X[order][:, order]`` (read-only)."""
+    order = block_exchange(n).argmax(axis=1)
+    order.flags.writeable = False
+    return order
+
+
+def check_special_symmetry(g: np.ndarray):
     """Frobenius residual of the exchange symmetry ``J g^{-1} J = g``.
 
     Zero (up to ``SYM_TOL``) exactly when ``g`` lies in the totally geodesic
     submanifold realized inside the determinant-one SPD matrices of order
-    2n+1.
+    2n+1.  A stack of matrices (leading axis) gives one residual per
+    matrix, each with the bits of its own call; an error names the first
+    matrix that fails.
     """
-    g = require_spd(g, name="symmetry-check input")
-    m = g.shape[0]
+    name = "symmetry-check input"
+    g = _positive(_symmetric(_matrices(g, name, ndim=3), 1e-10, name), name)
+    m = g.shape[-1]
     if m % 2 == 0 or m < 3:
         raise ValueError(f"order must be odd and >= 3, got {m}")
-    n = (m - 1) // 2
-    j = block_exchange(n)
-    return float(np.linalg.norm(j @ spd_inv(g) @ j - g))
+    order = _exchange_order((m - 1) // 2)
+    # J g^{-1} J by indexing: the products with the permutation J are exact, so the bits are the same
+    return _frobenius(spd_inv(g)[..., order, :][..., order] - g)
 
 
 def block_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import SYM_TOL, check_special_symmetry, sym
+from .matcore import SYM_TOL, _first_failure, _frobenius, check_special_symmetry, sym
 from .manifold import Tangent, corner_residual
 
 
@@ -60,19 +60,22 @@ def horizontal_lift(xi: Tangent) -> np.ndarray:
 
 
 def submersion_project(g: np.ndarray) -> np.ndarray:
-    """Project a lifted point onto the leading (n+1)-block (the submersion).
+    """Project a lifted point, or each of a stack of them, onto the leading (n+1)-block (the submersion).
 
     Validates membership of the SPD array ``g`` in the submanifold (one
-    :func:`check_special_symmetry`) and the corner identity of the projected block.
+    :func:`check_special_symmetry`) and the corner identity of the projected
+    block.  An error names the first point of a stack that fails either.
     """
     res = check_special_symmetry(g)
     g = np.asarray(g, dtype=float)
-    n = (g.shape[0] - 1) // 2
-    scale = max(1.0, float(np.linalg.norm(g)))
-    if res > SYM_TOL * scale:
-        raise ValueError(f"input is not in the lifted submanifold: symmetry residual {res:.3e}")
-    h = sym(g[: n + 1, : n + 1])
+    n = (g.shape[-1] - 1) // 2
+    scale = np.maximum(1.0, _frobenius(g))
+    h = sym(g[..., : n + 1, : n + 1])
     corner = corner_residual(h)
-    if corner > SYM_TOL * scale:
-        raise ValueError(f"projected block violates the corner identity: residual {corner:.3e}")
+    on_slice = res <= SYM_TOL * scale
+    k = _first_failure(on_slice & (corner <= SYM_TOL * scale))
+    if k is not None:
+        if not np.ravel(on_slice)[k]:
+            raise ValueError(f"input is not in the lifted submanifold: symmetry residual {np.ravel(res)[k]:.3e}")
+        raise ValueError(f"projected block violates the corner identity: residual {np.ravel(corner)[k]:.3e}")
     return h

@@ -24,16 +24,21 @@ import gaussgeo.manifold as manifold
 import gaussgeo.matcore as matcore
 import gaussgeo.sympair as sympair
 from gaussgeo.ahm import AhmPair, ahm_sequence
-from gaussgeo.matcore import NotSpdError, block_exchange, sym_exp
+from gaussgeo.matcore import NotSpdError, block_exchange, sym, sym_exp
 from util import gap_identity_residual, random_point, random_spd, random_tangent
 
 
+def matrices_in(a) -> int:
+    """Number of matrices in a matrix (1) or in a stack of them."""
+    return len(a) if np.ndim(a) == 3 else 1
+
+
 def count_everywhere(monkeypatch, home, name):
-    """Wrap ``home.<name>`` in every gaussgeo module that binds it; returns the list of its calls."""
+    """Wrap ``home.<name>`` in every gaussgeo module that binds it; returns, per call, the matrices its first argument holds."""
     calls, real = [], getattr(home, name)
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        calls.append(matrices_in(args[0]))
         return real(*args, **kwargs)
 
     for module in (matcore, manifold, sympair, geodesic, ahm_mod, laxflow):
@@ -150,6 +155,34 @@ class TestConvergence:
                 break
             bound = 0.5 * np.linalg.norm(np.linalg.inv(prev.P + prev.Q), ord=2) * prev.gap() ** 2
             assert nxt.gap() <= 2.0 * bound
+
+
+class TestStackedMean:
+    def test_members_match_their_own_midpoints(self):
+        # each member of a stack takes exactly the steps it takes alone, so the bits agree
+        rng = np.random.default_rng(56)
+        for n in (1, 2, 3, 5):
+            ps, qs = [], []
+            for norm in (0.25, 1.0, 4.0, 8.0):
+                v = horizontal_lift(random_tangent(rng, n, norm=norm))
+                ps.append(sym_exp(-0.5 * v))
+                qs.append(sym_exp(v))
+            ps.append(sym(random_spd(rng, 2 * n + 1)))
+            qs.append(ps[-1].copy())  # converges at once, before any step
+            stacked = ahm_mod._mean(np.array(ps), np.array(qs), ahm_mod.AHM_TOL, ahm_mod.AHM_MAX_ITER)
+            for k, (p0, q0) in enumerate(zip(ps, qs)):
+                assert np.array_equal(stacked[k], ahm_midpoint(p0, q0))
+
+    def test_unconverged_member_raises_with_its_gap(self):
+        rng = np.random.default_rng(57)
+        v = horizontal_lift(random_tangent(rng, 2, norm=4.0))
+        p0, q0 = np.eye(5), sym_exp(v)
+        with pytest.raises(RuntimeError) as alone:
+            ahm_midpoint(p0, q0, max_iter=2)
+        assert str(alone.value).startswith("mean iteration did not converge in 2 steps (gap ")
+        with pytest.raises(RuntimeError) as stacked:
+            ahm_mod._mean(np.array([p0, p0, p0]), np.array([p0, q0, q0]), ahm_mod.AHM_TOL, 2)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestLiftedInvariants:
@@ -287,10 +320,11 @@ class TestInterpolate:
         assert pts[:-1] == [p] * 4 and pts[-1] is q
 
     def test_each_point_is_slice_checked_once(self, monkeypatch):
+        # counts matrices checked: the interior points go through one stacked check
         calls = []
 
         def counting_check(g):
-            calls.append(None)
+            calls.append(matrices_in(g))
             return check_special_symmetry(g)
 
         # every module that could run the slice test on a projected point
@@ -299,10 +333,10 @@ class TestInterpolate:
         rng = np.random.default_rng(50)
         p, q = random_point(rng, 2), random_point(rng, 2)
         midpoint_N(p, q)
-        assert len(calls) == 1
+        assert sum(calls) == 1
         calls.clear()
         interpolate(p, q, 3)
-        assert len(calls) == 7
+        assert calls == [7]
 
     def test_lifted_points_are_read_without_unembed(self, monkeypatch):
         rng = np.random.default_rng(53)
@@ -315,7 +349,7 @@ class TestInterpolate:
         # the factorization's input and the new point's covariance are checked, nothing more
         assert (len(unembeds), len(symmetry_checks)) == (0, 2)
         interpolate(p, q, 3)
-        assert (len(unembeds), len(slice_checks)) == (0, 7)
+        assert (len(unembeds), sum(slice_checks)) == (0, 7)
 
     @pytest.mark.parametrize("which", ["P", "Q"])
     def test_midpoint_checks_its_inputs(self, which):
@@ -325,11 +359,12 @@ class TestInterpolate:
             ahm_midpoint(arrays["P"], arrays["Q"])
 
     def test_one_batched_crosscheck(self, monkeypatch):
+        # the cross-check samples the trajectory once, from interpolate's own eigendecomposition
         trajectories, stray_exps, inside_log = [], [], []
 
-        def counting_trajectory(*args, **kwargs):
+        def counting_sampled(*args, **kwargs):
             trajectories.append(None)
-            return geodesic.trajectory(*args, **kwargs)
+            return geodesic._sampled(*args, **kwargs)
 
         def counting_exp_map(*args, **kwargs):
             if not inside_log:
@@ -343,7 +378,7 @@ class TestInterpolate:
             finally:
                 inside_log.pop()
 
-        monkeypatch.setattr(ahm_mod, "trajectory", counting_trajectory)
+        monkeypatch.setattr(ahm_mod, "_sampled", counting_sampled)
         monkeypatch.setattr(ahm_mod, "log_map", flagged_log_map)
         for module in (ahm_mod, geodesic):
             monkeypatch.setattr(module, "exp_map", counting_exp_map, raising=False)
@@ -358,6 +393,66 @@ class TestInterpolate:
         p = random_point(rng, 1)
         with pytest.raises(ValueError):
             interpolate(p, p, 0)
+
+    @pytest.mark.parametrize("depth", [40, 64, 1000])
+    @pytest.mark.parametrize("coincident", [False, True])
+    def test_depth_beyond_memory_is_rejected_before_allocating(self, depth, coincident):
+        # 2**40 + 1 lifted 3 x 3 matrices need 79 TB; past 63 no address space holds them
+        rng = np.random.default_rng(47)
+        p = random_point(rng, 1)
+        q = p if coincident else random_point(rng, 1)
+        with pytest.raises(ValueError, match=f"^interpolation to depth {depth} needs .* bytes, more than the .* of physical memory$"):
+            interpolate(p, q, depth)
+
+    def test_one_eigendecomposition_of_the_generator(self, monkeypatch):
+        # outside its log_map call, interpolate eigendecomposes the generator once: that
+        # eigenpair gives the lifted endpoint and the cross-check's trajectory
+        rng = np.random.default_rng(54)
+        p, q = random_point(rng, 2), random_point(rng, 2)
+        generator = horizontal_lift(log_map(p, q))
+        generator_eighs, inside_log = [], []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            if not inside_log and np.shape(a) == generator.shape and np.allclose(a, generator, rtol=0.0, atol=1e-12):
+                generator_eighs.append(None)
+            return real_eigh(a)
+
+        def flagged_log_map(*args, **kwargs):
+            inside_log.append(None)
+            try:
+                return log_map(*args, **kwargs)
+            finally:
+                inside_log.pop()
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(ahm_mod, "log_map", flagged_log_map)
+        for depth in (1, 3):
+            generator_eighs.clear()
+            interpolate(p, q, depth)
+            assert len(generator_eighs) == 1
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_every_point_is_checked_on_the_slice(self, monkeypatch, k):
+        # push lifted point k off the slice (a determinant change keeps it SPD): the stacked check catches it
+        depth, levels = 3, ([4], [2, 6], [1, 3, 5, 7])
+        calls = []
+        real = ahm_mod._mean
+
+        def pushing_mean(p, q, tol, max_iter):
+            out = real(p, q, tol, max_iter)
+            indices = levels[len(calls)]
+            calls.append(None)
+            if k in indices:
+                out[indices.index(k)] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(ahm_mod, "_mean", pushing_mean)
+        rng = np.random.default_rng(55)
+        p, q = random_point(rng, 2), random_point(rng, 2)
+        with pytest.raises(ArithmeticError, match="^mean iteration limit does not project: input is not in the lifted submanifold: symmetry residual"):
+            interpolate(p, q, depth)
+        assert len(calls) == depth
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

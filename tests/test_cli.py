@@ -128,6 +128,24 @@ class TestErrorsAndExitCodes:
         assert out == ""
         assert "input error" in err and "must be a positive integer" in err
 
+    @pytest.mark.parametrize(
+        "argv, obj, what",
+        [
+            (["interp"], {"p": point_json([[1.0]], [0.0]), "q": point_json([[2.0]], [0.5]), "depth": 64}, "interpolation to depth 64"),
+            (["lax"], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": 1e12}, "integrating to t_end = 1e+12 at dt = 0.001"),
+            (["verify"], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": 1e12}, "verify on t_end = 1e+12 at dt = 0.001"),
+        ],
+        ids=["interp-depth-64", "lax-t_end-1e12", "verify-t_end-1e12"],
+    )
+    def test_requests_beyond_memory_are_input_errors(self, tmp_path, capsys, argv, obj, what):
+        # refused before anything is allocated: no MemoryError, no index-size overflow
+        path = write_json(tmp_path, "in.json", obj)
+        code, out, err = run(capsys, [*argv, "--input", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"gaussgeo: input error: {what} needs ")
+        assert err.endswith(" bytes of physical memory\n")
+
     def test_singular_leading_pivot_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # Far along a unit geodesic (n = 2, t ~ 105) the leading pivot of the
         # lifted exponential passes its Cholesky test yet is singular to LU.

@@ -6,15 +6,18 @@ compares exit codes, JSON keys, CSV headers and row counts exactly, and
 every number within ``GOLDEN_REL`` of the largest number in the stored
 output.  The subcommands that never run the log solver (``shoot``, ``lax``,
 ``verify`` and ``fisher-check``) must also match byte for byte.  Running
-this file as a script rewrites the fixtures from the current source::
+this file as a script writes the fixtures that are missing, from the current
+source; it rewrites an existing fixture only when its name is given::
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py                 # missing fixtures only
+    PYTHONPATH=src python tests/test_cli_golden.py log_n1 dist_n2  # also rewrite these two
 """
 
 import contextlib
 import csv
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -128,13 +131,43 @@ def test_matches_golden(path, tmp_path):
         assert out == fixture["stdout"]
 
 
-if __name__ == "__main__":
-    import tempfile
-
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def _write_fixtures(directory: Path, rewrite=frozenset(), cases=None) -> list[str]:
+    """Write the fixtures missing from ``directory``, and rewrite those named in ``rewrite``; returns the names written."""
+    cases = _cases() if cases is None else cases
+    unknown = set(rewrite) - {name for name, _, _ in cases}
+    if unknown:
+        raise ValueError(f"no such fixture: {', '.join(sorted(unknown))}")
+    directory.mkdir(exist_ok=True)
+    written = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, obj in _cases():
+        for name, argv, obj in cases:
+            path = directory / f"{name}.json"
+            if path.exists() and name not in rewrite:
+                continue
             code, out = _run(argv, obj, Path(tmp))
-            record = {"argv": argv, "input": obj, "exit": code, "stdout": out}
-            (GOLDEN_DIR / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
-            print(f"{name}: exit {code}, {len(out)} bytes")
+            path.write_text(json.dumps({"argv": argv, "input": obj, "exit": code, "stdout": out}, indent=1) + "\n")
+            written.append(name)
+    return written
+
+
+def test_writer_keeps_existing_fixtures(tmp_path):
+    cases = [case for case in _cases() if case[0] in ("log_n1", "shoot_n1", "fisher-check_n1")]
+    assert sorted(_write_fixtures(tmp_path, cases=cases)) == ["fisher-check_n1", "log_n1", "shoot_n1"]
+    for name in ("log_n1", "shoot_n1"):
+        (tmp_path / f"{name}.json").write_text("kept")
+    assert _write_fixtures(tmp_path, cases=cases) == []
+    assert _write_fixtures(tmp_path, {"shoot_n1"}, cases=cases) == ["shoot_n1"]
+    assert (tmp_path / "log_n1.json").read_text() == "kept"
+    assert (tmp_path / "shoot_n1.json").read_text() == (GOLDEN_DIR / "shoot_n1.json").read_text()
+    with pytest.raises(ValueError, match="^no such fixture: log_n9$"):
+        _write_fixtures(tmp_path, {"log_n9"}, cases=cases)
+
+
+if __name__ == "__main__":
+    import sys
+
+    try:
+        for name in _write_fixtures(GOLDEN_DIR, set(sys.argv[1:])):
+            print(f"wrote {name}")
+    except ValueError as exc:
+        sys.exit(str(exc))

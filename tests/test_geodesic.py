@@ -550,20 +550,26 @@ def count_calls(monkeypatch, name):
 
 class TestLiftedShooting:
     def test_near_pair_validates_once(self, monkeypatch):
+        # exp_map's validation runs once, on exp(V) rebuilt from the last trial's eigenpair, not through exp_map
         rng = np.random.default_rng(70)
         p = random_point(rng, 3)
         q = exp_map_from(p, random_tangent(rng, 3, norm=1.0), 1.0)
+        validations = count_calls(monkeypatch, "_lifted_point")
         exp_calls = count_calls(monkeypatch, "exp_map")
-        log_map(p, q)
-        assert len(exp_calls) == 1
+        xi = log_map(p, q)
+        assert (len(validations), len(exp_calls)) == (1, 0)
+        # it validated the point exp_map reaches with the returned tangent
+        checked, reached = validations[0], exp_map(xi, 1.0)
+        assert np.linalg.norm(checked.sigma - reached.sigma) <= 1e-14 * np.linalg.norm(reached.sigma)
+        assert np.linalg.norm(checked.mu - reached.mu) <= 1e-14 * max(1.0, np.linalg.norm(reached.mu))
 
     def test_far_pair_validates_once_per_solve(self, monkeypatch):
         p, q = FAR_PAIRS["op12-n3"]
-        exp_calls = count_calls(monkeypatch, "exp_map")
+        validations = count_calls(monkeypatch, "_lifted_point")
         solves = count_calls(monkeypatch, "_shoot")
         log_map(p, q)
         assert len(solves) >= 1
-        assert len(exp_calls) == len(solves)
+        assert len(validations) == len(solves)
 
     def test_lifted_rejects_nan_and_beyond_cap(self):
         rng = np.random.default_rng(71)

@@ -185,6 +185,11 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="must be finite"):
             integrate("bilinear", scalar_tangent(), t_end, dt=dt)
 
+    @pytest.mark.parametrize("t_end, dt", [(1e12, 1e-3), (1e300, 1e-300)])
+    def test_grid_beyond_memory_rejected_before_allocating(self, t_end, dt):
+        with pytest.raises(ValueError, match=r"^integrating to t_end = .* needs .* bytes, more than the .* of physical memory$"):
+            integrate("bilinear", scalar_tangent(), t_end, dt=dt)
+
     def test_unknown_rhs_rejected(self):
         with pytest.raises(ValueError):
             integrate("v3", scalar_tangent(), 1.0)

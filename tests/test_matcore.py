@@ -71,7 +71,9 @@ PUBLIC_ENTRIES = {
     "parse_tangent": lambda kind: parse_tangent({"n": 2, "A0": _bad(2, kind).tolist(), "a0": [0.0, 0.0]}),
     "block_cholesky": lambda kind: block_cholesky(_bad(3, kind)),
     "check_special_symmetry": lambda kind: check_special_symmetry(_bad(3, kind)),
+    "check_special_symmetry-stack": lambda kind: check_special_symmetry(np.array([np.eye(3), _bad(3, kind)])),
     "submersion_project": lambda kind: submersion_project(_bad(3, kind)),
+    "submersion_project-stack": lambda kind: submersion_project(np.array([np.eye(3), _bad(3, kind)])),
     "unembed": lambda kind: unembed(_bad(2, kind)),
     "ahm_midpoint": lambda kind: ahm_midpoint(_bad(2, kind), np.eye(2)),
     "ahm_sequence": lambda kind: ahm_sequence(np.eye(2), _bad(2, kind)),

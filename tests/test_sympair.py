@@ -10,7 +10,8 @@ from gaussgeo import (
     submersion_project,
     unembed,
 )
-from gaussgeo.matcore import block_exchange, sym_exp
+from gaussgeo.manifold import corner_residual, read_embedded
+from gaussgeo.matcore import block_exchange, sym, sym_exp
 from gaussgeo.sympair import split_orthogonal
 from util import expm_taylor, random_algebra, random_tangent, sigma_algebra, sigma_group, tau_algebra
 
@@ -204,3 +205,82 @@ def test_projected_point_matches_unembed_route():
     assert isinstance(via_projection, GaussianPoint)
     h = embed(via_projection)
     assert np.linalg.norm(h - g[:3, :3]) <= 1e-12 * max(1.0, np.linalg.norm(h))
+
+
+def _spd_inv_formula(a):
+    """The inverse as ``spd_inv`` of a single matrix computes it (test-local copy)."""
+    w, v = np.linalg.eigh(a)
+    return sym(v @ (np.power(w, -1.0)[:, None] * v.T))
+
+
+def _slice_residual_formula(g):
+    g = sym(g)
+    j = block_exchange((g.shape[0] - 1) // 2)
+    return float(np.linalg.norm(j @ _spd_inv_formula(g) @ j - g))
+
+
+def _corner_formula(h):
+    n = h.shape[0] - 1
+    delta = h[:n, n]
+    return abs(float(h[n, n]) - 1.0 - float(delta @ np.linalg.solve(h[:n, :n], delta)))
+
+
+class TestStackedChecks:
+    """The slice check, projection and read-out on a stack give each point the bits of its own call."""
+
+    def _stacks(self):
+        rng = np.random.default_rng(108)
+        for n in (1, 2, 3, 5):
+            v = horizontal_lift(random_tangent(rng, n, norm=2.0))
+            on_slice = np.array([sym_exp(t * v) for t in (0.125, 0.5, 0.75, 1.0)])
+            # off the slice, but SPD: nonzero residuals with every digit in play
+            off_slice = np.array([sym(g * (1.0 + 1e-3 * k)) for k, g in enumerate(on_slice, 1)])
+            yield on_slice, off_slice
+
+    def test_stacked_calls_match_single_calls(self):
+        for on_slice, off_slice in self._stacks():
+            for g in (on_slice, off_slice):
+                residuals = check_special_symmetry(g)
+                assert residuals.shape == (len(g),)
+                assert all(residuals[k] == check_special_symmetry(g[k]) for k in range(len(g)))
+            h = submersion_project(on_slice)
+            assert all(np.array_equal(h[k], submersion_project(on_slice[k])) for k in range(len(h)))
+            corner = corner_residual(h)
+            assert all(corner[k] == corner_residual(h[k]) for k in range(len(h)))
+            sigmas, mus = read_embedded(h)
+            for k in range(len(h)):
+                sigma, mu = read_embedded(h[k])
+                assert np.array_equal(sigmas[k], sigma) and np.array_equal(mus[k], mu)
+
+    def test_single_calls_match_the_formulas(self):
+        for on_slice, off_slice in self._stacks():
+            for g in (*on_slice, *off_slice):
+                assert check_special_symmetry(g) == _slice_residual_formula(g)
+            for g in on_slice:
+                n = (g.shape[0] - 1) // 2
+                h = submersion_project(g)
+                assert np.array_equal(h, sym(g[: n + 1, : n + 1]))
+                assert corner_residual(h) == _corner_formula(h)
+                sigma, mu = read_embedded(h)
+                expected = _spd_inv_formula(h[:n, :n])
+                assert np.array_equal(sigma, expected) and np.array_equal(mu, expected @ h[:n, n])
+
+    def test_errors_name_the_first_point_that_fails(self):
+        on_slice, off_slice = next(self._stacks())
+        mixed = np.array([on_slice[0], off_slice[1], on_slice[2], off_slice[3]])
+        with pytest.raises(ValueError) as single:
+            submersion_project(mixed[1])
+        with pytest.raises(ValueError) as stacked:
+            submersion_project(mixed)
+        assert str(stacked.value) == str(single.value)
+        h = submersion_project(on_slice)
+        h[1:, -1, -1] += 1e-6 * np.arange(1, len(h))  # corners off from the second point on
+        with pytest.raises(ValueError, match="^corner entry inconsistent") as single:
+            read_embedded(h[1])
+        with pytest.raises(ValueError) as stacked:
+            read_embedded(h)
+        assert str(stacked.value) == str(single.value)
+
+    def test_slice_check_takes_one_stack_axis(self):
+        with pytest.raises(ValueError, match="must be square"):
+            check_special_symmetry(np.eye(3)[None, None])
