@@ -13,7 +13,6 @@ from .manifold import (
     AffineMap,
     GaussianPoint,
     Tangent,
-    alt_embed_check,
     embed,
     fisher_numeric,
     metric_at_identity,
@@ -33,7 +32,7 @@ from .geodesic import (
     log_map,
     trajectory,
 )
-from .ahm import AhmPair, ahm_midpoint, ahm_step, direct_midpoint, interpolate, midpoint_N
+from .ahm import AhmPair, ahm_midpoint, interpolate, midpoint_N
 from .laxflow import LaxSamples, LaxState, integrate, lax_closed_form, verify_lax
 
 __version__ = "0.1.0"
@@ -50,11 +49,8 @@ __all__ = [
     "ShootingError",
     "Tangent",
     "ahm_midpoint",
-    "ahm_step",
-    "alt_embed_check",
     "block_cholesky",
     "check_special_symmetry",
-    "direct_midpoint",
     "distance",
     "embed",
     "exp_map",

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _first_failure, _frobenius, _require_memory, _spectral, require_spd, spd_sqrt, sym, sym_eigen
+from .matcore import _first_failure, _frobenius, _require_memory, _spectral, require_spd, sym, sym_eigen
 from .manifold import GaussianPoint, _apply_stacked, normalize_to_identity, read_embedded
 from .geodesic import _sampled, log_map
 from .sympair import horizontal_lift, submersion_project
@@ -113,12 +113,6 @@ def _mean(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int) -> np.ndarray
     return out
 
 
-def ahm_step(pair: AhmPair) -> AhmPair:
-    """One step of the arithmetic-harmonic recursion."""
-    p, q = _step(pair.P, pair.Q)
-    return AhmPair(P=p, Q=q, iteration=pair.iteration + 1)
-
-
 def ahm_sequence(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> list[AhmPair]:
     """All iterates from (p0, q0) until the gap falls below ``tol`` (relative), each one checked."""
     first = AhmPair(P=p0, Q=q0)
@@ -130,14 +124,6 @@ def ahm_midpoint(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter:
     """Geodesic midpoint (matrix geometric mean) of an SPD pair; the inputs are checked once, the iterates not."""
     pair = AhmPair(P=p0, Q=q0)
     return _mean(pair.P[None], pair.Q[None], tol, max_iter)[0]
-
-
-def direct_midpoint(p0: np.ndarray, q0: np.ndarray) -> np.ndarray:
-    """Closed-form geometric mean, the independent reference for the iteration."""
-    pair = AhmPair(P=p0, Q=q0)
-    root = spd_sqrt(pair.P)
-    inner = spd_sqrt(sym(np.linalg.solve(root, np.linalg.solve(root, pair.Q).T).T))
-    return sym(root @ inner @ root)
 
 
 def midpoint_N(p: GaussianPoint, q: GaussianPoint, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> GaussianPoint:

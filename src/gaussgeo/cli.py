@@ -14,6 +14,7 @@ Diagnostics level via the environment variable GAUSSGEO_LOG
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -59,8 +60,11 @@ class InputError(ValueError):
     """Malformed or schema-violating input."""
 
 
-def _check_positive(args) -> None:
-    """Reject a nonpositive ``--tol``, ``--max-iter``, ``--dt`` or ``--steps`` of the subcommand."""
+def _check_options(args) -> None:
+    """Reject a non-finite ``--tol``, ``--dt`` or ``--perturb``, and a nonpositive ``--tol``, ``--max-iter``, ``--dt`` or ``--steps``."""
+    for name in ("tol", "dt", "perturb"):
+        if not math.isfinite(getattr(args, name, 0.0)):
+            raise InputError(f"{name} must be finite")
     for name in ("tol", "max_iter", "dt", "steps"):
         if getattr(args, name, 1) <= 0:
             raise InputError(f"{name.replace('_', '-')} must be positive")
@@ -183,6 +187,22 @@ def _emit(text: str, path: str) -> None:
             fh.write(text)
 
 
+def write_samples_csv(fh, names: tuple[str, str], ts: np.ndarray, matrices: np.ndarray, vectors: np.ndarray) -> None:
+    """Write samples as CSV: t, row-major matrix entries, vector entries, one row per time of ``ts``.
+
+    ``names`` label the matrix and the vector columns: ``("sigma", "mu")``
+    gives the header ``t,sigma_11,...,sigma_nn,mu_1,...,mu_n``.
+    """
+    n = vectors.shape[1]
+    mat, vec = names
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(
+        ["t"] + [f"{mat}_{i + 1}{j + 1}" for i in range(n) for j in range(n)] + [f"{vec}_{i + 1}" for i in range(n)]
+    )
+    for t, matrix, vector in zip(ts, matrices, vectors):
+        writer.writerow([f"{v:.17g}" for v in (t, *matrix.ravel(), *vector)])
+
+
 def _report(command: str, digest: str, results: dict, checks: dict, out: str) -> None:
     payload = {"command": command, "inputs_digest": digest, "results": results, "checks": checks}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
@@ -217,7 +237,7 @@ def cmd_shoot(args, obj) -> int:
     ts = _t_grid(obj, args.steps)
     traj = geo.trajectory(xi, ts, basepoint=base)
     buf = io.StringIO()
-    geo.write_samples_csv(buf, ("sigma", "mu"), zip(traj.ts, traj.sigmas, traj.mus))
+    write_samples_csv(buf, ("sigma", "mu"), traj.ts, traj.sigmas, traj.mus)
     _emit(buf.getvalue(), args.output)
     return 0
 
@@ -260,7 +280,7 @@ def cmd_lax(args, obj) -> int:
     xi = parse_tangent(obj["tangent"])
     samples = lax_mod.integrate(args.rhs, xi, _parse_t_end(obj), dt=args.dt)
     buf = io.StringIO()
-    geo.write_samples_csv(buf, ("Q", "r"), zip(samples.ts, samples.Qs, samples.rs))
+    write_samples_csv(buf, ("Q", "r"), samples.ts, samples.Qs, samples.rs)
     _emit(buf.getvalue(), args.output)
     return 0
 
@@ -426,7 +446,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_positive(args)
+        _check_options(args)
         return args.func(args, _load_input(args.input))
     except InputError as exc:
         print(f"gaussgeo: input error: {exc}", file=sys.stderr)

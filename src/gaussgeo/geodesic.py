@@ -38,7 +38,6 @@ connecting geodesic is not unique.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -238,7 +237,13 @@ def geodesic_residual(traj: GeodesicTrajectory, h: float) -> float:
     return float(np.max(per_t))
 
 
-def _recovered_series(traj: GeodesicTrajectory, h: float) -> tuple[np.ndarray, np.ndarray]:
+def first_integrals(traj: GeodesicTrajectory, h: float) -> tuple[float, float]:
+    """Max drift of the two conserved quantities along the trajectory.
+
+    ``sigma^{-1} mu_dot`` and ``sigma^{-1} sigma_dot + a mu^T`` (with ``a``
+    the first recovered value) are constant on geodesics; returns their max
+    deviations from the values at the earliest usable sample.
+    """
     m = _stencil_offset(traj.ts, h)
     sigmas, mus = traj.sigmas, traj.mus
     lo, hi = m, len(traj.ts) - m
@@ -247,26 +252,9 @@ def _recovered_series(traj: GeodesicTrajectory, h: float) -> tuple[np.ndarray, n
     mud = (mus[lo + m:hi + m] - mus[lo - m:hi - m]) / (2.0 * h)
     a_series = _solve_sampled(s0, mud[..., None])[..., 0]
     big_a = _solve_sampled(s0, sd) + np.einsum("i,tj->tij", a_series[0], mus[lo:hi])
-    return a_series, big_a
-
-
-def first_integrals(traj: GeodesicTrajectory, h: float) -> tuple[float, float]:
-    """Max drift of the two conserved quantities along the trajectory.
-
-    ``sigma^{-1} mu_dot`` and ``sigma^{-1} sigma_dot + a mu^T`` (with ``a``
-    the first recovered value) are constant on geodesics; returns their max
-    deviations from the values at the earliest usable sample.
-    """
-    a_series, big_a = _recovered_series(traj, h)
     drift_a = float(np.max(np.linalg.norm(a_series - a_series[0], axis=1)))
     drift_big_a = float(np.max(np.linalg.norm(big_a - big_a[0], axis=(1, 2))))
     return drift_a, drift_big_a
-
-
-def recovered_initial_direction(traj: GeodesicTrajectory, h: float) -> Tangent:
-    """Finite-difference estimate of the generating tangent, for cross-checks."""
-    a_series, big_a = _recovered_series(traj, h)
-    return Tangent(A0=sym(big_a[0]), a0=a_series[0])
 
 
 @lru_cache(maxsize=16)
@@ -592,9 +580,14 @@ def log_map(
     ShootingError
         If the iteration stalls or its solution fails validation; carries
         the last residual (``inf`` when even the initial guess was beyond the cap).
+    ValueError
+        If the points differ in dimension, or ``tol`` is not a positive
+        finite number (an infinite one would accept the unconverged seed).
     """
     if p.n != q.n:
         raise ValueError(f"points must share a dimension, got n = {p.n} and n = {q.n}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     chart = normalize_to_identity(p)
     return _log_normalized(chart.apply(q), tol, max_iter)
 
@@ -604,20 +597,3 @@ def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", **op
     if p.close_to(q):
         return 0.0
     return tangent_norm(log_map(p, q, **opts), convention)
-
-
-def write_samples_csv(fh, names: tuple[str, str], samples) -> None:
-    """Write ``(t, matrix, vector)`` samples as CSV: t, row-major matrix entries, vector entries.
-
-    ``names`` label the matrix and the vector columns: ``("sigma", "mu")``
-    gives the header ``t,sigma_11,...,sigma_nn,mu_1,...,mu_n``.
-    """
-    samples = list(samples)
-    n = len(samples[0][2])
-    mat, vec = names
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        ["t"] + [f"{mat}_{i + 1}{j + 1}" for i in range(n) for j in range(n)] + [f"{vec}_{i + 1}" for i in range(n)]
-    )
-    for t, matrix, vector in samples:
-        writer.writerow([f"{v:.17g}" for v in (t, *matrix.ravel(), *vector)])

@@ -78,11 +78,6 @@ def build_M(state: LaxState, a0: np.ndarray) -> np.ndarray:
     return split_orthogonal(state.Q, 0.0, a0, 0.0, 0.0)
 
 
-def state_from_L(l: np.ndarray) -> LaxState:
-    n = (l.shape[0] - 1) // 2
-    return LaxState(Q=-l[:n, :n].copy(), r=l[:n, n].copy())
-
-
 def rhs_bilinear(q: np.ndarray, r: np.ndarray, neg_a0: np.ndarray, dq: np.ndarray, dr: np.ndarray) -> None:
     """Right side of the bilinear form, (-r a0^T, Q r), written into C-contiguous ``dq`` and ``dr``; takes ``-a0``."""
     np.multiply(r[:, None], neg_a0, dq)

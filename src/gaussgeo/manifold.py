@@ -175,22 +175,6 @@ def read_embedded(h: np.ndarray, sigma: np.ndarray | None = None) -> tuple[np.nd
     return sigma, (sigma @ h[..., :n, n, None])[..., 0]
 
 
-def alt_embed_check(p: GaussianPoint) -> float:
-    """Cross-check of the embedding against its moment-matrix form.
-
-    The inverse of ``[[sigma + mu mu^T, -mu], [-mu^T, 1]]`` equals
-    :func:`embed` of the same point; returns the Frobenius norm of the
-    difference (contract: <= 1e-10 for valid points).
-    """
-    n = p.n
-    m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = p.sigma + np.outer(p.mu, p.mu)
-    m[:n, n] = -p.mu
-    m[n, :n] = -p.mu
-    m[n, n] = 1.0
-    return float(np.linalg.norm(sym(np.linalg.inv(m)) - embed(p)))
-
-
 def metric_at_identity(x: Tangent, y: Tangent, convention: str = "paper") -> float:
     """Inner product of tangents at the identity point.
 

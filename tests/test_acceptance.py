@@ -40,11 +40,11 @@ from gaussgeo import (
     trajectory,
     verify_lax,
 )
-from gaussgeo.ahm import AhmPair, ahm_sequence, ahm_step
+from gaussgeo.ahm import AhmPair, ahm_sequence
 from gaussgeo.geodesic import ambient_exponentials
-from gaussgeo.laxflow import build_L, state_from_L
+from gaussgeo.laxflow import build_L
 from gaussgeo.matcore import block_cholesky, special_structure_residuals, sym_exp
-from util import gap_identity_residual, random_point, random_sym, random_tangent
+from util import ahm_step, gap_identity_residual, random_point, random_sym, random_tangent, state_from_L
 
 DIMS = (1, 2, 3, 5)
 

@@ -6,9 +6,7 @@ import pytest
 from gaussgeo import (
     GaussianPoint,
     ahm_midpoint,
-    ahm_step,
     check_special_symmetry,
-    direct_midpoint,
     distance,
     exp_map,
     exp_map_from,
@@ -25,7 +23,7 @@ import gaussgeo.matcore as matcore
 import gaussgeo.sympair as sympair
 from gaussgeo.ahm import AhmPair, ahm_sequence
 from gaussgeo.matcore import NotSpdError, block_exchange, sym, sym_exp
-from util import gap_identity_residual, random_point, random_spd, random_tangent
+from util import ahm_step, direct_midpoint, gap_identity_residual, random_point, random_spd, random_tangent
 
 
 def matrices_in(a) -> int:
@@ -486,8 +484,17 @@ def test_points_of_different_dimension_are_rejected(op):
         call(p, q)
 
 
-@pytest.mark.parametrize("op", ["AhmPair", "ahm_midpoint", "ahm_sequence", "direct_midpoint"])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-12])
+def test_log_tolerance_must_be_positive_and_finite(tol):
+    p, q = GaussianPoint.identity(2), GaussianPoint(2.0 * np.eye(2), np.ones(2))
+    with pytest.raises(ValueError, match=f"^tol must be a positive finite number, got {tol!r}$"):
+        log_map(p, q, tol=tol)
+    with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+        distance(p, q, tol=tol)
+
+
+@pytest.mark.parametrize("op", ["AhmPair", "ahm_midpoint", "ahm_sequence"])
 def test_pairs_of_different_shape_are_rejected(op):
-    call = {"AhmPair": AhmPair, "ahm_midpoint": ahm_midpoint, "ahm_sequence": ahm_sequence, "direct_midpoint": direct_midpoint}[op]
+    call = {"AhmPair": AhmPair, "ahm_midpoint": ahm_midpoint, "ahm_sequence": ahm_sequence}[op]
     with pytest.raises(ValueError, match=r"^P and Q must share a shape, got \(2, 2\) and \(3, 3\)$"):
         call(np.eye(2), np.eye(3))

@@ -93,6 +93,14 @@ class TestErrorsAndExitCodes:
             (["dist", "--tol", "0"], "tol must be positive"),
             (["log", "--max-iter", "0"], "max-iter must be positive"),
             (["lax", "--dt", "0"], "dt must be positive"),
+            (["log", "--tol", "inf"], "tol must be finite"),
+            (["dist", "--tol", "nan"], "tol must be finite"),
+            (["lax", "--dt", "inf"], "dt must be finite"),
+            (["verify", "--dt", "inf"], "dt must be finite"),
+            (["verify", "--dt", "nan"], "dt must be finite"),
+            (["verify", "--perturb", "nan"], "perturb must be finite"),
+            (["verify", "--perturb", "inf"], "perturb must be finite"),
+            (["verify", "--perturb=-inf"], "perturb must be finite"),
         ],
     )
     def test_nonpositive_option_rejected(self, tmp_path, capsys, argv, message):

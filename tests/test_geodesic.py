@@ -38,11 +38,10 @@ from gaussgeo.geodesic import (
     _unpack,
     _vertical_part,
     ambient_exponentials,
-    recovered_initial_direction,
-    write_samples_csv,
 )
 from gaussgeo.matcore import block_cholesky, check_special_symmetry, spd_inv, sym_exp
-from util import integrate_geodesic_ode, random_point, random_tangent
+from gaussgeo.cli import write_samples_csv
+from util import integrate_geodesic_ode, random_point, random_tangent, recovered_initial_direction
 
 
 class TestExpMap:
@@ -613,7 +612,7 @@ class TestTrajectoryCsv:
         xi = random_tangent(rng, 2)
         traj = trajectory(xi, np.linspace(0.0, 1.0, 5), basepoint=random_point(rng, 2))
         buf = io.StringIO()
-        write_samples_csv(buf, ("sigma", "mu"), zip(traj.ts, traj.sigmas, traj.mus))
+        write_samples_csv(buf, ("sigma", "mu"), traj.ts, traj.sigmas, traj.mus)
         buf.seek(0)
         table = np.loadtxt(buf, delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 0], traj.ts)
@@ -624,6 +623,6 @@ class TestTrajectoryCsv:
         xi = Tangent.zero(2)
         traj = trajectory(xi, [0.0, 1.0])
         buf = io.StringIO()
-        write_samples_csv(buf, ("sigma", "mu"), zip(traj.ts, traj.sigmas, traj.mus))
+        write_samples_csv(buf, ("sigma", "mu"), traj.ts, traj.sigmas, traj.mus)
         header = buf.getvalue().splitlines()[0]
         assert header == "t,sigma_11,sigma_12,sigma_21,sigma_22,mu_1,mu_2"

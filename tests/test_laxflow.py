@@ -14,12 +14,10 @@ from gaussgeo.laxflow import (
     lax_pattern_residual,
     rhs_bilinear,
     rhs_riccati,
-    state_from_L,
 )
-from gaussgeo.cli import _random_unit_tangent
-from gaussgeo.geodesic import write_samples_csv
+from gaussgeo.cli import _random_unit_tangent, write_samples_csv
 from gaussgeo.sympair import split_orthogonal
-from util import random_sym, random_tangent, sigma_algebra
+from util import random_sym, random_tangent, sigma_algebra, state_from_L
 
 
 def scalar_tangent(alpha=0.0, beta=1.0):
@@ -349,11 +347,11 @@ class TestCsv:
         xi = scalar_tangent()
         samples = integrate("bilinear", xi, 0.2, dt=0.1)
         buf = io.StringIO()
-        write_samples_csv(buf, ("Q", "r"), zip(samples.ts, samples.Qs, samples.rs))
+        write_samples_csv(buf, ("Q", "r"), samples.ts, samples.Qs, samples.rs)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,Q_11,r_1"
         buf = io.StringIO()
-        write_samples_csv(buf, ("Q", "r"), [(0.0, np.zeros((2, 2)), np.zeros(2))])
+        write_samples_csv(buf, ("Q", "r"), np.zeros(1), np.zeros((1, 2, 2)), np.zeros((1, 2)))
         assert buf.getvalue().splitlines()[0] == "t,Q_11,Q_12,Q_21,Q_22,r_1,r_2"
         parsed = [float(x) for x in lines[-1].split(",")]
         assert parsed[0] == 0.2

@@ -4,14 +4,13 @@ import pytest
 from gaussgeo import (
     GaussianPoint,
     Tangent,
-    alt_embed_check,
     embed,
     fisher_numeric,
     metric_at_identity,
     normalize_to_identity,
     unembed,
 )
-from util import random_point, random_sym, random_tangent
+from util import alt_embed_check, random_point, random_sym, random_tangent
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

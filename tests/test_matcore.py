@@ -1,4 +1,8 @@
+import ast
+import importlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from gaussgeo.matcore import (
 )
 import gaussgeo
 import gaussgeo.matcore as matcore
-from gaussgeo.ahm import AhmPair, ahm_midpoint, ahm_sequence, direct_midpoint
+from gaussgeo.ahm import AhmPair, ahm_midpoint, ahm_sequence
 from gaussgeo.cli import parse_point, parse_tangent
 from gaussgeo.sympair import horizontal_lift, submersion_project
 from gaussgeo.manifold import GaussianPoint, Tangent, unembed
@@ -77,7 +81,6 @@ PUBLIC_ENTRIES = {
     "unembed": lambda kind: unembed(_bad(2, kind)),
     "ahm_midpoint": lambda kind: ahm_midpoint(_bad(2, kind), np.eye(2)),
     "ahm_sequence": lambda kind: ahm_sequence(np.eye(2), _bad(2, kind)),
-    "direct_midpoint": lambda kind: direct_midpoint(np.eye(2), _bad(2, kind)),
 }
 
 
@@ -96,6 +99,35 @@ def test_matrix_utilities_live_in_matcore_only():
     for name in MOVED_TO_MATCORE:
         assert not hasattr(gaussgeo, name) and name not in gaussgeo.__all__
         assert callable(getattr(matcore, name))
+
+
+PACKAGE_DIR = Path(gaussgeo.__file__).parent
+# test-only oracles, now in tests/util.py
+MOVED_TO_TESTS = ("ahm_step", "alt_embed_check", "direct_midpoint", "recovered_initial_direction", "state_from_L")
+
+
+def _names_used(source: str) -> set[str]:
+    """Every ``Name`` and ``Attribute`` referenced in a module's source."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_name_is_used_or_documented():
+    # a public name that only the tests call belongs with the tests
+    modules = sorted(path for path in PACKAGE_DIR.glob("*.py") if path.name != "__init__.py")
+    used = set().union(*(_names_used(path.read_text(encoding="utf-8")) for path in modules))
+    readme = (PACKAGE_DIR.parents[1] / "README.md").read_text(encoding="utf-8")
+    orphans = [name for name in gaussgeo.__all__ if name not in used and not re.search(rf"\b{name}\b", readme)]
+    assert orphans == []
+    for name in MOVED_TO_TESTS:
+        for path in [PACKAGE_DIR / "__init__.py", *modules]:
+            module = importlib.import_module("gaussgeo" if path.stem == "__init__" else f"gaussgeo.{path.stem}")
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 class TestSymExp:

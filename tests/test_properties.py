@@ -71,12 +71,12 @@ def test_exp_map_reparametrises_time(seed, n, s, t):
 
 
 @PROPERTY
-@given(seed=seeds, n=dims, norm=st.floats(0.1, 2.0))
+@given(seed=seeds, n=st.integers(1, 8), norm=st.floats(0.1, 2.0))
 def test_bilinear_flow_moves_q_by_rank_one_rows(seed, n, norm):
     # Q_dot = -r a0^T, so Q(t) = A0 - s(t) a0^T: each row of Q(t) - A0 is a multiple of a0^T
     xi = random_tangent(np.random.default_rng(seed), n, norm=norm)
     a0 = xi.a0 / np.linalg.norm(xi.a0)
-    off_line = np.eye(n) - np.outer(a0, a0)
-    for q in integrate("bilinear", xi, 1.0, dt=1e-2).Qs:
-        drift = q - xi.A0
-        assert np.linalg.norm(drift @ off_line) <= 1e-13 * max(1.0, np.linalg.norm(q))
+    qs = integrate("bilinear", xi, 2.0, dt=1e-3).Qs
+    drift = qs - xi.A0
+    off_line = np.linalg.norm(drift - (drift @ a0)[..., None] * a0, axis=(1, 2))
+    assert np.all(off_line <= 1e-13 * np.maximum(1.0, np.linalg.norm(drift, axis=(1, 2))))

@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from gaussgeo import GaussianPoint, Tangent, tangent_norm
-from gaussgeo.matcore import block_exchange, sym
+from gaussgeo import AhmPair, GaussianPoint, Tangent, embed, tangent_norm
+from gaussgeo.ahm import _step
+from gaussgeo.laxflow import LaxState
+from gaussgeo.matcore import block_exchange, spd_sqrt, sym
 from gaussgeo.sympair import split_orthogonal
 
 
@@ -38,6 +40,55 @@ def random_algebra(n, rng, scale=1.0):
     r = scale * rng.standard_normal(n)
     t = scale * rng.standard_normal(n)
     return split_orthogonal(q, r, t, big_r, big_s)
+
+
+def ahm_step(pair):
+    """One step of the arithmetic-harmonic recursion, as a checked pair: the iteration shown step by step."""
+    p, q = _step(pair.P, pair.Q)
+    return AhmPair(P=p, Q=q, iteration=pair.iteration + 1)
+
+
+def direct_midpoint(p0, q0):
+    """Closed-form geometric mean ``P^{1/2} (P^{-1/2} Q P^{-1/2})^{1/2} P^{1/2}``, the reference for the mean iteration."""
+    root = spd_sqrt(p0)
+    inner = spd_sqrt(sym(np.linalg.solve(root, np.linalg.solve(root, q0).T).T))
+    return sym(root @ inner @ root)
+
+
+def alt_embed_check(p):
+    """Frobenius distance of :func:`embed` from its moment-matrix form.
+
+    The inverse of ``[[sigma + mu mu^T, -mu], [-mu^T, 1]]`` equals the
+    embedding of the same point.
+    """
+    n = p.n
+    m = np.zeros((n + 1, n + 1))
+    m[:n, :n] = p.sigma + np.outer(p.mu, p.mu)
+    m[:n, n] = -p.mu
+    m[n, :n] = -p.mu
+    m[n, n] = 1.0
+    return float(np.linalg.norm(sym(np.linalg.inv(m)) - embed(p)))
+
+
+def recovered_initial_direction(traj, h):
+    """Central-difference estimate of the generating tangent from a uniformly sampled trajectory.
+
+    At the first sample ``k`` with a full stencil of step ``h``, the
+    conserved ``sigma^{-1} mu_dot`` gives ``a0`` and
+    ``sigma^{-1} sigma_dot + a0 mu^T`` gives ``A0``.
+    """
+    k = int(round(h / (traj.ts[1] - traj.ts[0])))
+    sigma_dot = (traj.sigmas[2 * k] - traj.sigmas[0]) / (2.0 * h)
+    mu_dot = (traj.mus[2 * k] - traj.mus[0]) / (2.0 * h)
+    a0 = np.linalg.solve(traj.sigmas[k], mu_dot)
+    a_mat = np.linalg.solve(traj.sigmas[k], sigma_dot) + np.outer(a0, traj.mus[k])
+    return Tangent(A0=sym(a_mat), a0=a0)
+
+
+def state_from_L(l):
+    """The state ``(Q, r)`` read back off a Lax matrix ``[[-Q, r, 0], ...]``."""
+    n = (l.shape[0] - 1) // 2
+    return LaxState(Q=-l[:n, :n].copy(), r=l[:n, n].copy())
 
 
 def gap_identity_residual(before, after):
