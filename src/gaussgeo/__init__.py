@@ -33,7 +33,7 @@ from .geodesic import (
     trajectory,
 )
 from .ahm import AhmPair, ahm_midpoint, interpolate, midpoint_N
-from .laxflow import LaxSamples, LaxState, integrate, lax_closed_form, verify_lax
+from .laxflow import LaxSamples, integrate, lax_closed_form, verify_lax
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "GaussianPoint",
     "GeodesicTrajectory",
     "LaxSamples",
-    "LaxState",
     "NotSpdError",
     "ShootingError",
     "Tangent",

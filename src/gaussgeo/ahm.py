@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _first_failure, _frobenius, _require_memory, _spectral, require_spd, sym, sym_eigen
+from .matcore import _first_failure, _frobenius, _require_count, _require_iteration, _require_memory, _spectral, require_spd, sym, sym_eigen
 from .manifold import GaussianPoint, _apply_stacked, normalize_to_identity, read_embedded
 from .geodesic import _sampled, log_map
 from .sympair import horizontal_lift, submersion_project
@@ -115,6 +115,7 @@ def _mean(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int) -> np.ndarray
 
 def ahm_sequence(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> list[AhmPair]:
     """All iterates from (p0, q0) until the gap falls below ``tol`` (relative), each one checked."""
+    _require_iteration(tol, max_iter)
     first = AhmPair(P=p0, Q=q0)
     iterates = _iterates(first.P[None], first.Q[None], tol, max_iter)
     return [AhmPair(P=p[0], Q=q[0], iteration=k) for k, (p, q, _) in enumerate(iterates)]
@@ -122,6 +123,7 @@ def ahm_sequence(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter:
 
 def ahm_midpoint(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> np.ndarray:
     """Geodesic midpoint (matrix geometric mean) of an SPD pair; the inputs are checked once, the iterates not."""
+    _require_iteration(tol, max_iter)
     pair = AhmPair(P=p0, Q=q0)
     return _mean(pair.P[None], pair.Q[None], tol, max_iter)[0]
 
@@ -156,12 +158,13 @@ def interpolate(
     the exchange symmetry, read off, and cross-checked against the
     trajectory of the same tangent sampled from the same eigendecomposition,
     an independent computation.  A failure of either check is an
-    ``ArithmeticError`` naming the first point that fails.  A depth whose
-    lifted points could not fit in physical memory is a ``ValueError``,
-    raised before anything is allocated.
+    ``ArithmeticError`` naming the first point that fails.  A ``depth`` or
+    ``max_iter`` that is not a positive integer (a bool is not), a ``tol``
+    that is not a positive finite number, and a depth whose lifted points
+    could not fit in physical memory are ``ValueError``, raised first.
     """
-    if depth < 1:
-        raise ValueError("depth must be a positive integer")
+    _require_iteration(tol, max_iter)
+    _require_count(depth, "depth")
     order = 2 * p.n + 1
     # past depth 64 no address space holds the points
     _require_memory(8 * order * order * (2 ** min(depth, 64) + 1), f"interpolation to depth {depth}")

@@ -44,12 +44,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matcore import NotSpdError, _spectral, block_cholesky, spd_inv, spd_log, special_structure_residuals, sym, sym_eigen, sym_exp
+from .matcore import NotSpdError, _require_iteration, _spectral, block_cholesky, spd_inv, spd_log, special_structure_residuals, sym, sym_eigen, sym_exp
 from .manifold import (
     AffineMap,
     GaussianPoint,
     Tangent,
     _apply_stacked,
+    _metric_scale,
     embed,
     normalize_to_identity,
     read_embedded,
@@ -204,10 +205,16 @@ def _stencil_offset(ts: np.ndarray, h: float) -> int:
     return m
 
 
-def _solve_sampled(s0: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``solve(s0, b)`` over sampled covariances: one that roundoff left singular is a ``NotSpdError``."""
+def _central_differences(traj: GeodesicTrajectory, h: float):
+    """Central differences with step ``h``: the sigma and mu samples at the interior points and ``m`` steps to each side,
+    ``sigma_dot``, ``mu_dot``, ``sigma^{-1} sigma_dot`` and ``sigma^{-1} mu_dot`` (``NotSpdError`` for a singular sigma)."""
+    m = _stencil_offset(traj.ts, h)
+    lo, hi = m, len(traj.ts) - m
+    (s0, sm, sp), (mu0, mum, mup) = ((x[lo:hi], x[lo - m:hi - m], x[lo + m:hi + m]) for x in (traj.sigmas, traj.mus))
+    sd = (sp - sm) / (2.0 * h)
+    mud = (mup - mum) / (2.0 * h)
     try:
-        return np.linalg.solve(s0, b)
+        return (s0, sm, sp), (mu0, mum, mup), sd, mud, np.linalg.solve(s0, sd), np.linalg.solve(s0, mud[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NotSpdError("a sampled sigma is singular") from exc
 
@@ -220,17 +227,9 @@ def geodesic_residual(traj: GeodesicTrajectory, h: float) -> float:
     returned value is the max over interior samples of the Frobenius norm of
     the covariance equation plus the norm of the mean equation.
     """
-    m = _stencil_offset(traj.ts, h)
-    sigmas, mus = traj.sigmas, traj.mus
-    lo, hi = m, len(traj.ts) - m
-    s0, sm, sp = sigmas[lo:hi], sigmas[lo - m:hi - m], sigmas[lo + m:hi + m]
-    mu0, mum, mup = mus[lo:hi], mus[lo - m:hi - m], mus[lo + m:hi + m]
-    sd = (sp - sm) / (2.0 * h)
+    (s0, sm, sp), (mu0, mum, mup), sd, mud, sinv_sd, sinv_mud = _central_differences(traj, h)
     sdd = (sp - 2.0 * s0 + sm) / (h * h)
-    mud = (mup - mum) / (2.0 * h)
     mudd = (mup - 2.0 * mu0 + mum) / (h * h)
-    sinv_sd = _solve_sampled(s0, sd)
-    sinv_mud = _solve_sampled(s0, mud[..., None])[..., 0]
     res_sigma = sdd + np.einsum("ti,tj->tij", mud, mud) - np.einsum("tik,tkj->tij", sd, sinv_sd)
     res_mu = mudd - np.einsum("tik,tk->ti", sd, sinv_mud)
     per_t = np.linalg.norm(res_sigma, axis=(1, 2)) + np.linalg.norm(res_mu, axis=1)
@@ -244,14 +243,8 @@ def first_integrals(traj: GeodesicTrajectory, h: float) -> tuple[float, float]:
     the first recovered value) are constant on geodesics; returns their max
     deviations from the values at the earliest usable sample.
     """
-    m = _stencil_offset(traj.ts, h)
-    sigmas, mus = traj.sigmas, traj.mus
-    lo, hi = m, len(traj.ts) - m
-    s0 = sigmas[lo:hi]
-    sd = (sigmas[lo + m:hi + m] - sigmas[lo - m:hi - m]) / (2.0 * h)
-    mud = (mus[lo + m:hi + m] - mus[lo - m:hi - m]) / (2.0 * h)
-    a_series = _solve_sampled(s0, mud[..., None])[..., 0]
-    big_a = _solve_sampled(s0, sd) + np.einsum("i,tj->tij", a_series[0], mus[lo:hi])
+    _, (mu0, _, _), _, _, sinv_sd, a_series = _central_differences(traj, h)
+    big_a = sinv_sd + np.einsum("i,tj->tij", a_series[0], mu0)
     drift_a = float(np.max(np.linalg.norm(a_series - a_series[0], axis=1)))
     drift_big_a = float(np.max(np.linalg.norm(big_a - big_a[0], axis=(1, 2))))
     return drift_a, drift_big_a
@@ -581,19 +574,20 @@ def log_map(
         If the iteration stalls or its solution fails validation; carries
         the last residual (``inf`` when even the initial guess was beyond the cap).
     ValueError
-        If the points differ in dimension, or ``tol`` is not a positive
-        finite number (an infinite one would accept the unconverged seed).
+        If the points differ in dimension, ``tol`` is not a positive finite
+        number (an infinite one would accept the unconverged seed), or
+        ``max_iter`` is not a positive integer.
     """
     if p.n != q.n:
         raise ValueError(f"points must share a dimension, got n = {p.n} and n = {q.n}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    _require_iteration(tol, max_iter)
     chart = normalize_to_identity(p)
     return _log_normalized(chart.apply(q), tol, max_iter)
 
 
 def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", **opts) -> float:
-    """Geodesic distance: the metric norm of the connecting log tangent."""
+    """Geodesic distance: the metric norm of the connecting log tangent; an unknown convention fails before the solve."""
+    _metric_scale(convention)
     if p.close_to(q):
         return 0.0
     return tangent_norm(log_map(p, q, **opts), convention)

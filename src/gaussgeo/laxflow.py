@@ -60,22 +60,14 @@ CONSISTENCY_TOL = 1e-10
 FINITE_CHECK_STEPS = 256
 
 
-@dataclass(frozen=True)
-class LaxState:
-    """Evolving data of the flow: a general square block and a vector."""
-
-    Q: np.ndarray
-    r: np.ndarray
+def build_L(state: tuple[np.ndarray, np.ndarray], a0: np.ndarray) -> np.ndarray:
+    """Lax matrix ``[[-Q, r, 0], [a0^T, 0, -r^T], [0, -a0, Q^T]]`` of the state ``(Q, r)``; stacked states give one per state."""
+    return split_orthogonal(*state, a0, 0.0, 0.0)
 
 
-def build_L(state: LaxState, a0: np.ndarray) -> np.ndarray:
-    """Lax matrix ``[[-Q, r, 0], [a0^T, 0, -r^T], [0, -a0, Q^T]]``."""
-    return split_orthogonal(state.Q, state.r, a0, 0.0, 0.0)
-
-
-def build_M(state: LaxState, a0: np.ndarray) -> np.ndarray:
+def build_M(state: tuple[np.ndarray, np.ndarray], a0: np.ndarray) -> np.ndarray:
     """Block lower-triangular projection of :func:`build_L` (the r-borders dropped)."""
-    return split_orthogonal(state.Q, 0.0, a0, 0.0, 0.0)
+    return split_orthogonal(state[0], 0.0, a0, 0.0, 0.0)
 
 
 def rhs_bilinear(q: np.ndarray, r: np.ndarray, neg_a0: np.ndarray, dq: np.ndarray, dr: np.ndarray) -> None:
@@ -95,7 +87,10 @@ def rhs_riccati(q: np.ndarray, r: np.ndarray, a0_sq: np.ndarray, two_a0a0: np.nd
 
 @dataclass(frozen=True)
 class LaxSamples:
-    """Integrated flow: times ``ts (T,)``, blocks ``Qs (T, n, n)``, vectors ``rs (T, n)``; ``[i]`` gives ``(t, LaxState)``."""
+    """Integrated flow: times ``ts (T,)``, blocks ``Qs (T, n, n)``, vectors ``rs (T, n)``.
+
+    ``len`` and ``[i]`` (giving ``(t, (Q, r))``) remain only for ``perfbench/``, which reads one sample; the package reads the stacks.
+    """
 
     ts: np.ndarray
     Qs: np.ndarray
@@ -104,8 +99,8 @@ class LaxSamples:
     def __len__(self) -> int:
         return len(self.ts)
 
-    def __getitem__(self, i: int) -> tuple[float, LaxState]:
-        return float(self.ts[i]), LaxState(Q=self.Qs[i], r=self.rs[i])
+    def __getitem__(self, i: int) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        return float(self.ts[i]), (self.Qs[i], self.rs[i])
 
 
 def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> LaxSamples:
@@ -194,18 +189,9 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
 
 
 def lax_pattern_residual(l: np.ndarray, a0: np.ndarray) -> float:
-    """Deviation of a matrix from the sparse Lax form with constant borders."""
+    """Frobenius distance of a matrix from the sparse Lax form with constant borders: from :func:`build_L` of its own ``(Q, r)``."""
     n = (l.shape[0] - 1) // 2
-    parts = [
-        np.linalg.norm(l[:n, n + 1:]),            # upper-right block vanishes
-        np.linalg.norm(l[n + 1:, :n]),            # lower-left block vanishes
-        abs(float(l[n, n])),                      # center entry vanishes
-        np.linalg.norm(l[n, :n] - a0),            # constant border row
-        np.linalg.norm(l[n + 1:, n] + a0),        # constant border column
-        np.linalg.norm(l[n, n + 1:] + l[:n, n]),  # the two r-borders match
-        np.linalg.norm(l[n + 1:, n + 1:] + l[:n, :n].T),  # trailing block is Q^T
-    ]
-    return float(max(parts))
+    return float(np.linalg.norm(l - build_L((-l[:n, :n], l[:n, n]), a0)))
 
 
 def lax_closed_form(xi: Tangent, t: float) -> np.ndarray:
@@ -238,8 +224,8 @@ def verify_lax(samples: LaxSamples, a0: np.ndarray, h: float) -> tuple[float, fl
     value for k up to the matrix order.
     """
     m = _stencil_offset(samples.ts, h)
-    ls = split_orthogonal(samples.Qs, samples.rs, a0, 0.0, 0.0)
-    ms = split_orthogonal(samples.Qs, 0.0, a0, 0.0, 0.0)
+    states = (samples.Qs, samples.rs)
+    ls, ms = build_L(states, a0), build_M(states, a0)
 
     ldot = (ls[2 * m:] - ls[:-2 * m]) / (2.0 * h)
     center_l = ls[m:-m]

@@ -185,11 +185,15 @@ def metric_at_identity(x: Tangent, y: Tangent, convention: str = "paper") -> flo
     """
     if x.n != y.n:
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-    value = 2.0 * float(np.trace(x.embedded() @ y.embedded()))
+    return _metric_scale(convention) * (2.0 * float(np.trace(x.embedded() @ y.embedded())))
+
+
+def _metric_scale(convention: str) -> float:
+    """The factor of the ``convention``'s inner product on the paper one; ``ValueError`` for an unknown convention."""
     if convention == "paper":
-        return value
+        return 1.0
     if convention == "fisher":
-        return 0.25 * value
+        return 0.25
     raise ValueError(f"unknown metric convention {convention!r}")
 
 
@@ -205,7 +209,7 @@ class AffineMap:
     b: np.ndarray
 
     def apply(self, q: GaussianPoint) -> GaussianPoint:
-        return GaussianPoint(sym(self.A @ q.sigma @ self.A.T), self.A @ q.mu + self.b)
+        return GaussianPoint(*_apply_stacked(self, q.sigma, q.mu))
 
     def inverse(self) -> "AffineMap":
         a_inv = np.linalg.inv(self.A)

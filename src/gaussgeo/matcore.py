@@ -75,6 +75,19 @@ def _require_memory(nbytes: float, what: str) -> None:
         raise ValueError(f"{what} needs {nbytes:.3g} bytes, more than the {limit:.3g} bytes of physical memory")
 
 
+def _require_count(value, name: str) -> None:
+    """``ValueError`` unless ``value`` is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _require_iteration(tol: float, max_iter: int) -> None:
+    """``ValueError`` unless ``tol`` is a positive finite number (``inf`` accepts the start) and ``max_iter`` a positive integer."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    _require_count(max_iter, "max_iter")
+
+
 def _matrices(a, name: str, ndim: int = 2) -> np.ndarray:
     """``a`` as a float array of square matrices: one matrix, or (``ndim`` 3) a stack of them."""
     a = np.asarray(a, dtype=float)

@@ -169,8 +169,9 @@ def test_criterion_7_lax_flow_core():
     worst_closed, worst_comm, worst_drift = 0.0, 0.0, 0.0
     for xi in _lax_sweep(1007):
         samples = integrate("bilinear", xi, 1.0, dt=1e-3)
-        for t, state in (samples[i] for i in range(0, len(samples), 200)):
-            worst_closed = max(worst_closed, float(np.linalg.norm(build_L(state, xi.a0) - lax_closed_form(xi, t))))
+        ls = build_L((samples.Qs, samples.rs), xi.a0)
+        for t, l_mat in zip(samples.ts[::200], ls[::200]):
+            worst_closed = max(worst_closed, float(np.linalg.norm(l_mat - lax_closed_form(xi, t))))
         comm, drift = verify_lax(samples, xi.a0, 1e-3)
         worst_comm = max(worst_comm, comm)
         worst_drift = max(worst_drift, drift)
@@ -304,11 +305,11 @@ def test_criterion_10_integrator_order():
     for k in range(10):
         n = (1, 2)[k % 2]
         xi = random_tangent(rng, n)
-        exact = state_from_L(lax_closed_form(xi, 1.0))
+        q_exact, r_exact = state_from_L(lax_closed_form(xi, 1.0))
         errs = []
         for dt in (0.05, 0.025):
-            _, s = integrate("bilinear", xi, 1.0, dt=dt)[-1]
-            errs.append(float(np.linalg.norm(s.Q - exact.Q) + np.linalg.norm(s.r - exact.r)))
+            samples = integrate("bilinear", xi, 1.0, dt=dt)
+            errs.append(float(np.linalg.norm(samples.Qs[-1] - q_exact) + np.linalg.norm(samples.rs[-1] - r_exact)))
         min_ratio = min(min_ratio, errs[0] / errs[1])
     ok = min_ratio >= 12.0
     assert _report(10, "step halving shrinks the error by >= 12x (nominal 16x)", min_ratio, 12.0, ok, kind="min ratio")

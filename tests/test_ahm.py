@@ -8,6 +8,7 @@ from gaussgeo import (
     ahm_midpoint,
     check_special_symmetry,
     distance,
+    embed,
     exp_map,
     exp_map_from,
     horizontal_lift,
@@ -491,6 +492,58 @@ def test_log_tolerance_must_be_positive_and_finite(tol):
         log_map(p, q, tol=tol)
     with pytest.raises(ValueError, match="^tol must be a positive finite number"):
         distance(p, q, tol=tol)
+
+
+ITERATIONS = {
+    "log_map": log_map,
+    "ahm_midpoint": lambda p, q, **opts: ahm_midpoint(embed(p), embed(q), **opts),
+    "ahm_sequence": lambda p, q, **opts: ahm_sequence(embed(p), embed(q), **opts),
+    "interpolate": lambda p, q, **opts: interpolate(p, q, 2, **opts),
+    "midpoint_N": midpoint_N,
+}
+
+
+@pytest.mark.parametrize("op", sorted(set(ITERATIONS) - {"log_map"}))  # log_map's: the test above
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_iteration_tolerance_must_be_positive_and_finite(op, tol):
+    # an infinite tol would accept the first iterate (the arithmetic mean at ahm_midpoint),
+    # and a NaN or negative one would report a converged pair as stalled
+    p, q = GaussianPoint.identity(2), GaussianPoint(np.diag([4.0, 1.0]), np.ones(2))
+    with pytest.raises(ValueError, match=f"^tol must be a positive finite number, got {tol!r}$"):
+        ITERATIONS[op](p, q, tol=tol)
+
+
+@pytest.mark.parametrize("op", sorted(ITERATIONS))
+@pytest.mark.parametrize("max_iter", [2.5, 2.0, True, 0, -3])
+def test_iteration_cap_must_be_a_positive_integer(op, max_iter):
+    p, q = GaussianPoint.identity(2), GaussianPoint(np.diag([4.0, 1.0]), np.ones(2))
+    with pytest.raises(ValueError, match=f"^max_iter must be a positive integer, got {max_iter!r}$"):
+        ITERATIONS[op](p, q, max_iter=max_iter)
+
+
+def test_iteration_cap_takes_numpy_integers():
+    p0, q0 = np.diag([4.0, 1.0]), np.eye(2)
+    assert np.array_equal(ahm_midpoint(p0, q0, max_iter=np.int64(60)), ahm_midpoint(p0, q0))
+
+
+@pytest.mark.parametrize("depth", [True, 2.0, 1.5, 0, -1])
+@pytest.mark.parametrize("coincident", [False, True])
+def test_interpolation_depth_must_be_a_positive_integer(depth, coincident):
+    p = GaussianPoint.identity(2)
+    q = p if coincident else GaussianPoint(np.diag([4.0, 1.0]), np.ones(2))
+    with pytest.raises(ValueError, match=f"^depth must be a positive integer, got {depth!r}$"):
+        interpolate(p, q, depth)
+
+
+@pytest.mark.parametrize("coincident", [False, True])
+def test_unknown_convention_fails_before_the_solve(coincident, monkeypatch):
+    solves = []
+    monkeypatch.setattr(geodesic, "log_map", lambda *args, **opts: solves.append(args))
+    p = GaussianPoint.identity(2)
+    q = p if coincident else GaussianPoint(np.diag([4.0, 1.0]), np.ones(2))
+    with pytest.raises(ValueError, match="^unknown metric convention 'nonsense'$"):
+        distance(p, q, convention="nonsense")
+    assert solves == []
 
 
 @pytest.mark.parametrize("op", ["AhmPair", "ahm_midpoint", "ahm_sequence"])

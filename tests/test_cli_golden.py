@@ -1,4 +1,4 @@
-"""Golden outputs of every CLI subcommand at n = 1, 2, 3.
+"""Golden outputs of every CLI subcommand at n = 1, 2, 3, and of ``verify`` at n = 5, 8.
 
 Each fixture under ``tests/golden/`` holds the argv, the input JSON, the exit
 code and the standard output of one run.  The test replays the run and
@@ -46,8 +46,16 @@ def _tangent(rng, n):
     return {"n": n, "A0": (0.25 * (a + a.T)).tolist(), "a0": (0.5 * rng.standard_normal(n)).tolist()}
 
 
+def _unit_tangent(rng, n):
+    """A tangent of unit paper norm, sqrt(2 (|A0|^2 + 2 |a0|^2)) = 1."""
+    xi = _tangent(rng, n)
+    a_mat, a_vec = np.array(xi["A0"]), np.array(xi["a0"])
+    c = 1.0 / np.sqrt(2.0 * (np.sum(a_mat**2) + 2.0 * np.sum(a_vec**2)))
+    return {"n": n, "A0": (c * a_mat).tolist(), "a0": (c * a_vec).tolist()}
+
+
 def _cases():
-    """(name, argv, input) for each subcommand at n = 1, 2, 3, from a fixed seed."""
+    """(name, argv, input) for each subcommand at n = 1, 2, 3, and for ``verify`` at n = 5, 8, from fixed seeds."""
     rng = np.random.default_rng(2024)
     out = []
     for n in (1, 2, 3):
@@ -66,6 +74,10 @@ def _cases():
             (f"verify_perturb_n{n}", ["verify", "--seed", "7", "--perturb", "1e-3"], verify_in),
             (f"fisher-check_n{n}", ["fisher-check"], {"n": n}),
         ]
+    # larger orders from their own seed, so the cases above keep their inputs
+    rng = np.random.default_rng(2025)
+    for n in (5, 8):
+        out.append((f"verify_n{n}", ["verify", "--seed", "7"], {"tangent": _unit_tangent(rng, n), "t_end": 0.1}))
     return out
 
 

@@ -7,16 +7,8 @@ import pytest
 
 import gaussgeo.laxflow as laxflow
 from gaussgeo import Tangent, horizontal_lift, integrate, lax_closed_form, verify_lax
-from gaussgeo.laxflow import (
-    LaxState,
-    build_L,
-    build_M,
-    lax_pattern_residual,
-    rhs_bilinear,
-    rhs_riccati,
-)
+from gaussgeo.laxflow import build_L, build_M, lax_pattern_residual, rhs_bilinear, rhs_riccati
 from gaussgeo.cli import _random_unit_tangent, write_samples_csv
-from gaussgeo.sympair import split_orthogonal
 from util import random_sym, random_tangent, sigma_algebra, state_from_L
 
 
@@ -25,9 +17,9 @@ def scalar_tangent(alpha=0.0, beta=1.0):
 
 
 def _rhs(right, state, *coeffs):
-    """Right side at ``state``, written into a fresh state."""
-    out = LaxState(Q=np.empty_like(state.Q), r=np.empty_like(state.r))
-    right(state.Q, state.r, *coeffs, out.Q, out.r)
+    """Right side at the state ``(Q, r)``, written into a fresh pair."""
+    out = np.empty_like(state[0]), np.empty_like(state[1])
+    right(*state, *coeffs, *out)
     return out
 
 
@@ -68,31 +60,31 @@ def _textbook_rk4(rhs, xi, t_end, dt):
 
 class TestRightSides:
     def test_bilinear_stationary_without_coupling(self):
-        d = _bilinear(LaxState(Q=np.array([[2.0]]), r=np.zeros(1)), np.zeros(1))
-        assert np.array_equal(d.Q, np.zeros((1, 1))) and np.array_equal(d.r, np.zeros(1))
+        dq, dr = _bilinear((np.array([[2.0]]), np.zeros(1)), np.zeros(1))
+        assert np.array_equal(dq, np.zeros((1, 1))) and np.array_equal(dr, np.zeros(1))
 
     def test_bilinear_scalar_values(self):
-        d = _bilinear(LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.array([1.0]))
-        assert d.Q[0, 0] == -1.0 and d.r[0] == 0.0
+        dq, dr = _bilinear((np.zeros((1, 1)), np.array([1.0])), np.array([1.0]))
+        assert dq[0, 0] == -1.0 and dr[0] == 0.0
 
     def test_bilinear_trace_rate(self):
         rng = np.random.default_rng(110)
         n = 3
-        state = LaxState(Q=rng.standard_normal((n, n)), r=rng.standard_normal(n))
+        q, r = rng.standard_normal((n, n)), rng.standard_normal(n)
         a0 = rng.standard_normal(n)
-        d = _bilinear(state, a0)
-        assert abs(np.trace(d.Q) + state.r @ a0) <= 1e-14
+        dq, _ = _bilinear((q, r), a0)
+        assert abs(np.trace(dq) + r @ a0) <= 1e-14
 
     def test_riccati_equilibrium_at_start_without_coupling(self):
         a_mat = random_sym(np.random.default_rng(111), 2)
-        d = _riccati(LaxState(Q=a_mat, r=np.zeros(2)), a_mat, np.zeros(2))
-        assert np.linalg.norm(d.Q) <= 1e-14 and np.linalg.norm(d.r) <= 1e-14
+        dq, dr = _riccati((a_mat, np.zeros(2)), a_mat, np.zeros(2))
+        assert np.linalg.norm(dq) <= 1e-14 and np.linalg.norm(dr) <= 1e-14
 
     def test_riccati_matches_bilinear_at_shared_start(self):
-        d1 = _bilinear(LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.array([1.0]))
-        d2 = _riccati(LaxState(Q=np.zeros((1, 1)), r=np.array([1.0])), np.zeros((1, 1)), np.array([1.0]))
-        assert abs(d1.Q[0, 0] - d2.Q[0, 0]) <= 1e-15
-        assert abs(d1.r[0] - d2.r[0]) <= 1e-15
+        dq1, dr1 = _bilinear((np.zeros((1, 1)), np.array([1.0])), np.array([1.0]))
+        dq2, dr2 = _riccati((np.zeros((1, 1)), np.array([1.0])), np.zeros((1, 1)), np.array([1.0]))
+        assert abs(dq1[0, 0] - dq2[0, 0]) <= 1e-15
+        assert abs(dr1[0] - dr2[0]) <= 1e-15
 
 
 class TestIntegrate:
@@ -113,13 +105,12 @@ class TestIntegrate:
         exact = -math.sqrt(2.0) * 1.3 * math.tanh(1.3 / math.sqrt(2.0))
         errs = []
         for dt in (0.1, 0.05):
-            _, s = integrate("riccati", xi, 1.0, dt=dt)[-1]
-            errs.append(abs(s.Q[0, 0] - exact))
+            errs.append(abs(integrate("riccati", xi, 1.0, dt=dt).Qs[-1, 0, 0] - exact))
         assert errs[0] / errs[1] >= 12.0  # nominal 16 for a 4th-order scheme
 
     def test_final_sample_lands_on_t_end(self):
         samples = integrate("bilinear", scalar_tangent(), 0.55, dt=0.1)
-        assert samples[-1][0] == 0.55
+        assert samples.ts[-1] == 0.55
 
     def test_blowup_detection(self):
         # the reported time is the first at which the state is not finite,
@@ -150,7 +141,7 @@ class TestIntegrate:
         xi = random_tangent(np.random.default_rng(130 + n), n)
         samples = integrate(rhs, xi, t_end, dt=dt)
         reference = _textbook_rk4(rhs, xi, t_end, dt)
-        assert len(samples) == len(reference)
+        assert len(samples.ts) == len(reference)
         for t, q, r, (t_ref, y_ref) in zip(samples.ts, samples.Qs, samples.rs, reference):
             assert t == t_ref
             assert np.array_equal(q, y_ref[: n * n].reshape(n, n))
@@ -159,8 +150,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("rhs", ["bilinear", "riccati"])
     def test_result_reports_the_steps_run(self, rhs, monkeypatch):
         # a benchmark tracer counts calls of the module's right sides and
-        # reads len(result) and result[-1]; 0.55 at dt 0.1 takes 5 full steps
-        # and one partial step
+        # reads len(result) and result[-1] = (t, (Q, r)); 0.55 at dt 0.1 takes
+        # 5 full steps and one partial step
         calls = []
         right = getattr(laxflow, f"rhs_{rhs}")
 
@@ -176,7 +167,12 @@ class TestIntegrate:
         assert len(calls) == 4 * steps
         t, state = samples[-1]
         assert t == 0.55
-        assert np.array_equal(build_L(state, xi.a0), split_orthogonal(samples.Qs, samples.rs, xi.a0, 0.0, 0.0)[-1])
+        # on the stacks, each builder gives every sample's matrix, with the bits of a call on that sample
+        for build in (build_L, build_M):
+            series = build((samples.Qs, samples.rs), xi.a0)
+            assert np.array_equal(series[-1], build(state, xi.a0))
+            for i, matrix in enumerate(series):
+                assert np.array_equal(matrix, build(samples[i][1], xi.a0))
 
     @pytest.mark.parametrize("t_end, dt", [(math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)])
     def test_non_finite_times_rejected(self, t_end, dt):
@@ -229,21 +225,21 @@ class TestAssembly:
     def test_lax_pair_layout_and_membership(self):
         rng = np.random.default_rng(114)
         n = 2
-        state = LaxState(Q=rng.standard_normal((n, n)), r=rng.standard_normal(n))
+        q, r = rng.standard_normal((n, n)), rng.standard_normal(n)
         a0 = rng.standard_normal(n)
-        l_mat, m_mat = build_L(state, a0), build_M(state, a0)
-        assert np.array_equal(l_mat[:n, :n], -state.Q)
-        assert np.array_equal(l_mat[:n, n], state.r)
+        l_mat, m_mat = build_L((q, r), a0), build_M((q, r), a0)
+        assert np.array_equal(l_mat[:n, :n], -q)
+        assert np.array_equal(l_mat[:n, n], r)
         assert np.array_equal(m_mat[:n, n], np.zeros(n))
         # both lie in the split orthogonal algebra exactly
         assert np.array_equal(sigma_algebra(l_mat), l_mat)
         assert np.array_equal(sigma_algebra(m_mat), m_mat)
-        back = state_from_L(l_mat)
-        assert np.array_equal(back.Q, state.Q) and np.array_equal(back.r, state.r)
+        q_back, r_back = state_from_L(l_mat)
+        assert np.array_equal(q_back, q) and np.array_equal(r_back, r)
 
     def test_trace_free(self):
         rng = np.random.default_rng(115)
-        state = LaxState(Q=rng.standard_normal((3, 3)), r=rng.standard_normal(3))
+        state = rng.standard_normal((3, 3)), rng.standard_normal(3)
         l_mat = build_L(state, rng.standard_normal(3))
         assert abs(np.trace(l_mat)) <= 1e-14 * max(1.0, np.linalg.norm(l_mat))
 
@@ -277,28 +273,26 @@ class TestClosedForm:
     def test_matches_integrated_flow_scalar(self):
         xi = scalar_tangent()
         samples = integrate("bilinear", xi, 0.5, dt=1e-3)
-        t, state = samples[-1]
-        assert np.linalg.norm(build_L(state, xi.a0) - lax_closed_form(xi, t)) <= 1e-7
+        l_last = build_L((samples.Qs[-1], samples.rs[-1]), xi.a0)
+        assert np.linalg.norm(l_last - lax_closed_form(xi, samples.ts[-1])) <= 1e-7
 
     def test_matches_integrated_flow_random(self):
         rng = np.random.default_rng(118)
         for n in (1, 2, 3):
             xi = random_tangent(rng, n)
             samples = integrate("bilinear", xi, 1.0, dt=1e-3)
-            for t, state in (samples[i] for i in range(0, len(samples), 250)):
-                dev = np.linalg.norm(build_L(state, xi.a0) - lax_closed_form(xi, t))
-                assert dev <= 1e-6
+            ls = build_L((samples.Qs, samples.rs), xi.a0)
+            for t, l_mat in zip(samples.ts[::250], ls[::250]):
+                assert np.linalg.norm(l_mat - lax_closed_form(xi, t)) <= 1e-6
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_matches_integrated_flow_over_whole_interval(self, n):
         xi = _random_unit_tangent(n, np.random.default_rng(140 + n))
         samples = integrate("bilinear", xi, 2.0)
-        assert len(samples) == 2001
-        worst = max(
-            np.linalg.norm(build_L(state, xi.a0) - lax_closed_form(xi, t))
-            for t, state in (samples[i] for i in range(len(samples)))
-        )
-        print(f"n = {n}: RK4 vs closed form, worst over all {len(samples)} samples {worst:.3e}")
+        assert len(samples.ts) == 2001
+        ls = build_L((samples.Qs, samples.rs), xi.a0)
+        worst = max(np.linalg.norm(l_mat - lax_closed_form(xi, t)) for t, l_mat in zip(samples.ts, ls))
+        print(f"n = {n}: RK4 vs closed form, worst over all {len(samples.ts)} samples {worst:.3e}")
         assert worst <= 1e-10
 
     def test_pattern_residual_flags_junk(self):
@@ -306,12 +300,30 @@ class TestClosedForm:
         noise = rng.standard_normal((5, 5))
         assert lax_pattern_residual(noise, rng.standard_normal(2)) > 0.1
 
+    # one entry of each constrained part: the upper-right and lower-left blocks,
+    # the center, the a0 border row and column, the second r border, the trailing block
+    @pytest.mark.parametrize(
+        "entry",
+        [(0, 3), (3, 1), (2, 2), (2, 0), (4, 2), (2, 4), (3, 4)],
+        ids=["upper-right", "lower-left", "center", "a0-row", "a0-column", "r-row", "trailing"],
+    )
+    def test_pattern_residual_sees_each_constrained_part(self, entry):
+        # dyadic entries, so the perturbed residual is exactly the perturbation
+        rng = np.random.default_rng(122)
+        q, r, a0 = (rng.integers(-8, 8, shape) / 8.0 for shape in ((2, 2), 2, 2))
+        l_mat = build_L((q, r), a0)
+        assert lax_pattern_residual(l_mat, a0) == 0.0
+        eps = 2.0 ** -20
+        l_mat[entry] += eps
+        assert lax_pattern_residual(l_mat, a0) >= eps
+
     def test_pattern_holds_along_both_routes(self):
         rng = np.random.default_rng(120)
         xi = random_tangent(rng, 2)
         samples = integrate("bilinear", xi, 1.0, dt=1e-3)
-        for t, state in (samples[i] for i in range(0, len(samples), 250)):
-            assert lax_pattern_residual(build_L(state, xi.a0), xi.a0) <= 1e-8
+        ls = build_L((samples.Qs, samples.rs), xi.a0)
+        for t, l_mat in zip(samples.ts[::250], ls[::250]):
+            assert lax_pattern_residual(l_mat, xi.a0) <= 1e-8
             closed = lax_closed_form(xi, t)
             assert lax_pattern_residual(closed, xi.a0) <= 1e-8
             assert np.linalg.norm(sigma_algebra(closed) - closed) <= 1e-10

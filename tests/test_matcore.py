@@ -102,8 +102,8 @@ def test_matrix_utilities_live_in_matcore_only():
 
 
 PACKAGE_DIR = Path(gaussgeo.__file__).parent
-# test-only oracles, now in tests/util.py
-MOVED_TO_TESTS = ("ahm_step", "alt_embed_check", "direct_midpoint", "recovered_initial_direction", "state_from_L")
+# test-only oracles, now in tests/util.py, and LaxState, now the plain pair (Q, r)
+GONE_FROM_PACKAGE = ("ahm_step", "alt_embed_check", "direct_midpoint", "recovered_initial_direction", "state_from_L", "LaxState")
 
 
 def _names_used(source: str) -> set[str]:
@@ -124,7 +124,7 @@ def test_every_public_name_is_used_or_documented():
     readme = (PACKAGE_DIR.parents[1] / "README.md").read_text(encoding="utf-8")
     orphans = [name for name in gaussgeo.__all__ if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert orphans == []
-    for name in MOVED_TO_TESTS:
+    for name in GONE_FROM_PACKAGE:
         for path in [PACKAGE_DIR / "__init__.py", *modules]:
             module = importlib.import_module("gaussgeo" if path.stem == "__init__" else f"gaussgeo.{path.stem}")
             assert not hasattr(module, name), f"{module.__name__}.{name}"

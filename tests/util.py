@@ -4,7 +4,6 @@ import numpy as np
 
 from gaussgeo import AhmPair, GaussianPoint, Tangent, embed, tangent_norm
 from gaussgeo.ahm import _step
-from gaussgeo.laxflow import LaxState
 from gaussgeo.matcore import block_exchange, spd_sqrt, sym
 from gaussgeo.sympair import split_orthogonal
 
@@ -88,7 +87,7 @@ def recovered_initial_direction(traj, h):
 def state_from_L(l):
     """The state ``(Q, r)`` read back off a Lax matrix ``[[-Q, r, 0], ...]``."""
     n = (l.shape[0] - 1) // 2
-    return LaxState(Q=-l[:n, :n].copy(), r=l[:n, n].copy())
+    return -l[:n, :n].copy(), l[:n, n].copy()
 
 
 def gap_identity_residual(before, after):
