@@ -71,13 +71,13 @@ def build_M(state: tuple[np.ndarray, np.ndarray], a0: np.ndarray) -> np.ndarray:
 
 
 def rhs_bilinear(q: np.ndarray, r: np.ndarray, neg_a0: np.ndarray, dq: np.ndarray, dr: np.ndarray) -> None:
-    """Right side of the bilinear form, (-r a0^T, Q r), written into C-contiguous ``dq`` and ``dr``; takes ``-a0``."""
-    np.multiply(r[:, None], neg_a0, dq)
+    """Right side of the bilinear form, (-r a0^T, Q r), into C-contiguous ``dq`` and ``dr``; ``r``, ``dr`` are ``(n, 1)`` columns; takes ``-a0``."""
+    np.multiply(r, neg_a0, dq)
     np.dot(q, r, dr)
 
 
 def rhs_riccati(q: np.ndarray, r: np.ndarray, a0_sq: np.ndarray, two_a0a0: np.ndarray, dq: np.ndarray, dr: np.ndarray) -> None:
-    """Right side of the Riccati form, ((Q^2 - A0^2 - 2 a0 a0^T)/2, Q r), into C-contiguous ``dq``, ``dr``; takes A0^2, 2 a0 a0^T."""
+    """Right side of the Riccati form, ((Q^2 - A0^2 - 2 a0 a0^T)/2, Q r), into C-contiguous ``dq``, ``dr``; ``r``, ``dr`` are ``(n, 1)`` columns; takes A0^2, 2 a0 a0^T."""
     np.dot(q, q, dq)
     dq -= a0_sq
     dq -= two_a0a0
@@ -114,7 +114,10 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
     lands on ``t_end`` exactly (a final partial step is allowed).  Returns
     the stacked samples: every state is one row of a single array, filled
     step by step from preallocated stage and slope buffers, and ``Qs`` and
-    ``rs`` are views of its columns.
+    ``rs`` are views of its columns.  The right sides take ``r`` and write
+    ``dr`` as ``(n, 1)`` column views.  Each step adds the slopes in turn,
+    ``((k1 + 2 k2) + 2 k3) + k4``, so the samples have the bits of textbook
+    RK4, signed zeros included.
 
     Raises
     ------
@@ -149,33 +152,46 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
     times = [0.0]
     stage = np.empty(nn + n)
     ks = np.empty((4, nn + n))
-    k1, k2, k3, _ = ks
-    # the right sides write into fixed (Q, r) views of the slope rows; stages
-    # 2-4 read fixed views of the stage buffer, so their arguments are fixed too
-    first, *later = ((*coeffs, k[:nn].reshape(n, n), k[nn:]) for k in ks)
-    second, third, fourth = ((stage[:nn].reshape(n, n), stage[nn:], *d) for d in later)
+    k1, k2, k3, k4 = ks
+    mid = ks[1:3]
+    # the right sides write into fixed (Q, r) views of the slope rows, with r
+    # as an (n, 1) column; stages 2-4 read fixed views of the stage buffer, so
+    # their arguments are fixed too
+    first, *later = ((*coeffs, k[:nn].reshape(n, n), k[nn:].reshape(n, 1)) for k in ks)
+    second, third, fourth = ((stage[:nn].reshape(n, n), stage[nn:].reshape(n, 1), *d) for d in later)
+    add, multiply = np.add, np.multiply
+    # the step fractions as 0-d arrays, so no step converts a float
+    half, full, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
     t, stop = 0.0, t_end - 1e-12 * max(1.0, t_end)
     # overflow is handled by the finiteness checks, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        # each step takes its rows from one iterator; the buffer has a row for
+        # every step, so next() fails only on a broken bound
+        rows = enumerate(zip(ys, ys[1:], qs, rs[:, :, None]))
         while t < stop:
-            h = min(dt, t_end - t)
+            j, (y, y_next, q, r) = next(rows)
+            h = t_end - t
+            if h < dt:
+                half, full, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
+            else:
+                h = dt
             t = min(t + h, t_end)
-            j = len(times) - 1
-            y, y_next = ys[j], ys[j + 1]
-            right(qs[j], rs[j], *first)
-            np.add(y, np.multiply(k1, 0.5 * h, stage), stage)
+            right(q, r, *first)
+            add(y, multiply(k1, half, stage), stage)
             right(*second)
-            np.add(y, np.multiply(k2, 0.5 * h, stage), stage)
+            add(y, multiply(k2, half, stage), stage)
             right(*third)
-            np.add(y, np.multiply(k3, h, stage), stage)
+            add(y, multiply(k3, full, stage), stage)
             right(*fourth)
-            # y + (h/6) (((k1 + 2 k2) + 2 k3) + k4): the textbook order (the reduce
-            # adds the rows in turn), so the bits match a stepper that allocates
-            # every stage afresh
-            ks[1:3] *= 2.0
-            np.add.reduce(ks, axis=0, out=y_next)
-            y_next *= h / 6.0
-            np.add(y, y_next, y_next)
+            # y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), added in turn as the textbook
+            # writes it, so the bits (signed zeros included) match a stepper that
+            # allocates every stage afresh; 2 k = k + k exactly
+            add(mid, mid, mid)
+            add(k1, k2, y_next)
+            add(y_next, k3, y_next)
+            add(y_next, k4, y_next)
+            multiply(y_next, sixth, y_next)
+            add(y, y_next, y_next)
             times.append(t)
             # a non-finite entry stays non-finite in every later step, so the
             # newest row shows a blow-up and the steps after it can be skipped

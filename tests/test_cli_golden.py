@@ -1,4 +1,4 @@
-"""Golden outputs of every CLI subcommand at n = 1, 2, 3, and of ``verify`` at n = 5, 8.
+"""Golden outputs of every CLI subcommand at n = 1, 2, 3, of ``verify`` at n = 5, 8, and of ``lax`` on a signed zero.
 
 Each fixture under ``tests/golden/`` holds the argv, the input JSON, the exit
 code and the standard output of one run.  The test replays the run and
@@ -55,7 +55,7 @@ def _unit_tangent(rng, n):
 
 
 def _cases():
-    """(name, argv, input) for each subcommand at n = 1, 2, 3, and for ``verify`` at n = 5, 8, from fixed seeds."""
+    """(name, argv, input) for each subcommand at n = 1, 2, 3, and for ``verify`` at n = 5, 8, from fixed seeds; then ``lax_zero_n1``."""
     rng = np.random.default_rng(2024)
     out = []
     for n in (1, 2, 3):
@@ -78,6 +78,9 @@ def _cases():
     rng = np.random.default_rng(2025)
     for n in (5, 8):
         out.append((f"verify_n{n}", ["verify", "--seed", "7"], {"tangent": _unit_tangent(rng, n), "t_end": 0.1}))
+    # a stationary flow whose Q_11 is -0.0: the CSV keeps the sign at every sample
+    zero = {"n": 1, "A0": [[-0.0]], "a0": [0.0]}
+    out.append(("lax_zero_n1", ["lax", "--dt", "0.01"], {"tangent": zero, "t_end": 0.03}))
     return out
 
 

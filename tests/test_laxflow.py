@@ -17,10 +17,11 @@ def scalar_tangent(alpha=0.0, beta=1.0):
 
 
 def _rhs(right, state, *coeffs):
-    """Right side at the state ``(Q, r)``, written into a fresh pair."""
-    out = np.empty_like(state[0]), np.empty_like(state[1])
-    right(*state, *coeffs, *out)
-    return out
+    """Right side at the state ``(Q, r)``, written into a fresh pair; ``r`` and ``dr`` go in as ``(n, 1)`` columns."""
+    q, r = state
+    dq, dr = np.empty_like(q), np.empty_like(r)
+    right(q, r[:, None], *coeffs, dq, dr[:, None])
+    return dq, dr
 
 
 def _bilinear(state, a0):
@@ -80,6 +81,20 @@ class TestRightSides:
         dq, dr = _riccati((a_mat, np.zeros(2)), a_mat, np.zeros(2))
         assert np.linalg.norm(dq) <= 1e-14 and np.linalg.norm(dr) <= 1e-14
 
+    def test_whole_slopes_at_n3(self):
+        # every entry, bit for bit and sign of zero included, against the textbook formulas
+        rng = np.random.default_rng(123)
+        n = 3
+        q, r, a0 = rng.standard_normal((n, n)), rng.standard_normal(n), rng.standard_normal(n)
+        r[1] = 0.0
+        a_mat = random_sym(rng, n)
+        dq, dr = _bilinear((q, r), a0)
+        assert dq.tobytes() == (-np.outer(r, a0)).tobytes()
+        assert dr.tobytes() == (q @ r).tobytes()
+        dq, dr = _riccati((q, r), a_mat, a0)
+        assert dq.tobytes() == (0.5 * (q @ q - a_mat @ a_mat - 2.0 * np.outer(a0, a0))).tobytes()
+        assert dr.tobytes() == (q @ r).tobytes()
+
     def test_riccati_matches_bilinear_at_shared_start(self):
         dq1, dr1 = _bilinear((np.zeros((1, 1)), np.array([1.0])), np.array([1.0]))
         dq2, dr2 = _riccati((np.zeros((1, 1)), np.array([1.0])), np.zeros((1, 1)), np.array([1.0]))
@@ -138,14 +153,20 @@ class TestIntegrate:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("t_end, dt", [(0.55, 0.1), (2.0, 0.01)])
     def test_bit_identical_to_textbook_rk4(self, rhs, n, t_end, dt):
-        xi = random_tangent(np.random.default_rng(130 + n), n)
-        samples = integrate(rhs, xi, t_end, dt=dt)
-        reference = _textbook_rk4(rhs, xi, t_end, dt)
-        assert len(samples.ts) == len(reference)
-        for t, q, r, (t_ref, y_ref) in zip(samples.ts, samples.Qs, samples.rs, reference):
-            assert t == t_ref
-            assert np.array_equal(q, y_ref[: n * n].reshape(n, n))
-            assert np.array_equal(r, y_ref[n * n:])
+        # compared as bytes, so a -0.0 that turns into +0.0 counts; the second
+        # tangent is a stationary flow (no coupling) whose exact solution keeps
+        # the -0.0 entry of A0
+        rng = np.random.default_rng(130 + n)
+        moving = random_tangent(rng, n)
+        stationary = random_sym(rng, n)
+        stationary[0, 0] = -0.0
+        for xi in (moving, Tangent(stationary, np.zeros(n))):
+            samples = integrate(rhs, xi, t_end, dt=dt)
+            reference = _textbook_rk4(rhs, xi, t_end, dt)
+            ts, ys = np.array([t for t, _ in reference]), np.array([y for _, y in reference])
+            assert samples.ts.tobytes() == ts.tobytes()
+            assert samples.Qs.tobytes() == ys[:, : n * n].tobytes()
+            assert samples.rs.tobytes() == ys[:, n * n:].tobytes()
 
     @pytest.mark.parametrize("rhs", ["bilinear", "riccati"])
     def test_result_reports_the_steps_run(self, rhs, monkeypatch):
