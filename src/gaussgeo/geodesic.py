@@ -21,19 +21,19 @@ horizontal, so a damped Newton over ``S`` drives the vertical (skew ``R``)
 block of ``log G(S)`` to zero, with the Daleckii-Krein Jacobian of ``log``
 from one eigendecomposition of ``G(S)`` per iteration.  The horizontal part
 of that logarithm seeds a polish: damped Gauss-Newton shooting on the
-leading (n+1)-block of ``exp(V)``, whose Jacobian is the leading block of
-the Frechet derivative of ``exp`` by the same formula.  Each shooting trial
-takes one eigendecomposition of the generator; one whose norm exceeds
-``MAX_TRIAL_NORM`` (or is NaN) counts as a rejected step and halves the step
-length.  If the fibre route fails, shooting restarts from the chart guess
-``(log sigma, mu)`` with recursive path subdivision; that happens beyond
-paper norm about 20, where the explicitly formed ``G(S)`` spans more than
-double precision resolves and its smallest eigenvalues are rounding noise,
-while shooting exponentiates only the generator.  Only the converged
-solution is validated, by :func:`exp_map`'s checks on the exponential
-rebuilt from its last eigendecomposition.  The solver returns the
-solution found in its basin; no claim of global minimality is made when the
-connecting geodesic is not unique.
+leading (n+1)-block of ``exp(V)``, whose Jacobian comes by the same formula
+from one eigendecomposition of the generator per trial.  Both stages share
+one line search (:func:`_descend`), which halves the step from 1 down to
+2^-20; the Newton rejects a trial whose ``G(S)`` loses positivity or whose
+logarithm is longer than ``log G(0)``, the polish one whose generator norm
+exceeds ``MAX_TRIAL_NORM`` (or is NaN).  If the fibre route fails, shooting
+restarts from the chart guess ``(log sigma, mu)`` with recursive path
+subdivision; that happens beyond paper norm about 20, where the explicitly
+formed ``G(S)`` spans more than double precision resolves.  Only the
+converged solution is validated, by :func:`exp_map`'s checks on the
+exponential rebuilt from its last eigendecomposition.  The solver returns
+the solution found in its basin; no claim of global minimality is made when
+the connecting geodesic is not unique.
 """
 
 from __future__ import annotations
@@ -127,8 +127,9 @@ def _lifted_point(g: np.ndarray) -> GaussianPoint:
 
 def exp_map_from(p: GaussianPoint, xi: Tangent, t: float) -> GaussianPoint:
     """Geodesic from base point ``p``; ``xi`` lives in the normalized chart at ``p``."""
-    chart = normalize_to_identity(p)
-    return chart.inverse().apply(exp_map(xi, t))
+    if xi.n != p.n:
+        raise ValueError(f"tangent and base point must share a dimension, got n = {xi.n} and n = {p.n}")
+    return normalize_to_identity(p).inverse().apply(exp_map(xi, t))
 
 
 def ambient_exponentials(xi: Tangent, ts: np.ndarray) -> np.ndarray:
@@ -151,6 +152,8 @@ def trajectory(xi: Tangent, ts, basepoint: GaussianPoint | None = None) -> Geode
     NotSpdError
         If a sampled covariance is not positive definite.
     """
+    if basepoint is not None and xi.n != basepoint.n:
+        raise ValueError(f"tangent and base point must share a dimension, got n = {xi.n} and n = {basepoint.n}")
     w, u = sym_eigen(horizontal_lift(xi))
     return _sampled(w, u, ts, None if basepoint is None else normalize_to_identity(basepoint).inverse())
 
@@ -259,10 +262,9 @@ def _triu(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def _pack(xi: Tangent) -> np.ndarray:
-    n = xi.n
-    iu = _triu(n)
-    return np.concatenate([xi.A0[iu], xi.a0])
+def _pack(A0: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """The packed vector of the tangent ``(A0, a0)``: the upper triangle of ``A0`` (row-major), then ``a0``."""
+    return np.concatenate([A0[_triu(len(a0))], a0])
 
 
 def _unpack(vec: np.ndarray, n: int) -> Tangent:
@@ -325,42 +327,63 @@ def _residual_jacobian(w: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     return derivs.reshape(len(derivs), -1).T
 
 
-def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> Tangent:
-    """Damped Gauss-Newton shooting from the packed guess ``vec`` to the embedded ``target``; the converged tangent.
+def _descend(x: np.ndarray, start, evaluate, direction, limit: float, max_iter: int):
+    """Damped Newton from ``x``, already evaluated as ``start = (f, state)``; ``(x, |f|, state)`` of the last accepted point.
 
-    Each trial takes one eigendecomposition of its generator (:func:`_lifted`).
-    The converged tangent is validated once, by :func:`exp_map`'s checks
-    (:func:`_lifted_point`) on ``exp(V)`` rebuilt from the eigenpair of the
-    last accepted trial, whose generator is the one ``exp_map(xi, 1)`` would
-    exponentiate; no further eigendecomposition runs.  A stall, or a
-    solution that fails the validation, is a ``ShootingError``.
+    Each step tries ``x + alpha direction(f, state)`` for ``alpha = 1, 1/2, ...``
+    down to ``2**-20`` and takes the first trial that ``evaluate`` does not
+    reject (``None``) and whose ``f`` of ``evaluate(trial) = (f, state)`` is
+    shorter.  Stops at ``|f| <= limit``, after ``max_iter`` steps, when no
+    trial descends, or when ``direction`` returns ``None``.
     """
-    scale = max(1.0, float(np.linalg.norm(target)))
-    lifted = _lifted(vec, n)
-    if lifted is None:
-        raise ShootingError("shooting guess exceeds the exponent cap", residual=float("inf"))
-    w, u, h = lifted
-    f = (h - target).ravel()
+    f, state = start
     res = float(np.linalg.norm(f))
     for _ in range(max_iter):
-        if res <= tol * scale:
+        if res <= limit:
             break
-        step, *_ = np.linalg.lstsq(_residual_jacobian(w, u, n), -f, rcond=None)
+        step = direction(f, state)
+        if step is None:
+            break
         alpha = 1.0
         while alpha > 2.0 ** -20:
-            trial = vec + alpha * step
-            lifted = _lifted(trial, n)  # None: a rejected trial, beyond the exponent cap
-            if lifted is not None:
-                f_trial = (lifted[2] - target).ravel()
+            trial = x + alpha * step
+            evaluated = evaluate(trial)
+            if evaluated is not None:
+                f_trial, state_trial = evaluated
                 res_trial = float(np.linalg.norm(f_trial))
                 if res_trial < res:
-                    vec, f, res = trial, f_trial, res_trial
-                    w, u, _ = lifted
+                    x, f, res, state = trial, f_trial, res_trial, state_trial
                     break
             alpha *= 0.5
         else:
-            break  # no descent direction left; let the caller subdivide
-    if res > tol * scale:
+            break  # no descent left
+    return x, res, state
+
+
+def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> Tangent:
+    """Damped Gauss-Newton shooting from the packed guess ``vec`` to the embedded ``target``; the converged tangent.
+
+    Each trial takes one eigendecomposition of its generator (:func:`_lifted`),
+    and one beyond the exponent cap is rejected.  The converged tangent is
+    validated once, by :func:`exp_map`'s checks (:func:`_lifted_point`) on
+    ``exp(V)`` rebuilt from the eigenpair of the last accepted trial, the
+    generator ``exp_map(xi, 1)`` would exponentiate.  A stall, or a solution
+    that fails the validation, is a ``ShootingError``.
+    """
+    limit = tol * max(1.0, float(np.linalg.norm(target)))
+
+    def evaluate(trial):
+        lifted = _lifted(trial, n)
+        return None if lifted is None else ((lifted[2] - target).ravel(), lifted[:2])
+
+    def direction(f, eigenpair):
+        return np.linalg.lstsq(_residual_jacobian(*eigenpair, n), -f, rcond=None)[0]
+
+    start = evaluate(vec)
+    if start is None:
+        raise ShootingError("shooting guess exceeds the exponent cap", residual=float("inf"))
+    vec, res, (w, u) = _descend(vec, start, evaluate, direction, limit, max_iter)
+    if res > limit:
         raise ShootingError(f"shooting stalled at residual {res:.3e}", residual=res)
     try:
         # exp(V) of the last accepted trial, from its eigenpair: the generator is exp_map(xi, 1)'s
@@ -478,93 +501,59 @@ def _fibre_newton(qn: GaussianPoint, theta: np.ndarray, tol: float, max_iter: in
     rejected like a non-descent step when its ``G(S)`` loses positivity, or
     when ``log G(S)`` is longer than ``log G(0)``: the horizontal point is
     the point of the fibre nearest the identity, and far from it the
-    residual also decays as ``S`` runs off to infinity.  Stops at ``tol``
-    (relative to the norm of ``log G(0)``), after ``max_iter`` steps or when
-    the line search finds no descent; the polish makes the tangent exact.
-    For n = 1 there is no unknown and ``V = log G(0)``.
+    residual also decays as ``S`` runs off to infinity.  ``tol`` is relative
+    to the norm of ``log G(0)``; the polish makes the tangent exact.  For
+    n = 1 there is no unknown and ``V = log G(0)``.
     """
     s = np.zeros(qn.n * (qn.n - 1) // 2)
     lifted = _fibre_log(qn, theta, s)
     if lifted is None:
         raise ShootingError("fibre point lost positivity", residual=float("inf"))
-    m, d, w, u, v = lifted
-    f = _vertical_part(v)
-    res = float(np.linalg.norm(f))
-    length = float(np.linalg.norm(v))
-    scale = max(1.0, length)
-    for _ in range(max_iter):
-        if res <= tol * scale:
-            break
+    length = float(np.linalg.norm(lifted[4]))
+
+    def evaluate(trial):
+        lifted = _fibre_log(qn, theta, trial)
+        # rejected trials: G(S) lost positivity (None), or log G(S) grew longer than log G(0)
+        if lifted is None or not np.linalg.norm(lifted[4]) <= length:
+            return None
+        return _vertical_part(lifted[4]), lifted
+
+    def direction(f, lifted):
         try:
-            step = np.linalg.solve(_fibre_jacobian(m, d, w, u), -f)
+            return np.linalg.solve(_fibre_jacobian(*lifted[:4]), -f)
         except np.linalg.LinAlgError:
-            break  # a singular Jacobian: the polish takes over from here
-        alpha = 1.0
-        while alpha > 2.0 ** -20:
-            trial = s + alpha * step
-            lifted = _fibre_log(qn, theta, trial)
-            # rejected trials: G(S) lost positivity (None), or log G(S) grew longer than log G(0)
-            if lifted is not None and np.linalg.norm(lifted[4]) <= length:
-                f_trial = _vertical_part(lifted[4])
-                res_trial = float(np.linalg.norm(f_trial))
-                if res_trial < res:
-                    s, f, res = trial, f_trial, res_trial
-                    m, d, w, u, v = lifted
-                    break
-            alpha *= 0.5
-        else:
-            break  # no descent left; the polish takes over from here
-    return s, v
+            return None  # a singular Jacobian: the polish takes over from here
 
-
-def _log_normalized(qn: GaussianPoint, tol: float, max_iter: int) -> Tangent:
-    """The fibre route: Newton on the skew block, then :func:`_shoot` from its horizontal part.
-
-    On a ``ShootingError`` it falls back to :func:`_log_subdivided`, which
-    never forms ``G(S)``: far targets whose ``G(S)`` is beyond double
-    precision fail the fibre route by rounding, and the fallback solves many.
-    """
-    n = qn.n
-    target = embed(qn)
-    try:
-        _, v = _fibre_newton(qn, target[:n, :n], tol, max_iter)
-        return _shoot(target, _pack(Tangent(A0=sym(-v[:n, :n]), a0=v[:n, n])), n, tol, max_iter)
-    except ShootingError:
-        return _log_subdivided(qn, tol, max_iter)
+    s, _, lifted = _descend(s, (_vertical_part(lifted[4]), lifted), evaluate, direction, tol * max(1.0, length), max_iter)
+    return s, lifted[4]
 
 
 def _log_subdivided(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8) -> Tangent:
     """Shooting from the chart guess ``(log sigma, mu)``, with recursive path subdivision on failure."""
     target = embed(qn)
+    log_sigma = spd_log(qn.sigma)
     try:
-        return _shoot(target, _pack(Tangent(A0=spd_log(qn.sigma), a0=qn.mu)), qn.n, tol, max_iter)
+        return _shoot(target, _pack(log_sigma, qn.mu), qn.n, tol, max_iter)
     except ShootingError:
         if depth <= 0:
             raise
     # Path subdivision: solve toward a halfway target on a cheap connecting
     # curve, then retry the full problem from the doubled tangent.
-    half = GaussianPoint(sym_exp(0.5 * spd_log(qn.sigma)), 0.5 * qn.mu)
+    half = GaussianPoint(sym_exp(0.5 * log_sigma), 0.5 * qn.mu)
     xi_half = _log_subdivided(half, tol, max_iter, depth - 1)
-    return _shoot(target, 2.0 * _pack(xi_half), qn.n, tol, max_iter)
+    return _shoot(target, 2.0 * _pack(xi_half.A0, xi_half.a0), qn.n, tol, max_iter)
 
 
-def log_map(
-    p: GaussianPoint,
-    q: GaussianPoint,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> Tangent:
+def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = 1e-12, max_iter: int = 100) -> Tangent:
     """Initial direction (in the normalized chart at ``p``) of the geodesic reaching ``q`` at time 1.
 
     Damped Newton in the fibre of the lift over ``q`` (the skew block ``S``
     of ``G(S)``, until the vertical part of ``log G(S)`` vanishes), then
     damped Gauss-Newton shooting on the lifted residual from the horizontal
-    part of that logarithm, both with Daleckii-Krein Jacobians; converged
-    when the shooting residual drops below ``tol`` times the target scale.
-    ``tol`` and ``max_iter`` govern both stages.  A shooting trial beyond
-    ``MAX_TRIAL_NORM``, and a Newton trial whose ``G(S)`` loses positivity or
-    whose logarithm grows longer than ``log G(0)``, are rejected like
-    non-descent steps.  If the fibre route fails (a stall, or a solution
+    part of that logarithm, both through the line search and trial
+    rejections of the module docstring; converged when the shooting residual
+    drops below ``tol`` times the target scale.  ``tol`` and ``max_iter``
+    govern both stages.  If the fibre route fails (a stall, or a solution
     that fails :func:`exp_map`'s validation), shooting restarts from
     ``(log sigma, mu)`` with recursive path subdivision.
 
@@ -581,13 +570,20 @@ def log_map(
     if p.n != q.n:
         raise ValueError(f"points must share a dimension, got n = {p.n} and n = {q.n}")
     _require_iteration(tol, max_iter)
-    chart = normalize_to_identity(p)
-    return _log_normalized(chart.apply(q), tol, max_iter)
+    qn = normalize_to_identity(p).apply(q)
+    n = qn.n
+    target = embed(qn)
+    try:
+        _, v = _fibre_newton(qn, target[:n, :n], tol, max_iter)
+        return _shoot(target, _pack(sym(-v[:n, :n]), v[:n, n]), n, tol, max_iter)
+    except ShootingError:
+        return _log_subdivided(qn, tol, max_iter)
 
 
-def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", **opts) -> float:
-    """Geodesic distance: the metric norm of the connecting log tangent; an unknown convention fails before the solve."""
+def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", tol: float = 1e-12, max_iter: int = 100) -> float:
+    """Geodesic distance: the metric norm of :func:`log_map`'s tangent; bad options fail before the solve, also for ``p == q``."""
     _metric_scale(convention)
+    _require_iteration(tol, max_iter)
     if p.close_to(q):
         return 0.0
-    return tangent_norm(log_map(p, q, **opts), convention)
+    return tangent_norm(log_map(p, q, tol, max_iter), convention)

@@ -145,9 +145,9 @@ def unembed(h: np.ndarray) -> GaussianPoint:
         its corner entry is inconsistent with the leading blocks beyond
         ``CONSISTENCY_TOL`` (scaled): the input does not represent a normal distribution.
     """
+    if np.shape(h) in ((0, 0), (1, 1)):
+        raise ValueError(f"embedded point must have order >= 2, got {len(h)}")
     h = require_symmetric(h, tol=1e-10, name="embedded point")
-    if h.shape[0] < 2:
-        raise ValueError(f"embedded point must have order >= 2, got {h.shape[0]}")
     require_spd(h[:-1, :-1], name="leading block")
     return GaussianPoint(*read_embedded(h))
 

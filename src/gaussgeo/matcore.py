@@ -89,10 +89,12 @@ def _require_iteration(tol: float, max_iter: int) -> None:
 
 
 def _matrices(a, name: str, ndim: int = 2) -> np.ndarray:
-    """``a`` as a float array of square matrices: one matrix, or (``ndim`` 3) a stack of them."""
+    """``a`` as a float array of square matrices of order >= 1: one matrix, or (``ndim`` 3) a stack of them."""
     a = np.asarray(a, dtype=float)
     if not 2 <= a.ndim <= ndim or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not a.shape[-1]:
+        raise ValueError(f"{name} must have order >= 1, got shape {a.shape}")
     return a
 
 

@@ -86,6 +86,12 @@ class TestAhmPair:
         with pytest.raises(NotSpdError, match=f"^{which} is not positive definite$"):
             AhmPair(**arrays)
 
+    @pytest.mark.parametrize("call", ["AhmPair", "ahm_midpoint"])
+    def test_rejects_order_zero(self, call):
+        empty = np.zeros((0, 0))
+        with pytest.raises(ValueError, match=r"^P must have order >= 1, got shape \(0, 0\)$"):
+            {"AhmPair": AhmPair, "ahm_midpoint": ahm_midpoint}[call](empty, empty)
+
     def test_keeps_read_only_copies(self):
         p = np.diag([4.0, 1.0])
         pair = AhmPair(P=p, Q=np.eye(2))
@@ -492,6 +498,9 @@ def test_log_tolerance_must_be_positive_and_finite(tol):
         log_map(p, q, tol=tol)
     with pytest.raises(ValueError, match="^tol must be a positive finite number"):
         distance(p, q, tol=tol)
+    # coincident points take distance's shortcut, after the same check
+    with pytest.raises(ValueError, match=f"^tol must be a positive finite number, got {tol!r}$"):
+        distance(p, p, tol=tol)
 
 
 ITERATIONS = {
@@ -500,10 +509,12 @@ ITERATIONS = {
     "ahm_sequence": lambda p, q, **opts: ahm_sequence(embed(p), embed(q), **opts),
     "interpolate": lambda p, q, **opts: interpolate(p, q, 2, **opts),
     "midpoint_N": midpoint_N,
+    "distance-coincident": lambda p, q, **opts: distance(p, p, **opts),
 }
 
 
-@pytest.mark.parametrize("op", sorted(set(ITERATIONS) - {"log_map"}))  # log_map's: the test above
+# log_map's and distance's: the test above
+@pytest.mark.parametrize("op", sorted(set(ITERATIONS) - {"log_map", "distance-coincident"}))
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
 def test_iteration_tolerance_must_be_positive_and_finite(op, tol):
     # an infinite tol would accept the first iterate (the arithmetic mean at ahm_midpoint),
@@ -519,6 +530,14 @@ def test_iteration_cap_must_be_a_positive_integer(op, max_iter):
     p, q = GaussianPoint.identity(2), GaussianPoint(np.diag([4.0, 1.0]), np.ones(2))
     with pytest.raises(ValueError, match=f"^max_iter must be a positive integer, got {max_iter!r}$"):
         ITERATIONS[op](p, q, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("coincident", [False, True])
+def test_distance_rejects_unknown_options(coincident):
+    p = GaussianPoint.identity(2)
+    q = p if coincident else GaussianPoint(np.diag([4.0, 1.0]), np.ones(2))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'foo'"):
+        distance(p, q, foo=1)
 
 
 def test_iteration_cap_takes_numpy_integers():

@@ -1,4 +1,4 @@
-"""Log-map envelope along the norm axis: n in {1, 2, 3, 5, 8} x paper norm {4, 8, 12, 16}.
+"""Log-map and midpoint envelope along the norm axis: n in {1, 2, 3, 5, 8} x paper norm {4, 8, 12, 16}.
 
 Eight seeded targets per cell, each ``q = exp_map(xi, 1)`` from the identity
 point.  A target counts as solved when ``log_map`` returns a tangent whose
@@ -7,6 +7,14 @@ target must be solved, and at norm 16 at least ``NORM16_MIN`` of each cell.
 The counts are printed with the number of targets on which the fibre route
 failed and the chart-guess fallback took over.  Failures anywhere must be
 ``ShootingError`` and no numpy ``RuntimeWarning`` may be raised.
+
+The same targets test ``midpoint_N`` (it draws nothing from the generator):
+a midpoint is good when it agrees with ``exp_map(xi, 0.5)`` (1e-8 relative,
+embedded).  Up to norm 8 every midpoint must be good; at norms 12 and 16 the
+counts are printed.  Beyond norm 8 the mean iteration's limit leaves the
+exchange-symmetric slice by more than ``SYM_TOL`` (1e-10, relative) as the
+lifted points grow ill-conditioned, so ``midpoint_N`` raises an
+``ArithmeticError`` on points that agree with the exponential to 1e-10.
 """
 
 import warnings
@@ -14,7 +22,7 @@ import warnings
 import numpy as np
 
 import gaussgeo.geodesic as geodesic
-from gaussgeo import GaussianPoint, ShootingError, embed, exp_map, log_map
+from gaussgeo import GaussianPoint, ShootingError, embed, exp_map, log_map, midpoint_N
 from util import random_tangent
 
 NS = (1, 2, 3, 5, 8)
@@ -22,6 +30,7 @@ NORMS = (4.0, 8.0, 12.0, 16.0)
 TARGETS = 8
 ASSERTED_NORM = 12.0  # cells up to this norm must solve every target
 NORM16_MIN = 7  # and every norm-16 cell at least this many
+MIDPOINT_NORM = 8.0  # cells up to this norm must give every midpoint
 
 
 def solved(n, xi):
@@ -34,6 +43,15 @@ def solved(n, xi):
     return np.linalg.norm(embed(exp_map(rec, 1.0)) - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
+def good_midpoint(n, xi):
+    try:
+        mid = midpoint_N(GaussianPoint.identity(n), exp_map(xi, 1.0))
+    except ArithmeticError:  # the slice check of the mean-iteration limit
+        return False
+    ref = embed(exp_map(xi, 0.5))
+    return np.linalg.norm(embed(mid) - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
 def test_norm_sweep(monkeypatch):
     fallbacks = []
     real = geodesic._log_subdivided
@@ -44,22 +62,27 @@ def test_norm_sweep(monkeypatch):
 
     monkeypatch.setattr(geodesic, "_log_subdivided", counting)
     rng = np.random.default_rng(42)
-    counts, fell_back = {}, {}
+    counts, fell_back, midpoints = {}, {}, {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for norm in NORMS:
             for n in NS:
-                counts[norm, n] = fell_back[norm, n] = 0
+                counts[norm, n] = fell_back[norm, n] = midpoints[norm, n] = 0
                 for _ in range(TARGETS):
+                    xi = random_tangent(rng, n, norm=norm)
                     before = len(fallbacks)
-                    counts[norm, n] += solved(n, random_tangent(rng, n, norm=norm))
+                    counts[norm, n] += solved(n, xi)
                     fell_back[norm, n] += len(fallbacks) > before
+                    midpoints[norm, n] += good_midpoint(n, xi)
     for norm in NORMS:
         print(
             f"norm {norm:g}: "
             + ", ".join(f"n={n} {counts[norm, n]}/{TARGETS} (fallback {fell_back[norm, n]})" for n in NS)
         )
+        print(f"norm {norm:g} midpoints: " + ", ".join(f"n={n} {midpoints[norm, n]}/{TARGETS}" for n in NS))
     short = {cell: c for cell, c in counts.items() if cell[0] <= ASSERTED_NORM and c < TARGETS}
     assert not short, f"unsolved targets within the asserted envelope: {short}"
     short = {cell: c for cell, c in counts.items() if cell[0] > ASSERTED_NORM and c < NORM16_MIN}
     assert not short, f"too few solved targets at norm 16: {short}"
+    short = {cell: c for cell, c in midpoints.items() if cell[0] <= MIDPOINT_NORM and c < TARGETS}
+    assert not short, f"midpoints off the geodesic within the asserted envelope: {short}"

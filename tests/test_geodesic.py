@@ -166,6 +166,13 @@ class TestExpMapFrom:
         assert np.linalg.norm(a.sigma - b.sigma) <= 1e-13
         assert np.linalg.norm(a.mu - b.mu) <= 1e-13
 
+    @pytest.mark.parametrize("call", ["exp_map_from", "trajectory"])
+    def test_rejects_a_tangent_of_another_dimension(self, call):
+        p, xi = GaussianPoint.identity(3), Tangent.zero(2)
+        run = {"exp_map_from": lambda: exp_map_from(p, xi, 1.0), "trajectory": lambda: trajectory(xi, [0.0, 1.0], basepoint=p)}
+        with pytest.raises(ValueError, match="^tangent and base point must share a dimension, got n = 2 and n = 3$"):
+            run[call]()
+
     def test_scalar_conjugation(self):
         p = GaussianPoint(np.array([[4.0]]), np.array([0.0]))
         xi = Tangent(np.array([[1.0]]), np.array([0.0]))
@@ -431,7 +438,8 @@ class TestShootingJacobian:
     def test_matches_central_differences(self, n):
         rng = np.random.default_rng(60 + n)
         for norm in (0.5, 2.0, 6.0):
-            vec = _pack(random_tangent(rng, n, norm=norm))
+            xi = random_tangent(rng, n, norm=norm)
+            vec = _pack(xi.A0, xi.a0)
             exact = _residual_jacobian(*_lifted(vec, n)[:2], n)
             oracle = central_difference_jacobian(vec, n)
             assert exact.shape == oracle.shape == ((n + 1) ** 2, vec.size)
@@ -440,7 +448,7 @@ class TestShootingJacobian:
     def test_repeated_eigenvalues(self):
         # A scalar-variance direction with a0 = 0 has a triply repeated
         # spectrum; the divided differences must take their limit there.
-        vec = _pack(Tangent(np.eye(2), np.zeros(2)))
+        vec = _pack(np.eye(2), np.zeros(2))
         exact = _residual_jacobian(*_lifted(vec, 2)[:2], 2)
         assert np.all(np.isfinite(exact))
         assert np.linalg.norm(exact - central_difference_jacobian(vec, 2)) <= 1e-7 * np.linalg.norm(exact)
@@ -572,7 +580,8 @@ class TestLiftedShooting:
 
     def test_lifted_rejects_nan_and_beyond_cap(self):
         rng = np.random.default_rng(71)
-        vec = _pack(random_tangent(rng, 2, norm=1.0))
+        xi = random_tangent(rng, 2, norm=1.0)
+        vec = _pack(xi.A0, xi.a0)
         assert _lifted(np.full_like(vec, np.nan), 2) is None
         assert _lifted(40.5 * vec, 2) is None
         assert _lifted(39.5 * vec, 2) is not None

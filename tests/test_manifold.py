@@ -21,6 +21,12 @@ def test_gaussian_point_rejects_non_finite(bad):
         GaussianPoint(np.eye(2), np.array([bad, 0.0]))
 
 
+@pytest.mark.parametrize("cls, name", [(GaussianPoint, "sigma"), (Tangent, "A0")])
+def test_constructors_reject_order_zero(cls, name):
+    with pytest.raises(ValueError, match=rf"^{name} must have order >= 1, got shape \(0, 0\)$"):
+        cls(np.zeros((0, 0)), np.zeros(0))
+
+
 class TestTangentBoundary:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_a0(self, bad):

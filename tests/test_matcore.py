@@ -57,13 +57,20 @@ class TestSymEigen:
 
 
 def _bad(order, kind):
-    """An order-``order`` SPD-looking matrix made asymmetric, or given a non-finite entry."""
+    """An order-``order`` SPD-looking matrix made asymmetric, or given a non-finite entry; or an order-0 matrix."""
+    if kind == "empty":
+        return np.zeros((0, 0))
     a = np.eye(order)
     if kind == "asymmetric":
         a[0, 1] = 0.5
     else:
         a[0, 0] = {"nan": math.nan, "inf": math.inf}[kind]
     return a
+
+
+def _bad_stack(order, kind):
+    """A good matrix, then a bad one; for ``"empty"`` a stack of two order-0 matrices."""
+    return np.zeros((2, 0, 0)) if kind == "empty" else np.array([np.eye(order), _bad(order, kind)])
 
 
 # Every public entry that takes a raw matrix, with a call that feeds it the bad one.
@@ -75,20 +82,24 @@ PUBLIC_ENTRIES = {
     "parse_tangent": lambda kind: parse_tangent({"n": 2, "A0": _bad(2, kind).tolist(), "a0": [0.0, 0.0]}),
     "block_cholesky": lambda kind: block_cholesky(_bad(3, kind)),
     "check_special_symmetry": lambda kind: check_special_symmetry(_bad(3, kind)),
-    "check_special_symmetry-stack": lambda kind: check_special_symmetry(np.array([np.eye(3), _bad(3, kind)])),
+    "check_special_symmetry-stack": lambda kind: check_special_symmetry(_bad_stack(3, kind)),
     "submersion_project": lambda kind: submersion_project(_bad(3, kind)),
-    "submersion_project-stack": lambda kind: submersion_project(np.array([np.eye(3), _bad(3, kind)])),
+    "submersion_project-stack": lambda kind: submersion_project(_bad_stack(3, kind)),
     "unembed": lambda kind: unembed(_bad(2, kind)),
     "ahm_midpoint": lambda kind: ahm_midpoint(_bad(2, kind), np.eye(2)),
     "ahm_sequence": lambda kind: ahm_sequence(np.eye(2), _bad(2, kind)),
 }
 
 
-@pytest.mark.parametrize("kind", ["asymmetric", "nan", "inf"])
+@pytest.mark.parametrize("kind", ["asymmetric", "nan", "inf", "empty"])
 @pytest.mark.parametrize("entry", sorted(PUBLIC_ENTRIES))
 def test_public_entries_reject_bad_matrices(entry, kind):
     # The kernels trust their caller; the check runs once, where the array enters.
-    with pytest.raises(ValueError, match="symmetric|finite"):
+    # An order-0 matrix meets the CLI parsers' check of their positive ``n``, and unembed's of order >= 2, first.
+    match = "symmetric|finite"
+    if kind == "empty":
+        match = {"parse_point": "must be 2x2", "parse_tangent": "must be 2x2", "unembed": "order >= 2"}.get(entry, "order >= 1")
+    with pytest.raises(ValueError, match=match):
         PUBLIC_ENTRIES[entry](kind)
 
 

@@ -31,7 +31,7 @@ def lifted_cases(seed, n):
     rng = np.random.default_rng(seed)
     for norm in NORMS:
         xi = random_tangent(rng, n, norm=norm)
-        yield _pack(xi), horizontal_lift(xi)
+        yield _pack(xi.A0, xi.a0), horizontal_lift(xi)
 
 
 @pytest.mark.parametrize("n", NS)
