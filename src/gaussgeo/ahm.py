@@ -32,9 +32,12 @@ dyadic level at a time on stacked arrays: the iteration takes a leading
 stack axis and runs a level's pairs together, each member stopping at its
 own convergence (so it takes exactly the steps, and gives the bits, of a
 run on its pair alone); the interior points are slice-checked, projected
-and read out as one stack; and one eigendecomposition of the connecting
-generator gives both the lifted endpoint and the trajectory that
-cross-checks every point.
+and read out as one stack, with one corner test per point, and the
+points' constructor checks run once over the stacked covariances and
+means.  The log solve hands over its chart at ``p`` and the eigenpair of
+the connecting generator from its last accepted trial: the chart
+denormalizes the points, and the eigenpair gives both the lifted endpoint
+and the trajectory that cross-checks every point.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _first_failure, _frobenius, _require_count, _require_iteration, _require_memory, _spectral, require_spd, sym, sym_eigen
-from .manifold import GaussianPoint, _apply_stacked, normalize_to_identity, read_embedded
-from .geodesic import _sampled, log_map
-from .sympair import horizontal_lift, submersion_project
+from .matcore import _first_failure, _frobenius, _require_count, _require_iteration, _require_memory, _spectral, require_spd, sym
+from .manifold import GaussianPoint, _apply_stacked, _points, read_embedded
+from .geodesic import _log_solve, _sampled
+from .sympair import _projected
 
 AHM_TOL = 1e-12
 AHM_MAX_ITER = 60
@@ -82,34 +85,33 @@ def _step(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _iterates(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int):
     """Unchecked iterates of a stack of pairs ``(m, d, d)``, each member run to its first gap below ``tol`` (relative).
 
-    Yields ``(p, q, done)`` for the members still running, with the list
-    ``done`` marking those that stop at this iterate; they take no further
+    Yields ``(p, q, done)`` for the members still running, with the boolean
+    array ``done`` marking those that stop at this iterate; they take no further
     step, so each member takes exactly the steps it would take alone (the
     gaps round like ``np.linalg.norm`` of each matrix).  A member still
     apart after ``max_iter`` steps raises ``RuntimeError`` with its gap.
     """
     for k in range(max_iter + 1):
-        gaps = _frobenius(q - p).tolist()
-        done = [gap <= tol * max(1.0, norm) for gap, norm in zip(gaps, _frobenius(p).tolist())]
+        gaps = _frobenius(q - p)
+        done = gaps <= tol * np.maximum(1.0, _frobenius(p))
         yield p, q, done
-        if all(done):
+        if done.all():
             return
         if k < max_iter:
-            if any(done):
-                keep = np.logical_not(done)
+            if done.any():
+                keep = ~done
                 p, q = p[keep], q[keep]
             p, q = _step(p, q)
-    raise RuntimeError(f"mean iteration did not converge in {max_iter} steps (gap {gaps[done.index(False)]:.3e})")
+    raise RuntimeError(f"mean iteration did not converge in {max_iter} steps (gap {gaps[np.argmin(done)]:.3e})")
 
 
 def _mean(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     """Limits of the unchecked mean iteration from a stack of SPD pairs ``(m, d, d)``, member by member."""
     out, live = np.empty_like(p), np.arange(len(p))
     for p, q, done in _iterates(p, q, tol, max_iter):
-        if any(done):
-            stop = np.array(done)
-            out[live[stop]] = 0.5 * (p[stop] + q[stop])
-            live = live[~stop]
+        if done.any():
+            out[live[done]] = 0.5 * (p[done] + q[done])
+            live = live[~done]
     return out
 
 
@@ -148,17 +150,21 @@ def interpolate(
     """Dyadic geodesic interpolation: 2**depth + 1 points from ``p`` to ``q``.
 
     Endpoints are returned exactly.  Interior points come from one shared
-    solve: the connecting tangent is shot once, and one eigendecomposition
-    of its generator lifts the endpoints to the identity and its
-    exponential.  Each dyadic point is the mean-iteration midpoint of its
+    solve: the connecting tangent is shot once (with :func:`log_map`'s
+    defaults), and the eigendecomposition of its generator that the solve
+    validated lifts the endpoints to the identity and its exponential; the
+    solve's chart at ``p`` undoes the normalization.  Each dyadic point is the mean-iteration midpoint of its
     two lifted neighbours (points of one one-parameter group, so their
     geometric mean sits at the mean time); each level runs as one stacked
     iteration.  The interior points are then projected through the
     submersion as one stack, whose membership check verifies that each kept
-    the exchange symmetry, read off, and cross-checked against the
-    trajectory of the same tangent sampled from the same eigendecomposition,
-    an independent computation.  A failure of either check is an
-    ``ArithmeticError`` naming the first point that fails.  A ``depth`` or
+    the exchange symmetry, read off (one corner test per point serves the
+    projection and the read-out), and cross-checked against the trajectory
+    of the same tangent sampled from the same eigendecomposition, an
+    independent computation.  A failure of either check is an
+    ``ArithmeticError`` naming the first point that fails.  The returned
+    points are checked as one stack, like their constructor would check
+    each.  A ``depth`` or
     ``max_iter`` that is not a positive integer (a bool is not), a ``tol``
     that is not a positive finite number, and a depth whose lifted points
     could not fit in physical memory are ``ValueError``, raised first.
@@ -171,8 +177,8 @@ def interpolate(
     count = 2 ** depth
     if p.close_to(q):
         return [p] * count + [q]
-    xi = log_map(p, q)
-    w, u = sym_eigen(horizontal_lift(xi))
+    # log_map's defaults; its chart at p and its generator's eigenpair serve the rest
+    _, chart, w, u = _log_solve(p, q, 1e-12, 100)
     lifted = np.empty((count + 1, order, order))
     lifted[0], lifted[count] = np.eye(order), _spectral(u, np.exp(w))
     span = count
@@ -182,15 +188,15 @@ def interpolate(
         lifted[half::span] = _mean(lifted[0:count:span], lifted[span::span], tol, max_iter)
         span = half
     try:
-        projected = submersion_project(lifted[1:count])
+        projected, corner = _projected(lifted[1:count])
     except ValueError as exc:
         raise ArithmeticError(f"mean iteration limit does not project: {exc}") from exc
-    denorm = normalize_to_identity(p).inverse()
-    sigmas, mus = _apply_stacked(denorm, *read_embedded(projected))
+    denorm = chart.inverse()
+    sigmas, mus = _apply_stacked(denorm, *read_embedded(projected, residual=corner))
     reference = _sampled(w, u, np.arange(1, count) / count, denorm)
     deviation = np.linalg.norm(sigmas - reference.sigmas, axis=(1, 2)) + np.linalg.norm(mus - reference.mus, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(reference.sigmas, axis=(1, 2)))
     k = _first_failure(deviation <= MIDPOINT_CROSSCHECK_TOL * scale)
     if k is not None:
         raise ArithmeticError(f"mean-iteration point at t={reference.ts[k]:g} disagrees with the exponential by {deviation[k]:.3e}")
-    return [p, *map(GaussianPoint, sigmas, mus), q]
+    return [p, *_points(sigmas, mus), q]

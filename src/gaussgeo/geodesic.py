@@ -230,13 +230,7 @@ def geodesic_residual(traj: GeodesicTrajectory, h: float) -> float:
     returned value is the max over interior samples of the Frobenius norm of
     the covariance equation plus the norm of the mean equation.
     """
-    (s0, sm, sp), (mu0, mum, mup), sd, mud, sinv_sd, sinv_mud = _central_differences(traj, h)
-    sdd = (sp - 2.0 * s0 + sm) / (h * h)
-    mudd = (mup - 2.0 * mu0 + mum) / (h * h)
-    res_sigma = sdd + np.einsum("ti,tj->tij", mud, mud) - np.einsum("tik,tkj->tij", sd, sinv_sd)
-    res_mu = mudd - np.einsum("tik,tk->ti", sd, sinv_mud)
-    per_t = np.linalg.norm(res_sigma, axis=(1, 2)) + np.linalg.norm(res_mu, axis=1)
-    return float(np.max(per_t))
+    return _residual_from(_central_differences(traj, h), h)
 
 
 def first_integrals(traj: GeodesicTrajectory, h: float) -> tuple[float, float]:
@@ -246,7 +240,23 @@ def first_integrals(traj: GeodesicTrajectory, h: float) -> tuple[float, float]:
     the first recovered value) are constant on geodesics; returns their max
     deviations from the values at the earliest usable sample.
     """
-    _, (mu0, _, _), _, _, sinv_sd, a_series = _central_differences(traj, h)
+    return _drifts_from(_central_differences(traj, h))
+
+
+def _residual_from(differences, h: float) -> float:
+    """:func:`geodesic_residual` from the :func:`_central_differences` with step ``h``."""
+    (s0, sm, sp), (mu0, mum, mup), sd, mud, sinv_sd, sinv_mud = differences
+    sdd = (sp - 2.0 * s0 + sm) / (h * h)
+    mudd = (mup - 2.0 * mu0 + mum) / (h * h)
+    res_sigma = sdd + np.einsum("ti,tj->tij", mud, mud) - np.einsum("tik,tkj->tij", sd, sinv_sd)
+    res_mu = mudd - np.einsum("tik,tk->ti", sd, sinv_mud)
+    per_t = np.linalg.norm(res_sigma, axis=(1, 2)) + np.linalg.norm(res_mu, axis=1)
+    return float(np.max(per_t))
+
+
+def _drifts_from(differences) -> tuple[float, float]:
+    """:func:`first_integrals` from the :func:`_central_differences` of the trajectory."""
+    _, (mu0, _, _), _, _, sinv_sd, a_series = differences
     big_a = sinv_sd + np.einsum("i,tj->tij", a_series[0], mu0)
     drift_a = float(np.max(np.linalg.norm(a_series - a_series[0], axis=1)))
     drift_big_a = float(np.max(np.linalg.norm(big_a - big_a[0], axis=(1, 2))))
@@ -360,8 +370,11 @@ def _descend(x: np.ndarray, start, evaluate, direction, limit: float, max_iter: 
     return x, res, state
 
 
-def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> Tangent:
-    """Damped Gauss-Newton shooting from the packed guess ``vec`` to the embedded ``target``; the converged tangent.
+def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> tuple[Tangent, np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton shooting from the packed guess ``vec`` to the embedded ``target``.
+
+    Returns the converged tangent and the eigenpair ``(w, u)`` of its
+    generator, the one its validation exponentiated.
 
     Each trial takes one eigendecomposition of its generator (:func:`_lifted`),
     and one beyond the exponent cap is rejected.  The converged tangent is
@@ -390,7 +403,7 @@ def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: in
         _lifted_point(_spectral(u, np.exp(w)))
     except (ArithmeticError, ValueError) as exc:
         raise ShootingError(f"shooting solution failed validation: {exc}", residual=res) from exc
-    return _unpack(vec, n)
+    return _unpack(vec, n), w, u
 
 
 def _fibre_point(sigma: np.ndarray, mu: np.ndarray, skew: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -528,8 +541,8 @@ def _fibre_newton(qn: GaussianPoint, theta: np.ndarray, tol: float, max_iter: in
     return s, lifted[4]
 
 
-def _log_subdivided(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8) -> Tangent:
-    """Shooting from the chart guess ``(log sigma, mu)``, with recursive path subdivision on failure."""
+def _log_subdivided(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8) -> tuple[Tangent, np.ndarray, np.ndarray]:
+    """Shooting from the chart guess ``(log sigma, mu)``, with recursive path subdivision on failure; :func:`_shoot`'s result."""
     target = embed(qn)
     log_sigma = spd_log(qn.sigma)
     try:
@@ -540,8 +553,32 @@ def _log_subdivided(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8
     # Path subdivision: solve toward a halfway target on a cheap connecting
     # curve, then retry the full problem from the doubled tangent.
     half = GaussianPoint(sym_exp(0.5 * log_sigma), 0.5 * qn.mu)
-    xi_half = _log_subdivided(half, tol, max_iter, depth - 1)
+    xi_half = _log_subdivided(half, tol, max_iter, depth - 1)[0]
     return _shoot(target, 2.0 * _pack(xi_half.A0, xi_half.a0), qn.n, tol, max_iter)
+
+
+def _log_solve(p: GaussianPoint, q: GaussianPoint, tol: float, max_iter: int) -> tuple[Tangent, AffineMap, np.ndarray, np.ndarray]:
+    """:func:`log_map`'s checks and solve: ``(xi, chart, w, u)``.
+
+    ``chart`` is ``normalize_to_identity(p)``, the chart the tangent ``xi``
+    lives in, and ``(w, u)`` the eigenpair of the generator
+    ``horizontal_lift(xi)`` from the last accepted trial, whose ``exp(V)``
+    the solve has validated.  Callers that go on along the geodesic (the
+    midpoint path) use both instead of building them again.
+    """
+    if p.n != q.n:
+        raise ValueError(f"points must share a dimension, got n = {p.n} and n = {q.n}")
+    _require_iteration(tol, max_iter)
+    chart = normalize_to_identity(p)
+    qn = chart.apply(q)
+    n = qn.n
+    target = embed(qn)
+    try:
+        _, v = _fibre_newton(qn, target[:n, :n], tol, max_iter)
+        xi, w, u = _shoot(target, _pack(sym(-v[:n, :n]), v[:n, n]), n, tol, max_iter)
+    except ShootingError:
+        xi, w, u = _log_subdivided(qn, tol, max_iter)
+    return xi, chart, w, u
 
 
 def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = 1e-12, max_iter: int = 100) -> Tangent:
@@ -567,17 +604,7 @@ def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = 1e-12, max_iter: in
         number (an infinite one would accept the unconverged seed), or
         ``max_iter`` is not a positive integer.
     """
-    if p.n != q.n:
-        raise ValueError(f"points must share a dimension, got n = {p.n} and n = {q.n}")
-    _require_iteration(tol, max_iter)
-    qn = normalize_to_identity(p).apply(q)
-    n = qn.n
-    target = embed(qn)
-    try:
-        _, v = _fibre_newton(qn, target[:n, :n], tol, max_iter)
-        return _shoot(target, _pack(sym(-v[:n, :n]), v[:n, n]), n, tol, max_iter)
-    except ShootingError:
-        return _log_subdivided(qn, tol, max_iter)
+    return _log_solve(p, q, tol, max_iter)[0]
 
 
 def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", tol: float = 1e-12, max_iter: int = 100) -> float:

@@ -58,6 +58,9 @@ DEFAULT_DT = 1e-3
 CONSISTENCY_TOL = 1e-10
 # integrate looks at the newest state for a blow-up once per this many steps
 FINITE_CHECK_STEPS = 256
+# 0.5 as a 0-d array, so rhs_riccati converts no float per call
+_HALF = np.array(0.5)
+_HALF.flags.writeable = False
 
 
 def build_L(state: tuple[np.ndarray, np.ndarray], a0: np.ndarray) -> np.ndarray:
@@ -76,12 +79,19 @@ def rhs_bilinear(q: np.ndarray, r: np.ndarray, neg_a0: np.ndarray, dq: np.ndarra
     np.dot(q, r, dr)
 
 
-def rhs_riccati(q: np.ndarray, r: np.ndarray, a0_sq: np.ndarray, two_a0a0: np.ndarray, dq: np.ndarray, dr: np.ndarray) -> None:
-    """Right side of the Riccati form, ((Q^2 - A0^2 - 2 a0 a0^T)/2, Q r), into C-contiguous ``dq``, ``dr``; ``r``, ``dr`` are ``(n, 1)`` columns; takes A0^2, 2 a0 a0^T."""
-    np.dot(q, q, dq)
-    dq -= a0_sq
-    dq -= two_a0a0
-    dq *= 0.5
+def rhs_riccati(
+    q: np.ndarray, r: np.ndarray, a0_sq: np.ndarray, two_a0a0: np.ndarray, scratch: np.ndarray, dq: np.ndarray, dr: np.ndarray
+) -> None:
+    """Right side of the Riccati form, ((Q^2 - A0^2 - 2 a0 a0^T)/2, Q r), into C-contiguous ``dq``, ``dr``; ``r``, ``dr`` are ``(n, 1)`` columns; takes A0^2, 2 a0 a0^T.
+
+    The terms pass between ``dq`` and the ``(n, n)`` buffer ``scratch``, so
+    no ufunc writes into one of its inputs: numpy runs an aliased ufunc on a
+    one-element array about twice as slowly.
+    """
+    np.dot(q, q, scratch)
+    np.subtract(scratch, a0_sq, dq)
+    np.subtract(dq, two_a0a0, scratch)
+    np.multiply(scratch, _HALF, dq)
     np.dot(q, r, dr)
 
 
@@ -138,7 +148,7 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
     if rhs == "bilinear":
         right, coeffs = rhs_bilinear, (-xi.a0,)
     elif rhs == "riccati":
-        right, coeffs = rhs_riccati, (xi.A0 @ xi.A0, 2.0 * np.outer(xi.a0, xi.a0))
+        right, coeffs = rhs_riccati, (xi.A0 @ xi.A0, 2.0 * np.outer(xi.a0, xi.a0), np.empty((xi.n, xi.n)))
     else:
         raise ValueError(f"unknown right side {rhs!r}; expected 'bilinear' or 'riccati'")
     n = xi.n

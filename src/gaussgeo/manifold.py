@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _first_failure, _frobenius, require_spd, require_symmetric, spd_inv, spd_power, spd_sqrt, sym
+from .matcore import _first_failure, _frobenius, _positive, _symmetric, require_spd, require_symmetric, spd_inv, spd_power, spd_sqrt, sym
 
 # unembed accepts inputs produced by iterative algorithms, whose corner
 # entry carries accumulated error.
@@ -108,6 +108,32 @@ class Tangent:
         return t
 
 
+def _points(sigmas: np.ndarray, mus: np.ndarray) -> list[GaussianPoint]:
+    """The points of stacked covariances ``(T, n, n)`` and means ``(T, n)``, after the constructor's checks run once per stack.
+
+    The covariances are checked symmetric (at ``1e-10``) and positive
+    definite, the means finite vectors of length n, with the constructor's
+    error types and messages; an error names the first member that fails.
+    The points keep read-only views of the checked stacks and are not
+    checked again.
+    """
+    sigmas = _positive(_symmetric(sigmas, 1e-10, "sigma"), "sigma")
+    mus = np.array(mus, dtype=float)
+    if mus.shape != sigmas.shape[:-1]:
+        raise ValueError(f"mu must be a vector of length {sigmas.shape[-1]}, got shape {mus.shape[1:]}")
+    k = _first_failure(np.isfinite(mus).all(axis=-1))
+    if k is not None:
+        raise ValueError(f"mean must be finite, got {mus[k]}")
+    sigmas.flags.writeable = mus.flags.writeable = False
+    points = []
+    for sigma, mu in zip(sigmas, mus):
+        point = object.__new__(GaussianPoint)
+        object.__setattr__(point, "sigma", sigma)
+        object.__setattr__(point, "mu", mu)
+        points.append(point)
+    return points
+
+
 def embed(p: GaussianPoint) -> np.ndarray:
     """Natural-parameter embedding into SPD matrices of order n+1.
 
@@ -152,17 +178,18 @@ def unembed(h: np.ndarray) -> GaussianPoint:
     return GaussianPoint(*read_embedded(h))
 
 
-def read_embedded(h: np.ndarray, sigma: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def read_embedded(h: np.ndarray, sigma: np.ndarray | None = None, residual: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``(sigma, mu)`` of :func:`unembed` after its corner check alone, for a matrix or a stack of them.
 
     Callers ensure ``h`` is symmetric with an SPD leading block, and build
     the points.  ``sigma`` is the inverse of the leading block, whose
     eigenvalues must be positive (``NotSpdError`` otherwise); a caller that
-    already holds ``spd_inv(h[..., :n, :n])`` passes it as ``sigma``.  An
+    already holds ``spd_inv(h[..., :n, :n])`` passes it as ``sigma``, and
+    one that holds ``corner_residual(h)`` passes it as ``residual``.  An
     error names the first matrix of a stack that fails.
     """
     n = h.shape[-1] - 1
-    res = corner_residual(h)
+    res = corner_residual(h) if residual is None else residual
     scale = np.maximum(1.0, _frobenius(h))
     k = _first_failure(res <= CONSISTENCY_TOL * scale)
     if k is not None:

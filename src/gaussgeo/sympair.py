@@ -66,6 +66,11 @@ def submersion_project(g: np.ndarray) -> np.ndarray:
     :func:`check_special_symmetry`) and the corner identity of the projected
     block.  An error names the first point of a stack that fails either.
     """
+    return _projected(g)[0]
+
+
+def _projected(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`submersion_project` and the corner residual of its projection, which :func:`read_embedded` takes."""
     res = check_special_symmetry(g)
     g = np.asarray(g, dtype=float)
     n = (g.shape[-1] - 1) // 2
@@ -78,4 +83,4 @@ def submersion_project(g: np.ndarray) -> np.ndarray:
         if not np.ravel(on_slice)[k]:
             raise ValueError(f"input is not in the lifted submanifold: symmetry residual {np.ravel(res)[k]:.3e}")
         raise ValueError(f"projected block violates the corner identity: residual {np.ravel(corner)[k]:.3e}")
-    return h
+    return h, corner

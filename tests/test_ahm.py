@@ -299,11 +299,11 @@ class TestInterpolate:
     def test_one_shared_solve(self, monkeypatch):
         calls = []
 
-        def counting_log_map(*args, **kwargs):
+        def counting_solve(*args, **kwargs):
             calls.append(args)
-            return log_map(*args, **kwargs)
+            return geodesic._log_solve(*args, **kwargs)
 
-        monkeypatch.setattr(ahm_mod, "log_map", counting_log_map)
+        monkeypatch.setattr(ahm_mod, "_log_solve", counting_solve)
         rng = np.random.default_rng(48)
         for n in (1, 2, 3):
             p, q = random_point(rng, n), random_point(rng, n)
@@ -316,6 +316,17 @@ class TestInterpolate:
                 ref = exp_map_from(p, xi, k / 2 ** depth)
                 dev = np.linalg.norm(pt.sigma - ref.sigma) + np.linalg.norm(pt.mu - ref.mu)
                 assert dev <= 1e-10 * max(1.0, np.linalg.norm(ref.sigma))
+
+    def test_one_chart(self, monkeypatch):
+        # the solve's chart at p also denormalizes the interior points
+        charts = count_everywhere(monkeypatch, manifold, "normalize_to_identity")
+        rng = np.random.default_rng(56)
+        p, q = random_point(rng, 2), random_point(rng, 2)
+        midpoint_N(p, q)
+        assert len(charts) == 1
+        charts.clear()
+        interpolate(p, q, 3)
+        assert len(charts) == 1
 
     def test_coincident_points(self):
         rng = np.random.default_rng(49)
@@ -376,15 +387,15 @@ class TestInterpolate:
                 stray_exps.append(None)
             return exp_map(*args, **kwargs)
 
-        def flagged_log_map(*args, **kwargs):
+        def flagged_solve(*args, **kwargs):
             inside_log.append(None)
             try:
-                return log_map(*args, **kwargs)
+                return geodesic._log_solve(*args, **kwargs)
             finally:
                 inside_log.pop()
 
         monkeypatch.setattr(ahm_mod, "_sampled", counting_sampled)
-        monkeypatch.setattr(ahm_mod, "log_map", flagged_log_map)
+        monkeypatch.setattr(ahm_mod, "_log_solve", flagged_solve)
         for module in (ahm_mod, geodesic):
             monkeypatch.setattr(module, "exp_map", counting_exp_map, raising=False)
         rng = np.random.default_rng(53)
@@ -410,8 +421,8 @@ class TestInterpolate:
             interpolate(p, q, depth)
 
     def test_one_eigendecomposition_of_the_generator(self, monkeypatch):
-        # outside its log_map call, interpolate eigendecomposes the generator once: that
-        # eigenpair gives the lifted endpoint and the cross-check's trajectory
+        # outside its solve, interpolate eigendecomposes the generator not at all: the eigenpair
+        # of the solve's last accepted trial gives the lifted endpoint and the cross-check's trajectory
         rng = np.random.default_rng(54)
         p, q = random_point(rng, 2), random_point(rng, 2)
         generator = horizontal_lift(log_map(p, q))
@@ -423,19 +434,19 @@ class TestInterpolate:
                 generator_eighs.append(None)
             return real_eigh(a)
 
-        def flagged_log_map(*args, **kwargs):
+        def flagged_solve(*args, **kwargs):
             inside_log.append(None)
             try:
-                return log_map(*args, **kwargs)
+                return geodesic._log_solve(*args, **kwargs)
             finally:
                 inside_log.pop()
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(ahm_mod, "log_map", flagged_log_map)
+        monkeypatch.setattr(ahm_mod, "_log_solve", flagged_solve)
         for depth in (1, 3):
             generator_eighs.clear()
             interpolate(p, q, depth)
-            assert len(generator_eighs) == 1
+            assert len(generator_eighs) == 0
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_every_point_is_checked_on_the_slice(self, monkeypatch, k):

@@ -341,7 +341,7 @@ class TestLogMap:
         p, q = FAR_PAIRS["op71-n2"]
         qn = normalize_to_identity(p).apply(q)
         solves = count_calls(monkeypatch, "_log_subdivided")
-        xi = geodesic._log_subdivided(qn, 1e-12, 100)
+        xi = geodesic._log_subdivided(qn, 1e-12, 100)[0]
         assert len(solves) == 2
         ref = embed(qn)
         assert np.linalg.norm(embed(exp_map(xi, 1.0)) - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -461,7 +461,7 @@ class TestShootingJacobian:
         trials = count_calls(monkeypatch, "_lifted")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            xi = geodesic._log_subdivided(qn, 1e-12, 100)
+            xi = geodesic._log_subdivided(qn, 1e-12, 100)[0]
         assert any(trial is None for trial in trials)
         ref = embed(qn)
         assert np.linalg.norm(embed(exp_map(xi, 1.0)) - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -577,6 +577,30 @@ class TestLiftedShooting:
         log_map(p, q)
         assert len(solves) >= 1
         assert len(validations) == len(solves)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("norm", [1.0, 6.0])
+    def test_solve_returns_the_generator_eigenpair(self, n, norm):
+        # the midpoint path builds its lifted endpoint and cross-check from this eigenpair and
+        # chart, so they must have the bits of the ones it would otherwise build again
+        rng = np.random.default_rng(72 + n)
+        for _ in range(4):
+            p = random_point(rng, n)
+            q = exp_map_from(p, random_tangent(rng, n, norm=norm), 1.0)
+            xi, chart, w, u = geodesic._log_solve(p, q, 1e-12, 100)
+            w_ref, u_ref = matcore.sym_eigen(horizontal_lift(xi))
+            assert (w.tobytes(), u.tobytes()) == (w_ref.tobytes(), u_ref.tobytes())
+            reference = normalize_to_identity(p)
+            assert (chart.A.tobytes(), chart.b.tobytes()) == (reference.A.tobytes(), reference.b.tobytes())
+            solved = log_map(p, q)
+            assert (xi.A0.tobytes(), xi.a0.tobytes()) == (solved.A0.tobytes(), solved.a0.tobytes())
+
+    @pytest.mark.parametrize("pair", sorted(FAR_PAIRS))
+    def test_fallback_returns_the_generator_eigenpair(self, pair):
+        p, q = FAR_PAIRS[pair]
+        xi, w, u = geodesic._log_subdivided(normalize_to_identity(p).apply(q), 1e-12, 100)
+        w_ref, u_ref = matcore.sym_eigen(horizontal_lift(xi))
+        assert (w.tobytes(), u.tobytes()) == (w_ref.tobytes(), u_ref.tobytes())
 
     def test_lifted_rejects_nan_and_beyond_cap(self):
         rng = np.random.default_rng(71)

@@ -29,7 +29,7 @@ def _bilinear(state, a0):
 
 
 def _riccati(state, a_mat, a0):
-    return _rhs(rhs_riccati, state, a_mat @ a_mat, 2.0 * np.outer(a0, a0))
+    return _rhs(rhs_riccati, state, a_mat @ a_mat, 2.0 * np.outer(a0, a0), np.empty_like(a_mat))
 
 
 def _textbook_rk4(rhs, xi, t_end, dt):

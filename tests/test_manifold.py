@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gaussgeo import (
     normalize_to_identity,
     unembed,
 )
+from gaussgeo.manifold import _points
 from util import alt_embed_check, random_point, random_sym, random_tangent
 
 
@@ -25,6 +28,44 @@ def test_gaussian_point_rejects_non_finite(bad):
 def test_constructors_reject_order_zero(cls, name):
     with pytest.raises(ValueError, match=rf"^{name} must have order >= 1, got shape \(0, 0\)$"):
         cls(np.zeros((0, 0)), np.zeros(0))
+
+
+class TestStackedPoints:
+    """``manifold._points``: the constructor's checks, run once over stacked covariances and means."""
+
+    def stacks(self, seed=57, count=5, n=3):
+        rng = np.random.default_rng(seed)
+        points = [random_point(rng, n) for _ in range(count)]
+        return np.stack([x.sigma for x in points]), np.stack([x.mu for x in points])
+
+    def test_points_have_the_constructor_bits(self):
+        sigmas, mus = self.stacks()
+        built = _points(sigmas, mus)
+        for point, sigma, mu in zip(built, sigmas, mus):
+            reference = GaussianPoint(sigma, mu)
+            assert (point.sigma.tobytes(), point.mu.tobytes()) == (reference.sigma.tobytes(), reference.mu.tobytes())
+            assert not (point.sigma.flags.writeable or point.mu.flags.writeable)
+
+    @pytest.mark.parametrize("kind", ["indefinite", "asymmetric", "nan-sigma", "inf-mean", "nan-mean"])
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_bad_member_raises_the_constructor_error(self, kind, k):
+        # each check runs over the whole stack, in the constructor's order; a later member
+        # failing the same check with other values does not take over the message
+        sigmas, mus = self.stacks()
+        for member, size in ((4, 2.0), (k, 1.0)):
+            if kind == "indefinite":
+                sigmas[member] = np.diag([1.0, -size, 2.0])
+            elif kind == "asymmetric":
+                sigmas[member, 0, 1] += 1e-3 * size
+            elif kind == "nan-sigma":
+                sigmas[member, 1, 1] = np.nan if member == k else np.inf
+            else:
+                mus[member, 1] = np.inf if kind == "inf-mean" else np.nan
+                mus[member, 0] = mus[member, 0] if member == k else np.nan
+        with pytest.raises(ValueError) as expected:
+            GaussianPoint(sigmas[k], mus[k])
+        with pytest.raises(type(expected.value), match="^" + re.escape(str(expected.value)) + "$"):
+            _points(sigmas, mus)
 
 
 class TestTangentBoundary:
