@@ -7,8 +7,8 @@ For SPD matrices the simultaneous recursion
 converges quadratically, from both sides in the definite order, to the
 matrix geometric mean of the initial pair, which is the midpoint of the
 connecting geodesic in the affine-invariant geometry.  The harmonic mean is
-formed as ``sym(2 P solve(P + Q, Q))``, one solve and no inverse.  One step
-contracts the gap exactly by
+formed as ``H + H^T`` with ``H = P solve(P + Q, Q)``, one solve and no
+inverse.  One step contracts the gap exactly by
 
     Q' - P' = -1/2 (Q - P) (P + Q)^{-1} (Q - P),
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _first_failure, _frobenius, _require_count, _require_iteration, _require_memory, _spectral, require_spd, sym
+from .matcore import _first_failure, _frobenius, _require_count, _require_iteration, _require_memory, _spectral, require_spd
 from .manifold import GaussianPoint, _apply_stacked, _points, read_embedded
 from .geodesic import _log_solve, _sampled
 from .sympair import _projected
@@ -77,9 +77,14 @@ class AhmPair:
 
 
 def _step(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One arithmetic-harmonic step on plain arrays (or stacks of them), with the harmonic mean in its one-solve form."""
+    """One arithmetic-harmonic step on plain arrays (or stacks of them), with the harmonic mean in its one-solve form.
+
+    The harmonic mean is ``h + h^T`` with ``h = P solve(P + Q, Q)``: the bits
+    of ``sym(2 h)``, because scaling by 2 and by 1/2 is exact.
+    """
     s = p + q
-    return 0.5 * s, sym(2.0 * p @ np.linalg.solve(s, q))
+    h = p @ np.linalg.solve(s, q)
+    return 0.5 * s, h + h.swapaxes(-1, -2)
 
 
 def _iterates(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int):

@@ -19,13 +19,16 @@ lift.  Every lifted point over the target ``(sigma, mu)`` is
 block-lower, free only in a skew block ``S``; the connecting geodesic is
 horizontal, so a damped Newton over ``S`` drives the vertical (skew ``R``)
 block of ``log G(S)`` to zero, with the Daleckii-Krein Jacobian of ``log``
-from one eigendecomposition of ``G(S)`` per iteration.  The horizontal part
-of that logarithm seeds a polish: damped Gauss-Newton shooting on the
-leading (n+1)-block of ``exp(V)``, whose Jacobian comes by the same formula
-from one eigendecomposition of the generator per trial.  Both stages share
-one line search (:func:`_descend`), which halves the step from 1 down to
-2^-20; the Newton rejects a trial whose ``G(S)`` loses positivity or whose
-logarithm is longer than ``log G(0)``, the polish one whose generator norm
+from one eigendecomposition of ``G(S)`` per iteration.  It starts at the
+closed-form third-order horizontal point ``S0 = [log sigma, mu mu^T] / 12``
+(0 for n = 1, for equal means, and when the chart guess ``(log sigma, mu)``
+is longer than ``SEED_REACH``).  The horizontal part of that logarithm
+seeds a polish: damped Gauss-Newton shooting on the leading (n+1)-block of
+``exp(V)``, whose Jacobian comes by the same formula from one
+eigendecomposition of the generator per trial.  Both stages share one line
+search (:func:`_descend`), which halves the step from 1 down to 2^-20; the
+Newton rejects a trial whose ``G(S)`` loses positivity or whose logarithm
+is longer than ``|log G(S0)| + |S0|``, the polish one whose generator norm
 exceeds ``MAX_TRIAL_NORM`` (or is NaN).  If the fibre route fails, shooting
 restarts from the chart guess ``(log sigma, mu)`` with recursive path
 subdivision; that happens beyond paper norm about 20, where the explicitly
@@ -64,6 +67,11 @@ STRUCTURE_TOL = 1e-8
 # exp stays below e^40 ~ 2e17, far from overflow; an exponential with
 # condition number up to e^80 is beyond the block factorization anyway.
 MAX_TRIAL_NORM = 40.0
+# The fibre Newton starts at the closed-form third-order horizontal point only
+# while the chart guess (log sigma, mu) has at most this paper norm, and at
+# S = 0 beyond it: from paper norm 16 on, an ungated seed can steer the Newton
+# away from the horizontal point (the README tabulates the reach against the gate).
+SEED_REACH = 10.0
 
 
 class ShootingError(RuntimeError):
@@ -406,14 +414,15 @@ def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: in
     return _unpack(vec, n), w, u
 
 
-def _fibre_point(sigma: np.ndarray, mu: np.ndarray, skew: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block LDL^T factors ``(M, D)`` of the lifted point ``G(S) = M D M^T`` over ``(sigma, mu)``.
+def _fibre_point(sigma: np.ndarray, mu: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block LDL^T factors ``(M, D)`` of the lifted point ``G(0) = M D M^T`` over ``(sigma, mu)``.
 
     In :func:`block_cholesky`'s layout: ``D = diag(theta, 1, sigma)`` with
     ``theta = sigma^{-1}``, and ``M`` is unit block-lower with
-    ``m21 = mu^T``, ``m32 = -mu`` and ``m31 = -mu mu^T / 2 + S``.  These are
-    the constraints of :func:`special_structure_residuals`, so ``G(S)`` lies
-    on the exchange-symmetric slice for every skew ``S``; its leading
+    ``m21 = mu^T``, ``m32 = -mu`` and ``m31 = -mu mu^T / 2``.  A skew ``S``
+    added to ``m31`` (:func:`_fibre_log` adds it) keeps these the
+    constraints of :func:`special_structure_residuals`, so ``G(S)`` lies on
+    the exchange-symmetric slice for every skew ``S``; its leading
     (n+1)-block is the embedding of ``(sigma, mu)``, and ``S`` moves it along
     the fibre of the submersion.
     """
@@ -421,7 +430,7 @@ def _fibre_point(sigma: np.ndarray, mu: np.ndarray, skew: np.ndarray, theta: np.
     m = np.eye(2 * n + 1)
     m[n, :n] = mu
     m[n + 1:, n] = -mu
-    m[n + 1:, :n] = skew - 0.5 * np.outer(mu, mu)
+    m[n + 1:, :n] = -0.5 * np.outer(mu, mu)
     d = np.zeros((2 * n + 1, 2 * n + 1))
     d[:n, :n] = theta
     d[n, n] = 1.0
@@ -432,12 +441,11 @@ def _fibre_point(sigma: np.ndarray, mu: np.ndarray, skew: np.ndarray, theta: np.
 @lru_cache(maxsize=8)
 def _fibre_basis(n: int) -> np.ndarray:
     """Derivatives of the fibre point's ``M`` along the packed entries of ``S`` (read-only stack)."""
-    eye = np.eye(n)
     units = []
     for i, j in zip(*_triu(n, 1)):
-        e = np.zeros((n, n))
-        e[i, j], e[j, i] = 1.0, -1.0
-        units.append(_fibre_point(eye, np.zeros(n), e, eye)[0] - np.eye(2 * n + 1))
+        unit = np.zeros((2 * n + 1, 2 * n + 1))
+        unit[n + 1 + i, j], unit[n + 1 + j, i] = 1.0, -1.0
+        units.append(unit)
     basis = np.stack(units)
     basis.flags.writeable = False
     return basis
@@ -475,13 +483,18 @@ def _vertical_part(v: np.ndarray) -> np.ndarray:
     return v[:n, n + 1:][_triu(n, 1)]
 
 
-def _fibre_log(qn: GaussianPoint, theta: np.ndarray, s: np.ndarray):
+def _fibre_log(fixed: tuple[np.ndarray, np.ndarray], s: np.ndarray):
     """``(M, D, w, u, V)`` at the packed skew ``s``: the fibre point's factors, eigh of ``G(S)`` and ``V = log G(S)``.
 
-    ``None`` when the explicitly formed ``G(S)`` is not finite or has lost
-    positivity (a rejected trial).
+    ``fixed`` is :func:`_fibre_point`'s ``(M, D)`` at ``S = 0``, built once
+    per solve; a trial adds ``S`` to a copy of that ``M``.  ``None`` when
+    the explicitly formed ``G(S)`` is not finite or has lost positivity (a
+    rejected trial).
     """
-    m, d = _fibre_point(qn.sigma, qn.mu, _skew(s, qn.n), theta)
+    m, d = fixed
+    n = (m.shape[0] - 1) // 2
+    m = m.copy()
+    m[n + 1:, :n] += _skew(s, n)
     g = m @ d @ m.T
     if not np.all(np.isfinite(g)):
         return None
@@ -506,28 +519,52 @@ def _fibre_jacobian(m: np.ndarray, d: np.ndarray, w: np.ndarray, u: np.ndarray) 
     return derivs[:, iu[0], iu[1]].T
 
 
+def _fibre_seed(qn: GaussianPoint) -> np.ndarray:
+    """The packed third-order horizontal point ``([L, mu mu^T] / 12)`` with ``L = log sigma`` of the normalized target.
+
+    The horizontal skew block is ``S* = [L, mu mu^T] / 12 + O(r^5)`` at paper
+    norm ``r``.  The seed is 0 when the chart guess ``(L, mu)`` is longer than
+    ``SEED_REACH``, and, without computing ``L``, for n = 1 (no unknowns) and
+    for a zero mean (the commutator vanishes).
+    """
+    n, mu = qn.n, qn.mu
+    s0 = np.zeros(n * (n - 1) // 2)
+    if n == 1 or not mu.any():
+        return s0
+    log_sigma = spd_log(qn.sigma)
+    if 2.0 * float(np.sum(log_sigma * log_sigma)) + 4.0 * float(mu @ mu) > SEED_REACH * SEED_REACH:
+        return s0
+    c = np.outer(log_sigma @ mu, mu)  # L mu mu^T; the commutator is c - c^T
+    return ((c - c.T) / 12.0)[_triu(n, 1)]
+
+
 def _fibre_newton(qn: GaussianPoint, theta: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """``(s, V)``: the packed skew ``S`` where the vertical part of ``V = log G(S)`` vanishes, and that ``V``.
 
-    Damped Newton over the n(n-1)/2 strictly upper entries of ``S`` from
-    ``S = 0``, with the Jacobian of :func:`_fibre_jacobian`.  A trial is
-    rejected like a non-descent step when its ``G(S)`` loses positivity, or
-    when ``log G(S)`` is longer than ``log G(0)``: the horizontal point is
-    the point of the fibre nearest the identity, and far from it the
-    residual also decays as ``S`` runs off to infinity.  ``tol`` is relative
-    to the norm of ``log G(0)``; the polish makes the tangent exact.  For
-    n = 1 there is no unknown and ``V = log G(0)``.
+    Damped Newton over the n(n-1)/2 strictly upper entries of ``S`` from the
+    seed ``s0`` of :func:`_fibre_seed`, with the Jacobian of
+    :func:`_fibre_jacobian`.  A trial is rejected like a non-descent step
+    when its ``G(S)`` loses positivity, or when ``log G(S)`` is longer than
+    ``|log G(s0)| + |s0|``: the horizontal point is the point of the fibre
+    nearest the identity, and far from it the residual also decays as ``S``
+    runs off to infinity.  The ``|s0|`` (of the packed seed) keeps a
+    near-exact seed from rejecting the exact step, whose logarithm may
+    round longer.  ``tol`` is relative to the norm of ``log G(s0)``; the
+    polish makes the tangent exact.  For n = 1 there is no unknown and
+    ``V = log G(0)``.
     """
-    s = np.zeros(qn.n * (qn.n - 1) // 2)
-    lifted = _fibre_log(qn, theta, s)
+    s = _fibre_seed(qn)
+    fixed = _fibre_point(qn.sigma, qn.mu, theta)
+    lifted = _fibre_log(fixed, s)
     if lifted is None:
         raise ShootingError("fibre point lost positivity", residual=float("inf"))
     length = float(np.linalg.norm(lifted[4]))
+    bound = length + float(np.linalg.norm(s))
 
     def evaluate(trial):
-        lifted = _fibre_log(qn, theta, trial)
-        # rejected trials: G(S) lost positivity (None), or log G(S) grew longer than log G(0)
-        if lifted is None or not np.linalg.norm(lifted[4]) <= length:
+        lifted = _fibre_log(fixed, trial)
+        # rejected trials: G(S) lost positivity (None), or log G(S) grew longer than the bound
+        if lifted is None or not np.linalg.norm(lifted[4]) <= bound:
             return None
         return _vertical_part(lifted[4]), lifted
 

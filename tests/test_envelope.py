@@ -5,8 +5,10 @@ point.  A target counts as solved when ``log_map`` returns a tangent whose
 exponential reaches ``q`` (1e-8 relative, embedded).  Up to norm 12 every
 target must be solved, and at norm 16 at least ``NORM16_MIN`` of each cell.
 The counts are printed with the number of targets on which the fibre route
-failed and the chart-guess fallback took over.  Failures anywhere must be
-``ShootingError`` and no numpy ``RuntimeWarning`` may be raised.
+failed and the chart-guess fallback took over, and with the fibre Newton's
+Jacobians (one per Newton step) over the cell's log-map solves.  Failures
+anywhere must be ``ShootingError`` and no numpy ``RuntimeWarning`` may be
+raised.
 
 The same targets test ``midpoint_N`` (it draws nothing from the generator):
 a midpoint is good when it agrees with ``exp_map(xi, 0.5)`` (1e-8 relative,
@@ -52,32 +54,42 @@ def good_midpoint(n, xi):
     return np.linalg.norm(embed(mid) - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
-def test_norm_sweep(monkeypatch):
-    fallbacks = []
-    real = geodesic._log_subdivided
+def counted(monkeypatch, name):
+    """Replace ``geodesic.<name>`` by a wrapper that appends its arguments to the returned list."""
+    calls = []
+    real = getattr(geodesic, name)
 
     def counting(*args):
-        fallbacks.append(args)
+        calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(geodesic, "_log_subdivided", counting)
+    monkeypatch.setattr(geodesic, name, counting)
+    return calls
+
+
+def test_norm_sweep(monkeypatch):
+    fallbacks = counted(monkeypatch, "_log_subdivided")
+    jacobians = counted(monkeypatch, "_fibre_jacobian")
     rng = np.random.default_rng(42)
-    counts, fell_back, midpoints = {}, {}, {}
+    counts, fell_back, newton, midpoints = {}, {}, {}, {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for norm in NORMS:
             for n in NS:
-                counts[norm, n] = fell_back[norm, n] = midpoints[norm, n] = 0
+                counts[norm, n] = fell_back[norm, n] = newton[norm, n] = midpoints[norm, n] = 0
                 for _ in range(TARGETS):
                     xi = random_tangent(rng, n, norm=norm)
-                    before = len(fallbacks)
+                    before = len(fallbacks), len(jacobians)
                     counts[norm, n] += solved(n, xi)
-                    fell_back[norm, n] += len(fallbacks) > before
+                    fell_back[norm, n] += len(fallbacks) > before[0]
+                    newton[norm, n] += len(jacobians) - before[1]
                     midpoints[norm, n] += good_midpoint(n, xi)
     for norm in NORMS:
         print(
             f"norm {norm:g}: "
-            + ", ".join(f"n={n} {counts[norm, n]}/{TARGETS} (fallback {fell_back[norm, n]})" for n in NS)
+            + ", ".join(
+                f"n={n} {counts[norm, n]}/{TARGETS} (fallback {fell_back[norm, n]}, Newton {newton[norm, n]})" for n in NS
+            )
         )
         print(f"norm {norm:g} midpoints: " + ", ".join(f"n={n} {midpoints[norm, n]}/{TARGETS}" for n in NS))
     short = {cell: c for cell, c in counts.items() if cell[0] <= ASSERTED_NORM and c < TARGETS}

@@ -373,9 +373,10 @@ class TestLogMap:
         assert rescued >= 3
 
     def test_nonconvergence_error_carries_residual(self):
-        # n = 2: at n = 1 the fibre is a point and its guess is exact
+        # n = 2 at paper norm 8: at n = 1 the fibre is a point and its guess
+        # is exact, and nearer targets the seeded fibre Newton finishes in one step
         p = GaussianPoint.identity(2)
-        q = GaussianPoint(np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
+        q = exp_map(random_tangent(np.random.default_rng(0), 2, norm=8.0), 1.0)
         with pytest.raises(ShootingError) as excinfo:
             log_map(p, q, max_iter=1)
         assert excinfo.value.residual > 0
@@ -477,12 +478,13 @@ def fibre_case(seed, n, norm=2.0):
 
 def central_difference_fibre_jacobian(q, theta, s, h=1e-6):
     """Oracle: central differences of the vertical part of ``log G(S)``."""
+    fixed = _fibre_point(q.sigma, q.mu, theta)
     cols = []
     for j in range(s.size):
         bump = np.zeros(s.size)
         bump[j] = h
-        plus = _vertical_part(_fibre_log(q, theta, s + bump)[4])
-        minus = _vertical_part(_fibre_log(q, theta, s - bump)[4])
+        plus = _vertical_part(_fibre_log(fixed, s + bump)[4])
+        minus = _vertical_part(_fibre_log(fixed, s - bump)[4])
         cols.append((plus - minus) / (2.0 * h))
     return np.array(cols).T
 
@@ -491,7 +493,7 @@ class TestFibre:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_fibre_point_is_the_block_factorization(self, n):
         q, theta, s = fibre_case(80 + n, n)
-        m, d = _fibre_point(q.sigma, q.mu, _skew(s, n), theta)
+        m, d = _fibre_log(_fibre_point(q.sigma, q.mu, theta), s)[:2]
         g = m @ d @ m.T
         m2, d2 = block_cholesky(g)
         assert np.linalg.norm(m2 - m) <= 1e-10 * np.linalg.norm(m)
@@ -504,7 +506,7 @@ class TestFibre:
     def test_jacobian_matches_central_differences(self, n):
         for norm in (0.5, 2.0, 6.0):
             q, theta, s = fibre_case(85 + n, n, norm)
-            exact = _fibre_jacobian(*_fibre_log(q, theta, s)[:4])
+            exact = _fibre_jacobian(*_fibre_log(_fibre_point(q.sigma, q.mu, theta), s)[:4])
             oracle = central_difference_fibre_jacobian(q, theta, s)
             assert exact.shape == oracle.shape == (s.size, s.size)
             assert np.linalg.norm(exact - oracle) <= 1e-7 * np.linalg.norm(exact)
@@ -514,7 +516,7 @@ class TestFibre:
         # sigma = scale * id with mu = 0 and S = 0: G = diag(id / scale, 1, scale * id)
         q = GaussianPoint(scale * np.eye(3), np.zeros(3))
         theta, s = np.eye(3) / scale, np.zeros(3)
-        exact = _fibre_jacobian(*_fibre_log(q, theta, s)[:4])
+        exact = _fibre_jacobian(*_fibre_log(_fibre_point(q.sigma, q.mu, theta), s)[:4])
         assert np.all(np.isfinite(exact))
         oracle = central_difference_fibre_jacobian(q, theta, s)
         assert np.linalg.norm(exact - oracle) <= 1e-7 * np.linalg.norm(exact)
@@ -553,6 +555,69 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(geodesic, name, counting)
     return results
+
+
+class TestFibreSeed:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("norm", [0.05, 0.1])
+    def test_seed_is_the_third_order_horizontal_point(self, n, norm):
+        # S* = [log sigma, mu mu^T] / 12 + O(r^5): at small norms the seed is S* to a relative O(r^2)
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            q = exp_map(random_tangent(rng, n, norm=norm), 1.0)
+            exact, _ = _fibre_newton(q, spd_inv(q.sigma), 1e-12, 100)
+            seed = geodesic._fibre_seed(q)
+            assert np.linalg.norm(seed - exact) <= 1e-3 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_seed_is_zero_for_equal_means_and_n1(self, n):
+        rng = np.random.default_rng(110 + n)
+        mu = rng.standard_normal(n)
+        p, q = GaussianPoint(random_point(rng, n).sigma, mu), GaussianPoint(random_point(rng, n).sigma, mu)
+        seed = geodesic._fibre_seed(normalize_to_identity(p).apply(q))
+        assert seed.shape == (n * (n - 1) // 2,) and not seed.any()
+        assert not geodesic._fibre_seed(random_point(rng, 1)).any()
+
+    def test_seed_is_zero_beyond_its_reach(self, monkeypatch):
+        # the chart guess (log sigma, mu) of this target has paper norm sqrt(108), above SEED_REACH
+        q = GaussianPoint(np.array([[math.e ** 5, 0.0], [0.0, math.e ** -5]]), np.array([1.0, 1.0]))
+        assert not geodesic._fibre_seed(q).any()
+        monkeypatch.setattr(geodesic, "SEED_REACH", 11.0)
+        assert geodesic._fibre_seed(q).any()
+
+    @pytest.mark.parametrize("norms", [(0.25, 2.0), (4.0, 8.0)])
+    def test_seed_saves_newton_steps(self, monkeypatch, norms):
+        rng = np.random.default_rng(120 + int(norms[0]))
+        pairs = []
+        for n in (2, 3, 5, 8) * 5:
+            p = random_point(rng, n)
+            pairs.append((p, exp_map_from(p, random_tangent(rng, n, norm=float(rng.uniform(*norms))), 1.0)))
+        jacobians = count_calls(monkeypatch, "_fibre_jacobian")
+        seeded = [log_map(p, q) for p, q in pairs]
+        with_seed = len(jacobians)
+        monkeypatch.setattr(geodesic, "SEED_REACH", 0.0)
+        unseeded = [log_map(p, q) for p, q in pairs]
+        assert with_seed < len(jacobians) - with_seed
+        for a, b in zip(seeded, unseeded):
+            assert np.linalg.norm(a.A0 - b.A0) + np.linalg.norm(a.a0 - b.a0) <= 1e-9 * max(1.0, np.linalg.norm(b.A0))
+
+    @pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.05, 0.1, 0.25])
+    def test_small_norms_reject_no_trial(self, monkeypatch, norm):
+        # every Newton step takes its full step (one evaluation per Jacobian, plus
+        # the seed's), and the polish takes no step: a near-exact seed must not
+        # make the exact step look longer than the bound by rounding
+        evaluations = count_calls(monkeypatch, "_fibre_log")
+        jacobians = count_calls(monkeypatch, "_fibre_jacobian")
+        polish = count_calls(monkeypatch, "_residual_jacobian")
+        rng = np.random.default_rng(130)
+        for n in (1, 2, 3, 5, 8):
+            for _ in range(8):
+                p = random_point(rng, n)
+                q = exp_map_from(p, random_tangent(rng, n, norm=norm), 1.0)
+                before = len(evaluations), len(jacobians)
+                log_map(p, q)
+                assert len(evaluations) - before[0] == len(jacobians) - before[1] + 1
+        assert len(polish) == 0
 
 
 class TestLiftedShooting:
