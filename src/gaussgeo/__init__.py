@@ -32,14 +32,13 @@ from .geodesic import (
     log_map,
     trajectory,
 )
-from .ahm import AhmPair, ahm_midpoint, interpolate, midpoint_N
+from .ahm import ahm_midpoint, interpolate, midpoint_N
 from .laxflow import LaxSamples, integrate, lax_closed_form, verify_lax
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap",
-    "AhmPair",
     "EigenError",
     "GaussianPoint",
     "GeodesicTrajectory",

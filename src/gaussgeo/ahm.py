@@ -20,8 +20,8 @@ and once both initial matrices satisfy the exchange symmetry
 (``J P_k^{-1} J = Q_k`` for k >= 1), so the common limit satisfies the
 symmetry and projects back onto the normal manifold.  Individual iterates
 drift off the symmetric slice (and off determinant one) by an amount of the
-order of the current gap; only the limit restores both exactly.  Only the
-inputs are checked; the iterates are plain arrays that nothing re-checks.
+order of the current gap; only the limit restores both exactly.  The state
+is the plain pair ``(P, Q)`` or a stack of them; only the inputs are checked.
 
 Midpoints of normal distributions are computed by lifting the endpoints to
 the identity and the exponential of the connecting generator, running the
@@ -42,38 +42,16 @@ and the trajectory that cross-checks every point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .matcore import _first_failure, _frobenius, _require_count, _require_iteration, _require_memory, _spectral, require_spd
 from .manifold import GaussianPoint, _apply_stacked, _points, read_embedded
-from .geodesic import _log_solve, _sampled
+from .geodesic import LOG_MAX_ITER, LOG_TOL, _log_solve, _sampled
 from .sympair import _projected
 
 AHM_TOL = 1e-12
 AHM_MAX_ITER = 60
 MIDPOINT_CROSSCHECK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class AhmPair:
-    """State of the mean iteration: the SPD pair (checked once, kept read-only) and the iteration count."""
-
-    P: np.ndarray
-    Q: np.ndarray
-    iteration: int = 0
-
-    def __post_init__(self):
-        for name in ("P", "Q"):
-            a = require_spd(getattr(self, name), name=name)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        if self.P.shape != self.Q.shape:
-            raise ValueError(f"P and Q must share a shape, got {self.P.shape} and {self.Q.shape}")
-
-    def gap(self) -> float:
-        return float(np.linalg.norm(self.Q - self.P))
 
 
 def _step(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,52 +65,35 @@ def _step(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * s, h + h.swapaxes(-1, -2)
 
 
-def _iterates(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int):
-    """Unchecked iterates of a stack of pairs ``(m, d, d)``, each member run to its first gap below ``tol`` (relative).
+def _mean(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Limits of the unchecked mean iteration from a stack of SPD pairs ``(m, d, d)``, member by member.
 
-    Yields ``(p, q, done)`` for the members still running, with the boolean
-    array ``done`` marking those that stop at this iterate; they take no further
-    step, so each member takes exactly the steps it would take alone (the
-    gaps round like ``np.linalg.norm`` of each matrix).  A member still
-    apart after ``max_iter`` steps raises ``RuntimeError`` with its gap.
+    A member stops at its first gap below ``tol`` (relative), so it takes the
+    steps it takes alone (the gaps round like ``np.linalg.norm`` of each
+    matrix); one still apart after ``max_iter`` steps raises ``RuntimeError`` with its gap.
     """
+    out, live = np.empty_like(p), np.arange(len(p))
     for k in range(max_iter + 1):
         gaps = _frobenius(q - p)
         done = gaps <= tol * np.maximum(1.0, _frobenius(p))
-        yield p, q, done
-        if done.all():
-            return
-        if k < max_iter:
-            if done.any():
-                keep = ~done
-                p, q = p[keep], q[keep]
-            p, q = _step(p, q)
-    raise RuntimeError(f"mean iteration did not converge in {max_iter} steps (gap {gaps[np.argmin(done)]:.3e})")
-
-
-def _mean(p: np.ndarray, q: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Limits of the unchecked mean iteration from a stack of SPD pairs ``(m, d, d)``, member by member."""
-    out, live = np.empty_like(p), np.arange(len(p))
-    for p, q, done in _iterates(p, q, tol, max_iter):
         if done.any():
             out[live[done]] = 0.5 * (p[done] + q[done])
-            live = live[~done]
-    return out
-
-
-def ahm_sequence(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> list[AhmPair]:
-    """All iterates from (p0, q0) until the gap falls below ``tol`` (relative), each one checked."""
-    _require_iteration(tol, max_iter)
-    first = AhmPair(P=p0, Q=q0)
-    iterates = _iterates(first.P[None], first.Q[None], tol, max_iter)
-    return [AhmPair(P=p[0], Q=q[0], iteration=k) for k, (p, q, _) in enumerate(iterates)]
+            if done.all():
+                return out
+            keep = ~done
+            live, p, q = live[keep], p[keep], q[keep]
+        if k < max_iter:
+            p, q = _step(p, q)
+    raise RuntimeError(f"mean iteration did not converge in {max_iter} steps (gap {gaps[np.argmin(done)]:.3e})")
 
 
 def ahm_midpoint(p0: np.ndarray, q0: np.ndarray, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> np.ndarray:
     """Geodesic midpoint (matrix geometric mean) of an SPD pair; the inputs are checked once, the iterates not."""
     _require_iteration(tol, max_iter)
-    pair = AhmPair(P=p0, Q=q0)
-    return _mean(pair.P[None], pair.Q[None], tol, max_iter)[0]
+    p, q = require_spd(p0, name="P"), require_spd(q0, name="Q")
+    if p.shape != q.shape:
+        raise ValueError(f"P and Q must share a shape, got {p.shape} and {q.shape}")
+    return _mean(p[None], q[None], tol, max_iter)[0]
 
 
 def midpoint_N(p: GaussianPoint, q: GaussianPoint, tol: float = AHM_TOL, max_iter: int = AHM_MAX_ITER) -> GaussianPoint:
@@ -158,21 +119,21 @@ def interpolate(
     solve: the connecting tangent is shot once (with :func:`log_map`'s
     defaults), and the eigendecomposition of its generator that the solve
     validated lifts the endpoints to the identity and its exponential; the
-    solve's chart at ``p`` undoes the normalization.  Each dyadic point is the mean-iteration midpoint of its
-    two lifted neighbours (points of one one-parameter group, so their
-    geometric mean sits at the mean time); each level runs as one stacked
-    iteration.  The interior points are then projected through the
-    submersion as one stack, whose membership check verifies that each kept
-    the exchange symmetry, read off (one corner test per point serves the
-    projection and the read-out), and cross-checked against the trajectory
-    of the same tangent sampled from the same eigendecomposition, an
-    independent computation.  A failure of either check is an
-    ``ArithmeticError`` naming the first point that fails.  The returned
-    points are checked as one stack, like their constructor would check
-    each.  A ``depth`` or
-    ``max_iter`` that is not a positive integer (a bool is not), a ``tol``
-    that is not a positive finite number, and a depth whose lifted points
-    could not fit in physical memory are ``ValueError``, raised first.
+    solve's chart at ``p`` undoes the normalization.  Each dyadic point is
+    the mean-iteration midpoint of its two lifted neighbours (points of one
+    one-parameter group, so their geometric mean sits at the mean time);
+    each level runs as one stacked iteration.  The interior points are then
+    projected through the submersion as one stack, whose membership check
+    verifies that each kept the exchange symmetry, read off (one corner test
+    per point serves the projection and the read-out), and cross-checked
+    against the trajectory of the same tangent sampled from the same
+    eigendecomposition, an independent computation.  A failure of either
+    check is an ``ArithmeticError`` naming the first point that fails.  The
+    returned points are checked as one stack, like their constructor would
+    check each.  A ``depth`` or ``max_iter`` that is not a positive integer
+    (a bool is not), a ``tol`` that is not a positive finite number, and a
+    depth whose lifted points could not fit in physical memory are
+    ``ValueError``, raised first.
     """
     _require_iteration(tol, max_iter)
     _require_count(depth, "depth")
@@ -183,7 +144,7 @@ def interpolate(
     if p.close_to(q):
         return [p] * count + [q]
     # log_map's defaults; its chart at p and its generator's eigenpair serve the rest
-    _, chart, w, u = _log_solve(p, q, 1e-12, 100)
+    _, chart, w, u = _log_solve(p, q, LOG_TOL, LOG_MAX_ITER)
     lifted = np.empty((count + 1, order, order))
     lifted[0], lifted[count] = np.eye(order), _spectral(u, np.exp(w))
     span = count

@@ -140,10 +140,15 @@ def _positive_int(raw, name: str) -> int:
     return int(raw)
 
 
-def _parse_t_end(obj) -> float:
-    t_end = float(obj.get("t_end", 1.0))
+def _parse_t_end(obj, positive: bool = False) -> float:
+    try:
+        t_end = float(obj.get("t_end", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"t_end must be a number, got {obj['t_end']!r}") from exc
     if not math.isfinite(t_end):
         raise InputError("t_end must be finite")
+    if positive and t_end <= 0:
+        raise InputError("t_end must be positive")
     return t_end
 
 
@@ -213,10 +218,7 @@ def _t_grid(obj, steps: int) -> np.ndarray:
     if raw is None:
         if "t_end" not in obj:
             raise InputError("input must provide t_grid (sample times) or t_end (with --steps)")
-        t_end = _parse_t_end(obj)
-        if t_end <= 0:
-            raise InputError("t_end must be positive")
-        return np.linspace(0.0, t_end, steps + 1)
+        return np.linspace(0.0, _parse_t_end(obj, positive=True), steps + 1)
     try:
         ts = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -293,6 +295,7 @@ def _random_unit_tangent(n: int, rng: np.random.Generator) -> Tangent:
 
 
 def cmd_verify(args, obj) -> int:
+    _require_keys(obj, (), "input")
     if "tangent" in obj:
         xi = parse_tangent(obj["tangent"])
     elif "n" in obj:
@@ -301,9 +304,7 @@ def cmd_verify(args, obj) -> int:
         log.info("generated random unit tangent for n=%d (seed=%s)", xi.n, args.seed)
     else:
         raise InputError("verify input needs a tangent or a dimension n")
-    t_end = _parse_t_end(obj)
-    if t_end <= 0:
-        raise InputError("t_end must be positive")
+    t_end = _parse_t_end(obj, positive=True)
     h = args.dt
     # the sampled leading (n+1)-blocks alone, before the grid is built
     _require_memory(8.0 * (t_end / h + 1.0) * (xi.n + 1) ** 2, f"verify on t_end = {t_end:g} at dt = {h:g}")
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", "-i", default="-", help="input JSON file, or - for stdin (default)")
         sp.add_argument("--output", "-o", default="-", help="output file, or - for stdout (default)")
 
-    def common(sp, tol_default=1e-12, iter_default=60):
+    def common(sp, tol_default, iter_default):
         io_args(sp)
         sp.add_argument("--tol", type=float, default=tol_default, help=f"convergence tolerance (default {tol_default:g})")
         sp.add_argument("--max-iter", type=int, default=iter_default, help=f"iteration cap (default {iter_default})")
@@ -398,20 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_shoot)
 
     sp = sub.add_parser("log", help="connecting tangent between two points; JSON output")
-    common(sp, iter_default=100)
+    common(sp, geo.LOG_TOL, geo.LOG_MAX_ITER)
     sp.set_defaults(func=cmd_log)
 
     sp = sub.add_parser("dist", help="geodesic distance between two points; JSON output")
-    common(sp, iter_default=100)
+    common(sp, geo.LOG_TOL, geo.LOG_MAX_ITER)
     sp.add_argument("--metric", choices=("paper", "fisher"), default="paper", help="metric normalization")
     sp.set_defaults(func=cmd_dist)
 
     sp = sub.add_parser("midpoint", help="geodesic midpoint of two points; JSON output")
-    common(sp)
+    common(sp, ahm_mod.AHM_TOL, ahm_mod.AHM_MAX_ITER)
     sp.set_defaults(func=cmd_midpoint)
 
     sp = sub.add_parser("interp", help="dyadic geodesic interpolation; JSON output")
-    common(sp)
+    common(sp, ahm_mod.AHM_TOL, ahm_mod.AHM_MAX_ITER)
     sp.add_argument("--depth", type=int, default=1, help="recursion depth (2**depth + 1 points)")
     sp.set_defaults(func=cmd_interp)
 

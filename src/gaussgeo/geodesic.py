@@ -61,6 +61,8 @@ from .manifold import (
 )
 from .sympair import horizontal_lift
 
+LOG_TOL = 1e-12
+LOG_MAX_ITER = 100
 STRUCTURE_TOL = 1e-8
 # Shooting trials whose generator has a larger Frobenius (= paper-metric)
 # norm are rejected before exponentiation.  That norm bounds the spectrum, so
@@ -618,7 +620,7 @@ def _log_solve(p: GaussianPoint, q: GaussianPoint, tol: float, max_iter: int) ->
     return xi, chart, w, u
 
 
-def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = 1e-12, max_iter: int = 100) -> Tangent:
+def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = LOG_TOL, max_iter: int = LOG_MAX_ITER) -> Tangent:
     """Initial direction (in the normalized chart at ``p``) of the geodesic reaching ``q`` at time 1.
 
     Damped Newton in the fibre of the lift over ``q`` (the skew block ``S``
@@ -644,7 +646,7 @@ def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = 1e-12, max_iter: in
     return _log_solve(p, q, tol, max_iter)[0]
 
 
-def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", tol: float = 1e-12, max_iter: int = 100) -> float:
+def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", tol: float = LOG_TOL, max_iter: int = LOG_MAX_ITER) -> float:
     """Geodesic distance: the metric norm of :func:`log_map`'s tangent; bad options fail before the solve, also for ``p == q``."""
     _metric_scale(convention)
     _require_iteration(tol, max_iter)

@@ -35,17 +35,24 @@ CONSISTENCY_TOL = 1e-8
 FISHER_QUAD_MAX_DIM = 3
 
 
+def _vectors(vectors, matrices: np.ndarray, field: str, what: str) -> np.ndarray:
+    """Float copy of ``vectors`` (one, or a stack like ``matrices``), once each is a finite vector of the matrices' order; an error names the first that fails."""
+    vectors = np.array(vectors, dtype=float, ndmin=1)
+    lead, n = matrices.shape[:-2], matrices.shape[-1]
+    if vectors.shape != (*lead, n):
+        raise ValueError(f"{field} must be a vector of length {n}, got shape {vectors.shape[len(lead):]}")
+    k = _first_failure(np.isfinite(vectors).all(axis=-1))
+    if k is not None:
+        raise ValueError(f"{what} must be finite, got {vectors.reshape(-1, n)[k]}")
+    return vectors
+
+
 def _own_checked(obj, matrix_field: str, matrix: np.ndarray, vector_field: str, what: str) -> None:
-    """Check the vector field of ``obj`` (finite, of the checked matrix's order); set read-only copies of both.
+    """Check the vector field of ``obj`` against the checked matrix; set read-only copies of both.
 
     Owning read-only arrays keeps the checks valid for the object's life.
     """
-    vector = np.array(getattr(obj, vector_field), dtype=float, ndmin=1)
-    if vector.ndim != 1 or vector.shape[0] != matrix.shape[0]:
-        raise ValueError(f"{vector_field} must be a vector of length {matrix.shape[0]}, got shape {vector.shape}")
-    if not np.isfinite(vector).all():
-        raise ValueError(f"{what} must be finite, got {vector}")
-    for field, a in ((matrix_field, matrix), (vector_field, vector)):
+    for field, a in ((matrix_field, matrix), (vector_field, _vectors(getattr(obj, vector_field), matrix, vector_field, what))):
         a.flags.writeable = False
         object.__setattr__(obj, field, a)
 
@@ -118,12 +125,7 @@ def _points(sigmas: np.ndarray, mus: np.ndarray) -> list[GaussianPoint]:
     checked again.
     """
     sigmas = _positive(_symmetric(sigmas, 1e-10, "sigma"), "sigma")
-    mus = np.array(mus, dtype=float)
-    if mus.shape != sigmas.shape[:-1]:
-        raise ValueError(f"mu must be a vector of length {sigmas.shape[-1]}, got shape {mus.shape[1:]}")
-    k = _first_failure(np.isfinite(mus).all(axis=-1))
-    if k is not None:
-        raise ValueError(f"mean must be finite, got {mus[k]}")
+    mus = _vectors(mus, sigmas, "mu", "mean")
     sigmas.flags.writeable = mus.flags.writeable = False
     points = []
     for sigma, mu in zip(sigmas, mus):

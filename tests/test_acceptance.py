@@ -40,11 +40,10 @@ from gaussgeo import (
     trajectory,
     verify_lax,
 )
-from gaussgeo.ahm import AhmPair, ahm_sequence
 from gaussgeo.geodesic import ambient_exponentials
 from gaussgeo.laxflow import build_L
 from gaussgeo.matcore import block_cholesky, special_structure_residuals, sym_exp
-from util import ahm_step, gap_identity_residual, random_point, random_sym, random_tangent, state_from_L
+from util import ahm_gap, ahm_iterates, ahm_step, gap_identity_residual, random_point, random_sym, random_tangent, state_from_L
 
 DIMS = (1, 2, 3, 5)
 
@@ -110,10 +109,19 @@ def test_criterion_4_exp_log_round_trip():
 
 
 def test_criterion_5_mean_iteration():
-    seq = ahm_sequence(np.array([[4.0]]), np.array([[1.0]]))
-    hand = abs(seq[1].P[0, 0] - 2.5) + abs(seq[1].Q[0, 0] - 1.6)
-    hand += abs(seq[2].P[0, 0] - 2.05) + abs(seq[2].Q[0, 0] - 1.951219512195122)
-    scalar_ok = seq[-1].iteration <= 6 and seq[-1].gap() < 1e-12 and hand <= 1e-12
+    four, one = np.array([[4.0]]), np.array([[1.0]])
+    seq = ahm_iterates(four, one)
+    (p1, q1), (p2, q2) = seq[1], seq[2]
+    hand = abs(p1[0, 0] - 2.5) + abs(q1[0, 0] - 1.6)
+    hand += abs(p2[0, 0] - 2.05) + abs(q2[0, 0] - 1.951219512195122)
+    # the runtime's own step count: five steps reach the mean, four do not
+    five_steps = abs(ahm_midpoint(four, one, max_iter=5)[0, 0] - 2.0)
+    try:
+        ahm_midpoint(four, one, max_iter=4)
+        four_steps_short = False
+    except RuntimeError:
+        four_steps_short = True
+    scalar_ok = ahm_gap(*seq[-1]) < 1e-12 and hand <= 1e-12 and five_steps <= 1e-12 and four_steps_short
 
     rng = np.random.default_rng(1005)
     worst_matrix, worst_gap, worst_det = 0.0, 0.0, 0.0
@@ -122,21 +130,21 @@ def test_criterion_5_mean_iteration():
         p0, q0 = np.eye(2 * n + 1), sym_exp(v)
         mid = ahm_midpoint(p0, q0)
         worst_matrix = max(worst_matrix, float(np.linalg.norm(mid - sym_exp(0.5 * v))))
-        pair = AhmPair(P=p0, Q=q0)
+        pair = p0, q0
         for _ in range(5):
-            nxt = ahm_step(pair)
+            nxt = ahm_step(*pair)
             # the quadratic bound is only resolvable while 1e-9 * gap^2 sits
             # above the roundoff floor of the subtraction
-            if pair.gap() >= 1e-2:
-                worst_gap = max(worst_gap, gap_identity_residual(pair, nxt) / pair.gap() ** 2)
+            if ahm_gap(*pair) >= 1e-2:
+                worst_gap = max(worst_gap, gap_identity_residual(pair, nxt) / ahm_gap(*pair) ** 2)
             pair = nxt
-        for it in ahm_sequence(p0, q0):
-            worst_det = max(worst_det, abs(np.linalg.det(it.P) * np.linalg.det(it.Q) - 1.0))
+        for p, q in ahm_iterates(p0, q0):
+            worst_det = max(worst_det, abs(np.linalg.det(p) * np.linalg.det(q) - 1.0))
         worst_det = max(worst_det, abs(np.linalg.det(mid) - 1.0))
     ok = scalar_ok and worst_matrix <= 1e-10 and worst_gap <= 1e-9 and worst_det <= 1e-9
     assert _report(
         5,
-        f"hand iterates (err {hand:.1e}), halved exponential {worst_matrix:.1e}, "
+        f"hand iterates (err {hand:.1e}), 5 steps for (4, 1), halved exponential {worst_matrix:.1e}, "
         f"gap identity {worst_gap:.1e}, conserved determinant",
         worst_det,
         1e-9,

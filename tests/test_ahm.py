@@ -22,9 +22,8 @@ import gaussgeo.laxflow as laxflow
 import gaussgeo.manifold as manifold
 import gaussgeo.matcore as matcore
 import gaussgeo.sympair as sympair
-from gaussgeo.ahm import AhmPair, ahm_sequence
 from gaussgeo.matcore import NotSpdError, block_exchange, sym, sym_exp
-from util import ahm_step, direct_midpoint, gap_identity_residual, random_point, random_spd, random_tangent
+from util import ahm_gap, ahm_iterates, ahm_step, direct_midpoint, gap_identity_residual, random_point, random_spd, random_tangent
 
 
 def matrices_in(a) -> int:
@@ -47,67 +46,76 @@ def count_everywhere(monkeypatch, home, name):
 
 
 def scalar_pair(p, q):
-    return AhmPair(P=np.array([[float(p)]]), Q=np.array([[float(q)]]))
+    return np.array([[float(p)]]), np.array([[float(q)]])
 
 
 class TestAhmStep:
     def test_fixed_point(self):
         rng = np.random.default_rng(30)
         p = random_spd(rng, 3)
-        stepped = ahm_step(AhmPair(P=p, Q=p.copy()))
-        assert np.linalg.norm(stepped.P - p) <= 1e-13 * np.linalg.norm(p)
-        assert np.linalg.norm(stepped.Q - p) <= 1e-13 * np.linalg.norm(p)
+        p1, q1 = ahm_step(p, p.copy())
+        assert np.linalg.norm(p1 - p) <= 1e-13 * np.linalg.norm(p)
+        assert np.linalg.norm(q1 - p) <= 1e-13 * np.linalg.norm(p)
 
     def test_scalar_hand_values(self):
-        s1 = ahm_step(scalar_pair(4.0, 1.0))
-        assert s1.P[0, 0] == 2.5 and abs(s1.Q[0, 0] - 1.6) <= 1e-15
-        s2 = ahm_step(s1)
-        assert abs(s2.P[0, 0] - 2.05) <= 1e-15
-        assert abs(s2.Q[0, 0] - 2.0 / (1.0 / 2.5 + 1.0 / 1.6)) <= 1e-15
-        assert abs(s2.Q[0, 0] - 1.951219512195122) <= 1e-12
+        p1, q1 = ahm_step(*scalar_pair(4.0, 1.0))
+        assert p1[0, 0] == 2.5 and abs(q1[0, 0] - 1.6) <= 1e-15
+        p2, q2 = ahm_step(p1, q1)
+        assert abs(p2[0, 0] - 2.05) <= 1e-15
+        assert abs(q2[0, 0] - 2.0 / (1.0 / 2.5 + 1.0 / 1.6)) <= 1e-15
+        assert abs(q2[0, 0] - 1.951219512195122) <= 1e-12
 
     def test_gap_identity(self):
         rng = np.random.default_rng(31)
         for n in (2, 5):
-            pair = AhmPair(P=random_spd(rng, n), Q=random_spd(rng, n))
-            nxt = ahm_step(pair)
-            assert gap_identity_residual(pair, nxt) <= 1e-9 * pair.gap() ** 2
+            pair = random_spd(rng, n), random_spd(rng, n)
+            assert gap_identity_residual(pair, ahm_step(*pair)) <= 1e-9 * ahm_gap(*pair) ** 2
 
     def test_iteration_counter(self):
-        pair = scalar_pair(4.0, 1.0)
-        assert ahm_step(ahm_step(pair)).iteration == 2
+        # the runtime takes exactly the oracle's steps: max_iter = k gives the bits of the k-th
+        # iterate's mean, and one step fewer is not enough
+        rng = np.random.default_rng(58)
+        # symmetric to the bit, as the runtime's input check leaves them
+        for p0, q0 in [scalar_pair(4.0, 1.0), *((sym(random_spd(rng, n)), sym(random_spd(rng, n))) for n in (2, 3, 5))]:
+            seq = ahm_iterates(p0, q0)
+            steps, (p, q) = len(seq) - 1, seq[-1]
+            assert np.array_equal(ahm_midpoint(p0, q0, max_iter=steps), 0.5 * (p + q))
+            with pytest.raises(RuntimeError, match=f"^mean iteration did not converge in {steps - 1} steps"):
+                ahm_midpoint(p0, q0, max_iter=steps - 1)
 
 
 class TestAhmPair:
+    """The pair ``(P, Q)`` that :func:`ahm_midpoint` takes: checked once where it enters, and left alone."""
+
     @pytest.mark.parametrize("which", ["P", "Q"])
     def test_rejects_non_spd(self, which):
         arrays = {"P": np.eye(2), "Q": np.eye(2)}
         arrays[which] = np.diag([1.0, -1.0])
         with pytest.raises(NotSpdError, match=f"^{which} is not positive definite$"):
-            AhmPair(**arrays)
+            ahm_midpoint(arrays["P"], arrays["Q"])
 
-    @pytest.mark.parametrize("call", ["AhmPair", "ahm_midpoint"])
+    @pytest.mark.parametrize("call", [ahm_midpoint], ids=["ahm_midpoint"])
     def test_rejects_order_zero(self, call):
         empty = np.zeros((0, 0))
         with pytest.raises(ValueError, match=r"^P must have order >= 1, got shape \(0, 0\)$"):
-            {"AhmPair": AhmPair, "ahm_midpoint": ahm_midpoint}[call](empty, empty)
+            call(empty, empty)
 
-    def test_keeps_read_only_copies(self):
-        p = np.diag([4.0, 1.0])
-        pair = AhmPair(P=p, Q=np.eye(2))
-        p[0, 0] = -1.0
-        assert pair.P[0, 0] == 4.0
-        for a in (pair.P, pair.Q):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 0.0
+    def test_leaves_its_inputs_alone(self):
+        p, q = np.diag([4.0, 1.0]), np.eye(2)
+        mid = ahm_midpoint(p, q)
+        assert np.array_equal(p, np.diag([4.0, 1.0])) and np.array_equal(q, np.eye(2))
+        assert p.flags.writeable and q.flags.writeable
+        assert not (np.shares_memory(mid, p) or np.shares_memory(mid, q))
+        assert np.allclose(mid, np.diag([2.0, 1.0]), rtol=0.0, atol=1e-15)
 
 
 class TestConvergence:
     def test_scalar_reaches_geometric_mean_fast(self):
-        seq = ahm_sequence(np.array([[4.0]]), np.array([[1.0]]))
-        assert seq[-1].iteration <= 6
-        assert seq[-1].gap() < 1e-12 * max(1.0, np.linalg.norm(seq[-1].P))
-        mid = 0.5 * (seq[-1].P + seq[-1].Q)
+        seq = ahm_iterates(*scalar_pair(4.0, 1.0))
+        p, q = seq[-1]
+        assert len(seq) - 1 <= 6
+        assert ahm_gap(p, q) < 1e-12 * max(1.0, np.linalg.norm(p))
+        mid = 0.5 * (p + q)
         assert abs(mid[0, 0] - 2.0) <= 1e-12
 
     def test_matches_direct_formula(self):
@@ -127,12 +135,12 @@ class TestConvergence:
 
     def test_monotone_ordering_after_first_step(self):
         rng = np.random.default_rng(34)
-        seq = ahm_sequence(random_spd(rng, 3), random_spd(rng, 3))
-        for prev, nxt in zip(seq[1:], seq[2:]):
+        seq = ahm_iterates(random_spd(rng, 3), random_spd(rng, 3))
+        for (p, q), (p1, q1) in zip(seq[1:], seq[2:]):
             # Q_k <= Q_{k+1} <= P_{k+1} <= P_k in the definite order
-            assert np.linalg.eigvalsh(nxt.Q - prev.Q).min() >= -1e-12
-            assert np.linalg.eigvalsh(nxt.P - nxt.Q).min() >= -1e-12
-            assert np.linalg.eigvalsh(prev.P - nxt.P).min() >= -1e-12
+            assert np.linalg.eigvalsh(q1 - q).min() >= -1e-12
+            assert np.linalg.eigvalsh(p1 - q1).min() >= -1e-12
+            assert np.linalg.eigvalsh(p - p1).min() >= -1e-12
 
     def test_lifted_midpoint_sweep(self):
         # n x paper norm, 5 tangents per cell: the upstairs midpoint of (I, exp V) is exp(V/2)
@@ -147,19 +155,19 @@ class TestConvergence:
                     worst_mid = max(worst_mid, np.linalg.norm(ahm_midpoint(p0, q0) - ref) / np.linalg.norm(ref))
                     # the three-inverse harmonic mean is the oracle of the one-solve step
                     harmonic = 2.0 * np.linalg.inv(np.linalg.inv(p0) + np.linalg.inv(q0))
-                    step = ahm_step(AhmPair(P=p0, Q=q0)).Q
+                    step = ahm_step(p0, q0)[1]
                     worst_step = max(worst_step, np.linalg.norm(step - harmonic) / np.linalg.norm(harmonic))
         assert worst_mid <= 1e-14
         assert worst_step <= 1e-13
 
     def test_quadratic_gap_contraction(self):
         rng = np.random.default_rng(35)
-        seq = ahm_sequence(random_spd(rng, 3), random_spd(rng, 3))
-        for prev, nxt in zip(seq, seq[1:]):
-            if prev.gap() < 1e-7:
+        seq = ahm_iterates(random_spd(rng, 3), random_spd(rng, 3))
+        for (p, q), nxt in zip(seq, seq[1:]):
+            if ahm_gap(p, q) < 1e-7:
                 break
-            bound = 0.5 * np.linalg.norm(np.linalg.inv(prev.P + prev.Q), ord=2) * prev.gap() ** 2
-            assert nxt.gap() <= 2.0 * bound
+            bound = 0.5 * np.linalg.norm(np.linalg.inv(p + q), ord=2) * ahm_gap(p, q) ** 2
+            assert ahm_gap(*nxt) <= 2.0 * bound
 
 
 class TestStackedMean:
@@ -198,8 +206,8 @@ class TestLiftedInvariants:
 
     def test_determinant_product_is_conserved(self):
         p0, q0, _ = self._lifted_pair(36)
-        for pair in ahm_sequence(p0, q0):
-            assert abs(np.linalg.det(pair.P) * np.linalg.det(pair.Q) - 1.0) <= 1e-9
+        for p, q in ahm_iterates(p0, q0):
+            assert abs(np.linalg.det(p) * np.linalg.det(q) - 1.0) <= 1e-9
 
     def test_limit_returns_to_determinant_one(self):
         p0, q0, _ = self._lifted_pair(37)
@@ -209,18 +217,17 @@ class TestLiftedInvariants:
     def test_involution_swaps_the_iterates(self):
         p0, q0, n = self._lifted_pair(38)
         j = block_exchange(n)
-        for pair in ahm_sequence(p0, q0)[1:]:
-            swap = np.linalg.norm(j @ np.linalg.inv(pair.P) @ j - pair.Q)
-            assert swap <= 1e-9 * max(1.0, np.linalg.norm(pair.Q))
+        for p, q in ahm_iterates(p0, q0)[1:]:
+            swap = np.linalg.norm(j @ np.linalg.inv(p) @ j - q)
+            assert swap <= 1e-9 * max(1.0, np.linalg.norm(q))
 
     def test_individual_iterates_leave_the_slice_by_gap_order(self):
         # membership residual of P_1 equals the gap, not zero: only the
         # limit lies back on the symmetric slice
         p0, q0, _ = self._lifted_pair(39)
-        seq = ahm_sequence(p0, q0)
-        first = seq[1]
-        res = check_special_symmetry(first.P)
-        assert abs(res - first.gap()) <= 1e-9 * max(1.0, first.gap())
+        p1, q1 = ahm_iterates(p0, q0)[1]
+        res = check_special_symmetry(p1)
+        assert abs(res - ahm_gap(p1, q1)) <= 1e-9 * max(1.0, ahm_gap(p1, q1))
 
     def test_limit_membership(self):
         p0, q0, _ = self._lifted_pair(40)
@@ -517,7 +524,6 @@ def test_log_tolerance_must_be_positive_and_finite(tol):
 ITERATIONS = {
     "log_map": log_map,
     "ahm_midpoint": lambda p, q, **opts: ahm_midpoint(embed(p), embed(q), **opts),
-    "ahm_sequence": lambda p, q, **opts: ahm_sequence(embed(p), embed(q), **opts),
     "interpolate": lambda p, q, **opts: interpolate(p, q, 2, **opts),
     "midpoint_N": midpoint_N,
     "distance-coincident": lambda p, q, **opts: distance(p, p, **opts),
@@ -576,8 +582,7 @@ def test_unknown_convention_fails_before_the_solve(coincident, monkeypatch):
     assert solves == []
 
 
-@pytest.mark.parametrize("op", ["AhmPair", "ahm_midpoint", "ahm_sequence"])
-def test_pairs_of_different_shape_are_rejected(op):
-    call = {"AhmPair": AhmPair, "ahm_midpoint": ahm_midpoint, "ahm_sequence": ahm_sequence}[op]
+@pytest.mark.parametrize("call", [ahm_midpoint], ids=["ahm_midpoint"])
+def test_pairs_of_different_shape_are_rejected(call):
     with pytest.raises(ValueError, match=r"^P and Q must share a shape, got \(2, 2\) and \(3, 3\)$"):
         call(np.eye(2), np.eye(3))

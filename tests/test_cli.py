@@ -87,6 +87,22 @@ class TestErrorsAndExitCodes:
         assert out == ""
         assert "input error" in err and "must be finite" in err
 
+    @pytest.mark.parametrize("command", ["shoot", "lax", "verify"])
+    @pytest.mark.parametrize("t_end", [[1.0], None, {"t": 1.0}], ids=["list", "null", "object"])
+    def test_non_numeric_t_end_is_input_error(self, tmp_path, capsys, command, t_end):
+        path = write_json(tmp_path, "in.json", {"tangent": tangent_json([[0.1]], [0.2]), "t_end": t_end})
+        code, out, err = run(capsys, [command, "--input", path])
+        assert (code, out) == (2, "")
+        assert err == f"gaussgeo: input error: t_end must be a number, got {t_end!r}\n"
+
+    @pytest.mark.parametrize("command", ["shoot", "log", "dist", "midpoint", "interp", "lax", "verify", "fisher-check"])
+    @pytest.mark.parametrize("obj", [5, "tangent", ["tangent"]], ids=["number", "string", "list"])
+    def test_input_that_is_not_an_object_is_input_error(self, tmp_path, capsys, command, obj):
+        path = write_json(tmp_path, "in.json", obj)
+        code, out, err = run(capsys, [command, "--input", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("gaussgeo: input error: ") and err.endswith(" must be a JSON object\n")
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -22,7 +22,7 @@ from gaussgeo.matcore import (
 )
 import gaussgeo
 import gaussgeo.matcore as matcore
-from gaussgeo.ahm import AhmPair, ahm_midpoint, ahm_sequence
+from gaussgeo.ahm import ahm_midpoint
 from gaussgeo.cli import parse_point, parse_tangent
 from gaussgeo.sympair import horizontal_lift, submersion_project
 from gaussgeo.manifold import GaussianPoint, Tangent, unembed
@@ -77,7 +77,6 @@ def _bad_stack(order, kind):
 PUBLIC_ENTRIES = {
     "GaussianPoint": lambda kind: GaussianPoint(_bad(2, kind), np.zeros(2)),
     "Tangent": lambda kind: Tangent(_bad(2, kind), np.zeros(2)),
-    "AhmPair": lambda kind: AhmPair(P=np.eye(2), Q=_bad(2, kind)),
     "parse_point": lambda kind: parse_point({"n": 2, "sigma": _bad(2, kind).tolist(), "mu": [0.0, 0.0]}),
     "parse_tangent": lambda kind: parse_tangent({"n": 2, "A0": _bad(2, kind).tolist(), "a0": [0.0, 0.0]}),
     "block_cholesky": lambda kind: block_cholesky(_bad(3, kind)),
@@ -87,7 +86,7 @@ PUBLIC_ENTRIES = {
     "submersion_project-stack": lambda kind: submersion_project(_bad_stack(3, kind)),
     "unembed": lambda kind: unembed(_bad(2, kind)),
     "ahm_midpoint": lambda kind: ahm_midpoint(_bad(2, kind), np.eye(2)),
-    "ahm_sequence": lambda kind: ahm_sequence(np.eye(2), _bad(2, kind)),
+    "ahm_midpoint-Q": lambda kind: ahm_midpoint(np.eye(2), _bad(2, kind)),
 }
 
 
@@ -113,8 +112,12 @@ def test_matrix_utilities_live_in_matcore_only():
 
 
 PACKAGE_DIR = Path(gaussgeo.__file__).parent
-# test-only oracles, now in tests/util.py, and LaxState, now the plain pair (Q, r)
-GONE_FROM_PACKAGE = ("ahm_step", "alt_embed_check", "direct_midpoint", "recovered_initial_direction", "state_from_L", "LaxState")
+# test-only oracles, now in tests/util.py; LaxState, now the plain pair (Q, r); AhmPair and
+# ahm_sequence, now the plain pair (P, Q) and, for the limit, ahm_midpoint
+GONE_FROM_PACKAGE = (
+    "ahm_step", "alt_embed_check", "direct_midpoint", "recovered_initial_direction", "state_from_L", "LaxState",
+    "AhmPair", "ahm_sequence",
+)
 
 
 def _names_used(source: str) -> set[str]:

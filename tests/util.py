@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gaussgeo import AhmPair, GaussianPoint, Tangent, embed, tangent_norm
+from gaussgeo import GaussianPoint, Tangent, embed, tangent_norm
 from gaussgeo.ahm import _step
 from gaussgeo.matcore import block_exchange, spd_sqrt, sym
 from gaussgeo.sympair import split_orthogonal
@@ -41,10 +41,26 @@ def random_algebra(n, rng, scale=1.0):
     return split_orthogonal(q, r, t, big_r, big_s)
 
 
-def ahm_step(pair):
-    """One step of the arithmetic-harmonic recursion, as a checked pair: the iteration shown step by step."""
-    p, q = _step(pair.P, pair.Q)
-    return AhmPair(P=p, Q=q, iteration=pair.iteration + 1)
+def ahm_step(p, q):
+    """One step ``(P', Q')`` of the arithmetic-harmonic recursion on the plain pair ``(p, q)``."""
+    return _step(p, q)
+
+
+def ahm_gap(p, q):
+    """Frobenius norm of the gap ``Q - P`` of a pair of the mean iteration."""
+    return float(np.linalg.norm(q - p))
+
+
+def ahm_iterates(p, q, tol=1e-12):
+    """Every iterate ``(P_k, Q_k)`` from ``(p, q)`` up to the first whose gap is below ``tol`` (relative), the runtime's stop.
+
+    Index ``k`` of the list is the number of steps taken.
+    """
+    iterates = [(p, q)]
+    while ahm_gap(*iterates[-1]) > tol * max(1.0, float(np.linalg.norm(iterates[-1][0]))):
+        assert len(iterates) <= 60, "mean iteration did not converge in 60 steps"
+        iterates.append(_step(*iterates[-1]))
+    return iterates
 
 
 def direct_midpoint(p0, q0):
@@ -91,10 +107,11 @@ def state_from_L(l):
 
 
 def gap_identity_residual(before, after):
-    """Residual of the exact one-step contraction of the mean iteration's gap, ``Q' - P'``."""
-    delta = before.Q - before.P
-    predicted = -0.5 * delta @ np.linalg.solve(before.P + before.Q, delta)
-    return float(np.linalg.norm((after.Q - after.P) - sym(predicted)))
+    """Residual of the exact one-step contraction of the mean iteration's gap, ``Q' - P'``, between pairs ``(P, Q)``."""
+    (p, q), (p1, q1) = before, after
+    delta = q - p
+    predicted = -0.5 * delta @ np.linalg.solve(p + q, delta)
+    return float(np.linalg.norm((q1 - p1) - sym(predicted)))
 
 
 def sigma_group(g):
