@@ -25,15 +25,7 @@ import sys
 
 import numpy as np
 
-from .matcore import (
-    EigenError,
-    NotSpdError,
-    _require_memory,
-    block_cholesky,
-    check_special_symmetry,
-    special_structure_residuals,
-    sym,
-)
+from .matcore import EigenError, NotSpdError, _require_memory, sym
 from .manifold import GaussianPoint, Tangent, embed, fisher_numeric, metric_at_identity, tangent_norm
 from . import geodesic as geo
 from .geodesic import ShootingError
@@ -105,11 +97,22 @@ def _require_keys(obj, keys, what: str) -> None:
         raise InputError(f"{what} is missing keys: {', '.join(missing)}")
 
 
-def _parse_matrix(raw, n: int, name: str, symmetric_tol: float = 1e-12) -> np.ndarray:
+def _numbers(raw, message: str) -> np.ndarray:
+    """``raw`` as a float array if it is a JSON number or a (nested) array of them (no bool, string or null), else ``InputError(message)``."""
     try:
-        mat = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} must be a nested numeric array") from exc
+        values = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(message) from exc
+    leaves = [raw]
+    for _ in range(values.ndim):
+        leaves = [x for row in leaves for x in row]
+    if not all(type(x) in (int, float) for x in leaves):
+        raise InputError(message)
+    return values
+
+
+def _parse_matrix(raw, n: int, name: str, symmetric_tol: float = 1e-12) -> np.ndarray:
+    mat = _numbers(raw, f"{name} must be a nested numeric array")
     if mat.shape != (n, n):
         raise InputError(f"{name} must be {n}x{n}, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -121,10 +124,7 @@ def _parse_matrix(raw, n: int, name: str, symmetric_tol: float = 1e-12) -> np.nd
 
 
 def _parse_vector(raw, n: int, name: str) -> np.ndarray:
-    try:
-        vec = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} must be a numeric array") from exc
+    vec = _numbers(raw, f"{name} must be a numeric array")
     if vec.shape != (n,):
         raise InputError(f"{name} must have length {n}, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
@@ -141,10 +141,11 @@ def _positive_int(raw, name: str) -> int:
 
 
 def _parse_t_end(obj, positive: bool = False) -> float:
-    try:
-        t_end = float(obj.get("t_end", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"t_end must be a number, got {obj['t_end']!r}") from exc
+    raw = obj.get("t_end", 1.0)
+    t_end = _numbers(raw, f"t_end must be a number, got {raw!r}")
+    if t_end.ndim:
+        raise InputError(f"t_end must be a number, got {raw!r}")
+    t_end = float(t_end)
     if not math.isfinite(t_end):
         raise InputError("t_end must be finite")
     if positive and t_end <= 0:
@@ -219,10 +220,7 @@ def _t_grid(obj, steps: int) -> np.ndarray:
         if "t_end" not in obj:
             raise InputError("input must provide t_grid (sample times) or t_end (with --steps)")
         return np.linspace(0.0, _parse_t_end(obj, positive=True), steps + 1)
-    try:
-        ts = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError("t_grid must be a numeric array") from exc
+    ts = _numbers(raw, "t_grid must be a numeric array")
     if ts.ndim != 1 or ts.size < 1:
         raise InputError("t_grid must be a non-empty 1-d array")
     if not np.all(np.isfinite(ts)):
@@ -319,28 +317,7 @@ def cmd_verify(args, obj) -> int:
         samples.Qs[len(samples.ts) // 2] += args.perturb
         log.info("injected perturbation of size %g", args.perturb)
 
-    values = {}
-    # one central-difference pass serves geodesic_residual and first_integrals
-    differences = geo._central_differences(traj, h)
-    values["geodesic_residual"] = geo._residual_from(differences, h)
-    drift_a, drift_big_a = geo._drifts_from(differences)
-    values["first_integral_drift_a"] = drift_a
-    values["first_integral_drift_A"] = drift_big_a
-
-    stride = max(1, steps // 40)
-    ambient = geo.ambient_exponentials(xi, ts[::stride])
-    values["exchange_symmetry"] = float(np.max(check_special_symmetry(ambient)))
-    values["det_drift"] = float(np.max(np.abs(np.linalg.det(ambient) - 1.0)))
-    values["block_structure"] = float(
-        max(max(special_structure_residuals(*block_cholesky(g)).values()) for g in ambient)
-    )
-
-    comm, spectral = lax_mod.verify_lax(samples, xi.a0, h)
-    values["lax_commutator_residual"] = comm
-    values["lax_spectral_drift"] = spectral
-    l_last = lax_mod.build_L((samples.Qs[-1], samples.rs[-1]), xi.a0)
-    values["lax_closed_form_agreement"] = float(np.linalg.norm(l_last - lax_mod.lax_closed_form(xi, samples.ts[-1])))
-
+    values = lax_mod.verify_checks(xi, traj, samples, h)
     checks = {
         name: {"value": values[name], "threshold": VERIFY_THRESHOLDS[name], "pass": bool(values[name] <= VERIFY_THRESHOLDS[name])}
         for name in VERIFY_THRESHOLDS
@@ -418,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lax", help="integrate the isospectral flow; CSV output")
     io_args(sp)
-    sp.add_argument("--dt", type=float, default=1e-3, help="integration step (default 1e-3)")
+    sp.add_argument("--dt", type=float, default=lax_mod.DEFAULT_DT, help=f"integration step (default {lax_mod.DEFAULT_DT:g})")
     sp.add_argument(
         "--rhs",
         choices=("bilinear", "riccati"),
@@ -430,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the invariant checks on one tangent; JSON report")
     io_args(sp)
-    sp.add_argument("--dt", type=float, default=1e-3, help="grid spacing / finite-difference step")
+    sp.add_argument("--dt", type=float, default=lax_mod.DEFAULT_DT, help="grid spacing / finite-difference step")
     sp.add_argument("--seed", type=int, default=0, help="seed for the generated tangent when input gives only n")
     sp.add_argument("--perturb", type=float, default=0.0, help="inject a fault of this size (harness self-test)")
     sp.set_defaults(func=cmd_verify)

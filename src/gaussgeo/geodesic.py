@@ -380,11 +380,11 @@ def _descend(x: np.ndarray, start, evaluate, direction, limit: float, max_iter: 
     return x, res, state
 
 
-def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> tuple[Tangent, np.ndarray, np.ndarray]:
+def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Damped Gauss-Newton shooting from the packed guess ``vec`` to the embedded ``target``.
 
-    Returns the converged tangent and the eigenpair ``(w, u)`` of its
-    generator, the one its validation exponentiated.
+    Returns the converged tangent, packed, and the eigenpair ``(w, u)`` of
+    its generator, the one its validation exponentiated.
 
     Each trial takes one eigendecomposition of its generator (:func:`_lifted`),
     and one beyond the exponent cap is rejected.  The converged tangent is
@@ -413,7 +413,7 @@ def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: in
         _lifted_point(_spectral(u, np.exp(w)))
     except (ArithmeticError, ValueError) as exc:
         raise ShootingError(f"shooting solution failed validation: {exc}", residual=res) from exc
-    return _unpack(vec, n), w, u
+    return vec, w, u
 
 
 def _fibre_point(sigma: np.ndarray, mu: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -580,7 +580,7 @@ def _fibre_newton(qn: GaussianPoint, theta: np.ndarray, tol: float, max_iter: in
     return s, lifted[4]
 
 
-def _log_subdivided(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8) -> tuple[Tangent, np.ndarray, np.ndarray]:
+def _log_subdivided(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shooting from the chart guess ``(log sigma, mu)``, with recursive path subdivision on failure; :func:`_shoot`'s result."""
     target = embed(qn)
     log_sigma = spd_log(qn.sigma)
@@ -592,18 +592,18 @@ def _log_subdivided(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8
     # Path subdivision: solve toward a halfway target on a cheap connecting
     # curve, then retry the full problem from the doubled tangent.
     half = GaussianPoint(sym_exp(0.5 * log_sigma), 0.5 * qn.mu)
-    xi_half = _log_subdivided(half, tol, max_iter, depth - 1)[0]
-    return _shoot(target, 2.0 * _pack(xi_half.A0, xi_half.a0), qn.n, tol, max_iter)
+    return _shoot(target, 2.0 * _log_subdivided(half, tol, max_iter, depth - 1)[0], qn.n, tol, max_iter)
 
 
-def _log_solve(p: GaussianPoint, q: GaussianPoint, tol: float, max_iter: int) -> tuple[Tangent, AffineMap, np.ndarray, np.ndarray]:
-    """:func:`log_map`'s checks and solve: ``(xi, chart, w, u)``.
+def _log_solve(p: GaussianPoint, q: GaussianPoint, tol: float, max_iter: int) -> tuple[np.ndarray, AffineMap, np.ndarray, np.ndarray]:
+    """:func:`log_map`'s checks and solve: ``(vec, chart, w, u)``.
 
-    ``chart`` is ``normalize_to_identity(p)``, the chart the tangent ``xi``
-    lives in, and ``(w, u)`` the eigenpair of the generator
-    ``horizontal_lift(xi)`` from the last accepted trial, whose ``exp(V)``
-    the solve has validated.  Callers that go on along the geodesic (the
-    midpoint path) use both instead of building them again.
+    ``vec`` is the tangent ``xi``, packed; ``chart`` is
+    ``normalize_to_identity(p)``, the chart ``xi`` lives in, and ``(w, u)``
+    the eigenpair of the generator ``horizontal_lift(xi)`` from the last
+    accepted trial, whose ``exp(V)`` the solve has validated.  Callers that
+    go on along the geodesic (the midpoint path) use the chart and the
+    eigenpair instead of building them again, and build no tangent.
     """
     if p.n != q.n:
         raise ValueError(f"points must share a dimension, got n = {p.n} and n = {q.n}")
@@ -614,10 +614,10 @@ def _log_solve(p: GaussianPoint, q: GaussianPoint, tol: float, max_iter: int) ->
     target = embed(qn)
     try:
         _, v = _fibre_newton(qn, target[:n, :n], tol, max_iter)
-        xi, w, u = _shoot(target, _pack(sym(-v[:n, :n]), v[:n, n]), n, tol, max_iter)
+        vec, w, u = _shoot(target, _pack(sym(-v[:n, :n]), v[:n, n]), n, tol, max_iter)
     except ShootingError:
-        xi, w, u = _log_subdivided(qn, tol, max_iter)
-    return xi, chart, w, u
+        vec, w, u = _log_subdivided(qn, tol, max_iter)
+    return vec, chart, w, u
 
 
 def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = LOG_TOL, max_iter: int = LOG_MAX_ITER) -> Tangent:
@@ -643,7 +643,7 @@ def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = LOG_TOL, max_iter: 
         number (an infinite one would accept the unconverged seed), or
         ``max_iter`` is not a positive integer.
     """
-    return _log_solve(p, q, tol, max_iter)[0]
+    return _unpack(_log_solve(p, q, tol, max_iter)[0], p.n)
 
 
 def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", tol: float = LOG_TOL, max_iter: int = LOG_MAX_ITER) -> float:

@@ -39,7 +39,10 @@ the open Toda chain.
 preallocated buffers: the right sides write into fixed ``(Q, r)`` views of
 the stage and slope buffers, and every state is one row of a single array.
 It returns the stacks (:class:`LaxSamples`), which :func:`verify_lax` reads
-directly.
+directly.  :func:`verify_checks` runs all nine checks of ``gaussgeo
+verify`` (geodesic equations, first integrals, the lift's exchange
+symmetry and block structure, the Lax equation, isospectrality and the
+closed form) on a sampled geodesic and flow that the caller builds.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _require_memory, block_cholesky
+from .matcore import _require_memory, block_cholesky, check_special_symmetry, special_structure_residuals
 from .manifold import Tangent
-from .geodesic import _stencil_offset, lifted_exponential
+from .geodesic import GeodesicTrajectory, _central_differences, _drifts_from, _residual_from, _stencil_offset, ambient_exponentials, lifted_exponential
 from .sympair import horizontal_lift, split_orthogonal
 
 DEFAULT_DT = 1e-3
@@ -268,3 +271,24 @@ def verify_lax(samples: LaxSamples, a0: np.ndarray, h: float) -> tuple[float, fl
     traces = np.stack(traces)  # (order, samples)
     drift = float(np.max(np.abs(traces - traces[:, :1])))
     return comm_residual, drift
+
+
+def verify_checks(xi: Tangent, traj: GeodesicTrajectory, samples: LaxSamples, h: float) -> dict[str, float]:
+    """The nine checks of ``gaussgeo verify`` on the geodesic ``traj`` and the flow ``samples`` of ``xi``, built (and perturbed) by the caller.
+
+    One central-difference pass (step ``h``) gives the geodesic residual and
+    both drifts; the lifted matrices at every ``(T - 1) // 40``-th grid time
+    give the exchange symmetry, determinant and block-factor checks;
+    :func:`verify_lax` and the closed form at the last sample check the flow.
+    """
+    differences = _central_differences(traj, h)
+    values = {"geodesic_residual": _residual_from(differences, h)}
+    values["first_integral_drift_a"], values["first_integral_drift_A"] = _drifts_from(differences)
+    ambient = ambient_exponentials(xi, traj.ts[:: max(1, (len(traj.ts) - 1) // 40)])
+    values["exchange_symmetry"] = float(np.max(check_special_symmetry(ambient)))
+    values["det_drift"] = float(np.max(np.abs(np.linalg.det(ambient) - 1.0)))
+    values["block_structure"] = float(max(max(special_structure_residuals(*block_cholesky(g)).values()) for g in ambient))
+    values["lax_commutator_residual"], values["lax_spectral_drift"] = verify_lax(samples, xi.a0, h)
+    l_last = build_L((samples.Qs[-1], samples.rs[-1]), xi.a0)
+    values["lax_closed_form_agreement"] = float(np.linalg.norm(l_last - lax_closed_form(xi, samples.ts[-1])))
+    return values

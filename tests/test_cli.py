@@ -88,12 +88,65 @@ class TestErrorsAndExitCodes:
         assert "input error" in err and "must be finite" in err
 
     @pytest.mark.parametrize("command", ["shoot", "lax", "verify"])
-    @pytest.mark.parametrize("t_end", [[1.0], None, {"t": 1.0}], ids=["list", "null", "object"])
+    @pytest.mark.parametrize(
+        "t_end", [[1.0], None, {"t": 1.0}, True, "0.5"], ids=["list", "null", "object", "bool", "numeric-string"]
+    )
     def test_non_numeric_t_end_is_input_error(self, tmp_path, capsys, command, t_end):
         path = write_json(tmp_path, "in.json", {"tangent": tangent_json([[0.1]], [0.2]), "t_end": t_end})
         code, out, err = run(capsys, [command, "--input", path])
         assert (code, out) == (2, "")
         assert err == f"gaussgeo: input error: t_end must be a number, got {t_end!r}\n"
+
+    @pytest.mark.parametrize(
+        "command, field, message",
+        [
+            ("dist", ("p", "sigma"), "p.sigma must be a nested numeric array"),
+            ("dist", ("q", "mu"), "q.mu must be a numeric array"),
+            ("lax", ("tangent", "A0"), "tangent.A0 must be a nested numeric array"),
+            ("verify", ("tangent", "a0"), "tangent.a0 must be a numeric array"),
+            ("shoot", ("t_grid",), "t_grid must be a numeric array"),
+        ],
+        ids=["sigma", "mu", "A0", "a0", "t_grid"],
+    )
+    @pytest.mark.parametrize("entry", [True, "2", None], ids=["bool", "numeric-string", "null"])
+    def test_array_entries_must_be_json_numbers(self, tmp_path, capsys, command, field, message, entry):
+        # numpy reads a bool, a numeric string and a null (as NaN) as a float; the schema takes JSON numbers only
+        obj = {
+            "p": point_json([[2.0]], [0.0]),
+            "q": point_json([[1.0]], [0.5]),
+            "tangent": tangent_json([[0.1]], [0.2]),
+            "t_grid": [0.0, 0.5],
+            "t_end": 1.0,
+        }
+        array = obj
+        for key in field:
+            array = array[key]
+        while isinstance(array[0], list):
+            array = array[0]
+        array[0] = entry
+        code, out, err = run(capsys, [command, "--input", write_json(tmp_path, "in.json", obj)])
+        assert (code, out) == (2, "")
+        assert err == f"gaussgeo: input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, as_int, as_float",
+        [
+            ("dist", {"p": {"n": 1, "sigma": [[2]], "mu": [0]}, "q": {"n": 1, "sigma": [[1]], "mu": [1]}},
+             {"p": {"n": 1, "sigma": [[2.0]], "mu": [0.0]}, "q": {"n": 1, "sigma": [[1.0]], "mu": [1.0]}}),
+            ("shoot", {"tangent": {"n": 1, "A0": [[1]], "a0": [0]}, "t_grid": [0, 1]},
+             {"tangent": {"n": 1, "A0": [[1.0]], "a0": [0.0]}, "t_grid": [0.0, 1.0]}),
+            ("shoot", {"tangent": {"n": 1, "A0": [[1]], "a0": [0]}, "t_end": 2},
+             {"tangent": {"n": 1, "A0": [[1.0]], "a0": [0.0]}, "t_end": 2.0}),
+        ],
+        ids=["dist", "shoot-t_grid", "shoot-t_end"],
+    )
+    def test_json_integers_are_numbers(self, tmp_path, capsys, command, as_int, as_float):
+        outputs = []
+        for obj in (as_int, as_float):
+            code, out, err = run(capsys, [command, "--input", write_json(tmp_path, "in.json", obj)])
+            assert (code, err) == (0, "")
+            outputs.append(out if command == "shoot" else json.loads(out)["results"])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["shoot", "log", "dist", "midpoint", "interp", "lax", "verify", "fisher-check"])
     @pytest.mark.parametrize("obj", [5, "tangent", ["tangent"]], ids=["number", "string", "list"])
@@ -384,6 +437,22 @@ class TestVerify:
         assert code == 1
         checks = json.loads(out)["checks"]
         assert not all(c["pass"] for c in checks.values())
+
+    def test_checks_come_from_one_pipeline_call(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting_checks(*args):
+            calls.append(args)
+            return real_checks(*args)
+
+        real_checks = laxflow.verify_checks
+        monkeypatch.setattr(laxflow, "verify_checks", counting_checks)
+        code, out, _ = run(capsys, ["verify", "--input", write_json(tmp_path, "in.json", {"n": 2, "t_end": 0.5})])
+        assert code == 0
+        assert len(calls) == 1
+        xi, traj, samples, h = calls[0]
+        assert (len(traj.ts), len(samples.ts), h) == (501, 501, laxflow.DEFAULT_DT)
+        assert sorted(json.loads(out)["checks"]) == sorted(real_checks(*calls[0]))
 
     def test_determinism(self, tmp_path, capsys):
         path = write_json(tmp_path, "in.json", {"n": 1, "t_end": 0.5})

@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 
 import gaussgeo.laxflow as laxflow
-from gaussgeo import Tangent, horizontal_lift, integrate, lax_closed_form, verify_lax
+from gaussgeo import (
+    Tangent,
+    first_integrals,
+    geodesic_residual,
+    horizontal_lift,
+    integrate,
+    lax_closed_form,
+    trajectory,
+    verify_lax,
+)
+from gaussgeo.geodesic import ambient_exponentials
+from gaussgeo.matcore import block_cholesky, check_special_symmetry, special_structure_residuals
 from gaussgeo.laxflow import build_L, build_M, lax_pattern_residual, rhs_bilinear, rhs_riccati
 from gaussgeo.cli import _random_unit_tangent, write_samples_csv
 from util import random_sym, random_tangent, sigma_algebra, state_from_L
@@ -373,6 +384,38 @@ class TestVerifyLax:
             verify_lax(samples, xi.a0, 1e-3)
         with pytest.raises(ValueError, match="multiple"):
             verify_lax(samples, xi.a0, 0.015)
+
+
+
+class TestVerifyChecks:
+    @pytest.mark.parametrize(
+        "n, steps", [(1, 2000), (2, 2000), (3, 2000), (5, 2000), (8, 2000), (3, 1013)], ids=lambda v: str(v)
+    )
+    def test_equals_the_public_per_call_sequence(self, n, steps):
+        # gaussgeo verify's checks give the bits of the public calls made one by one, per lifted
+        # matrix where the pipeline takes the stack; at 1013 steps the stride is 25, so the 41
+        # lifted samples end at t = 1 while the flow's last sample is at t = 1.013
+        h = 1e-3
+        xi = _random_unit_tangent(n, np.random.default_rng(140 + n))
+        ts = np.linspace(0.0, steps * h, steps + 1)
+        traj = trajectory(xi, ts)
+        samples = integrate("bilinear", xi, float(ts[-1]), dt=h)
+        got = laxflow.verify_checks(xi, traj, samples, h)
+
+        ambient = ambient_exponentials(xi, ts[:: max(1, steps // 40)])
+        assert len(ambient) == 41
+        expected = {"geodesic_residual": geodesic_residual(traj, h)}
+        expected["first_integral_drift_a"], expected["first_integral_drift_A"] = first_integrals(traj, h)
+        expected["exchange_symmetry"] = max(check_special_symmetry(g) for g in ambient)
+        expected["det_drift"] = max(abs(float(np.linalg.det(g)) - 1.0) for g in ambient)
+        expected["block_structure"] = max(max(special_structure_residuals(*block_cholesky(g)).values()) for g in ambient)
+        expected["lax_commutator_residual"], expected["lax_spectral_drift"] = verify_lax(samples, xi.a0, h)
+        t_last, state_last = samples[-1]
+        assert abs(t_last - steps * h) <= 1e-9
+        expected["lax_closed_form_agreement"] = float(np.linalg.norm(build_L(state_last, xi.a0) - lax_closed_form(xi, t_last)))
+        assert list(got) == list(expected)
+        assert all(type(v) is float for v in got.values())
+        assert [np.float64(v).tobytes() for v in got.values()] == [np.float64(v).tobytes() for v in expected.values()]
 
 
 class TestCsv:
