@@ -34,17 +34,17 @@ own convergence (so it takes exactly the steps, and gives the bits, of a
 run on its pair alone); the interior points are slice-checked, projected
 and read out as one stack, with one corner test per point, and the
 points' constructor checks run once over the stacked covariances and
-means.  The log solve hands over its chart at ``p`` and the eigenpair of
-the connecting generator from its last accepted trial: the chart
-denormalizes the points, and the eigenpair gives both the lifted endpoint
-and the trajectory that cross-checks every point.
+means.  The log solve hands over its chart at ``p``, the eigenpair of the
+connecting generator from its last accepted trial and the ``exp(V)`` it
+validated: the chart denormalizes the points, ``exp(V)`` is the lifted
+endpoint, and the eigenpair gives the trajectory that cross-checks them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matcore import _first_failure, _frobenius, _require_count, _require_iteration, _require_memory, _spectral, require_spd
+from .matcore import _first_failure, _frobenius, _require_count, _require_iteration, _require_memory, require_spd
 from .manifold import GaussianPoint, _apply_stacked, _points, read_embedded
 from .geodesic import LOG_MAX_ITER, LOG_TOL, _log_solve, _sampled
 from .sympair import _projected
@@ -117,9 +117,9 @@ def interpolate(
 
     Endpoints are returned exactly.  Interior points come from one shared
     solve: the connecting tangent is shot once (with :func:`log_map`'s
-    defaults), and the eigendecomposition of its generator that the solve
-    validated lifts the endpoints to the identity and its exponential; the
-    solve's chart at ``p`` undoes the normalization.  Each dyadic point is
+    defaults), and the endpoints lift to the identity and the exponential of
+    its generator that the solve validated; the solve's chart at ``p``
+    undoes the normalization.  Each dyadic point is
     the mean-iteration midpoint of its two lifted neighbours (points of one
     one-parameter group, so their geometric mean sits at the mean time);
     each level runs as one stacked iteration.  The interior points are then
@@ -143,10 +143,10 @@ def interpolate(
     count = 2 ** depth
     if p.close_to(q):
         return [p] * count + [q]
-    # log_map's defaults; its chart at p and its generator's eigenpair serve the rest
-    _, chart, w, u = _log_solve(p, q, LOG_TOL, LOG_MAX_ITER)
+    # log_map's defaults; its chart at p, its generator's eigenpair and its validated exp(V) serve the rest
+    _, chart, w, u, g = _log_solve(p, q, LOG_TOL, LOG_MAX_ITER)
     lifted = np.empty((count + 1, order, order))
-    lifted[0], lifted[count] = np.eye(order), _spectral(u, np.exp(w))
+    lifted[0], lifted[count] = np.eye(order), g
     span = count
     while span > 1:
         # the level's pairs are (lifted[k], lifted[k + span]) at k = 0, span, ...; their midpoints land half-way

@@ -32,8 +32,12 @@ is longer than ``|log G(S0)| + |S0|``, the polish one whose generator norm
 exceeds ``MAX_TRIAL_NORM`` (or is NaN).  If the fibre route fails, shooting
 restarts from the chart guess ``(log sigma, mu)`` with recursive path
 subdivision; that happens beyond paper norm about 20, where the explicitly
-formed ``G(S)`` spans more than double precision resolves.  Only the
-converged solution is validated, by :func:`exp_map`'s checks on the
+formed ``G(S)`` spans more than double precision resolves.  Input is checked
+at the public boundary (the points' constructors, the dimensions, ``tol``
+and ``max_iter``); of the solver's own arrays only what can fail is checked,
+once: the normalized target (positive covariance, finite mean), and the
+converged solution, by :func:`exp_map`'s checks (pivot tests, block
+structure, corner, the point's Cholesky and finite-mean tests) on the
 exponential rebuilt from its last eigendecomposition.  The solver returns
 the solution found in its basin; no claim of global minimality is made when
 the connecting geodesic is not unique.
@@ -47,18 +51,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matcore import NotSpdError, _require_iteration, _spectral, block_cholesky, spd_inv, spd_log, special_structure_residuals, sym, sym_eigen, sym_exp
-from .manifold import (
-    AffineMap,
-    GaussianPoint,
-    Tangent,
-    _apply_stacked,
-    _metric_scale,
-    embed,
-    normalize_to_identity,
-    read_embedded,
-    tangent_norm,
-)
+from .matcore import NotSpdError, _block_ldl, _positive, _require_iteration, _spectral, spd_inv, special_structure_residuals, sym, sym_eigen, sym_exp
+from .manifold import AffineMap, GaussianPoint, Tangent, _apply_stacked, _embedded, _metric_scale, _unchecked, _vectors, normalize_to_identity, read_embedded, tangent_norm
 from .sympair import horizontal_lift
 
 LOG_TOL = 1e-12
@@ -115,24 +109,25 @@ def exp_map(xi: Tangent, t: float) -> GaussianPoint:
     """
     if t == 0.0:
         return GaussianPoint.identity(xi.n)
-    return _lifted_point(lifted_exponential(horizontal_lift(xi), t))
+    return _unchecked(GaussianPoint, *_lifted_point(lifted_exponential(horizontal_lift(xi), t)))
 
 
-def _lifted_point(g: np.ndarray) -> GaussianPoint:
-    """The normal point of the lifted geodesic matrix ``g``, after :func:`exp_map`'s validation.
+def _lifted_point(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigma, mu)`` of the lifted geodesic matrix ``g``, an exactly symmetric ``exp(V)`` from ``_spectral``, after :func:`exp_map`'s validation.
 
-    Checks the block structure of the LDL^T factors of ``g`` and reads the
-    point off the verified pivot (1,1), whose inverse serves both the
-    structure check and ``sigma``.  :func:`exp_map` and the shooting
+    The point is read off the verified pivot (1,1), whose inverse serves both
+    the structure check and ``sigma``.  :func:`exp_map` and the shooting
     solver's validation of its converged tangent share it.
     """
     n = (g.shape[0] - 1) // 2
-    m, d = block_cholesky(g)
+    m, d = _block_ldl(g)
     sigma = spd_inv(d[:n, :n])
     worst = max(special_structure_residuals(m, d, sigma).values())
-    if worst > STRUCTURE_TOL * max(1.0, float(np.linalg.norm(g))):
+    scale = float(np.linalg.norm(g))  # a NaN in g need not reach worst (max skips it), but it reaches scale
+    if not (worst <= STRUCTURE_TOL * max(1.0, scale) and scale < math.inf):
         raise ArithmeticError(f"lifted geodesic lost its block structure: residual {worst:.3e}")
-    return GaussianPoint(*read_embedded(g[: n + 1, : n + 1], sigma))
+    sigma, mu = read_embedded(g[: n + 1, : n + 1], sigma)
+    return _positive(sigma, "sigma"), _vectors(mu, sigma, "mu", "mean")
 
 
 def exp_map_from(p: GaussianPoint, xi: Tangent, t: float) -> GaussianPoint:
@@ -288,12 +283,16 @@ def _pack(A0: np.ndarray, a0: np.ndarray) -> np.ndarray:
 
 
 def _unpack(vec: np.ndarray, n: int) -> Tangent:
+    return Tangent(*_unpacked(vec, n))
+
+
+def _unpacked(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays ``(A0, a0)`` of the packed tangent ``vec``; ``A0`` is exactly symmetric."""
     iu = _triu(n)
     a = np.zeros((n, n))
     k = iu[0].size
     a[iu] = vec[:k]
-    a = a + a.T - np.diag(np.diag(a))
-    return Tangent(A0=a, a0=vec[k:])
+    return a + a.T - np.diag(np.diag(a)), vec[k:]
 
 
 @lru_cache(maxsize=8)
@@ -380,11 +379,11 @@ def _descend(x: np.ndarray, start, evaluate, direction, limit: float, max_iter: 
     return x, res, state
 
 
-def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Gauss-Newton shooting from the packed guess ``vec`` to the embedded ``target``.
 
-    Returns the converged tangent, packed, and the eigenpair ``(w, u)`` of
-    its generator, the one its validation exponentiated.
+    Returns the converged tangent, packed, the eigenpair ``(w, u)`` of its
+    generator, and the ``exp(V)`` that its validation checked.
 
     Each trial takes one eigendecomposition of its generator (:func:`_lifted`),
     and one beyond the exponent cap is rejected.  The converged tangent is
@@ -408,12 +407,12 @@ def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: in
     vec, res, (w, u) = _descend(vec, start, evaluate, direction, limit, max_iter)
     if res > limit:
         raise ShootingError(f"shooting stalled at residual {res:.3e}", residual=res)
+    g = _spectral(u, np.exp(w))  # exp(V) of the last accepted trial: the generator is exp_map(xi, 1)'s
     try:
-        # exp(V) of the last accepted trial, from its eigenpair: the generator is exp_map(xi, 1)'s
-        _lifted_point(_spectral(u, np.exp(w)))
+        _lifted_point(g)
     except (ArithmeticError, ValueError) as exc:
         raise ShootingError(f"shooting solution failed validation: {exc}", residual=res) from exc
-    return vec, w, u
+    return vec, w, u, g
 
 
 def _fibre_point(sigma: np.ndarray, mu: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -521,26 +520,25 @@ def _fibre_jacobian(m: np.ndarray, d: np.ndarray, w: np.ndarray, u: np.ndarray) 
     return derivs[:, iu[0], iu[1]].T
 
 
-def _fibre_seed(qn: GaussianPoint) -> np.ndarray:
-    """The packed third-order horizontal point ``([L, mu mu^T] / 12)`` with ``L = log sigma`` of the normalized target.
+def _fibre_seed(log_sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The packed third-order horizontal point ``([L, mu mu^T] / 12)`` of the normalized target ``(sigma, mu)``, ``L = log sigma``.
 
     The horizontal skew block is ``S* = [L, mu mu^T] / 12 + O(r^5)`` at paper
     norm ``r``.  The seed is 0 when the chart guess ``(L, mu)`` is longer than
-    ``SEED_REACH``, and, without computing ``L``, for n = 1 (no unknowns) and
-    for a zero mean (the commutator vanishes).
+    ``SEED_REACH``, for n = 1 (no unknowns) and for a zero mean (the
+    commutator vanishes).
     """
-    n, mu = qn.n, qn.mu
+    n = len(mu)
     s0 = np.zeros(n * (n - 1) // 2)
     if n == 1 or not mu.any():
         return s0
-    log_sigma = spd_log(qn.sigma)
     if 2.0 * float(np.sum(log_sigma * log_sigma)) + 4.0 * float(mu @ mu) > SEED_REACH * SEED_REACH:
         return s0
     c = np.outer(log_sigma @ mu, mu)  # L mu mu^T; the commutator is c - c^T
     return ((c - c.T) / 12.0)[_triu(n, 1)]
 
 
-def _fibre_newton(qn: GaussianPoint, theta: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+def _fibre_newton(sigma: np.ndarray, mu: np.ndarray, theta: np.ndarray, log_sigma: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """``(s, V)``: the packed skew ``S`` where the vertical part of ``V = log G(S)`` vanishes, and that ``V``.
 
     Damped Newton over the n(n-1)/2 strictly upper entries of ``S`` from the
@@ -555,8 +553,8 @@ def _fibre_newton(qn: GaussianPoint, theta: np.ndarray, tol: float, max_iter: in
     polish makes the tangent exact.  For n = 1 there is no unknown and
     ``V = log G(0)``.
     """
-    s = _fibre_seed(qn)
-    fixed = _fibre_point(qn.sigma, qn.mu, theta)
+    s = _fibre_seed(log_sigma, mu)
+    fixed = _fibre_point(sigma, mu, theta)
     lifted = _fibre_log(fixed, s)
     if lifted is None:
         raise ShootingError("fibre point lost positivity", residual=float("inf"))
@@ -580,44 +578,51 @@ def _fibre_newton(qn: GaussianPoint, theta: np.ndarray, tol: float, max_iter: in
     return s, lifted[4]
 
 
-def _log_subdivided(qn: GaussianPoint, tol: float, max_iter: int, depth: int = 8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shooting from the chart guess ``(log sigma, mu)``, with recursive path subdivision on failure; :func:`_shoot`'s result."""
-    target = embed(qn)
-    log_sigma = spd_log(qn.sigma)
+def _normalized(sigma: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of ``embed`` and ``spd_log(sigma)`` of ``(sigma, mu)`` from one eigh of the exactly symmetric ``sigma``, after the point constructor's positivity (NaN fails it) and finite-mean tests."""
+    w, v = sym_eigen(sigma)
+    if not w[0] > 0.0:
+        raise NotSpdError("sigma is not positive definite")
+    _vectors(mu, sigma, "mu", "mean")
+    return _embedded(_spectral(v, np.power(w, -1.0)), mu), _spectral(v, np.log(w))
+
+
+def _log_subdivided(target: np.ndarray, log_sigma: np.ndarray, mu: np.ndarray, tol: float, max_iter: int, depth: int = 8) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shooting from the chart guess ``(log sigma, mu)`` to the embedded ``target``, with recursive path subdivision on failure; :func:`_shoot`'s result."""
     try:
-        return _shoot(target, _pack(log_sigma, qn.mu), qn.n, tol, max_iter)
+        return _shoot(target, _pack(log_sigma, mu), len(mu), tol, max_iter)
     except ShootingError:
         if depth <= 0:
             raise
     # Path subdivision: solve toward a halfway target on a cheap connecting
     # curve, then retry the full problem from the doubled tangent.
-    half = GaussianPoint(sym_exp(0.5 * log_sigma), 0.5 * qn.mu)
-    return _shoot(target, 2.0 * _log_subdivided(half, tol, max_iter, depth - 1)[0], qn.n, tol, max_iter)
+    half = 0.5 * mu
+    return _shoot(target, 2.0 * _log_subdivided(*_normalized(sym_exp(0.5 * log_sigma), half), half, tol, max_iter, depth - 1)[0], len(mu), tol, max_iter)
 
 
-def _log_solve(p: GaussianPoint, q: GaussianPoint, tol: float, max_iter: int) -> tuple[np.ndarray, AffineMap, np.ndarray, np.ndarray]:
-    """:func:`log_map`'s checks and solve: ``(vec, chart, w, u)``.
+def _log_solve(p: GaussianPoint, q: GaussianPoint, tol: float, max_iter: int) -> tuple[np.ndarray, AffineMap, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`log_map`'s checks and solve: ``(vec, chart, w, u, g)``.
 
     ``vec`` is the tangent ``xi``, packed; ``chart`` is
-    ``normalize_to_identity(p)``, the chart ``xi`` lives in, and ``(w, u)``
+    ``normalize_to_identity(p)``, the chart ``xi`` lives in, ``(w, u)``
     the eigenpair of the generator ``horizontal_lift(xi)`` from the last
-    accepted trial, whose ``exp(V)`` the solve has validated.  Callers that
-    go on along the geodesic (the midpoint path) use the chart and the
-    eigenpair instead of building them again, and build no tangent.
+    accepted trial, and ``g`` its ``exp(V)``, which the solve has validated.
+    Callers that go on along the geodesic (the midpoint path) use these
+    instead of building them again, and build no tangent.
     """
     if p.n != q.n:
         raise ValueError(f"points must share a dimension, got n = {p.n} and n = {q.n}")
     _require_iteration(tol, max_iter)
     chart = normalize_to_identity(p)
-    qn = chart.apply(q)
-    n = qn.n
-    target = embed(qn)
+    sigma, mu = _apply_stacked(chart, q.sigma, q.mu)
+    target, log_sigma = _normalized(sigma, mu)
+    n = len(mu)
     try:
-        _, v = _fibre_newton(qn, target[:n, :n], tol, max_iter)
-        vec, w, u = _shoot(target, _pack(sym(-v[:n, :n]), v[:n, n]), n, tol, max_iter)
+        _, v = _fibre_newton(sigma, mu, target[:n, :n], log_sigma, tol, max_iter)
+        vec, w, u, g = _shoot(target, _pack(sym(-v[:n, :n]), v[:n, n]), n, tol, max_iter)
     except ShootingError:
-        vec, w, u = _log_subdivided(qn, tol, max_iter)
-    return vec, chart, w, u
+        vec, w, u, g = _log_subdivided(target, log_sigma, mu, tol, max_iter)
+    return vec, chart, w, u, g
 
 
 def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = LOG_TOL, max_iter: int = LOG_MAX_ITER) -> Tangent:
@@ -647,9 +652,9 @@ def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = LOG_TOL, max_iter: 
 
 
 def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", tol: float = LOG_TOL, max_iter: int = LOG_MAX_ITER) -> float:
-    """Geodesic distance: the metric norm of :func:`log_map`'s tangent; bad options fail before the solve, also for ``p == q``."""
+    """Geodesic distance: the metric norm of :func:`log_map`'s tangent, taken without re-checking the arrays the solve built; bad options fail before the solve, also for ``p == q``."""
     _metric_scale(convention)
     _require_iteration(tol, max_iter)
     if p.close_to(q):
         return 0.0
-    return tangent_norm(log_map(p, q, tol, max_iter), convention)
+    return tangent_norm(_unchecked(Tangent, *_unpacked(_log_solve(p, q, tol, max_iter)[0], p.n)), convention)

@@ -127,13 +127,16 @@ def _points(sigmas: np.ndarray, mus: np.ndarray) -> list[GaussianPoint]:
     sigmas = _positive(_symmetric(sigmas, 1e-10, "sigma"), "sigma")
     mus = _vectors(mus, sigmas, "mu", "mean")
     sigmas.flags.writeable = mus.flags.writeable = False
-    points = []
-    for sigma, mu in zip(sigmas, mus):
-        point = object.__new__(GaussianPoint)
-        object.__setattr__(point, "sigma", sigma)
-        object.__setattr__(point, "mu", mu)
-        points.append(point)
-    return points
+    return [_unchecked(GaussianPoint, sigma, mu) for sigma, mu in zip(sigmas, mus)]
+
+
+def _unchecked(cls, *arrays: np.ndarray):
+    """The ``cls`` (``GaussianPoint`` or ``Tangent``) of ``arrays`` that its caller has checked: made read-only, not checked again."""
+    obj = object.__new__(cls)
+    for field, a in zip(cls.__dataclass_fields__, arrays):
+        a.flags.writeable = False
+        object.__setattr__(obj, field, a)
+    return obj
 
 
 def embed(p: GaussianPoint) -> np.ndarray:
@@ -142,14 +145,18 @@ def embed(p: GaussianPoint) -> np.ndarray:
     Leading block ``sigma^{-1}``, border ``sigma^{-1} mu``, corner
     ``1 + mu^T sigma^{-1} mu``.
     """
-    n = p.n
-    theta = spd_inv(p.sigma)
-    delta = theta @ p.mu
+    return _embedded(spd_inv(p.sigma), p.mu)
+
+
+def _embedded(theta: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """:func:`embed` of the point with mean ``mu`` from its precision ``theta = spd_inv(sigma)``, unchecked."""
+    n = len(mu)
+    delta = theta @ mu
     h = np.zeros((n + 1, n + 1))
     h[:n, :n] = theta
     h[:n, n] = delta
     h[n, :n] = delta
-    h[n, n] = 1.0 + float(p.mu @ delta)
+    h[n, n] = 1.0 + float(mu @ delta)
     return h
 
 

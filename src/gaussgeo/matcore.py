@@ -252,9 +252,14 @@ def block_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         If a pivot block loses positivity; the message identifies the block.
     """
     g = require_symmetric(g, tol=1e-10, name="block factorization input")
+    if g.shape[0] % 2 == 0 or g.shape[0] < 3:
+        raise ValueError(f"order must be odd and >= 3, got {g.shape[0]}")
+    return _block_ldl(g)
+
+
+def _block_ldl(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`block_cholesky` without its input checks: the caller vouches for an exactly symmetric ``g`` of odd order >= 3."""
     m = g.shape[0]
-    if m % 2 == 0 or m < 3:
-        raise ValueError(f"order must be odd and >= 3, got {m}")
     n = (m - 1) // 2
 
     a = g[:n, :n]

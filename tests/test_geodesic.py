@@ -21,10 +21,14 @@ from gaussgeo import (
     geodesic_residual,
     horizontal_lift,
     log_map,
+    midpoint_N,
     normalize_to_identity,
     submersion_project,
+    tangent_norm,
     trajectory,
 )
+import gaussgeo.ahm as ahm_mod
+import gaussgeo.manifold as manifold
 from gaussgeo.geodesic import (
     _fibre_jacobian,
     _fibre_log,
@@ -39,7 +43,9 @@ from gaussgeo.geodesic import (
     _vertical_part,
     ambient_exponentials,
 )
-from gaussgeo.matcore import block_cholesky, check_special_symmetry, spd_inv, sym_exp
+from gaussgeo.ahm import interpolate
+from gaussgeo.manifold import _apply_stacked
+from gaussgeo.matcore import _spectral, block_cholesky, check_special_symmetry, spd_inv, spd_log, sym, sym_exp
 from gaussgeo.cli import write_samples_csv
 from util import integrate_geodesic_ode, random_point, random_tangent, recovered_initial_direction
 
@@ -341,7 +347,7 @@ class TestLogMap:
         p, q = FAR_PAIRS["op71-n2"]
         qn = normalize_to_identity(p).apply(q)
         solves = count_calls(monkeypatch, "_log_subdivided")
-        xi = _unpack(geodesic._log_subdivided(qn, 1e-12, 100)[0], qn.n)
+        xi = _unpack(geodesic._log_subdivided(*solver_arrays(qn), 1e-12, 100)[0], qn.n)
         assert len(solves) == 2
         ref = embed(qn)
         assert np.linalg.norm(embed(exp_map(xi, 1.0)) - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -462,7 +468,7 @@ class TestShootingJacobian:
         trials = count_calls(monkeypatch, "_lifted")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            xi = _unpack(geodesic._log_subdivided(qn, 1e-12, 100)[0], qn.n)
+            xi = _unpack(geodesic._log_subdivided(*solver_arrays(qn), 1e-12, 100)[0], qn.n)
         assert any(trial is None for trial in trials)
         ref = embed(qn)
         assert np.linalg.norm(embed(exp_map(xi, 1.0)) - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -538,9 +544,19 @@ class TestFibre:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_newton_zeroes_the_vertical_part(self, n):
         q, theta, _ = fibre_case(90 + n, n, norm=6.0)
-        s, v = _fibre_newton(q, theta, 1e-12, 100)
+        s, v = _fibre_newton(q.sigma, q.mu, theta, spd_log(q.sigma), 1e-12, 100)
         assert np.linalg.norm(_vertical_part(v)) <= 1e-12 * np.linalg.norm(v)
         assert np.linalg.norm(_skew(s, n)) > 0.0
+
+
+def solver_arrays(qn):
+    """The plain arrays the solve keeps for the normalized target ``qn``: ``(embed(qn), log sigma, mu)``."""
+    return embed(qn), spd_log(qn.sigma), qn.mu
+
+
+def seed_of(qn):
+    """:func:`geodesic._fibre_seed` of the normalized target ``qn``."""
+    return geodesic._fibre_seed(spd_log(qn.sigma), qn.mu)
 
 
 def count_calls(monkeypatch, name):
@@ -565,8 +581,8 @@ class TestFibreSeed:
         rng = np.random.default_rng(100 + n)
         for _ in range(4):
             q = exp_map(random_tangent(rng, n, norm=norm), 1.0)
-            exact, _ = _fibre_newton(q, spd_inv(q.sigma), 1e-12, 100)
-            seed = geodesic._fibre_seed(q)
+            exact, _ = _fibre_newton(q.sigma, q.mu, spd_inv(q.sigma), spd_log(q.sigma), 1e-12, 100)
+            seed = seed_of(q)
             assert np.linalg.norm(seed - exact) <= 1e-3 * np.linalg.norm(exact)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -574,16 +590,16 @@ class TestFibreSeed:
         rng = np.random.default_rng(110 + n)
         mu = rng.standard_normal(n)
         p, q = GaussianPoint(random_point(rng, n).sigma, mu), GaussianPoint(random_point(rng, n).sigma, mu)
-        seed = geodesic._fibre_seed(normalize_to_identity(p).apply(q))
+        seed = seed_of(normalize_to_identity(p).apply(q))
         assert seed.shape == (n * (n - 1) // 2,) and not seed.any()
-        assert not geodesic._fibre_seed(random_point(rng, 1)).any()
+        assert not seed_of(random_point(rng, 1)).any()
 
     def test_seed_is_zero_beyond_its_reach(self, monkeypatch):
         # the chart guess (log sigma, mu) of this target has paper norm sqrt(108), above SEED_REACH
         q = GaussianPoint(np.array([[math.e ** 5, 0.0], [0.0, math.e ** -5]]), np.array([1.0, 1.0]))
-        assert not geodesic._fibre_seed(q).any()
+        assert not seed_of(q).any()
         monkeypatch.setattr(geodesic, "SEED_REACH", 11.0)
-        assert geodesic._fibre_seed(q).any()
+        assert seed_of(q).any()
 
     @pytest.mark.parametrize("norms", [(0.25, 2.0), (4.0, 8.0)])
     def test_seed_saves_newton_steps(self, monkeypatch, norms):
@@ -631,9 +647,9 @@ class TestLiftedShooting:
         xi = log_map(p, q)
         assert (len(validations), len(exp_calls)) == (1, 0)
         # it validated the point exp_map reaches with the returned tangent
-        checked, reached = validations[0], exp_map(xi, 1.0)
-        assert np.linalg.norm(checked.sigma - reached.sigma) <= 1e-14 * np.linalg.norm(reached.sigma)
-        assert np.linalg.norm(checked.mu - reached.mu) <= 1e-14 * max(1.0, np.linalg.norm(reached.mu))
+        (checked_sigma, checked_mu), reached = validations[0], exp_map(xi, 1.0)
+        assert np.linalg.norm(checked_sigma - reached.sigma) <= 1e-14 * np.linalg.norm(reached.sigma)
+        assert np.linalg.norm(checked_mu - reached.mu) <= 1e-14 * max(1.0, np.linalg.norm(reached.mu))
 
     def test_far_pair_validates_once_per_solve(self, monkeypatch):
         p, q = FAR_PAIRS["op12-n3"]
@@ -652,7 +668,7 @@ class TestLiftedShooting:
         for _ in range(4):
             p = random_point(rng, n)
             q = exp_map_from(p, random_tangent(rng, n, norm=norm), 1.0)
-            vec, chart, w, u = geodesic._log_solve(p, q, 1e-12, 100)
+            vec, chart, w, u, _ = geodesic._log_solve(p, q, 1e-12, 100)
             xi = _unpack(vec, n)
             w_ref, u_ref = matcore.sym_eigen(horizontal_lift(xi))
             assert (w.tobytes(), u.tobytes()) == (w_ref.tobytes(), u_ref.tobytes())
@@ -664,7 +680,7 @@ class TestLiftedShooting:
     @pytest.mark.parametrize("pair", sorted(FAR_PAIRS))
     def test_fallback_returns_the_generator_eigenpair(self, pair):
         p, q = FAR_PAIRS[pair]
-        vec, w, u = geodesic._log_subdivided(normalize_to_identity(p).apply(q), 1e-12, 100)
+        vec, w, u, _ = geodesic._log_subdivided(*solver_arrays(normalize_to_identity(p).apply(q)), 1e-12, 100)
         xi = _unpack(vec, p.n)
         w_ref, u_ref = matcore.sym_eigen(horizontal_lift(xi))
         assert (w.tobytes(), u.tobytes()) == (w_ref.tobytes(), u_ref.tobytes())
@@ -726,3 +742,258 @@ class TestTrajectoryCsv:
         write_samples_csv(buf, ("sigma", "mu"), traj.ts, traj.sigmas, traj.mus)
         header = buf.getvalue().splitlines()[0]
         assert header == "t,sigma_11,sigma_12,sigma_21,sigma_22,mu_1,mu_2"
+
+
+def lifted_case(seed, n, norm=1.0):
+    """A lifted geodesic matrix ``exp(V)``, exactly symmetric like the ones the solver validates."""
+    xi = random_tangent(np.random.default_rng(seed), n, norm=norm)
+    return geodesic.lifted_exponential(horizontal_lift(xi), 1.0)
+
+
+def bypassed_point(sigma, mu):
+    """A ``GaussianPoint`` whose constructor checks never ran."""
+    point = object.__new__(GaussianPoint)
+    object.__setattr__(point, "sigma", np.asarray(sigma, dtype=float))
+    object.__setattr__(point, "mu", np.asarray(mu, dtype=float))
+    return point
+
+
+class TestLiftedPointChecks:
+    # _lifted_point factors without block_cholesky's input checks; the checks that can fail still run
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_returns_the_arrays_exp_map_reads(self, n):
+        g = lifted_case(200 + n, n)
+        sigma, mu = geodesic._lifted_point(g)
+        reached = exp_map(random_tangent(np.random.default_rng(200 + n), n), 1.0)
+        assert (sigma.tobytes(), mu.tobytes()) == (reached.sigma.tobytes(), reached.mu.tobytes())
+        assert not (reached.sigma.flags.writeable or reached.mu.flags.writeable)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matrix_off_the_slice_loses_its_block_structure(self, n):
+        g = lifted_case(210 + n, n)
+        rng = np.random.default_rng(220 + n)
+        bump = sym(rng.standard_normal(g.shape))
+        moved = g + 1e-6 * np.linalg.norm(g) / np.linalg.norm(bump) * bump
+        block_cholesky(moved)  # still a valid block factorization input
+        with pytest.raises(ArithmeticError, match="^lifted geodesic lost its block structure: residual "):
+            geodesic._lifted_point(moved)
+
+    @pytest.mark.parametrize("where", ["leading", "middle", "trailing", "border", "corner"])
+    def test_nan_entry_is_rejected(self, where):
+        n = 2
+        g = lifted_case(230, n).copy()
+        i, j = {"leading": (0, 1), "middle": (n, n), "trailing": (n + 1, n + 2), "border": (0, n + 1), "corner": (n, n + 1)}[where]
+        g[i, j] = g[j, i] = np.nan
+        with pytest.raises((ArithmeticError, ValueError)):
+            geodesic._lifted_point(g)
+
+    def test_nan_in_the_trailing_block_fails_the_structure_test(self):
+        # the factorization's pivot tests pass such a trailing block, and max() skips a NaN residual
+        n = 3
+        g = lifted_case(231, n).copy()
+        g[n + 1, n + 2] = g[n + 2, n + 1] = np.nan
+        with pytest.raises(ArithmeticError, match="^lifted geodesic lost its block structure: residual "):
+            geodesic._lifted_point(g)
+
+    def test_non_spd_leading_pivot_is_not_spd(self):
+        n = 2
+        g = lifted_case(232, n).copy()
+        g[:n, :n] = -g[:n, :n]
+        with pytest.raises(NotSpdError, match=r"^pivot block \(1,1\) is not positive definite$"):
+            geodesic._lifted_point(g)
+
+    def test_read_out_gets_the_point_checks(self, monkeypatch):
+        # the constructor's tests of the point run on the read-out: a Cholesky test of sigma, a finite mean
+        g = lifted_case(233, 2)
+        real = geodesic.read_embedded
+        monkeypatch.setattr(geodesic, "read_embedded", lambda h, sigma: (-real(h, sigma)[0], real(h, sigma)[1]))
+        with pytest.raises(NotSpdError, match="^sigma is not positive definite$"):
+            geodesic._lifted_point(g)
+        monkeypatch.setattr(geodesic, "read_embedded", lambda h, sigma: (real(h, sigma)[0], np.full(2, np.nan)))
+        with pytest.raises(ValueError, match=r"^mean must be finite, got \[nan nan\]$"):
+            geodesic._lifted_point(g)
+
+    def test_singular_leading_pivot_is_not_spd(self):
+        # the far n = 2 matrix of the CLI test: pivot (1,1) passes its Cholesky test yet is singular to LU
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            random_tangent(rng, 1)
+        far = geodesic.lifted_exponential(horizontal_lift(random_tangent(rng, 2)), float(np.logspace(0.0, 3.2, 20)[12]))
+        with pytest.raises(NotSpdError, match=r"^pivot block \(1,1\) is numerically singular$"):
+            geodesic._lifted_point(far)
+
+
+BOUNDARY_CALLS = {"log_map": log_map, "distance": distance, "midpoint_N": midpoint_N}
+
+
+class TestPairBoundary:
+    # the checks at the public boundary keep their errors and messages
+
+    @pytest.mark.parametrize("call", sorted(BOUNDARY_CALLS))
+    def test_dimension_mismatch(self, call):
+        rng = np.random.default_rng(240)
+        with pytest.raises(ValueError, match="^points must share a dimension, got n = 2 and n = 3$"):
+            BOUNDARY_CALLS[call](random_point(rng, 2), random_point(rng, 3))
+
+    @pytest.mark.parametrize("call", sorted(BOUNDARY_CALLS))
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_tol(self, call, tol):
+        rng = np.random.default_rng(241)
+        p, q = random_point(rng, 2), random_point(rng, 2)
+        with pytest.raises(ValueError, match=f"^tol must be a positive finite number, got {re.escape(repr(tol))}$"):
+            BOUNDARY_CALLS[call](p, q, tol=tol)
+
+    @pytest.mark.parametrize("call", sorted(BOUNDARY_CALLS))
+    @pytest.mark.parametrize("max_iter", [0, True, 2.0])
+    def test_bad_max_iter(self, call, max_iter):
+        rng = np.random.default_rng(242)
+        p, q = random_point(rng, 2), random_point(rng, 2)
+        with pytest.raises(ValueError, match=f"^max_iter must be a positive integer, got {re.escape(repr(max_iter))}$"):
+            BOUNDARY_CALLS[call](p, q, max_iter=max_iter)
+
+    @pytest.mark.parametrize("call", sorted(BOUNDARY_CALLS))
+    def test_non_spd_sigma(self, call):
+        good = GaussianPoint(np.eye(2), np.zeros(2))
+        with pytest.raises(NotSpdError, match="^sigma is not positive definite$"):
+            BOUNDARY_CALLS[call](good, GaussianPoint(np.diag([1.0, -1.0]), np.zeros(2)))
+        # a target that never passed the constructor fails the solve's positivity test with the same error
+        with pytest.raises(NotSpdError, match="^sigma is not positive definite$"):
+            BOUNDARY_CALLS[call](good, bypassed_point(np.diag([1.0, -1.0]), np.zeros(2)))
+        with pytest.raises(NotSpdError, match="^sigma is not positive definite$"):
+            BOUNDARY_CALLS[call](good, bypassed_point(np.diag([1.0, np.nan]), np.zeros(2)))
+
+
+    @pytest.mark.parametrize("call", sorted(BOUNDARY_CALLS))
+    def test_non_finite_mean(self, call):
+        good = GaussianPoint(np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match=r"^mean must be finite, got \[nan  0\.\]$"):
+            BOUNDARY_CALLS[call](good, GaussianPoint(np.eye(2), np.array([np.nan, 0.0])))
+        # a target that never passed the constructor fails the solve's finite-mean test, on its normalized mean
+        with pytest.raises(ValueError, match=r"^mean must be finite, got \[nan nan\]$"):
+            BOUNDARY_CALLS[call](good, bypassed_point(np.eye(2), np.array([np.nan, 0.0])))
+
+
+def seeded_pairs(seed, n, norms=(0.5, 2.0, 6.0)):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for norm in norms:
+        p = random_point(rng, n)
+        pairs.append((p, exp_map_from(p, random_tangent(rng, n, norm=norm), 1.0)))
+    return pairs
+
+
+def capture_args(monkeypatch, name):
+    """Replace ``geodesic.<name>`` by a wrapper; returns the list of its argument tuples."""
+    calls, real = [], getattr(geodesic, name)
+
+    def capturing(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geodesic, name, capturing)
+    return calls
+
+
+def same_bits(*pairs):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() and np.shape(a) == np.shape(b) for a, b in pairs)
+
+
+class TestSolveArrays:
+    # the solve keeps the normalized target as plain arrays from one eigendecomposition, with the bits of the point route
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_target_and_seed_have_the_point_route_bits(self, monkeypatch, n):
+        newtons = capture_args(monkeypatch, "_fibre_newton")
+        shots = capture_args(monkeypatch, "_shoot")
+        for p, q in seeded_pairs(250 + n, n):
+            del newtons[:], shots[:]
+            geodesic._log_solve(p, q, 1e-12, 100)
+            qn = normalize_to_identity(p).apply(q)
+            sigma, mu, theta, log_sigma, _, _ = newtons[0]
+            target = shots[0][0]
+            assert same_bits((sigma, qn.sigma), (mu, qn.mu), (theta, spd_inv(qn.sigma)), (target, embed(qn)))
+            assert same_bits((log_sigma, spd_log(qn.sigma)))
+            # the seed from the plain arrays against the closed form on the point's spd_log
+            ref = np.zeros(n * (n - 1) // 2)
+            if n > 1 and qn.mu.any():
+                big_l = spd_log(qn.sigma)
+                if 2.0 * float(np.sum(big_l * big_l)) + 4.0 * float(qn.mu @ qn.mu) <= geodesic.SEED_REACH ** 2:
+                    c = np.outer(big_l @ qn.mu, qn.mu)
+                    ref = ((c - c.T) / 12.0)[np.triu_indices(n, 1)]
+            assert same_bits((geodesic._fibre_seed(log_sigma, mu), ref))
+
+    @pytest.mark.parametrize("pair", sorted(FAR_PAIRS))
+    def test_fallback_targets_have_the_point_route_bits(self, monkeypatch, pair):
+        # the chart-guess fallback and its halfway targets, read off one eigendecomposition each
+        p, q = FAR_PAIRS[pair]
+        qn = normalize_to_identity(p).apply(q)
+        calls = capture_args(monkeypatch, "_log_subdivided")
+        geodesic._log_subdivided(*solver_arrays(qn), 1e-12, 100)
+        point = qn
+        for target, log_sigma, mu, *_ in calls:
+            assert same_bits((target, embed(point)), (log_sigma, spd_log(point.sigma)), (mu, point.mu))
+            point = GaussianPoint(sym_exp(0.5 * spd_log(point.sigma)), 0.5 * point.mu)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_distance_is_the_norm_of_log_map(self, n):
+        for p, q in seeded_pairs(260 + n, n):
+            xi = log_map(p, q)
+            for convention in ("paper", "fisher"):
+                assert distance(p, q, convention) == tangent_norm(xi, convention)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_solve_hands_over_the_validated_exponential(self, n):
+        for p, q in seeded_pairs(270 + n, n):
+            vec, _, w, u, g = geodesic._log_solve(p, q, 1e-12, 100)
+            assert same_bits((g, _spectral(u, np.exp(w))))
+            reached = exp_map(_unpack(vec, n), 1.0)
+            assert same_bits(*zip(geodesic._lifted_point(g), (reached.sigma, reached.mu)))
+
+    @pytest.mark.parametrize("op", ["distance", "midpoint_N", "interpolate"])
+    def test_pair_ops_run_no_constructor_checks(self, monkeypatch, op):
+        calls = {"distance": distance, "midpoint_N": midpoint_N, "interpolate": lambda p, q: interpolate(p, q, 3)}
+        pairs = seeded_pairs(280, 3) + seeded_pairs(281, 5)
+        constructed, inside, solving, normalized = [], [], [], []
+        for cls in (GaussianPoint, Tangent):
+            real_init = cls.__post_init__
+
+            def counting_init(self, _real=real_init):
+                constructed.append(type(self).__name__)
+                _real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting_init)
+        real_symmetric, real_solve, real_eigen = matcore._symmetric, geodesic._log_solve, matcore.sym_eigen
+
+        def counting_symmetric(*args):
+            if solving:
+                inside.append(args[0].shape)
+            return real_symmetric(*args)
+
+        def flagged_solve(p, q, *args):
+            normalized.append(_apply_stacked(normalize_to_identity(p), q.sigma, q.mu)[0].tobytes())
+            solving.append(None)
+            try:
+                return real_solve(p, q, *args)
+            finally:
+                solving.pop()
+
+        decompositions = []
+
+        def counting_eigen(s):
+            decompositions.append(s.tobytes())
+            return real_eigen(s)
+
+        for module in (matcore, manifold):
+            monkeypatch.setattr(module, "_symmetric", counting_symmetric)
+        for module in (matcore, geodesic):
+            monkeypatch.setattr(module, "sym_eigen", counting_eigen)
+        monkeypatch.setattr(geodesic, "_log_solve", flagged_solve)
+        monkeypatch.setattr(ahm_mod, "_log_solve", flagged_solve)
+        for p, q in pairs:
+            del normalized[:], decompositions[:]
+            calls[op](p, q)
+            # no point or tangent is constructed, no symmetric check runs inside the solve,
+            # and the normalized covariance is decomposed once
+            assert (constructed, inside) == ([], [])
+            assert decompositions.count(normalized[0]) == 1

@@ -17,7 +17,7 @@ import pytest
 
 from gaussgeo import GaussianPoint, exp_map, horizontal_lift, log_map
 from gaussgeo.geodesic import _fibre_log, _fibre_newton, _fibre_point, _generator_basis, _lifted, _pack, _residual_jacobian
-from gaussgeo.matcore import spd_inv
+from gaussgeo.matcore import spd_inv, spd_log
 from util import random_tangent
 
 linalg = pytest.importorskip("scipy.linalg")
@@ -60,7 +60,7 @@ def test_fibre_point_logm_is_the_horizontal_generator(n):
     for norm in NORMS[:3]:
         q = exp_map(random_tangent(rng, n, norm=norm), 1.0)
         theta = spd_inv(q.sigma)
-        s, _ = _fibre_newton(q, theta, 1e-12, 100)
+        s, _ = _fibre_newton(q.sigma, q.mu, theta, spd_log(q.sigma), 1e-12, 100)
         m, d = _fibre_log(_fibre_point(q.sigma, q.mu, theta), s)[:2]
         ref = horizontal_lift(log_map(GaussianPoint.identity(n), q))
         with warnings.catch_warnings():
