@@ -33,14 +33,12 @@ exceeds ``MAX_TRIAL_NORM`` (or is NaN).  If the fibre route fails, shooting
 restarts from the chart guess ``(log sigma, mu)`` with recursive path
 subdivision; that happens beyond paper norm about 20, where the explicitly
 formed ``G(S)`` spans more than double precision resolves.  Input is checked
-at the public boundary (the points' constructors, the dimensions, ``tol``
-and ``max_iter``); of the solver's own arrays only what can fail is checked,
-once: the normalized target (positive covariance, finite mean), and the
-converged solution, by :func:`exp_map`'s checks (pivot tests, block
-structure, corner, the point's Cholesky and finite-mean tests) on the
-exponential rebuilt from its last eigendecomposition.  The solver returns
-the solution found in its basin; no claim of global minimality is made when
-the connecting geodesic is not unique.
+at the public boundary (points, dimensions, ``tol``, ``max_iter``); of the
+solver's own arrays only what can fail is checked, once: the normalized
+target (positive covariance, finite mean) and the converged solution, by
+:func:`exp_map`'s checks on the exponential rebuilt from its last
+eigendecomposition.  The solver returns the solution found in its basin; no
+claim of global minimality is made when the connecting geodesic is not unique.
 """
 
 from __future__ import annotations
@@ -52,7 +50,19 @@ from functools import lru_cache
 import numpy as np
 
 from .matcore import NotSpdError, _block_ldl, _positive, _require_iteration, _spectral, spd_inv, special_structure_residuals, sym, sym_eigen, sym_exp
-from .manifold import AffineMap, GaussianPoint, Tangent, _apply_stacked, _embedded, _metric_scale, _unchecked, _vectors, normalize_to_identity, read_embedded, tangent_norm
+from .manifold import (
+    AffineMap,
+    GaussianPoint,
+    Tangent,
+    _apply_stacked,
+    _embedded,
+    _metric_scale,
+    _own,
+    _vectors,
+    normalize_to_identity,
+    read_embedded,
+    tangent_norm,
+)
 from .sympair import horizontal_lift
 
 LOG_TOL = 1e-12
@@ -109,7 +119,7 @@ def exp_map(xi: Tangent, t: float) -> GaussianPoint:
     """
     if t == 0.0:
         return GaussianPoint.identity(xi.n)
-    return _unchecked(GaussianPoint, *_lifted_point(lifted_exponential(horizontal_lift(xi), t)))
+    return _own(object.__new__(GaussianPoint), *_lifted_point(lifted_exponential(horizontal_lift(xi), t)))
 
 
 def _lifted_point(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +133,8 @@ def _lifted_point(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, d = _block_ldl(g)
     sigma = spd_inv(d[:n, :n])
     worst = max(special_structure_residuals(m, d, sigma).values())
-    scale = float(np.linalg.norm(g))  # a NaN in g need not reach worst (max skips it), but it reaches scale
-    if not (worst <= STRUCTURE_TOL * max(1.0, scale) and scale < math.inf):
+    # max() can skip a NaN residual; a NaN or inf norm of g fails the bound instead (np.maximum keeps a NaN)
+    if not worst <= STRUCTURE_TOL * np.maximum(1.0, np.linalg.norm(g)) < math.inf:
         raise ArithmeticError(f"lifted geodesic lost its block structure: residual {worst:.3e}")
     sigma, mu = read_embedded(g[: n + 1, : n + 1], sigma)
     return _positive(sigma, "sigma"), _vectors(mu, sigma, "mu", "mean")
@@ -283,16 +293,12 @@ def _pack(A0: np.ndarray, a0: np.ndarray) -> np.ndarray:
 
 
 def _unpack(vec: np.ndarray, n: int) -> Tangent:
-    return Tangent(*_unpacked(vec, n))
-
-
-def _unpacked(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays ``(A0, a0)`` of the packed tangent ``vec``; ``A0`` is exactly symmetric."""
+    """The tangent of the finite packed vector ``vec``, built unchecked: its ``A0`` is exactly symmetric."""
     iu = _triu(n)
     a = np.zeros((n, n))
     k = iu[0].size
     a[iu] = vec[:k]
-    return a + a.T - np.diag(np.diag(a)), vec[k:]
+    return _own(object.__new__(Tangent), a + a.T - np.diag(np.diag(a)), vec[k:].copy())
 
 
 @lru_cache(maxsize=8)
@@ -652,9 +658,9 @@ def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = LOG_TOL, max_iter: 
 
 
 def distance(p: GaussianPoint, q: GaussianPoint, convention: str = "paper", tol: float = LOG_TOL, max_iter: int = LOG_MAX_ITER) -> float:
-    """Geodesic distance: the metric norm of :func:`log_map`'s tangent, taken without re-checking the arrays the solve built; bad options fail before the solve, also for ``p == q``."""
+    """Geodesic distance: the metric norm of :func:`log_map`'s tangent; bad options fail before the solve, also for ``p == q``."""
     _metric_scale(convention)
     _require_iteration(tol, max_iter)
     if p.close_to(q):
         return 0.0
-    return tangent_norm(_unchecked(Tangent, *_unpacked(_log_solve(p, q, tol, max_iter)[0], p.n)), convention)
+    return tangent_norm(log_map(p, q, tol, max_iter), convention)

@@ -123,14 +123,13 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
     the initial state is ``(A0, a0)`` from the tangent.  ``"riccati"``
     follows the Lax flow only for commuting data (``a0`` zero or an
     eigenvector of ``A0``); otherwise it departs from the bilinear solution
-    (see the commutator identity in the module docstring).  Steps run while
-    the time is short of ``t_end`` by more than ``1e-12 * max(1, t_end)``,
-    each ``dt`` or the rest of the way if less, so the last sample can miss
-    ``t_end`` by up to that margin: at ``t_end = 2``, ``dt = 1e-3`` it is
-    ``1.9999999999998905``, the sum of 2000 steps.  Returns the stacked
-    samples: every state is one row of a single array, filled step by step
-    from preallocated stage and slope buffers, and ``Qs`` and ``rs`` are
-    views of its columns.  The right sides take ``r`` and write
+    (see the commutator identity in the module docstring).  Steps of ``dt``
+    (or the rest of the way, if less) run until the time is within
+    ``1e-12 * max(1, t_end)`` of ``t_end``, so the last sample can miss it by
+    that margin (``1.9999999999998905`` at ``t_end = 2``, ``dt = 1e-3``).
+    Returns the stacked samples: every state is one row of a single array,
+    filled step by step from preallocated stage and slope buffers, and
+    ``Qs`` and ``rs`` are views of its columns.  The right sides take ``r`` and write
     ``dr`` as ``(n, 1)`` column views.  Each step adds the slopes in turn,
     ``((k1 + 2 k2) + 2 k3) + k4``, so the samples have the bits of textbook
     RK4, signed zeros included.
@@ -282,8 +281,7 @@ def verify_checks(xi: Tangent, traj: GeodesicTrajectory, samples: LaxSamples, h:
     One central-difference pass (step ``h``) gives the geodesic residual and
     both drifts; the lifted matrices at every ``(T - 1) // 40``-th grid time
     give the exchange symmetry, determinant and block-factor checks;
-    :func:`verify_lax` and the closed form at the last sample's RK4 time
-    (within ``1e-12 * max(1, t_end)`` of the grid's end) check the flow.
+    :func:`verify_lax` and the closed form at the last sample's RK4 time check the flow.
     """
     differences = _central_differences(traj, h)
     values = {"geodesic_residual": _residual_from(differences, h)}

@@ -47,14 +47,16 @@ def _vectors(vectors, matrices: np.ndarray, field: str, what: str) -> np.ndarray
     return vectors
 
 
-def _own_checked(obj, matrix_field: str, matrix: np.ndarray, vector_field: str, what: str) -> None:
-    """Check the vector field of ``obj`` against the checked matrix; set read-only copies of both.
+def _own(obj, *arrays: np.ndarray):
+    """``obj`` (a ``GaussianPoint`` or ``Tangent``) with the checked ``arrays`` as its fields, in order, made read-only.
 
     Owning read-only arrays keeps the checks valid for the object's life.
+    Code that checked the arrays itself builds ``_own(object.__new__(cls), ...)``.
     """
-    for field, a in ((matrix_field, matrix), (vector_field, _vectors(getattr(obj, vector_field), matrix, vector_field, what))):
+    for field, a in zip(obj.__dataclass_fields__, arrays):
         a.flags.writeable = False
         object.__setattr__(obj, field, a)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,8 @@ class GaussianPoint:
     mu: np.ndarray
 
     def __post_init__(self):
-        _own_checked(self, "sigma", require_spd(self.sigma, name="sigma"), "mu", "mean")
+        sigma = require_spd(self.sigma, name="sigma")
+        _own(self, sigma, _vectors(self.mu, sigma, "mu", "mean"))
 
     @property
     def n(self) -> int:
@@ -92,7 +95,8 @@ class Tangent:
     a0: np.ndarray
 
     def __post_init__(self):
-        _own_checked(self, "A0", require_symmetric(self.A0, name="A0"), "a0", "a0")
+        a = require_symmetric(self.A0, name="A0")
+        _own(self, a, _vectors(self.a0, a, "a0", "a0"))
 
     @property
     def n(self) -> int:
@@ -127,16 +131,7 @@ def _points(sigmas: np.ndarray, mus: np.ndarray) -> list[GaussianPoint]:
     sigmas = _positive(_symmetric(sigmas, 1e-10, "sigma"), "sigma")
     mus = _vectors(mus, sigmas, "mu", "mean")
     sigmas.flags.writeable = mus.flags.writeable = False
-    return [_unchecked(GaussianPoint, sigma, mu) for sigma, mu in zip(sigmas, mus)]
-
-
-def _unchecked(cls, *arrays: np.ndarray):
-    """The ``cls`` (``GaussianPoint`` or ``Tangent``) of ``arrays`` that its caller has checked: made read-only, not checked again."""
-    obj = object.__new__(cls)
-    for field, a in zip(cls.__dataclass_fields__, arrays):
-        a.flags.writeable = False
-        object.__setattr__(obj, field, a)
-    return obj
+    return [_own(object.__new__(GaussianPoint), sigma, mu) for sigma, mu in zip(sigmas, mus)]
 
 
 def embed(p: GaussianPoint) -> np.ndarray:
