@@ -214,12 +214,15 @@ def _report(command: str, digest: str, results: dict, checks: dict, out: str) ->
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _t_grid(obj, steps: int) -> np.ndarray:
+def _t_grid(obj, steps: int, n: int) -> np.ndarray:
     raw = obj.get("t_grid")
     if raw is None:
         if "t_end" not in obj:
             raise InputError("input must provide t_grid (sample times) or t_end (with --steps)")
-        return np.linspace(0.0, _parse_t_end(obj, positive=True), steps + 1)
+        t_end = _parse_t_end(obj, positive=True)
+        # the grid and the sampled (sigma, mu) of order n, before the grid is built
+        _require_memory(8.0 * (steps + 1.0) * (n + 1) ** 2, f"shoot to t_end = {t_end:g} in {steps} steps")
+        return np.linspace(0.0, t_end, steps + 1)
     ts = _numbers(raw, "t_grid must be a numeric array")
     if ts.ndim != 1 or ts.size < 1:
         raise InputError("t_grid must be a non-empty 1-d array")
@@ -234,7 +237,7 @@ def cmd_shoot(args, obj) -> int:
     _require_keys(obj, ("tangent",), "input")
     xi = parse_tangent(obj["tangent"])
     base = parse_point(obj["point"], "point") if "point" in obj else None
-    ts = _t_grid(obj, args.steps)
+    ts = _t_grid(obj, args.steps, xi.n)
     traj = geo.trajectory(xi, ts, basepoint=base)
     buf = io.StringIO()
     write_samples_csv(buf, ("sigma", "mu"), traj.ts, traj.sigmas, traj.mus)

@@ -585,7 +585,7 @@ def _fibre_newton(sigma: np.ndarray, mu: np.ndarray, theta: np.ndarray, log_sigm
 
 
 def _normalized(sigma: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bits of ``embed`` and ``spd_log(sigma)`` of ``(sigma, mu)`` from one eigh of the exactly symmetric ``sigma``, after the point constructor's positivity (NaN fails it) and finite-mean tests."""
+    """The bits of ``embed`` of ``(sigma, mu)`` and the matrix logarithm of ``sigma`` from one eigh of the exactly symmetric ``sigma``, after the point constructor's positivity (NaN fails it) and finite-mean tests."""
     w, v = sym_eigen(sigma)
     if not w[0] > 0.0:
         raise NotSpdError("sigma is not positive definite")

@@ -26,11 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _first_failure, _frobenius, _positive, _symmetric, require_spd, require_symmetric, spd_inv, spd_power, spd_sqrt, sym
+from .matcore import _first_failure, _frobenius, _positive, _require_memory, _symmetric, require_spd, require_symmetric, spd_inv, spd_power, sym
 
 # unembed accepts inputs produced by iterative algorithms, whose corner
 # entry carries accumulated error.
 CONSISTENCY_TOL = 1e-8
+
+# Relative tolerance under which GaussianPoint.close_to takes two points for one.
+CLOSE_TOL = 1e-12
 
 FISHER_QUAD_MAX_DIM = 3
 
@@ -78,12 +81,12 @@ class GaussianPoint:
     def identity(n: int) -> "GaussianPoint":
         return GaussianPoint(np.eye(n), np.zeros(n))
 
-    def close_to(self, other: "GaussianPoint", tol: float = 1e-12) -> bool:
+    def close_to(self, other: "GaussianPoint") -> bool:
         scale = max(1.0, float(np.linalg.norm(self.sigma)), float(np.linalg.norm(self.mu)))
         return (
             other.n == self.n
-            and np.linalg.norm(self.sigma - other.sigma) <= tol * scale
-            and np.linalg.norm(self.mu - other.mu) <= tol * scale
+            and np.linalg.norm(self.sigma - other.sigma) <= CLOSE_TOL * scale
+            and np.linalg.norm(self.mu - other.mu) <= CLOSE_TOL * scale
         )
 
 
@@ -284,6 +287,8 @@ def fisher_numeric(p: GaussianPoint, x: Tangent, y: Tangent, nodes: int = 20) ->
         raise ValueError(f"quadrature oracle supports n <= {FISHER_QUAD_MAX_DIM}, got n = {n}")
     if x.n != n or y.n != n:
         raise ValueError("tangent dimension does not match the base point")
+    # the (nodes, nodes) companion matrix of hermgauss, then the nodes**n points and their weights
+    _require_memory(8.0 * max(float(nodes) ** 2, float(nodes) ** n * (n + 1)), f"quadrature with {nodes} nodes in {n} dimensions")
     z, w = np.polynomial.hermite.hermgauss(nodes)
     grids = np.meshgrid(*([z] * n), indexing="ij")
     zpts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -292,5 +297,5 @@ def fisher_numeric(p: GaussianPoint, x: Tangent, y: Tangent, nodes: int = 20) ->
     for g in wgrids:
         weights = weights * g.ravel()
     weights /= np.pi ** (n / 2.0)
-    pts = p.mu + np.sqrt(2.0) * zpts @ spd_sqrt(p.sigma).T
+    pts = p.mu + np.sqrt(2.0) * zpts @ spd_power(p.sigma, 0.5).T
     return float(np.sum(weights * _score(p, x, pts) * _score(p, y, pts)))

@@ -2,7 +2,7 @@
 
 Everything downstream (manifold embedding, geodesics, mean iteration, Lax
 flow) reduces to a handful of operations on real symmetric matrices:
-eigendecomposition, spectral functions (exp, log, sqrt, powers), the
+eigendecomposition, spectral functions (exp and real powers), the
 3-block unit-LDL^T factorization with block sizes (n, 1, n), and the
 residual of the exchange symmetry J G^{-1} J = G that cuts out the totally
 geodesic submanifold used by the lift.
@@ -158,15 +158,10 @@ def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sym(v @ (values[..., None] * v.mT))
 
 
-def sym_apply(s: np.ndarray, fn) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix through its spectrum."""
-    w, v = sym_eigen(s)
-    return _spectral(v, fn(w))
-
-
 def sym_exp(s: np.ndarray) -> np.ndarray:
     """Matrix exponential of a symmetric matrix; the result is SPD."""
-    return sym_apply(s, np.exp)
+    w, v = sym_eigen(s)
+    return _spectral(v, np.exp(w))
 
 
 def spd_power(p: np.ndarray, alpha: float, name: str = "matrix") -> np.ndarray:
@@ -178,38 +173,15 @@ def spd_power(p: np.ndarray, alpha: float, name: str = "matrix") -> np.ndarray:
     return _spectral(v, np.power(w, alpha))
 
 
-def spd_sqrt(p: np.ndarray) -> np.ndarray:
-    """Principal square root of an SPD matrix."""
-    return spd_power(p, 0.5, name="sqrt input")
-
-
 def spd_inv(p: np.ndarray) -> np.ndarray:
     """Symmetric inverse of an SPD matrix."""
     return spd_power(p, -1.0, name="inverse input")
 
 
-def spd_log(p: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix; the result is symmetric."""
-    w, v = sym_eigen(p)
-    if w[0] <= 0.0:
-        raise NotSpdError(f"log input has a nonpositive eigenvalue {w[0]:.3e}; not SPD")
-    return _spectral(v, np.log(w))
-
-
-def block_exchange(n: int) -> np.ndarray:
-    """Exchange matrix of order 2n+1 swapping the outer n-blocks and fixing the middle coordinate."""
-    m = 2 * n + 1
-    j = np.zeros((m, m))
-    j[:n, n + 1:] = np.eye(n)
-    j[n, n] = 1.0
-    j[n + 1:, :n] = np.eye(n)
-    return j
-
-
 @lru_cache(maxsize=16)
 def _exchange_order(n: int) -> np.ndarray:
-    """The permutation :func:`block_exchange` applies, ``J X J = X[order][:, order]`` (read-only)."""
-    order = block_exchange(n).argmax(axis=1)
+    """The permutation ``[n+1, ..., 2n, n, 0, ..., n-1]`` of the exchange matrix J of order 2n+1, which swaps the outer n-blocks and fixes the middle coordinate: ``J X J = X[order][:, order]`` (read-only)."""
+    order = np.r_[n + 1:2 * n + 1, n, :n]
     order.flags.writeable = False
     return order
 

@@ -22,8 +22,8 @@ import gaussgeo.laxflow as laxflow
 import gaussgeo.manifold as manifold
 import gaussgeo.matcore as matcore
 import gaussgeo.sympair as sympair
-from gaussgeo.matcore import NotSpdError, block_exchange, sym, sym_exp
-from util import ahm_gap, ahm_iterates, ahm_step, direct_midpoint, gap_identity_residual, random_point, random_spd, random_tangent
+from gaussgeo.matcore import NotSpdError, sym, sym_exp
+from util import ahm_gap, ahm_iterates, ahm_step, block_exchange, direct_midpoint, gap_identity_residual, random_point, random_spd, random_tangent
 
 
 def matrices_in(a) -> int:

@@ -211,8 +211,10 @@ class TestErrorsAndExitCodes:
             (["interp"], {"p": point_json([[1.0]], [0.0]), "q": point_json([[2.0]], [0.5]), "depth": 64}, "interpolation to depth 64"),
             (["lax"], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": 1e12}, "integrating to t_end = 1e+12 at dt = 0.001"),
             (["verify"], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": 1e12}, "verify on t_end = 1e+12 at dt = 0.001"),
+            (["shoot", "--steps", str(10**17)], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": 1.0}, f"shoot to t_end = 1 in {10**17} steps"),
+            (["fisher-check"], {"n": 3, "nodes": 10**7}, "quadrature with 10000000 nodes in 3 dimensions"),
         ],
-        ids=["interp-depth-64", "lax-t_end-1e12", "verify-t_end-1e12"],
+        ids=["interp-depth-64", "lax-t_end-1e12", "verify-t_end-1e12", "shoot-steps-1e17", "fisher-nodes-1e7"],
     )
     def test_requests_beyond_memory_are_input_errors(self, tmp_path, capsys, argv, obj, what):
         # refused before anything is allocated: no MemoryError, no index-size overflow

@@ -45,9 +45,9 @@ from gaussgeo.geodesic import (
 )
 from gaussgeo.ahm import interpolate
 from gaussgeo.manifold import _apply_stacked
-from gaussgeo.matcore import _spectral, block_cholesky, check_special_symmetry, spd_inv, spd_log, sym, sym_exp
+from gaussgeo.matcore import _spectral, block_cholesky, check_special_symmetry, spd_inv, sym, sym_exp
 from gaussgeo.cli import write_samples_csv
-from util import integrate_geodesic_ode, random_point, random_tangent, recovered_initial_direction
+from util import integrate_geodesic_ode, random_point, random_tangent, recovered_initial_direction, spd_log
 
 
 class TestExpMap:

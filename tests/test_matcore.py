@@ -14,8 +14,7 @@ from gaussgeo.matcore import (
     require_spd,
     require_symmetric,
     spd_inv,
-    spd_log,
-    spd_sqrt,
+    spd_power,
     special_structure_residuals,
     sym_eigen,
     sym_exp,
@@ -26,7 +25,7 @@ from gaussgeo.ahm import ahm_midpoint
 from gaussgeo.cli import parse_point, parse_tangent
 from gaussgeo.sympair import horizontal_lift, submersion_project
 from gaussgeo.manifold import GaussianPoint, Tangent, unembed
-from util import blocked_from_scalar, random_spd, random_sym, random_tangent
+from util import block_exchange, blocked_from_scalar, random_spd, random_sym, random_tangent, spd_log
 
 
 class TestSymEigen:
@@ -102,7 +101,7 @@ def test_public_entries_reject_bad_matrices(entry, kind):
         PUBLIC_ENTRIES[entry](kind)
 
 
-MOVED_TO_MATCORE = ("spd_inv", "spd_log", "spd_sqrt", "sym", "sym_eigen", "sym_exp", "block_exchange")
+MOVED_TO_MATCORE = ("spd_inv", "sym", "sym_eigen", "sym_exp")
 
 
 def test_matrix_utilities_live_in_matcore_only():
@@ -113,10 +112,11 @@ def test_matrix_utilities_live_in_matcore_only():
 
 PACKAGE_DIR = Path(gaussgeo.__file__).parent
 # test-only oracles, now in tests/util.py; LaxState, now the plain pair (Q, r); AhmPair and
-# ahm_sequence, now the plain pair (P, Q) and, for the limit, ahm_midpoint
+# ahm_sequence, now the plain pair (P, Q) and, for the limit, ahm_midpoint; spd_log and block_exchange,
+# now test references in tests/util.py; sym_apply, folded into sym_exp; spd_sqrt, now spd_power(p, 0.5)
 GONE_FROM_PACKAGE = (
     "ahm_step", "alt_embed_check", "direct_midpoint", "recovered_initial_direction", "state_from_L", "LaxState",
-    "AhmPair", "ahm_sequence",
+    "AhmPair", "ahm_sequence", "spd_log", "block_exchange", "sym_apply", "spd_sqrt",
 )
 
 
@@ -138,6 +138,12 @@ def test_every_public_name_is_used_or_documented():
     readme = (PACKAGE_DIR.parents[1] / "README.md").read_text(encoding="utf-8")
     orphans = [name for name in gaussgeo.__all__ if name not in used and not re.search(rf"\b{name}\b", readme)]
     assert orphans == []
+    # every module-level function and class is referenced by package code or exported
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        unused = [name for name in defined if name not in used and name not in gaussgeo.__all__]
+        assert unused == [], f"{path.name}: {unused}"
     for name in GONE_FROM_PACKAGE:
         for path in [PACKAGE_DIR / "__init__.py", *modules]:
             module = importlib.import_module("gaussgeo" if path.stem == "__init__" else f"gaussgeo.{path.stem}")
@@ -182,19 +188,19 @@ class TestSymExp:
 
 class TestSpdFunctions:
     def test_sqrt_identity(self):
-        assert np.allclose(spd_sqrt(np.eye(3)), np.eye(3))
+        assert np.allclose(spd_power(np.eye(3), 0.5), np.eye(3))
 
     def test_sqrt_diagonal(self):
-        assert np.allclose(spd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
+        assert np.allclose(spd_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_sqrt_reconstruction(self):
         p = np.array([[2.0, 1.0], [1.0, 2.0]])
-        r = spd_sqrt(p)
+        r = spd_power(p, 0.5)
         assert np.linalg.norm(r @ r - p) <= 1e-12
 
     def test_sqrt_rejects_indefinite(self):
         with pytest.raises(NotSpdError):
-            spd_sqrt(np.diag([1.0, -1.0]))
+            spd_power(np.diag([1.0, -1.0]), 0.5)
 
     def test_inv_and_log(self):
         rng = np.random.default_rng(11)
@@ -258,6 +264,14 @@ class TestBlockCholesky:
 
 
 class TestSpecialSymmetry:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_exchange_order_is_the_permutation_of_j(self, n):
+        j = block_exchange(n)
+        order = matcore._exchange_order(n)
+        assert np.array_equal(order, j.argmax(axis=1))
+        x = np.random.default_rng(53 + n).standard_normal((2 * n + 1, 2 * n + 1))
+        assert np.array_equal(j @ x @ j, x[order][:, order])
+
     def test_identity_is_exact(self):
         assert check_special_symmetry(np.eye(5)) == 0.0
 

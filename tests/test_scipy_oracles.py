@@ -17,8 +17,8 @@ import pytest
 
 from gaussgeo import GaussianPoint, exp_map, horizontal_lift, log_map
 from gaussgeo.geodesic import _fibre_log, _fibre_newton, _fibre_point, _generator_basis, _lifted, _pack, _residual_jacobian
-from gaussgeo.matcore import spd_inv, spd_log
-from util import random_tangent
+from gaussgeo.matcore import spd_inv
+from util import random_tangent, spd_log
 
 linalg = pytest.importorskip("scipy.linalg")
 

@@ -11,9 +11,9 @@ from gaussgeo import (
     unembed,
 )
 from gaussgeo.manifold import corner_residual, read_embedded
-from gaussgeo.matcore import block_exchange, sym, sym_exp
+from gaussgeo.matcore import sym, sym_exp
 from gaussgeo.sympair import split_orthogonal
-from util import expm_taylor, random_algebra, random_tangent, sigma_algebra, sigma_group, tau_algebra
+from util import block_exchange, expm_taylor, random_algebra, random_tangent, sigma_algebra, sigma_group, tau_algebra
 
 
 def cartan_parts(x):

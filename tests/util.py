@@ -4,8 +4,26 @@ import numpy as np
 
 from gaussgeo import GaussianPoint, Tangent, embed, tangent_norm
 from gaussgeo.ahm import _step
-from gaussgeo.matcore import block_exchange, spd_sqrt, sym
+from gaussgeo.matcore import NotSpdError, _spectral, spd_power, sym, sym_eigen
 from gaussgeo.sympair import split_orthogonal
+
+
+def spd_log(p):
+    """Matrix logarithm of an SPD matrix; the result is symmetric."""
+    w, v = sym_eigen(p)
+    if w[0] <= 0.0:
+        raise NotSpdError(f"log input has a nonpositive eigenvalue {w[0]:.3e}; not SPD")
+    return _spectral(v, np.log(w))
+
+
+def block_exchange(n):
+    """Exchange matrix J of order 2n+1 swapping the outer n-blocks and fixing the middle coordinate."""
+    m = 2 * n + 1
+    j = np.zeros((m, m))
+    j[:n, n + 1:] = np.eye(n)
+    j[n, n] = 1.0
+    j[n + 1:, :n] = np.eye(n)
+    return j
 
 
 def random_sym(rng, n, scale=1.0):
@@ -65,8 +83,8 @@ def ahm_iterates(p, q, tol=1e-12):
 
 def direct_midpoint(p0, q0):
     """Closed-form geometric mean ``P^{1/2} (P^{-1/2} Q P^{-1/2})^{1/2} P^{1/2}``, the reference for the mean iteration."""
-    root = spd_sqrt(p0)
-    inner = spd_sqrt(sym(np.linalg.solve(root, np.linalg.solve(root, q0).T).T))
+    root = spd_power(p0, 0.5)
+    inner = spd_power(sym(np.linalg.solve(root, np.linalg.solve(root, q0).T).T), 0.5)
     return sym(root @ inner @ root)
 
 
