@@ -46,6 +46,7 @@ VERIFY_THRESHOLDS = {
     "lax_closed_form_agreement": 1e-6,
 }
 FISHER_CHECK_THRESHOLD = 1e-6
+INPUT_SYMMETRY_TOL = 1e-12  # relative asymmetry a parsed matrix may have before it is averaged
 
 
 class InputError(ValueError):
@@ -111,15 +112,15 @@ def _numbers(raw, message: str) -> np.ndarray:
     return values
 
 
-def _parse_matrix(raw, n: int, name: str, symmetric_tol: float = 1e-12) -> np.ndarray:
+def _parse_matrix(raw, n: int, name: str) -> np.ndarray:
     mat = _numbers(raw, f"{name} must be a nested numeric array")
     if mat.shape != (n, n):
         raise InputError(f"{name} must be {n}x{n}, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise InputError(f"{name} must be finite")
     scale = max(1.0, float(np.linalg.norm(mat)))
-    if np.linalg.norm(mat - mat.T) > symmetric_tol * scale:
-        raise InputError(f"{name} must be symmetric within {symmetric_tol:.0e} (relative)")
+    if np.linalg.norm(mat - mat.T) > INPUT_SYMMETRY_TOL * scale:
+        raise InputError(f"{name} must be symmetric within {INPUT_SYMMETRY_TOL:.0e} (relative)")
     return sym(mat)
 
 

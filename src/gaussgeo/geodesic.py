@@ -23,10 +23,11 @@ from one eigendecomposition of ``G(S)`` per iteration.  It starts at the
 closed-form third-order horizontal point ``S0 = [log sigma, mu mu^T] / 12``
 (0 for n = 1, for equal means, and when the chart guess ``(log sigma, mu)``
 is longer than ``SEED_REACH``).  The horizontal part of that logarithm
-seeds a polish: damped Gauss-Newton shooting on the leading (n+1)-block of
-``exp(V)``, whose Jacobian comes by the same formula from one
-eigendecomposition of the generator per trial.  Both stages share one line
-search (:func:`_descend`), which halves the step from 1 down to 2^-20; the
+seeds a polish: a damped Newton step on the packed residual (the leading
+(n+1)-block of ``exp(V)`` minus the target, its upper triangle less the
+corner), whose square Jacobian comes by the same formula from one
+eigendecomposition of the generator per trial.  Both stages share one step
+and line search (:func:`_descend`), which halves the step from 1 to 2^-20; the
 Newton rejects a trial whose ``G(S)`` loses positivity or whose logarithm
 is longer than ``|log G(S0)| + |S0|``, the polish one whose generator norm
 exceeds ``MAX_TRIAL_NORM`` (or is NaN).  If the fibre route fails, shooting
@@ -322,15 +323,15 @@ def _lifted(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return w, u, (u[: n + 1] * np.exp(w)) @ u[: n + 1].T
 
 
-def _daleckii_krein(u: np.ndarray, phi: np.ndarray, e: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """Blocks ``[rows, cols]`` of ``U (Phi o U^T E U) U^T`` for each ``E`` of the stack ``e``.
+def _daleckii_krein(u: np.ndarray, phi: np.ndarray, e: np.ndarray, rows: slice, cols: slice, entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The ``entries`` of blocks ``[rows, cols]`` of ``U (Phi o U^T E U) U^T``, one column per ``E`` of the stack ``e``.
 
     With ``X = U diag(w) U^T`` and ``Phi`` the divided differences of a scalar
     function ``f`` on ``w``, this is the Frechet derivative of ``f`` at ``X``
     in the direction ``E`` (the Daleckii-Krein formula; Bhatia, *Matrix
     Analysis*, ch. V).
     """
-    return u[rows] @ (phi * (u.T @ e @ u)) @ u[cols].T
+    return (u[rows] @ (phi * (u.T @ e @ u)) @ u[cols].T)[:, entries[0], entries[1]].T
 
 
 def _residual_jacobian(w: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
@@ -340,35 +341,39 @@ def _residual_jacobian(w: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
     ``(e^{w_i} - e^{w_j}) / (w_i - w_j)`` (``e^{w_i}`` when the eigenvalues
     coincide), written as ``e^{(w_i + w_j)/2} sinh(h) / h`` with
     ``h = (w_i - w_j)/2`` so that near-equal eigenvalues lose no digits.
-    Column j is the leading (n+1)-block of the derivative of ``exp`` in the
-    direction of the j-th basis generator; all columns come from the one
-    eigendecomposition of :func:`_lifted`.
+    Column j is the derivative of ``exp`` in the direction of the j-th basis
+    generator, at the packed entries of the leading (n+1)-block: its upper
+    triangle (row-major) without the corner, which the other entries fix on
+    the manifold.  They are as many as the unknowns, so the Jacobian is
+    square; all columns come from the one eigendecomposition of :func:`_lifted`.
     """
     half = 0.5 * (w[:, None] - w[None, :])
     safe = np.where(half == 0.0, 1.0, half)
     phi = np.exp(0.5 * (w[:, None] + w[None, :])) * np.where(half == 0.0, 1.0, np.sinh(safe) / safe)
     lead = slice(None, n + 1)
-    derivs = _daleckii_krein(u, phi, _generator_basis(n), lead, lead)
-    return derivs.reshape(len(derivs), -1).T
+    return _daleckii_krein(u, phi, _generator_basis(n), lead, lead, tuple(index[:-1] for index in _triu(n + 1)))
 
 
-def _descend(x: np.ndarray, start, evaluate, direction, limit: float, max_iter: int):
+def _descend(x: np.ndarray, start, evaluate, jacobian, limit: float, max_iter: int):
     """Damped Newton from ``x``, already evaluated as ``start = (f, state)``; ``(x, |f|, state)`` of the last accepted point.
 
-    Each step tries ``x + alpha direction(f, state)`` for ``alpha = 1, 1/2, ...``
-    down to ``2**-20`` and takes the first trial that ``evaluate`` does not
-    reject (``None``) and whose ``f`` of ``evaluate(trial) = (f, state)`` is
-    shorter.  Stops at ``|f| <= limit``, after ``max_iter`` steps, when no
-    trial descends, or when ``direction`` returns ``None``.
+    The step solves ``jacobian(state) step = -f[:x.size]`` (``f`` lists one
+    equation per unknown first; its norm also counts any entries after them)
+    and tries ``x + alpha step`` for ``alpha = 1, 1/2, ...`` down to ``2**-20``,
+    taking the first trial that ``evaluate`` does not reject (``None``) and
+    whose ``f`` of ``evaluate(trial) = (f, state)`` is shorter.  Stops at
+    ``|f| <= limit``, after ``max_iter`` steps, when no trial descends, or at
+    a singular Jacobian.
     """
     f, state = start
     res = float(np.linalg.norm(f))
     for _ in range(max_iter):
         if res <= limit:
             break
-        step = direction(f, state)
-        if step is None:
-            break
+        try:
+            step = np.linalg.solve(jacobian(state), -f[: x.size])
+        except np.linalg.LinAlgError:
+            break  # a singular Jacobian
         alpha = 1.0
         while alpha > 2.0 ** -20:
             trial = x + alpha * step
@@ -386,7 +391,7 @@ def _descend(x: np.ndarray, start, evaluate, direction, limit: float, max_iter: 
 
 
 def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton shooting from the packed guess ``vec`` to the embedded ``target``.
+    """Damped Newton shooting on the packed residual from the packed guess ``vec`` to the embedded ``target``.
 
     Returns the converged tangent, packed, the eigenpair ``(w, u)`` of its
     generator, and the ``exp(V)`` that its validation checked.
@@ -402,15 +407,15 @@ def _shoot(target: np.ndarray, vec: np.ndarray, n: int, tol: float, max_iter: in
 
     def evaluate(trial):
         lifted = _lifted(trial, n)
-        return None if lifted is None else ((lifted[2] - target).ravel(), lifted[:2])
-
-    def direction(f, eigenpair):
-        return np.linalg.lstsq(_residual_jacobian(*eigenpair, n), -f, rcond=None)[0]
+        if lifted is None:
+            return None
+        r = lifted[2] - target  # the packed entries (the equations), then the rest of the block, for the norm
+        return np.concatenate([r[_triu(n + 1)], r.T[_triu(n + 1, 1)]]), lifted[:2]
 
     start = evaluate(vec)
     if start is None:
         raise ShootingError("shooting guess exceeds the exponent cap", residual=float("inf"))
-    vec, res, (w, u) = _descend(vec, start, evaluate, direction, limit, max_iter)
+    vec, res, (w, u) = _descend(vec, start, evaluate, lambda eigenpair: _residual_jacobian(*eigenpair, n), limit, max_iter)
     if res > limit:
         raise ShootingError(f"shooting stalled at residual {res:.3e}", residual=res)
     g = _spectral(u, np.exp(w))  # exp(V) of the last accepted trial: the generator is exp_map(xi, 1)'s
@@ -519,11 +524,9 @@ def _fibre_jacobian(m: np.ndarray, d: np.ndarray, w: np.ndarray, u: np.ndarray) 
     fibre basis matrix.
     """
     n = (m.shape[0] - 1) // 2
-    iu = _triu(n, 1)
     dm = _fibre_basis(n) @ (d @ m.T)
     dg = dm + dm.swapaxes(-1, -2)
-    derivs = _daleckii_krein(u, _log_divided_differences(w), dg, slice(None, n), slice(n + 1, None))
-    return derivs[:, iu[0], iu[1]].T
+    return _daleckii_krein(u, _log_divided_differences(w), dg, slice(None, n), slice(n + 1, None), _triu(n, 1))
 
 
 def _fibre_seed(log_sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -574,13 +577,8 @@ def _fibre_newton(sigma: np.ndarray, mu: np.ndarray, theta: np.ndarray, log_sigm
             return None
         return _vertical_part(lifted[4]), lifted
 
-    def direction(f, lifted):
-        try:
-            return np.linalg.solve(_fibre_jacobian(*lifted[:4]), -f)
-        except np.linalg.LinAlgError:
-            return None  # a singular Jacobian: the polish takes over from here
-
-    s, _, lifted = _descend(s, (_vertical_part(lifted[4]), lifted), evaluate, direction, tol * max(1.0, length), max_iter)
+    # a singular Jacobian ends the Newton: the polish takes over from there
+    s, _, lifted = _descend(s, (_vertical_part(lifted[4]), lifted), evaluate, lambda state: _fibre_jacobian(*state[:4]), tol * max(1.0, length), max_iter)
     return s, lifted[4]
 
 
@@ -636,7 +634,7 @@ def log_map(p: GaussianPoint, q: GaussianPoint, tol: float = LOG_TOL, max_iter: 
 
     Damped Newton in the fibre of the lift over ``q`` (the skew block ``S``
     of ``G(S)``, until the vertical part of ``log G(S)`` vanishes), then
-    damped Gauss-Newton shooting on the lifted residual from the horizontal
+    damped Newton shooting on the packed lifted residual from the horizontal
     part of that logarithm, both through the line search and trial
     rejections of the module docstring; converged when the shooting residual
     drops below ``tol`` times the target scale.  ``tol`` and ``max_iter``

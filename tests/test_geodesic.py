@@ -47,7 +47,7 @@ from gaussgeo.ahm import interpolate
 from gaussgeo.manifold import _apply_stacked
 from gaussgeo.matcore import _spectral, block_cholesky, check_special_symmetry, spd_inv, sym, sym_exp
 from gaussgeo.cli import write_samples_csv
-from util import integrate_geodesic_ode, random_point, random_tangent, recovered_initial_direction, spd_log
+from util import integrate_geodesic_ode, packed_rows, random_point, random_tangent, recovered_initial_direction, spd_log
 
 
 class TestExpMap:
@@ -342,10 +342,10 @@ class TestLogMap:
         assert np.linalg.norm(embed(hit) - embed(q)) <= 1e-8
 
     def test_distant_target_uses_subdivision(self, monkeypatch):
-        # The chart-guess fallback on op71: its first solve stalls, and the
-        # halfway target plus the full retry are two levels of subdivision.
-        p, q = FAR_PAIRS["op71-n2"]
-        qn = normalize_to_identity(p).apply(q)
+        # The chart-guess fallback on the norm-24 target: its first solve
+        # stalls, and the halfway target plus the full retry are two levels
+        # of subdivision.
+        qn = FAR_PAIRS["norm24-n8"][1]  # from the identity point: already normalized
         solves = count_calls(monkeypatch, "_log_subdivided")
         xi = _unpack(geodesic._log_subdivided(*solver_arrays(qn), 1e-12, 100)[0], qn.n)
         assert len(solves) == 2
@@ -400,14 +400,24 @@ def central_difference_jacobian(vec, n, h=1e-5):
     return np.array(cols).T
 
 
-# Far pairs of the benchmark (seed 1, paper norm 4-8) on which shooting
-# from the chart guess ``(log sigma, mu)`` overshoots: ops 71 (n = 2), whose
-# trials keep exceeding the exponent cap until the first solve stalls and
-# subdivision takes over (two solves), and 12 (n = 3), whose first full step
-# exceeds the cap, so the halved step is taken and one solve converges.  The
-# fibre route solves both without a rejected trial, so the tests of the cap,
-# the rejected trials and the subdivision call the chart-guess fallback,
-# ``_log_subdivided``, on them directly.
+def far_target(norm, n, draw):
+    """The ``draw``-th (from 1) target ``exp_map(xi, 1)`` of a far sweep cell: ``xi`` of paper norm ``norm`` from ``default_rng(1000 + 10 norm + n)``."""
+    rng = np.random.default_rng(1000 + int(10 * norm) + n)
+    for _ in range(draw):
+        xi = random_tangent(rng, n, norm=norm)
+    return exp_map(xi, 1.0)
+
+
+# Far-sweep targets ``(norm, n, draw)`` on which shooting from the chart guess
+# ``(log sigma, mu)`` (the fallback, ``_log_subdivided``, called directly)
+# tries a step beyond the exponent cap and still solves: the n = 2 one by path
+# subdivision (three solves), the n = 3 one in one solve.
+OVERSHOOTING_TARGETS = {"norm12-n2": (12.0, 2, 8), "norm12-n3": (12.0, 3, 8)}
+
+# Far pairs of the benchmark (seed 1, paper norm 4-8), ops 71 (n = 2) and 12
+# (n = 3).  The fibre route solves both, and so does shooting from the chart
+# guess with no rejected trial, so the tests of the fallback call
+# ``_log_subdivided`` on them directly.
 FAR_PAIRS = {
     "op71-n2": (
         GaussianPoint(
@@ -438,6 +448,10 @@ FAR_PAIRS = {
         ),
     ),
 }
+# A far-sweep target that log_map hands to the fallback, where the first
+# chart-guess solve stalls and path subdivision solves it, so the fallback
+# tests over FAR_PAIRS also see a halfway target.
+FAR_PAIRS["norm24-n8"] = (GaussianPoint.identity(8), far_target(24.0, 8, 2))
 
 
 class TestShootingJacobian:
@@ -448,8 +462,8 @@ class TestShootingJacobian:
             xi = random_tangent(rng, n, norm=norm)
             vec = _pack(xi.A0, xi.a0)
             exact = _residual_jacobian(*_lifted(vec, n)[:2], n)
-            oracle = central_difference_jacobian(vec, n)
-            assert exact.shape == oracle.shape == ((n + 1) ** 2, vec.size)
+            oracle = central_difference_jacobian(vec, n)[packed_rows(n)]
+            assert exact.shape == oracle.shape == (vec.size, vec.size) == (n * (n + 3) // 2,) * 2
             assert np.linalg.norm(exact - oracle) <= 1e-7 * np.linalg.norm(exact)
 
     def test_repeated_eigenvalues(self):
@@ -457,14 +471,40 @@ class TestShootingJacobian:
         # spectrum; the divided differences must take their limit there.
         vec = _pack(np.eye(2), np.zeros(2))
         exact = _residual_jacobian(*_lifted(vec, 2)[:2], 2)
+        assert exact.shape == (5, 5)
         assert np.all(np.isfinite(exact))
-        assert np.linalg.norm(exact - central_difference_jacobian(vec, 2)) <= 1e-7 * np.linalg.norm(exact)
+        assert np.linalg.norm(exact - central_difference_jacobian(vec, 2)[packed_rows(2)]) <= 1e-7 * np.linalg.norm(exact)
 
-    @pytest.mark.parametrize("pair", sorted(FAR_PAIRS))
-    def test_overshooting_trials_are_rejected_steps(self, monkeypatch, pair):
-        # shooting from the chart guess (the fallback) steps beyond the cap on both pairs
-        p, q = FAR_PAIRS[pair]
-        qn = normalize_to_identity(p).apply(q)
+    def test_singular_polish_jacobian_stalls(self, monkeypatch):
+        # a singular Jacobian ends the polish's Newton: a ShootingError with its residual, no LinAlgError
+        qn = exp_map(random_tangent(np.random.default_rng(73), 3, norm=2.0), 1.0)
+        target, log_sigma, mu = solver_arrays(qn)
+        monkeypatch.setattr(geodesic, "_residual_jacobian", lambda w, u, n: np.zeros((n * (n + 3) // 2,) * 2))
+        with pytest.raises(ShootingError, match="stalled") as excinfo:
+            geodesic._shoot(target, _pack(log_sigma, mu), 3, 1e-12, 100)
+        assert excinfo.value.residual > 1e-12 * np.linalg.norm(target)
+
+    def test_singular_fibre_jacobian_hands_over_to_the_polish(self, monkeypatch):
+        # the same exit ends the fibre Newton at its seed, and the polish solves from there
+        qn = exp_map(random_tangent(np.random.default_rng(74), 3, norm=2.0), 1.0)
+        newton_steps = []
+
+        def singular(m, d, w, u):
+            newton_steps.append(None)
+            return np.zeros((3, 3))
+
+        monkeypatch.setattr(geodesic, "_fibre_jacobian", singular)
+        polish_steps = count_calls(monkeypatch, "_residual_jacobian")
+        rec = log_map(GaussianPoint.identity(3), qn)
+        assert len(newton_steps) == 1 and polish_steps
+        ref = embed(qn)
+        assert np.linalg.norm(embed(exp_map(rec, 1.0)) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("target", sorted(OVERSHOOTING_TARGETS))
+    def test_overshooting_trials_are_rejected_steps(self, monkeypatch, target):
+        # shooting from the chart guess (the fallback) steps beyond the cap on both targets
+        norm, n, draw = OVERSHOOTING_TARGETS[target]
+        qn = far_target(norm, n, draw)
         trials = count_calls(monkeypatch, "_lifted")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -472,7 +512,7 @@ class TestShootingJacobian:
         assert any(trial is None for trial in trials)
         ref = embed(qn)
         assert np.linalg.norm(embed(exp_map(xi, 1.0)) - ref) <= 1e-8 * np.linalg.norm(ref)
-        assert 4.0 <= distance(p, q) <= 8.0
+        assert distance(GaussianPoint.identity(n), qn) == pytest.approx(norm, rel=1e-8)
 
 
 def fibre_case(seed, n, norm=2.0):

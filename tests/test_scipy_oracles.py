@@ -1,8 +1,8 @@
 """scipy as an independent reference for the lifted shooting residual and its Jacobian.
 
 ``_lifted`` reads the leading (n+1)-block of ``exp(V)`` off one symmetric
-eigendecomposition, and ``_residual_jacobian`` differentiates it by the
-Daleckii-Krein formula.  Here ``scipy.linalg.expm`` (Pade with scaling and
+eigendecomposition, and ``_residual_jacobian`` differentiates its packed
+entries (the upper triangle without the corner) by the Daleckii-Krein formula.  Here ``scipy.linalg.expm`` (Pade with scaling and
 squaring) and ``scipy.linalg.expm_frechet`` (its Frechet derivative) compute
 the same quantities by a different method.  ``scipy.linalg.logm`` checks the
 fibre route of the log map: the logarithm of the lifted point ``G(S*)`` at the
@@ -18,7 +18,7 @@ import pytest
 from gaussgeo import GaussianPoint, exp_map, horizontal_lift, log_map
 from gaussgeo.geodesic import _fibre_log, _fibre_newton, _fibre_point, _generator_basis, _lifted, _pack, _residual_jacobian
 from gaussgeo.matcore import spd_inv
-from util import random_tangent, spd_log
+from util import packed_rows, random_tangent, spd_log
 
 linalg = pytest.importorskip("scipy.linalg")
 
@@ -48,9 +48,10 @@ def test_jacobian_matches_expm_frechet(n):
         w, u, _ = _lifted(vec, n)
         jac = _residual_jacobian(w, u, n)
         ref = np.stack(
-            [linalg.expm_frechet(v, e, compute_expm=False)[: n + 1, : n + 1].ravel() for e in _generator_basis(n)],
+            [linalg.expm_frechet(v, e, compute_expm=False)[: n + 1, : n + 1].ravel()[packed_rows(n)] for e in _generator_basis(n)],
             axis=1,
         )
+        assert jac.shape == (vec.size, vec.size) == (n * (n + 3) // 2,) * 2
         assert np.linalg.norm(jac - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

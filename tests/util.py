@@ -45,6 +45,12 @@ def random_point(rng, n, spread=0.5):
     return GaussianPoint(random_spd(rng, n, spread), spread * rng.standard_normal(n))
 
 
+def packed_rows(n):
+    """Flat (row-major) indices of the packed entries of an (n+1) x (n+1) block: its upper triangle without the corner."""
+    rows, cols = np.triu_indices(n + 1)
+    return np.ravel_multi_index((rows[:-1], cols[:-1]), (n + 1, n + 1))
+
+
 def random_algebra(n, rng, scale=1.0):
     """Random element of the split orthogonal algebra, in the layout of ``split_orthogonal``."""
 
