@@ -184,10 +184,10 @@ def _sampled(w: np.ndarray, u: np.ndarray, ts, denorm: AffineMap | None) -> Geod
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             e = np.exp(np.outer(ts, w))
-            # the point is read off the leading (n+1) x (n+1) block of exp(t V) only
-            gs = np.einsum("ik,tk,jk->tij", u[: n + 1], e, u[: n + 1])
-            sigmas = sym(np.linalg.inv(sym(gs[:, :n, :n])))
-            mus = (sigmas @ gs[:, :n, n, None])[..., 0]
+            # the point is read off the first n rows of the leading (n+1)-block of exp(t V) only
+            gs = np.einsum("ik,tk,jk->tij", u[:n], e, u[: n + 1])
+            sigmas = sym(np.linalg.inv(sym(gs[:, :, :n])))
+            mus = (sigmas @ gs[:, :, n, None])[..., 0]
             if denorm is not None:
                 sigmas, mus = _apply_stacked(denorm, sigmas, mus)
         finite = np.isfinite(sigmas).all(axis=(1, 2)) & np.isfinite(mus).all(axis=1)

@@ -36,8 +36,9 @@ scalar data with ``A0 = 0`` the Riccati form integrates to
 the open Toda chain.
 
 :func:`integrate` runs classical RK4 on the explicit system over
-preallocated buffers: the right sides write into fixed ``(Q, r)`` views of
-the stage and slope buffers, and every state is one row of a single array.
+preallocated buffers: the right sides read fixed ``(Q, r)`` views of the
+state (updated in place) or stage buffer and write into fixed views of the
+slope buffers, and each state is copied into one row of a single array.
 It returns the stacks (:class:`LaxSamples`), which :func:`verify_lax` reads
 directly.  :func:`verify_checks` runs all nine checks of ``gaussgeo
 verify`` (geodesic equations, first integrals, the lift's exchange
@@ -71,13 +72,8 @@ def build_L(state: tuple[np.ndarray, np.ndarray], a0: np.ndarray) -> np.ndarray:
     return split_orthogonal(*state, a0, 0.0, 0.0)
 
 
-def build_M(state: tuple[np.ndarray, np.ndarray], a0: np.ndarray) -> np.ndarray:
-    """Block lower-triangular projection of :func:`build_L` (the r-borders dropped)."""
-    return split_orthogonal(state[0], 0.0, a0, 0.0, 0.0)
-
-
 def rhs_bilinear(q: np.ndarray, r: np.ndarray, neg_a0: np.ndarray, dq: np.ndarray, dr: np.ndarray) -> None:
-    """Right side of the bilinear form, (-r a0^T, Q r), into C-contiguous ``dq`` and ``dr``; ``r``, ``dr`` are ``(n, 1)`` columns; takes ``-a0``."""
+    """Right side of the bilinear form, (-r a0^T, Q r), into C-contiguous ``dq`` and ``dr``; ``r``, ``dr`` are ``(n, 1)`` columns; takes ``-a0`` as a ``(1, n)`` row."""
     np.multiply(r, neg_a0, dq)
     np.dot(q, r, dr)
 
@@ -127,10 +123,11 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
     (or the rest of the way, if less) run until the time is within
     ``1e-12 * max(1, t_end)`` of ``t_end``, so the last sample can miss it by
     that margin (``1.9999999999998905`` at ``t_end = 2``, ``dt = 1e-3``).
-    Returns the stacked samples: every state is one row of a single array,
-    filled step by step from preallocated stage and slope buffers, and
-    ``Qs`` and ``rs`` are views of its columns.  The right sides take ``r`` and write
-    ``dr`` as ``(n, 1)`` column views.  Each step adds the slopes in turn,
+    Returns the stacked samples: the state is one fixed buffer, updated in
+    place from preallocated stage and slope buffers and copied into one row
+    of a single array per step; ``Qs`` and ``rs`` are views of its columns.
+    The right sides take ``r`` and write ``dr`` as ``(n, 1)`` column views,
+    and ``-a0`` as a ``(1, n)`` row.  Each step adds the slopes in turn,
     ``((k1 + 2 k2) + 2 k3) + k4``, so the samples have the bits of textbook
     RK4, signed zeros included.
 
@@ -151,47 +148,45 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     if rhs == "bilinear":
-        right, coeffs = rhs_bilinear, (-xi.a0,)
+        right, coeffs = rhs_bilinear, (-xi.a0[None, :],)
     elif rhs == "riccati":
         right, coeffs = rhs_riccati, (xi.A0 @ xi.A0, 2.0 * np.outer(xi.a0, xi.a0), np.empty((xi.n, xi.n)))
     else:
         raise ValueError(f"unknown right side {rhs!r}; expected 'bilinear' or 'riccati'")
     n = xi.n
     nn = n * n
-    _require_memory(8.0 * (t_end / dt + 2.0) * (nn + n), f"integrating to t_end = {t_end:g} at dt = {dt:g}")
+    _require_memory(8.0 * (t_end / dt + 2.0) * (nn + n + 1), f"integrating to t_end = {t_end:g} at dt = {dt:g}")
     # every step but the last (a partial step, or a sliver left by rounding)
-    # is a full dt, so the rows fit in this buffer; it is cut to the rows filled
+    # is a full dt, so the rows fit in these buffers; they are cut to the rows filled
     ys = np.empty((math.ceil(t_end / dt) + 2, nn + n))
-    ys[0] = np.concatenate((xi.A0, xi.a0), axis=None)
-    qs, rs = ys[:, :nn].reshape(-1, n, n), ys[:, nn:]
-    times = [0.0]
+    ts = np.empty(len(ys))
+    y = np.concatenate((xi.A0, xi.a0), axis=None)
+    ys[0], ts[0] = y, 0.0
     stage = np.empty(nn + n)
     ks = np.empty((4, nn + n))
     k1, k2, k3, k4 = ks
     mid = ks[1:3]
-    # the right sides write into fixed (Q, r) views of the slope rows, with r
-    # as an (n, 1) column; stages 2-4 read fixed views of the stage buffer, so
-    # their arguments are fixed too
-    first, *later = ((*coeffs, k[:nn].reshape(n, n), k[nn:].reshape(n, 1)) for k in ks)
-    second, third, fourth = ((stage[:nn].reshape(n, n), stage[nn:].reshape(n, 1), *d) for d in later)
+    # the right sides read fixed (Q, r) views of the state (stage 1) or of the
+    # stage buffer (stages 2-4) and write into fixed views of the slope rows,
+    # with r as an (n, 1) column, so every stage's arguments are one prebuilt tuple
+    first, second, third, fourth = (
+        (x[:nn].reshape(n, n), x[nn:].reshape(n, 1), *coeffs, k[:nn].reshape(n, n), k[nn:].reshape(n, 1))
+        for x, k in zip((y, stage, stage, stage), ks)
+    )
     add, multiply = np.add, np.multiply
     # the step fractions as 0-d arrays, so no step converts a float
     half, full, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
-    t, stop = 0.0, t_end - 1e-12 * max(1.0, t_end)
+    t, stop, j = 0.0, t_end - 1e-12 * max(1.0, t_end), 0
     # overflow is handled by the finiteness checks, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        # each step takes its rows from one iterator; the buffer has a row for
-        # every step, so next() fails only on a broken bound
-        rows = enumerate(zip(ys, ys[1:], qs, rs[:, :, None]))
         while t < stop:
-            j, (y, y_next, q, r) = next(rows)
             h = t_end - t
             if h < dt:
                 half, full, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
             else:
                 h = dt
             t = min(t + h, t_end)
-            right(q, r, *first)
+            right(*first)
             add(y, multiply(k1, half, stage), stage)
             right(*second)
             add(y, multiply(k2, half, stage), stage)
@@ -202,21 +197,24 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
             # writes it, so the bits (signed zeros included) match a stepper that
             # allocates every stage afresh; 2 k = k + k exactly
             add(mid, mid, mid)
-            add(k1, k2, y_next)
-            add(y_next, k3, y_next)
-            add(y_next, k4, y_next)
-            multiply(y_next, sixth, y_next)
-            add(y, y_next, y_next)
-            times.append(t)
+            add(k1, k2, stage)
+            add(stage, k3, stage)
+            add(stage, k4, stage)
+            multiply(stage, sixth, stage)
+            add(y, stage, y)
+            j += 1
+            ys[j], ts[j] = y, t
             # a non-finite entry stays non-finite in every later step, so the
-            # newest row shows a blow-up and the steps after it can be skipped
-            if j % FINITE_CHECK_STEPS == FINITE_CHECK_STEPS - 1 and not np.isfinite(y_next).all():
+            # newest state shows a blow-up and the steps after it can be skipped
+            if j % FINITE_CHECK_STEPS == 0 and not np.isfinite(y).all():
                 break
-    size = len(times)
-    bad = ~np.isfinite(ys[:size]).all(axis=1)
+    # the rows up to the last check that passed are finite; only those after it can fail
+    size = j + 1
+    lo = max(0, j - FINITE_CHECK_STEPS)
+    bad = ~np.isfinite(ys[lo:size]).all(axis=1)
     if bad.any():
-        raise ArithmeticError(f"flow stopped being finite at t = {times[int(np.argmax(bad))]:.6g}; reduce dt")
-    return LaxSamples(ts=np.array(times), Qs=qs[:size], rs=rs[:size])
+        raise ArithmeticError(f"flow stopped being finite at t = {ts[lo + int(np.argmax(bad))]:.6g}; reduce dt")
+    return LaxSamples(ts=ts[:size], Qs=ys[:size, :nn].reshape(-1, n, n), rs=ys[:size, nn:])
 
 
 def lax_pattern_residual(l: np.ndarray, a0: np.ndarray) -> float:
@@ -252,23 +250,29 @@ def verify_lax(samples: LaxSamples, a0: np.ndarray, h: float) -> tuple[float, fl
     Central finite differences (step ``h``, a multiple of the sampling
     spacing) approximate ``L_dot``, compared against ``L M - M L``; the
     spectral drift is the worst deviation of ``trace(L^k)`` from its initial
-    value for k up to the matrix order.
+    value for k up to the matrix order.  ``M`` is the one :func:`build_L`
+    stack, copied, with ``+0.0`` in its r-column and ``-0.0`` in its r-row (as
+    ``split_orthogonal`` writes them); with reused buffers, five stacks at most are live.
     """
     m = _stencil_offset(samples.ts, h)
-    states = (samples.Qs, samples.rs)
-    ls, ms = build_L(states, a0), build_M(states, a0)
+    n = samples.Qs.shape[-1]
+    ls = build_L((samples.Qs, samples.rs), a0)
+    ms = ls.copy()
+    ms[:, :n, n], ms[:, n, n + 1:] = 0.0, -0.0
 
-    ldot = (ls[2 * m:] - ls[:-2 * m]) / (2.0 * h)
-    center_l = ls[m:-m]
-    center_m = ms[m:-m]
-    bracket = center_l @ center_m - center_m @ center_l
-    comm_residual = float(np.max(np.linalg.norm(ldot - bracket, axis=(1, 2))))
+    center_l, center_m = ls[m:-m], ms[m:-m]
+    residual = np.subtract(ls[2 * m:], ls[:-2 * m])
+    np.divide(residual, 2.0 * h, out=residual)
+    bracket = np.matmul(center_l, center_m)
+    np.subtract(residual, np.subtract(bracket, np.matmul(center_m, center_l), out=bracket), out=residual)
+    del bracket  # the norm takes two temporaries of this size
+    comm_residual = float(np.max(np.linalg.norm(residual, axis=(1, 2))))
 
-    order = ls.shape[1]
-    powers = ls.copy()
-    traces = [np.trace(powers, axis1=1, axis2=2)]
-    for _ in range(order - 1):
-        powers = powers @ ls
+    # L^k = L^(k-1) L, written into ms and one more buffer in turn
+    powers, buffers = ls, (ms, np.empty_like(ls))
+    traces = [np.trace(ls, axis1=1, axis2=2)]
+    for k in range(ls.shape[1] - 1):
+        powers = np.matmul(powers, ls, out=buffers[k % 2])
         traces.append(np.trace(powers, axis1=1, axis2=2))
     traces = np.stack(traces)  # (order, samples)
     drift = float(np.max(np.abs(traces - traces[:, :1])))

@@ -131,7 +131,7 @@ def _points(sigmas: np.ndarray, mus: np.ndarray) -> list[GaussianPoint]:
     The points keep read-only views of the checked stacks and are not
     checked again.
     """
-    sigmas = _positive(_symmetric(sigmas, 1e-10, "sigma"), "sigma")
+    sigmas = _positive(_symmetric(sigmas, 1e-10, "sigma")[0], "sigma")
     mus = _vectors(mus, sigmas, "mu", "mean")
     sigmas.flags.writeable = mus.flags.writeable = False
     return [_own(object.__new__(GaussianPoint), sigma, mu) for sigma, mu in zip(sigmas, mus)]

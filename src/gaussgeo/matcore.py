@@ -98,8 +98,8 @@ def _matrices(a, name: str, ndim: int = 2) -> np.ndarray:
     return a
 
 
-def _symmetric(a: np.ndarray, tol: float, name: str) -> np.ndarray:
-    """:func:`require_symmetric` of a matrix, or of each matrix of a stack; an error names the first that fails."""
+def _symmetric(a: np.ndarray, tol: float, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`require_symmetric` of a matrix, or of each matrix of a stack, and the Frobenius norm of each; an error names the first that fails."""
     norm = _frobenius(a)
     k = _first_failure(norm < np.inf)
     if k is not None:
@@ -110,7 +110,7 @@ def _symmetric(a: np.ndarray, tol: float, name: str) -> np.ndarray:
     if k is not None:
         scale = max(1.0, float(np.ravel(norm)[k]))
         raise ValueError(f"{name} is not symmetric: asymmetry {np.ravel(skew)[k]:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return sym(a)
+    return sym(a), norm
 
 
 def _positive(a: np.ndarray, name: str) -> np.ndarray:
@@ -124,7 +124,7 @@ def _positive(a: np.ndarray, name: str) -> np.ndarray:
 
 def require_symmetric(a: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
     """Validate finiteness and symmetry within ``tol`` (relative); return the symmetrized copy."""
-    return _symmetric(_matrices(a, name), tol, name)
+    return _symmetric(_matrices(a, name), tol, name)[0]
 
 
 def require_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -195,14 +195,20 @@ def check_special_symmetry(g: np.ndarray):
     matrix, each with the bits of its own call; an error names the first
     matrix that fails.
     """
+    return _special_symmetry(g)[0]
+
+
+def _special_symmetry(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`check_special_symmetry` and the Frobenius norm of each matrix, which its symmetry test takes."""
     name = "symmetry-check input"
-    g = _positive(_symmetric(_matrices(g, name, ndim=3), 1e-10, name), name)
+    g, norm = _symmetric(_matrices(g, name, ndim=3), 1e-10, name)
+    _positive(g, name)
     m = g.shape[-1]
     if m % 2 == 0 or m < 3:
         raise ValueError(f"order must be odd and >= 3, got {m}")
     order = _exchange_order((m - 1) // 2)
     # J g^{-1} J by indexing: the products with the permutation J are exact, so the bits are the same
-    return _frobenius(spd_inv(g)[..., order, :][..., order] - g)
+    return _frobenius(spd_inv(g)[..., order, :][..., order] - g), norm
 
 
 def block_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +243,9 @@ def _block_ldl(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = g[:n, :n]
     b = g[:n, n]
     c = g[:n, n + 1:]
+    d11 = sym(a)
     try:
-        np.linalg.cholesky(sym(a))
+        np.linalg.cholesky(d11)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError("pivot block (1,1) is not positive definite") from exc
 
@@ -256,7 +263,7 @@ def _block_ldl(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotSpdError(f"pivot block (2,2) lost positivity: {s11:.3e}")
 
     # Second stage: eliminate the scalar pivot of the trailing Schur block.
-    d33 = sym(s22 - np.outer(s12, s12) / s11)
+    d33 = sym(s22 - s12[:, None] * s12 / s11)
     try:
         np.linalg.cholesky(d33)
     except np.linalg.LinAlgError as exc:
@@ -267,7 +274,7 @@ def _block_ldl(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lower[n + 1:, :n] = ainv_c.T
     lower[n + 1:, n] = s12 / s11
     diag = np.zeros((m, m))
-    diag[:n, :n] = sym(a)
+    diag[:n, :n] = d11
     diag[n, n] = s11
     diag[n + 1:, n + 1:] = d33
     return lower, diag

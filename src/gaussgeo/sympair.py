@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import SYM_TOL, _first_failure, _frobenius, check_special_symmetry, sym
+from .matcore import SYM_TOL, _first_failure, _special_symmetry, sym
 from .manifold import Tangent, corner_residual
 
 
@@ -71,10 +71,10 @@ def submersion_project(g: np.ndarray) -> np.ndarray:
 
 def _projected(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`submersion_project` and the corner residual of its projection, which :func:`read_embedded` takes."""
-    res = check_special_symmetry(g)
+    res, norm = _special_symmetry(g)
     g = np.asarray(g, dtype=float)
     n = (g.shape[-1] - 1) // 2
-    scale = np.maximum(1.0, _frobenius(g))
+    scale = np.maximum(1.0, norm)
     h = sym(g[..., : n + 1, : n + 1])
     corner = corner_residual(h)
     on_slice = res <= SYM_TOL * scale

@@ -7,10 +7,14 @@ every number within ``GOLDEN_REL`` of the largest number in the stored
 output.  The subcommands that never run the log solver (``shoot``, ``lax``,
 ``verify`` and ``fisher-check``) must also match byte for byte.  Running
 this file as a script writes the fixtures that are missing, from the current
-source; it rewrites an existing fixture only when its name is given::
+source; it rewrites an existing fixture only when its name is given.  With
+``--check`` it writes nothing: it reruns every case in memory and lists the
+fixtures that are missing or whose stored run (exit code or stdout, to the
+byte) would change, exiting with status 1 if there are any::
 
     PYTHONPATH=src python tests/test_cli_golden.py                 # missing fixtures only
     PYTHONPATH=src python tests/test_cli_golden.py log_n1 dist_n2  # also rewrite these two
+    PYTHONPATH=src python tests/test_cli_golden.py --check         # list changed fixtures, write none
 """
 
 import contextlib
@@ -165,6 +169,19 @@ def _write_fixtures(directory: Path, rewrite=frozenset(), cases=None) -> list[st
     return written
 
 
+def _changed_fixtures(directory: Path, cases=None) -> list[str]:
+    """Names of the fixtures in ``directory`` that are missing or whose stored run differs from a fresh one, byte for byte; writes nothing."""
+    cases = _cases() if cases is None else cases
+    changed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, obj in cases:
+            path = directory / f"{name}.json"
+            fresh = dict(zip(("exit", "stdout"), _run(argv, obj, Path(tmp))), argv=argv, input=obj)
+            if not path.exists() or json.loads(path.read_text()) != json.loads(json.dumps(fresh)):
+                changed.append(name)
+    return changed
+
+
 def test_writer_keeps_existing_fixtures(tmp_path):
     cases = [case for case in _cases() if case[0] in ("log_n1", "shoot_n1", "fisher-check_n1")]
     assert sorted(_write_fixtures(tmp_path, cases=cases)) == ["fisher-check_n1", "log_n1", "shoot_n1"]
@@ -178,9 +195,30 @@ def test_writer_keeps_existing_fixtures(tmp_path):
         _write_fixtures(tmp_path, {"log_n9"}, cases=cases)
 
 
+def test_check_lists_changed_fixtures_and_writes_nothing(tmp_path):
+    cases = [case for case in _cases() if case[0] in ("log_n1", "shoot_n1", "fisher-check_n1")]
+    _write_fixtures(tmp_path, cases=cases)
+    assert _changed_fixtures(tmp_path, cases) == []
+    # one digit of a stored number, and a missing fixture
+    shoot = tmp_path / "shoot_n1.json"
+    fixture = json.loads(shoot.read_text())
+    fixture["stdout"] = fixture["stdout"].replace("1", "2", 1)
+    shoot.write_text(json.dumps(fixture))
+    (tmp_path / "log_n1.json").unlink()
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert _changed_fixtures(tmp_path, cases) == ["shoot_n1", "log_n1"]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 if __name__ == "__main__":
     import sys
 
+    if sys.argv[1:] == ["--check"]:
+        changed = _changed_fixtures(GOLDEN_DIR)
+        for name in changed:
+            print(f"changed {name}")
+        print(f"{len(changed)} of {len(_cases())} fixtures would change")
+        sys.exit(1 if changed else 0)
     try:
         for name in _write_fixtures(GOLDEN_DIR, set(sys.argv[1:])):
             print(f"wrote {name}")

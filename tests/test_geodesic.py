@@ -47,7 +47,7 @@ from gaussgeo.ahm import interpolate
 from gaussgeo.manifold import _apply_stacked
 from gaussgeo.matcore import _spectral, block_cholesky, check_special_symmetry, spd_inv, sym, sym_exp
 from gaussgeo.cli import write_samples_csv
-from util import integrate_geodesic_ode, packed_rows, random_point, random_tangent, recovered_initial_direction, spd_log
+from util import integrate_geodesic_ode, packed_rows, random_point, random_tangent, recovered_initial_direction, reference_sampled, spd_log
 
 
 class TestExpMap:
@@ -760,6 +760,23 @@ class TestDistance:
             dpr = distance(p, r)
             drq = distance(r, q)
             assert dpq <= dpr + drq + 1e-8
+
+
+class TestSampledRows:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_bit_identical_to_whole_block_reference(self, n):
+        # the first n rows of the leading block give every bit of the point, on the verify grid,
+        # on a grid whose end is not a multiple of its step, and with a base point
+        rng = np.random.default_rng(180 + n)
+        w, u = matcore.sym_eigen(horizontal_lift(random_tangent(rng, n)))
+        denorm = normalize_to_identity(random_point(rng, n)).inverse()
+        grids = (np.linspace(0.0, 2.0, 2001), np.append(np.linspace(0.0, 1.037, 1038), 1.0375), 0.7)
+        for ts in grids:
+            for base in (None, denorm):
+                got, want = geodesic._sampled(w, u, ts, base), reference_sampled(w, u, ts, base)
+                assert got.ts.tobytes() == want.ts.tobytes()
+                assert got.sigmas.tobytes() == want.sigmas.tobytes()
+                assert got.mus.tobytes() == want.mus.tobytes()
 
 
 class TestTrajectoryCsv:

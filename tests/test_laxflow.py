@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,9 +19,9 @@ from gaussgeo import (
 )
 from gaussgeo.geodesic import ambient_exponentials
 from gaussgeo.matcore import block_cholesky, check_special_symmetry, special_structure_residuals
-from gaussgeo.laxflow import build_L, build_M, lax_pattern_residual, rhs_bilinear, rhs_riccati
+from gaussgeo.laxflow import build_L, lax_pattern_residual, rhs_bilinear, rhs_riccati
 from gaussgeo.cli import _random_unit_tangent, write_samples_csv
-from util import random_sym, random_tangent, sigma_algebra, state_from_L
+from util import build_M, random_sym, random_tangent, reference_verify_lax, sigma_algebra, state_from_L
 
 
 def scalar_tangent(alpha=0.0, beta=1.0):
@@ -41,6 +42,21 @@ def _bilinear(state, a0):
 
 def _riccati(state, a_mat, a0):
     return _rhs(rhs_riccati, state, a_mat @ a_mat, 2.0 * np.outer(a0, a0), np.empty_like(a_mat))
+
+
+def _peak_bytes(fn, *args):
+    """``fn(*args)`` and the peak of the memory it held above what was allocated before the call, by ``tracemalloc``."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def _textbook_rk4(rhs, xi, t_end, dt):
@@ -159,6 +175,24 @@ class TestIntegrate:
         with pytest.raises(ArithmeticError, match=r"^flow stopped being finite at t = 0.2; reduce dt$"):
             integrate("riccati", scalar_tangent(beta=80.0), 1000.0, dt=0.05)
         assert len(calls) <= 2048  # 80,000 if every step ran
+
+    def test_blowup_time_found_between_checks(self, monkeypatch):
+        # an infinite slope in step 700 leaves every state from row 700 on non-finite; the loop
+        # stops at the next check (row 768), and the report names the time of row 700
+        calls = []
+
+        def poisoned_rhs(q, r, neg_a0, dq, dr):
+            rhs_bilinear(q, r, neg_a0, dq, dr)
+            calls.append(None)
+            if len(calls) == 4 * 700:
+                dq[0, 0] = np.inf
+
+        xi = scalar_tangent(0.3, 0.4)
+        ts = integrate("bilinear", xi, 10.0, dt=1e-3).ts
+        monkeypatch.setattr(laxflow, "rhs_bilinear", poisoned_rhs)
+        with pytest.raises(ArithmeticError, match=rf"^flow stopped being finite at t = {ts[700]:.6g}; reduce dt$"):
+            integrate("bilinear", xi, 10.0, dt=1e-3)
+        assert len(calls) == 4 * 768
 
     @pytest.mark.parametrize("rhs", ["bilinear", "riccati"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -385,6 +419,53 @@ class TestVerifyLax:
         with pytest.raises(ValueError, match="multiple"):
             verify_lax(samples, xi.a0, 0.015)
 
+
+    @pytest.mark.parametrize("rhs", ["bilinear", "riccati"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_bit_identical_to_fresh_array_reference(self, n, rhs):
+        # the reference builds M with build_M and allocates every product; the stack perturbed
+        # in place at its middle sample is what gaussgeo verify --perturb hands over
+        xi = _random_unit_tangent(n, np.random.default_rng(160 + n))
+        samples = integrate(rhs, xi, 2.0)
+        for perturb in (0.0, 1e-3):
+            samples.Qs[len(samples.ts) // 2] += perturb
+            for h in (1e-3, 2e-3):
+                got, want = verify_lax(samples, xi.a0, h), reference_verify_lax(samples, xi.a0, h)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_partial_last_step_rejected_like_the_reference(self, n):
+        # t_end is not a multiple of dt, so the last spacing is short and the grid not uniform
+        xi = _random_unit_tangent(n, np.random.default_rng(160 + n))
+        samples = integrate("bilinear", xi, 0.1037, dt=1e-3)
+        for verify in (verify_lax, reference_verify_lax):
+            with pytest.raises(ValueError, match="^samples must lie on a uniform increasing grid$"):
+                verify(samples, xi.a0, 1e-3)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_verify_lax_holds_at_most_five_lax_stacks(self, n):
+        # L, its copy M and the difference, with either the two products or the norm's two
+        # temporaries (each a stack short of 2 samples); with every product fresh it holds six
+        xi = _random_unit_tangent(n, np.random.default_rng(170 + n))
+        samples = integrate("bilinear", xi, 2.0)
+        stack = samples.ts.size * (2 * n + 1) ** 2 * 8
+        _, peak = _peak_bytes(verify_lax, samples, xi.a0, 1e-3)
+        assert peak <= 5.25 * stack
+
+    def test_integrate_holds_its_state_array_and_a_constant(self):
+        # beyond the state and time arrays it returns, the loop holds a few buffers and a
+        # window of the last finiteness check; a per-step object would grow with the steps
+        xi = random_tangent(np.random.default_rng(171), 3)
+        excess = []
+        for steps in (1000, 16000):
+            samples, peak = _peak_bytes(integrate, "bilinear", xi, steps * 1e-3)
+            assert len(samples) == steps + 1
+            held = (a if a.base is None else a.base for a in (samples.Qs, samples.ts))
+            excess.append(peak - sum(a.nbytes for a in held))
+        assert max(excess) <= 64 * 1024
+        assert excess[1] - excess[0] <= 1024
 
 
 class TestVerifyChecks:

@@ -113,10 +113,11 @@ def test_matrix_utilities_live_in_matcore_only():
 PACKAGE_DIR = Path(gaussgeo.__file__).parent
 # test-only oracles, now in tests/util.py; LaxState, now the plain pair (Q, r); AhmPair and
 # ahm_sequence, now the plain pair (P, Q) and, for the limit, ahm_midpoint; spd_log and block_exchange,
-# now test references in tests/util.py; sym_apply, folded into sym_exp; spd_sqrt, now spd_power(p, 0.5)
+# now test references in tests/util.py; sym_apply, folded into sym_exp; spd_sqrt, now spd_power(p, 0.5);
+# build_M, now a copy of verify_lax's build_L stack, kept as a test reference in tests/util.py
 GONE_FROM_PACKAGE = (
     "ahm_step", "alt_embed_check", "direct_midpoint", "recovered_initial_direction", "state_from_L", "LaxState",
-    "AhmPair", "ahm_sequence", "spd_log", "block_exchange", "sym_apply", "spd_sqrt",
+    "AhmPair", "ahm_sequence", "spd_log", "block_exchange", "sym_apply", "spd_sqrt", "build_M",
 )
 
 

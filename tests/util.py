@@ -4,6 +4,9 @@ import numpy as np
 
 from gaussgeo import GaussianPoint, Tangent, embed, tangent_norm
 from gaussgeo.ahm import _step
+from gaussgeo.geodesic import GeodesicTrajectory, _stencil_offset
+from gaussgeo.laxflow import build_L
+from gaussgeo.manifold import _apply_stacked
 from gaussgeo.matcore import NotSpdError, _spectral, spd_power, sym, sym_eigen
 from gaussgeo.sympair import split_orthogonal
 
@@ -122,6 +125,49 @@ def recovered_initial_direction(traj, h):
     a0 = np.linalg.solve(traj.sigmas[k], mu_dot)
     a_mat = np.linalg.solve(traj.sigmas[k], sigma_dot) + np.outer(a0, traj.mus[k])
     return Tangent(A0=sym(a_mat), a0=a0)
+
+
+def build_M(state, a0):
+    """Block lower-triangular projection of ``build_L`` (the r-borders dropped): the reference for ``verify_lax``'s ``M``."""
+    return split_orthogonal(state[0], 0.0, a0, 0.0, 0.0)
+
+
+def reference_verify_lax(samples, a0, h):
+    """``verify_lax`` as a sequence of fresh arrays: one ``build_L`` and one ``build_M`` stack, the commutator and each power allocated anew."""
+    m = _stencil_offset(samples.ts, h)
+    states = (samples.Qs, samples.rs)
+    ls, ms = build_L(states, a0), build_M(states, a0)
+    ldot = (ls[2 * m:] - ls[:-2 * m]) / (2.0 * h)
+    center_l, center_m = ls[m:-m], ms[m:-m]
+    bracket = center_l @ center_m - center_m @ center_l
+    comm_residual = float(np.max(np.linalg.norm(ldot - bracket, axis=(1, 2))))
+    powers = ls.copy()
+    traces = [np.trace(powers, axis1=1, axis2=2)]
+    for _ in range(ls.shape[1] - 1):
+        powers = powers @ ls
+        traces.append(np.trace(powers, axis1=1, axis2=2))
+    traces = np.stack(traces)
+    return comm_residual, float(np.max(np.abs(traces - traces[:, :1])))
+
+
+def reference_sampled(w, u, ts, denorm):
+    """``geodesic._sampled`` from the whole leading (n+1)-block of ``exp(t V)``, with its checks."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    n = (len(w) - 1) // 2
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gs = np.einsum("ik,tk,jk->tij", u[: n + 1], np.exp(np.outer(ts, w)), u[: n + 1])
+            sigmas = sym(np.linalg.inv(sym(gs[:, :n, :n])))
+            mus = (sigmas @ gs[:, :n, n, None])[..., 0]
+            if denorm is not None:
+                sigmas, mus = _apply_stacked(denorm, sigmas, mus)
+        finite = np.isfinite(sigmas).all(axis=(1, 2)) & np.isfinite(mus).all(axis=1)
+        if not finite.all():
+            raise ArithmeticError(f"geodesic stopped being finite at t = {ts[np.argmin(finite)]:.6g}")
+        np.linalg.cholesky(sigmas)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError("sigma is not positive definite") from exc
+    return GeodesicTrajectory(ts=ts, sigmas=sigmas, mus=mus)
 
 
 def state_from_L(l):
