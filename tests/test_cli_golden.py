@@ -10,7 +10,10 @@ this file as a script writes the fixtures that are missing, from the current
 source; it rewrites an existing fixture only when its name is given.  With
 ``--check`` it writes nothing: it reruns every case in memory and lists the
 fixtures that are missing or whose stored run (exit code or stdout, to the
-byte) would change, exiting with status 1 if there are any::
+byte) would change, exiting with status 1 if there are any.  For each it
+says whether the exit code, the JSON keys or the CSV shape changed, and how
+far the largest number moved, as a multiple of the tolerance the replay
+test applies::
 
     PYTHONPATH=src python tests/test_cli_golden.py                 # missing fixtures only
     PYTHONPATH=src python tests/test_cli_golden.py log_n1 dist_n2  # also rewrite these two
@@ -21,6 +24,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -114,20 +118,26 @@ def _numbers(obj):
     return [x for item in items for x in _numbers(item)]
 
 
-def _compare(got, want, tol: float, where: str = "$") -> None:
+def _tolerance(want) -> float:
+    """The absolute tolerance for every number of a stored output: ``GOLDEN_REL`` times its largest number (at least 1)."""
+    return GOLDEN_REL * max([1.0, *_numbers(want)])
+
+
+def _compare(got, want, tol: float, where: str = "$") -> float:
+    """Assert ``got`` has the keys and lengths of ``want`` and each number within ``tol`` of it; returns the largest move."""
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), f"{where}: keys differ"
-        for key in want:
-            _compare(got[key], want[key], tol, f"{where}.{key}")
-    elif isinstance(want, (list, tuple)):
+        return max([0.0, *(_compare(got[key], want[key], tol, f"{where}.{key}") for key in want)])
+    if isinstance(want, (list, tuple)):
         assert isinstance(got, (list, tuple)) and len(got) == len(want), f"{where}: length differs"
-        for i, (g, w) in enumerate(zip(got, want)):
-            _compare(g, w, tol, f"{where}[{i}]")
-    elif isinstance(want, (bool, str)) or want is None:
+        return max([0.0, *(_compare(g, w, tol, f"{where}[{i}]") for i, (g, w) in enumerate(zip(got, want)))])
+    if isinstance(want, (bool, str)) or want is None:
         assert got == want, f"{where}: {got!r} != {want!r}"
-    else:
-        assert not isinstance(got, (bool, str)), f"{where}: expected a number, got {got!r}"
-        assert abs(got - want) <= tol, f"{where}: {got!r} differs from {want!r} by more than {tol:.3e}"
+        return 0.0
+    assert not isinstance(got, (bool, str)), f"{where}: expected a number, got {got!r}"
+    move = abs(got - want)
+    assert move <= tol, f"{where}: {got!r} differs from {want!r} by more than {tol:.3e}"
+    return move
 
 
 FIXTURES = sorted(GOLDEN_DIR.glob("*.json"))
@@ -144,8 +154,7 @@ def test_matches_golden(path, tmp_path):
     code, out = _run(fixture["argv"], fixture["input"], tmp_path)
     assert code == fixture["exit"]
     want = _parse(fixture["stdout"])
-    tol = GOLDEN_REL * max([1.0, *_numbers(want)])
-    _compare(_parse(out), want, tol)
+    _compare(_parse(out), want, _tolerance(want))
     if path.stem.startswith(BYTE_EXACT):
         assert out == fixture["stdout"]
 
@@ -169,17 +178,36 @@ def _write_fixtures(directory: Path, rewrite=frozenset(), cases=None) -> list[st
     return written
 
 
-def _changed_fixtures(directory: Path, cases=None) -> list[str]:
-    """Names of the fixtures in ``directory`` that are missing or whose stored run differs from a fresh one, byte for byte; writes nothing."""
+def _describe_change(stored: dict, fresh: dict) -> str:
+    """How a fresh run differs from a stored one: its exit code, its JSON keys or CSV shape, and its largest numeric move as a multiple of ``_tolerance``."""
+    parts = ["exit code same" if fresh["exit"] == stored["exit"] else f"exit code {stored['exit']} -> {fresh['exit']}"]
+    want = _parse(stored["stdout"])
+    shape = "JSON keys" if isinstance(want, dict) else "CSV shape"
+    try:
+        move = _compare(_parse(fresh["stdout"]), want, math.inf)
+    except (AssertionError, ValueError, IndexError) as exc:
+        return ", ".join([*parts, f"{shape} changed ({str(exc).splitlines()[0]})"])
+    return ", ".join([*parts, f"{shape} same", f"largest move {move / _tolerance(want):.2g} x tolerance"])
+
+
+def _fixture_changes(directory: Path, cases=None) -> dict[str, str]:
+    """Each fixture in ``directory`` that is missing or whose stored run differs from a fresh one, byte for byte, mapped to how it differs; writes nothing."""
     cases = _cases() if cases is None else cases
-    changed = []
+    changes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, obj in cases:
             path = directory / f"{name}.json"
-            fresh = dict(zip(("exit", "stdout"), _run(argv, obj, Path(tmp))), argv=argv, input=obj)
-            if not path.exists() or json.loads(path.read_text()) != json.loads(json.dumps(fresh)):
-                changed.append(name)
-    return changed
+            fresh = json.loads(json.dumps(dict(zip(("exit", "stdout"), _run(argv, obj, Path(tmp))), argv=argv, input=obj)))
+            if not path.exists():
+                changes[name] = "missing"
+            elif (stored := json.loads(path.read_text())) != fresh:
+                changes[name] = _describe_change(stored, fresh)
+    return changes
+
+
+def _changed_fixtures(directory: Path, cases=None) -> list[str]:
+    """Names of the fixtures in ``directory`` that are missing or whose stored run differs from a fresh one, byte for byte; writes nothing."""
+    return list(_fixture_changes(directory, cases))
 
 
 def test_writer_keeps_existing_fixtures(tmp_path):
@@ -205,8 +233,20 @@ def test_check_lists_changed_fixtures_and_writes_nothing(tmp_path):
     fixture["stdout"] = fixture["stdout"].replace("1", "2", 1)
     shoot.write_text(json.dumps(fixture))
     (tmp_path / "log_n1.json").unlink()
+    # a stored exit code of 1, and a stored number half a tolerance (2e-11, from nodes = 20) off
+    check = tmp_path / "fisher-check_n1.json"
+    fixture = json.loads(check.read_text())
+    report = json.loads(fixture["stdout"])
+    report["results"]["max_deviation"] += 1e-11
+    fixture.update(exit=1, stdout=json.dumps(report, indent=2, sort_keys=True) + "\n")
+    check.write_text(json.dumps(fixture))
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-    assert _changed_fixtures(tmp_path, cases) == ["shoot_n1", "log_n1"]
+    assert _changed_fixtures(tmp_path, cases) == ["shoot_n1", "log_n1", "fisher-check_n1"]
+    assert _fixture_changes(tmp_path, cases) == {
+        "shoot_n1": "exit code same, CSV shape changed ($[0][1]: 'sigma_11' != 'sigma_21')",
+        "log_n1": "missing",
+        "fisher-check_n1": "exit code 1 -> 0, JSON keys same, largest move 0.5 x tolerance",
+    }
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
@@ -214,9 +254,9 @@ if __name__ == "__main__":
     import sys
 
     if sys.argv[1:] == ["--check"]:
-        changed = _changed_fixtures(GOLDEN_DIR)
-        for name in changed:
-            print(f"changed {name}")
+        changed = _fixture_changes(GOLDEN_DIR)
+        for name, how in changed.items():
+            print(f"changed {name}: {how}")
         print(f"{len(changed)} of {len(_cases())} fixtures would change")
         sys.exit(1 if changed else 0)
     try:
