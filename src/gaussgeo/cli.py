@@ -210,11 +210,6 @@ def write_samples_csv(fh, names: tuple[str, str], ts: np.ndarray, matrices: np.n
         writer.writerow([f"{v:.17g}" for v in (t, *matrix.ravel(), *vector)])
 
 
-def _report(command: str, digest: str, results: dict, checks: dict, out: str) -> None:
-    payload = {"command": command, "inputs_digest": digest, "results": results, "checks": checks}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
-
-
 def _t_grid(obj, steps: int, n: int) -> np.ndarray:
     raw = obj.get("t_grid")
     if raw is None:
@@ -234,7 +229,7 @@ def _t_grid(obj, steps: int, n: int) -> np.ndarray:
     return ts
 
 
-def cmd_shoot(args, obj) -> int:
+def cmd_shoot(args, obj) -> str:
     _require_keys(obj, ("tangent",), "input")
     xi = parse_tangent(obj["tangent"])
     base = parse_point(obj["point"], "point") if "point" in obj else None
@@ -242,51 +237,41 @@ def cmd_shoot(args, obj) -> int:
     traj = geo.trajectory(xi, ts, basepoint=base)
     buf = io.StringIO()
     write_samples_csv(buf, ("sigma", "mu"), traj.ts, traj.sigmas, traj.mus)
-    _emit(buf.getvalue(), args.output)
-    return 0
+    return buf.getvalue()
 
 
-def cmd_log(args, obj) -> int:
+def cmd_log(args, obj) -> tuple[dict, dict]:
     p, q = parse_pair(obj)
     xi = geo.log_map(p, q, tol=args.tol, max_iter=args.max_iter)
     residual = float(np.linalg.norm(embed(geo.exp_map_from(p, xi, 1.0)) - embed(q)))
-    results = {"tangent": tangent_to_json(xi), "residual": residual}
-    _report("log", _digest(obj), results, {}, args.output)
-    return 0
+    return {"tangent": tangent_to_json(xi), "residual": residual}, {}
 
 
-def cmd_dist(args, obj) -> int:
+def cmd_dist(args, obj) -> tuple[dict, dict]:
     p, q = parse_pair(obj)
     value = geo.distance(p, q, convention=args.metric, tol=args.tol, max_iter=args.max_iter)
-    _report("dist", _digest(obj), {"distance": value, "convention": args.metric}, {}, args.output)
-    return 0
+    return {"distance": value, "convention": args.metric}, {}
 
 
-def cmd_midpoint(args, obj) -> int:
+def cmd_midpoint(args, obj) -> tuple[dict, dict]:
     p, q = parse_pair(obj)
-    mid = ahm_mod.midpoint_N(p, q, tol=args.tol, max_iter=args.max_iter)
-    results = point_to_json(mid)
-    _report("midpoint", _digest(obj), results, {}, args.output)
-    return 0
+    return point_to_json(ahm_mod.midpoint_N(p, q, tol=args.tol, max_iter=args.max_iter)), {}
 
 
-def cmd_interp(args, obj) -> int:
+def cmd_interp(args, obj) -> tuple[dict, dict]:
     p, q = parse_pair(obj)
     depth = _positive_int(obj.get("depth", args.depth), "depth")
     points = ahm_mod.interpolate(p, q, depth, tol=args.tol, max_iter=args.max_iter)
-    results = {"depth": depth, "points": [point_to_json(pt) for pt in points]}
-    _report("interp", _digest(obj), results, {}, args.output)
-    return 0
+    return {"depth": depth, "points": [point_to_json(pt) for pt in points]}, {}
 
 
-def cmd_lax(args, obj) -> int:
+def cmd_lax(args, obj) -> str:
     _require_keys(obj, ("tangent",), "input")
     xi = parse_tangent(obj["tangent"])
     samples = lax_mod.integrate(args.rhs, xi, _parse_t_end(obj), dt=args.dt)
     buf = io.StringIO()
     write_samples_csv(buf, ("Q", "r"), samples.ts, samples.Qs, samples.rs)
-    _emit(buf.getvalue(), args.output)
-    return 0
+    return buf.getvalue()
 
 
 def _random_unit_tangent(n: int, rng: np.random.Generator) -> Tangent:
@@ -296,7 +281,7 @@ def _random_unit_tangent(n: int, rng: np.random.Generator) -> Tangent:
     return xi.scaled(1.0 / tangent_norm(xi))
 
 
-def cmd_verify(args, obj) -> int:
+def cmd_verify(args, obj) -> tuple[dict, dict]:
     _require_keys(obj, (), "input")
     if "tangent" in obj:
         xi = parse_tangent(obj["tangent"])
@@ -322,16 +307,11 @@ def cmd_verify(args, obj) -> int:
         log.info("injected perturbation of size %g", args.perturb)
 
     values = lax_mod.verify_checks(xi, traj, samples, h)
-    checks = {
-        name: {"value": values[name], "threshold": VERIFY_THRESHOLDS[name], "pass": bool(values[name] <= VERIFY_THRESHOLDS[name])}
-        for name in VERIFY_THRESHOLDS
-    }
-    results = {"tangent": tangent_to_json(xi), "t_end": float(ts[-1]), "dt": h}
-    _report("verify", _digest(obj), results, checks, args.output)
-    return 0 if all(c["pass"] for c in checks.values()) else 1
+    checks = {name: (values[name], threshold) for name, threshold in VERIFY_THRESHOLDS.items()}
+    return {"tangent": tangent_to_json(xi), "t_end": float(ts[-1]), "dt": h}, checks
 
 
-def cmd_fisher_check(args, obj) -> int:
+def cmd_fisher_check(args, obj) -> tuple[dict, dict]:
     _require_keys(obj, ("n",), "input")
     n = _positive_int(obj["n"], "n")
     nodes = _positive_int(obj.get("nodes", 20), "nodes")
@@ -345,16 +325,8 @@ def cmd_fisher_check(args, obj) -> int:
             numeric = fisher_numeric(identity, x, y, nodes=nodes)
             closed = metric_at_identity(x, y, convention="fisher")
             worst = max(worst, abs(numeric - closed))
-    checks = {
-        "fisher_agreement": {
-            "value": worst,
-            "threshold": FISHER_CHECK_THRESHOLD,
-            "pass": bool(worst <= FISHER_CHECK_THRESHOLD),
-        }
-    }
     results = {"n": n, "nodes": nodes, "basis_size": len(basis), "max_deviation": worst}
-    _report("fisher-check", _digest(obj), results, checks, args.output)
-    return 0 if worst <= FISHER_CHECK_THRESHOLD else 1
+    return results, {"fisher_agreement": (worst, FISHER_CHECK_THRESHOLD)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,12 +396,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write its outcome: CSV text as it is, or ``(results, checks)`` as the JSON report.
+
+    ``checks`` maps a check name to ``(value, threshold)``.  The exit code is 1
+    when some value is not within its threshold (NaN included), else 0.
+    """
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_options(args)
-        return args.func(args, _load_input(args.input))
+        obj = _load_input(args.input)
+        outcome = args.func(args, obj)
+        text, checks = outcome, {}
+        if not isinstance(outcome, str):
+            results, values = outcome
+            checks = {name: {"value": v, "threshold": t, "pass": bool(v <= t)} for name, (v, t) in values.items()}
+            report = {"command": args.command, "inputs_digest": _digest(obj), "results": results, "checks": checks}
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _emit(text, args.output)
+        return 0 if all(c["pass"] for c in checks.values()) else 1
     except InputError as exc:
         print(f"gaussgeo: input error: {exc}", file=sys.stderr)
         return 2

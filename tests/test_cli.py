@@ -391,6 +391,15 @@ class TestJsonCommands:
         assert abs(payload["results"]["tangent"]["A0"][0][0] - 2.0) <= 1e-8
         assert payload["results"]["residual"] <= 1e-10
 
+    def test_output_file_gets_the_printed_bytes(self, tmp_path, capsys):
+        obj = {"p": point_json([[1.0]], [0.0]), "q": point_json([[math.e ** 2]], [0.5])}
+        path = write_json(tmp_path, "in.json", obj)
+        out_path = tmp_path / "report.json"
+        assert run(capsys, ["dist", "--input", path, "--output", str(out_path)]) == (0, "", "")
+        code, printed, _ = run(capsys, ["dist", "--input", path])
+        assert code == 0
+        assert out_path.read_bytes() == printed.encode("utf-8")
+
     def test_interp_depth_two(self, tmp_path, capsys):
         obj = {"p": point_json([[1.0]], [0.0]), "q": point_json([[math.e ** 2]], [0.0]), "depth": 2}
         path = write_json(tmp_path, "in.json", obj)
@@ -472,6 +481,14 @@ class TestFisherCheck:
         payload = json.loads(out)
         assert payload["checks"]["fisher_agreement"]["pass"]
         assert payload["results"]["max_deviation"] <= 1e-6
+
+    def test_too_few_nodes_fail_the_check(self, tmp_path, capsys):
+        path = write_json(tmp_path, "in.json", {"n": 1, "nodes": 2})
+        code, out, _ = run(capsys, ["fisher-check", "--input", path])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["results"]["max_deviation"] == 0.5
+        assert payload["checks"] == {"fisher_agreement": {"value": 0.5, "threshold": 1e-6, "pass": False}}
 
     @pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
     @pytest.mark.parametrize("subcommand", ["fisher-check", "shoot", "lax", "verify"])
