@@ -450,19 +450,6 @@ def _fibre_point(sigma: np.ndarray, mu: np.ndarray, theta: np.ndarray) -> tuple[
     return m, d
 
 
-@lru_cache(maxsize=8)
-def _fibre_basis(n: int) -> np.ndarray:
-    """Derivatives of the fibre point's ``M`` along the packed entries of ``S`` (read-only stack)."""
-    units = []
-    for i, j in zip(*_triu(n, 1)):
-        unit = np.zeros((2 * n + 1, 2 * n + 1))
-        unit[n + 1 + i, j], unit[n + 1 + j, i] = 1.0, -1.0
-        units.append(unit)
-    basis = np.stack(units)
-    basis.flags.writeable = False
-    return basis
-
-
 def _log_divided_differences(w: np.ndarray) -> np.ndarray:
     """Divided differences ``(log w_i - log w_j) / (w_i - w_j)`` of ``log`` on a positive spectrum.
 
@@ -520,11 +507,17 @@ def _fibre_jacobian(m: np.ndarray, d: np.ndarray, w: np.ndarray, u: np.ndarray) 
     """Jacobian of ``_vertical_part(log G(S))`` in the packed ``S``, from the eigh ``(w, u)`` of ``G = M D M^T``.
 
     Column k is the vertical part of the derivative of ``log`` (Daleckii-Krein)
-    in the direction ``dG = dM D M^T + M D dM^T``, with ``dM`` the k-th
-    fibre basis matrix.
+    in the direction ``dG = dM D M^T + M D dM^T``, where ``dM``, the derivative
+    of ``M`` along the k-th packed entry ``(i, j)`` of ``S``, is 1 at
+    ``(n+1+i, j)`` and -1 at ``(n+1+j, i)``.  So ``dM D M^T`` has the two
+    nonzero rows ``x[j]`` and ``-x[i]`` of ``x = D M^T``, written by indexing.
     """
     n = (m.shape[0] - 1) // 2
-    dm = _fibre_basis(n) @ (d @ m.T)
+    x = d @ m.T
+    i, j = _triu(n, 1)
+    k = np.arange(i.size)
+    dm = np.zeros((i.size, *x.shape))
+    dm[k, n + 1 + i], dm[k, n + 1 + j] = x[j], -x[i]
     dg = dm + dm.swapaxes(-1, -2)
     return _daleckii_krein(u, _log_divided_differences(w), dg, slice(None, n), slice(n + 1, None), _triu(n, 1))
 
