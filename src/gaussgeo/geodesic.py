@@ -517,7 +517,8 @@ def _fibre_jacobian(m: np.ndarray, d: np.ndarray, w: np.ndarray, u: np.ndarray) 
     i, j = _triu(n, 1)
     k = np.arange(i.size)
     dm = np.zeros((i.size, *x.shape))
-    dm[k, n + 1 + i], dm[k, n + 1 + j] = x[j], -x[i]
+    lower = dm[:, n + 1:]
+    lower[k, i], lower[k, j] = x[j], -x[i]
     dg = dm + dm.swapaxes(-1, -2)
     return _daleckii_krein(u, _log_divided_differences(w), dg, slice(None, n), slice(n + 1, None), _triu(n, 1))
 
