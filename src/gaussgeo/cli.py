@@ -186,14 +186,6 @@ def tangent_to_json(xi: Tangent) -> dict:
     return {"n": xi.n, "A0": xi.A0.tolist(), "a0": xi.a0.tolist()}
 
 
-def _emit(text: str, path: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def write_samples_csv(fh, names: tuple[str, str], ts: np.ndarray, matrices: np.ndarray, vectors: np.ndarray) -> None:
     """Write samples as CSV: t, row-major matrix entries, vector entries, one row per time of ``ts``.
 
@@ -414,7 +406,15 @@ def main(argv=None) -> int:
             checks = {name: {"value": v, "threshold": t, "pass": bool(v <= t)} for name, (v, t) in values.items()}
             report = {"command": args.command, "inputs_digest": _digest(obj), "results": results, "checks": checks}
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        _emit(text, args.output)
+        if args.output == "-":
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"gaussgeo: cannot write output: {exc}", file=sys.stderr)
+                return 2
         return 0 if all(c["pass"] for c in checks.values()) else 1
     except InputError as exc:
         print(f"gaussgeo: input error: {exc}", file=sys.stderr)

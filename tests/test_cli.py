@@ -225,6 +225,17 @@ class TestErrorsAndExitCodes:
         assert err.startswith(f"gaussgeo: input error: {what} needs ")
         assert err.endswith(" bytes of physical memory\n")
 
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, where):
+        # exit 1 is kept for a failed check, so a path that cannot be opened is reported like unreadable input
+        output = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+        path = write_json(tmp_path, "in.json", {"n": 1})
+        code, out, err = run(capsys, ["fisher-check", "--input", path, "--output", str(output)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("gaussgeo: cannot write output: ")
+        assert err.count("\n") == 1 and err.endswith(f"{str(output)!r}\n")
+
     def test_singular_leading_pivot_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # Far along a unit geodesic (n = 2, t ~ 105) the leading pivot of the
         # lifted exponential passes its Cholesky test yet is singular to LU.

@@ -433,6 +433,39 @@ class TestVerifyLax:
                 got, want = verify_lax(samples, xi.a0, h), reference_verify_lax(samples, xi.a0, h)
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("samples_per_block", [1, 7, None], ids=["one-sample", "seven-samples", "default"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_blocks_keep_the_bits_of_one_pass(self, n, samples_per_block, monkeypatch):
+        # a fault at the middle sample, or at the first sample of the second block, is seen through
+        # the halo of the block before it; at h = 2e-3 the halo is two samples, wider than one block
+        sample_bytes = 8 * (2 * n + 1) ** 2
+        if samples_per_block is not None:
+            monkeypatch.setattr(laxflow, "VERIFY_BLOCK_BYTES", samples_per_block * sample_bytes)
+        block = max(1, laxflow.VERIFY_BLOCK_BYTES // sample_bytes)
+        xi = _random_unit_tangent(n, np.random.default_rng(160 + n))
+        clean = integrate("bilinear", xi, 2.0)
+        for fault in (len(clean.ts) // 2, min(block, len(clean.ts) - 1)):
+            samples = laxflow.LaxSamples(clean.ts, clean.Qs.copy(), clean.rs)
+            samples.Qs[fault] += 1e-3
+            for h in (1e-3, 2e-3):
+                got, want = verify_lax(samples, xi.a0, h), reference_verify_lax(samples, xi.a0, h)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_non_finite_sample_in_the_last_block_is_reported(self, n, bad):
+        # each block's worst value is combined with np.maximum: Python's max would drop a NaN
+        # that a later block reports, and a broken flow would pass
+        xi = _random_unit_tangent(n, np.random.default_rng(160 + n))
+        clean = integrate("bilinear", xi, 2.0)
+        for sample in (len(clean.ts) - 2, len(clean.ts) - 1):
+            samples = laxflow.LaxSamples(clean.ts, clean.Qs.copy(), clean.rs)
+            samples.Qs[sample, 0, 0] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = verify_lax(samples, xi.a0, 1e-3), reference_verify_lax(samples, xi.a0, 1e-3)
+            assert np.isnan(want[1])
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_partial_last_step_rejected_like_the_reference(self, n):
         # t_end is not a multiple of dt, so the last spacing is short and the grid not uniform
@@ -453,6 +486,17 @@ class TestMemory:
         stack = samples.ts.size * (2 * n + 1) ** 2 * 8
         _, peak = _peak_bytes(verify_lax, samples, xi.a0, 1e-3)
         assert peak <= 5.25 * stack
+
+    def test_verify_lax_working_set_does_not_grow_with_the_samples(self):
+        # the blocks are a fixed size, so eight times the samples may add only a few arrays of
+        # one float per sample (the grid check's differences of ts), never a stack of L
+        xi = _random_unit_tangent(8, np.random.default_rng(178))
+        peaks = []
+        for steps in (2000, 16000):
+            samples = integrate("bilinear", xi, steps * 1e-3)
+            peaks.append(_peak_bytes(verify_lax, samples, xi.a0, 1e-3)[1])
+        assert peaks[1] < samples.ts.size * 17 ** 2 * 8
+        assert peaks[1] - peaks[0] <= 4 * 8 * 14000
 
     def test_integrate_holds_its_state_array_and_a_constant(self):
         # beyond the state and time arrays it returns, the loop holds a few buffers and a
