@@ -285,13 +285,13 @@ def cmd_verify(args, obj) -> tuple[dict, dict]:
         raise InputError("verify input needs a tangent or a dimension n")
     t_end = _parse_t_end(obj, positive=True)
     h = args.dt
-    # the sampled leading (n+1)-blocks alone, before the grid is built
-    _require_memory(8.0 * (t_end / h + 1.0) * (xi.n + 1) ** 2, f"verify on t_end = {t_end:g} at dt = {h:g}")
-    steps = max(4, int(round(t_end / h)))
-    ts = np.linspace(0.0, steps * h, steps + 1)
-
-    traj = geo.trajectory(xi, ts)
-    samples = lax_mod.integrate("bilinear", xi, float(ts[-1]), dt=h)
+    # per sample (at most t_end / h + 5): its time and 8 (n^2 + n) floats, one share for the RK4 state, one for the
+    # trajectory, two for the central differences and four for the residual's temporaries; verify_lax's blocks are fixed
+    nbytes = 8.0 * (1 + 8 * (xi.n + 1) * xi.n) * (t_end / h + 5.0) + 6 * lax_mod.VERIFY_BLOCK_BYTES
+    _require_memory(nbytes, f"verify on t_end = {t_end:g} at dt = {h:g}")
+    # the flow's grid k h over whole steps is the geodesic's too
+    samples = lax_mod.integrate("bilinear", xi, max(4, round(t_end / h)) * h, dt=h)
+    traj = geo.trajectory(xi, samples.ts)
 
     if args.perturb:
         traj.mus[len(traj.ts) // 2] += args.perturb
@@ -300,7 +300,7 @@ def cmd_verify(args, obj) -> tuple[dict, dict]:
 
     values = lax_mod.verify_checks(xi, traj, samples, h)
     checks = {name: (values[name], threshold) for name, threshold in VERIFY_THRESHOLDS.items()}
-    return {"tangent": tangent_to_json(xi), "t_end": float(ts[-1]), "dt": h}, checks
+    return {"tangent": tangent_to_json(xi), "t_end": float(samples.ts[-1]), "dt": h}, checks
 
 
 def cmd_fisher_check(args, obj) -> tuple[dict, dict]:

@@ -35,22 +35,25 @@ scalar data with ``A0 = 0`` the Riccati form integrates to
 ``Q(t) = -sqrt(2) a tanh(a t / sqrt(2))``, the classic saturating front of
 the open Toda chain.
 
-:func:`integrate` runs classical RK4 on the explicit system over
-preallocated buffers: the right sides read fixed ``(Q, r)`` views of the
-state (updated in place) or stage buffer and write into fixed views of the
-slope buffers, and each state is copied into one row of a single array.
-It returns the stacks (:class:`LaxSamples`), which :func:`verify_lax` reads
-in blocks of ``VERIFY_BLOCK_BYTES`` per Lax stack, so its working set stays
-in cache and does not grow with the sample count.  :func:`verify_checks` runs all nine checks of ``gaussgeo
-verify`` (geodesic equations, first integrals, the lift's exchange
-symmetry and block structure, the Lax equation, isospectrality and the
-closed form) on a sampled geodesic and flow that the caller builds.
+:func:`integrate` runs classical RK4 on the explicit system, sample k at
+``k * dt`` (the last at ``t_end``), over preallocated buffers: the right
+sides read fixed ``(Q, r)`` views of the state (updated in place) or stage
+buffer and write into fixed views of the slope buffers, and each state is
+copied into one row of a single array.  It returns the stacks
+(:class:`LaxSamples`), which :func:`verify_lax` reads in blocks of
+``VERIFY_BLOCK_BYTES`` per Lax stack, so its working set stays in cache and
+does not grow with the sample count.  :func:`verify_checks` runs all nine
+checks of ``gaussgeo verify`` (geodesic equations, first integrals, the
+lift's exchange symmetry and block structure, the Lax equation,
+isospectrality and the closed form) on a geodesic and flow that the caller
+samples on that grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -123,10 +126,10 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
     the initial state is ``(A0, a0)`` from the tangent.  ``"riccati"``
     follows the Lax flow only for commuting data (``a0`` zero or an
     eigenvector of ``A0``); otherwise it departs from the bilinear solution
-    (see the commutator identity in the module docstring).  Steps of ``dt``
-    (or the rest of the way, if less) run until the time is within
-    ``1e-12 * max(1, t_end)`` of ``t_end``, so the last sample can miss it by
-    that margin (``1.9999999999998905`` at ``t_end = 2``, ``dt = 1e-3``).
+    (see the commutator identity in the module docstring).  Sample ``k`` is
+    at ``k * dt``, after ``k`` steps of exactly ``dt``; the last one is at
+    ``t_end``, after a shorter step when more than ``1e-12 * max(1, t_end)``
+    is left past the whole steps.
     Returns the stacked samples: the state is one fixed buffer, updated in
     place from preallocated stage and slope buffers and copied into one row
     of a single array per step; ``Qs`` and ``rs`` are views of its columns.
@@ -160,12 +163,14 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
     n = xi.n
     nn = n * n
     _require_memory(8.0 * (t_end / dt + 2.0) * (nn + n + 1), f"integrating to t_end = {t_end:g} at dt = {dt:g}")
-    # every step but the last (a partial step, or a sliver left by rounding)
-    # is a full dt, so the rows fit in these buffers; they are cut to the rows filled
-    ys = np.empty((math.ceil(t_end / dt) + 2, nn + n))
-    ts = np.empty(len(ys))
-    y = np.concatenate((xi.A0, xi.a0), axis=None)
-    ys[0], ts[0] = y, 0.0
+    # full steps of dt, then a shorter last one unless what is left is a rounding sliver
+    full = math.floor(t_end / dt)
+    steps = full + (t_end - full * dt > 1e-12 * max(1.0, t_end))
+    ys = np.empty((steps + 1, nn + n))
+    ts = np.arange(steps + 1, dtype=float)
+    ts *= dt
+    ts[-1] = t_end
+    ys[0] = y = np.concatenate((xi.A0, xi.a0), axis=None)
     stage = np.empty(nn + n)
     ks = np.empty((4, nn + n))
     k1, k2, k3, k4 = ks
@@ -178,24 +183,19 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
         for x, k in zip((y, stage, stage, stage), ks)
     )
     add, multiply = np.add, np.multiply
-    # the step fractions as 0-d arrays, so no step converts a float
-    half, full, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
-    t, stop, j = 0.0, t_end - 1e-12 * max(1.0, t_end), 0
+    # each step's fractions (h/2, h, h/6) as 0-d arrays, so no step converts a float
+    full_step, last_step = ((np.array(0.5 * h), np.array(h), np.array(h / 6.0)) for h in (dt, t_end - full * dt))
+    schedule = chain(repeat(full_step, full), repeat(last_step, steps - full))
+    j = 0
     # overflow is handled by the finiteness checks, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < stop:
-            h = t_end - t
-            if h < dt:
-                half, full, sixth = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
-            else:
-                h = dt
-            t = min(t + h, t_end)
+        for j, (half, whole, sixth) in enumerate(schedule, 1):
             right(*first)
             add(y, multiply(k1, half, stage), stage)
             right(*second)
             add(y, multiply(k2, half, stage), stage)
             right(*third)
-            add(y, multiply(k3, full, stage), stage)
+            add(y, multiply(k3, whole, stage), stage)
             right(*fourth)
             # y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), added in turn as the textbook
             # writes it, so the bits (signed zeros included) match a stepper that
@@ -206,19 +206,17 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
             add(stage, k4, stage)
             multiply(stage, sixth, stage)
             add(y, stage, y)
-            j += 1
-            ys[j], ts[j] = y, t
+            ys[j] = y
             # a non-finite entry stays non-finite in every later step, so the
             # newest state shows a blow-up and the steps after it can be skipped
             if j % FINITE_CHECK_STEPS == 0 and not np.isfinite(y).all():
                 break
     # the rows up to the last check that passed are finite; only those after it can fail
-    size = j + 1
     lo = max(0, j - FINITE_CHECK_STEPS)
-    bad = ~np.isfinite(ys[lo:size]).all(axis=1)
+    bad = ~np.isfinite(ys[lo:j + 1]).all(axis=1)
     if bad.any():
         raise ArithmeticError(f"flow stopped being finite at t = {ts[lo + int(np.argmax(bad))]:.6g}; reduce dt")
-    return LaxSamples(ts=ts[:size], Qs=ys[:size, :nn].reshape(-1, n, n), rs=ys[:size, nn:])
+    return LaxSamples(ts=ts, Qs=ys[:, :nn].reshape(-1, n, n), rs=ys[:, nn:])
 
 
 def lax_pattern_residual(l: np.ndarray, a0: np.ndarray) -> float:
@@ -312,10 +310,11 @@ def verify_lax(samples: LaxSamples, a0: np.ndarray, h: float) -> tuple[float, fl
 def verify_checks(xi: Tangent, traj: GeodesicTrajectory, samples: LaxSamples, h: float) -> dict[str, float]:
     """The nine checks of ``gaussgeo verify`` on the geodesic ``traj`` and the flow ``samples`` of ``xi``, built (and perturbed) by the caller.
 
-    One central-difference pass (step ``h``) gives the geodesic residual and
-    both drifts; the lifted matrices at every ``(T - 1) // 40``-th grid time
-    give the exchange symmetry, determinant and block-factor checks;
-    :func:`verify_lax` and the closed form at the last sample's RK4 time check the flow.
+    Both are sampled on the flow's grid ``k * h``.  One central-difference
+    pass (step ``h``) gives the geodesic residual and both drifts; the lifted
+    matrices at every ``(T - 1) // 40``-th grid time give the exchange
+    symmetry, determinant and block-factor checks; :func:`verify_lax` and
+    the closed form at the last grid time check the flow.
     """
     differences = _central_differences(traj, h)
     values = {"geodesic_residual": _residual_from(differences, h)}

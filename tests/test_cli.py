@@ -1,13 +1,15 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import gaussgeo.cli as cli
 import gaussgeo.laxflow as laxflow
 from gaussgeo import horizontal_lift
-from gaussgeo.cli import main
+from gaussgeo.cli import VERIFY_THRESHOLDS, main
 from gaussgeo.geodesic import lifted_exponential
 from util import random_tangent
 
@@ -474,6 +476,8 @@ class TestVerify:
         assert len(calls) == 1
         xi, traj, samples, h = calls[0]
         assert (len(traj.ts), len(samples.ts), h) == (501, 501, laxflow.DEFAULT_DT)
+        # one time grid, k h, for the geodesic and the flow
+        assert traj.ts.tobytes() == samples.ts.tobytes() == np.array([k * h for k in range(501)]).tobytes()
         assert sorted(json.loads(out)["checks"]) == sorted(real_checks(*calls[0]))
 
     def test_determinism(self, tmp_path, capsys):
@@ -481,6 +485,43 @@ class TestVerify:
         code1, out1, _ = run(capsys, ["verify", "--input", path, "--seed", "3"])
         code2, out2, _ = run(capsys, ["verify", "--input", path, "--seed", "3"])
         assert (code1, out1) == (code2, out2)
+
+    def test_long_interval_reaches_the_checks(self, tmp_path, capsys):
+        # 8,000 steps of dt: the flow's samples keep the uniform grid k dt that the Lax
+        # checks need, so the run reports all its checks (a check may fail, exit 1)
+        path = write_json(tmp_path, "in.json", {"n": 2, "t_end": 8})
+        code, out, err = run(capsys, ["verify", "--input", path])
+        assert code in (0, 1), err
+        payload = json.loads(out)
+        assert payload["results"]["t_end"] == 8.0
+        assert sorted(payload["checks"]) == sorted(VERIFY_THRESHOLDS)
+
+    def test_fine_step_passes(self, tmp_path, capsys):
+        path = write_json(tmp_path, "in.json", {"n": 2, "t_end": 3})
+        code, out, err = run(capsys, ["verify", "--input", path, "--dt", "1e-4"])
+        assert code == 0, err
+        assert json.loads(out)["results"]["t_end"] == 3.0
+
+    @pytest.mark.parametrize("t_end", [2, 8])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_memory_guard_counts_the_peak(self, tmp_path, capsys, monkeypatch, n, t_end):
+        # the bytes the guard checks for are at least the run's tracemalloc peak (so also per
+        # sample); a first run on a short interval takes the one-time imports out of the measure
+        run(capsys, ["verify", "--input", write_json(tmp_path, "warm.json", {"n": n, "t_end": 0.01})])
+        counted = []
+        guard = cli._require_memory
+        monkeypatch.setattr(cli, "_require_memory", lambda nbytes, what: (counted.append(nbytes), guard(nbytes, what)))
+        path = write_json(tmp_path, "in.json", {"n": n, "t_end": t_end})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = main(["verify", "--input", path])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 1), capsys.readouterr().err
+        assert len(counted) == 1
+        assert peak <= counted[0]
 
 
 class TestFisherCheck:

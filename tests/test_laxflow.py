@@ -72,18 +72,19 @@ def _textbook_rk4(rhs, xi, t_end, dt):
         return np.concatenate((dq, q @ r), axis=None)
 
     y = np.concatenate((A0, a0), axis=None)
-    t = 0.0
-    out = [(t, y)]
-    while t < t_end - 1e-12 * max(1.0, t_end):
-        step = min(dt, t_end - t)
+    ys, k = [y], 0
+    # full steps of dt from the time k dt, the last one cut short at t_end
+    while t_end - k * dt > 1e-12 * max(1.0, t_end):
+        step = min(dt, t_end - k * dt)
         k1 = f(y)
         k2 = f(y + 0.5 * step * k1)
         k3 = f(y + 0.5 * step * k2)
         k4 = f(y + step * k3)
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = min(t + step, t_end)
-        out.append((t, y))
-    return out
+        k += 1
+        ys.append(y)
+    # sample k at k dt, the last at t_end
+    return [(k * dt, y) for k, y in enumerate(ys[:-1])] + [(t_end, ys[-1])]
 
 
 class TestRightSides:
@@ -153,6 +154,17 @@ class TestIntegrate:
     def test_final_sample_lands_on_t_end(self):
         samples = integrate("bilinear", scalar_tangent(), 0.55, dt=0.1)
         assert samples.ts[-1] == 0.55
+
+    @pytest.mark.parametrize(
+        "t_end, dt, size", [(2.0, 1e-3, 2001), (8.0, 1e-3, 8001), (2.0, 0.01, 201), (0.55, 0.1, 7), (0.3, 0.1, 4), (0.0, 0.1, 1)]
+    )
+    def test_sample_k_is_at_k_dt(self, t_end, dt, size):
+        # no running clock: sample k is at k * dt to the bit, and the last sample is t_end
+        # itself, after a full step (2.0 = 2000 * 1e-3) or a shorter one (0.3 < 3 * 0.1)
+        ts = integrate("bilinear", scalar_tangent(), t_end, dt=dt).ts
+        assert len(ts) == size
+        assert ts[:-1].tobytes() == np.array([k * dt for k in range(size - 1)]).tobytes()
+        assert ts[-1] == t_end
 
     def test_blowup_detection(self):
         # the reported time is the first at which the state is not finite,
@@ -522,9 +534,9 @@ class TestVerifyChecks:
         # lifted samples end at t = 1 while the flow's last sample is at t = 1.013
         h = 1e-3
         xi = _random_unit_tangent(n, np.random.default_rng(140 + n))
-        ts = np.linspace(0.0, steps * h, steps + 1)
+        samples = integrate("bilinear", xi, steps * h, dt=h)
+        ts = samples.ts
         traj = trajectory(xi, ts)
-        samples = integrate("bilinear", xi, float(ts[-1]), dt=h)
         got = laxflow.verify_checks(xi, traj, samples, h)
 
         ambient = ambient_exponentials(xi, ts[:: max(1, steps // 40)])
@@ -536,7 +548,7 @@ class TestVerifyChecks:
         expected["block_structure"] = max(max(special_structure_residuals(*block_cholesky(g)).values()) for g in ambient)
         expected["lax_commutator_residual"], expected["lax_spectral_drift"] = verify_lax(samples, xi.a0, h)
         t_last, state_last = samples[-1]
-        assert abs(t_last - steps * h) <= 1e-9
+        assert t_last == steps * h
         expected["lax_closed_form_agreement"] = float(np.linalg.norm(build_L(state_last, xi.a0) - lax_closed_form(xi, t_last)))
         assert list(got) == list(expected)
         assert all(type(v) is float for v in got.values())
