@@ -285,8 +285,8 @@ def cmd_verify(args, obj) -> tuple[dict, dict]:
         raise InputError("verify input needs a tangent or a dimension n")
     t_end = _parse_t_end(obj, positive=True)
     h = args.dt
-    # per sample (at most t_end / h + 5): its time and 8 (n^2 + n) floats, one share for the RK4 state, one for the
-    # trajectory, two for the central differences and four for the residual's temporaries; verify_lax's blocks are fixed
+    # per sample (at most t_end / h + 5) the time and 8 (n^2 + n) floats: 1 share for the RK4 state, 1 for the trajectory,
+    # 2 for the central differences, 4 for the residual's temporaries; verify_lax's blocks hold at most 6 block sizes
     nbytes = 8.0 * (1 + 8 * (xi.n + 1) * xi.n) * (t_end / h + 5.0) + 6 * lax_mod.VERIFY_BLOCK_BYTES
     _require_memory(nbytes, f"verify on t_end = {t_end:g} at dt = {h:g}")
     # the flow's grid k h over whole steps is the geodesic's too

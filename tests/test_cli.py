@@ -510,7 +510,12 @@ class TestVerify:
         run(capsys, ["verify", "--input", write_json(tmp_path, "warm.json", {"n": n, "t_end": 0.01})])
         counted = []
         guard = cli._require_memory
-        monkeypatch.setattr(cli, "_require_memory", lambda nbytes, what: (counted.append(nbytes), guard(nbytes, what)))
+
+        def counting_guard(nbytes, what):
+            counted.append(nbytes)
+            guard(nbytes, what)
+
+        monkeypatch.setattr(cli, "_require_memory", counting_guard)
         path = write_json(tmp_path, "in.json", {"n": n, "t_end": t_end})
         tracemalloc.start()
         try:
