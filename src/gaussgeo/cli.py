@@ -202,14 +202,24 @@ def write_samples_csv(fh, names: tuple[str, str], ts: np.ndarray, matrices: np.n
         writer.writerow([f"{v:.17g}" for v in (t, *matrix.ravel(), *vector)])
 
 
+def _require_csv_memory(rows: float, n: int, what: str) -> None:
+    """:func:`_require_memory` for ``rows`` CSV rows of a time, a matrix of order ``n`` and a vector.
+
+    Per row: its ``1 + n^2 + n`` floats and three copies of their text at 25
+    characters a number at most (sign, 17 digits, point, exponent, separator):
+    the ``StringIO`` buffer and ``getvalue``'s overallocated copy, or then the
+    string and its encoded bytes.
+    """
+    _require_memory(rows * (1 + n * n + n) * (8.0 + 3 * 25), what)
+
+
 def _t_grid(obj, steps: int, n: int) -> np.ndarray:
     raw = obj.get("t_grid")
     if raw is None:
         if "t_end" not in obj:
             raise InputError("input must provide t_grid (sample times) or t_end (with --steps)")
         t_end = _parse_t_end(obj, positive=True)
-        # the grid and the sampled (sigma, mu) of order n, before the grid is built
-        _require_memory(8.0 * (steps + 1.0) * (n + 1) ** 2, f"shoot to t_end = {t_end:g} in {steps} steps")
+        _require_csv_memory(steps + 1.0, n, f"shoot to t_end = {t_end:g} in {steps} steps")
         return np.linspace(0.0, t_end, steps + 1)
     ts = _numbers(raw, "t_grid must be a numeric array")
     if ts.ndim != 1 or ts.size < 1:
@@ -218,6 +228,7 @@ def _t_grid(obj, steps: int, n: int) -> np.ndarray:
         raise InputError("t_grid must be finite")
     if np.any(np.diff(ts) < 0):
         raise InputError("t_grid must be nondecreasing")
+    _require_csv_memory(ts.size, n, f"shoot on {ts.size} times")
     return ts
 
 
@@ -260,7 +271,9 @@ def cmd_interp(args, obj) -> tuple[dict, dict]:
 def cmd_lax(args, obj) -> str:
     _require_keys(obj, ("tangent",), "input")
     xi = parse_tangent(obj["tangent"])
-    samples = lax_mod.integrate(args.rhs, xi, _parse_t_end(obj), dt=args.dt)
+    t_end = _parse_t_end(obj)
+    _require_csv_memory(t_end / args.dt + 2.0, xi.n, f"integrating to t_end = {t_end:g} at dt = {args.dt:g}")
+    samples = lax_mod.integrate(args.rhs, xi, t_end, dt=args.dt)
     buf = io.StringIO()
     write_samples_csv(buf, ("Q", "r"), samples.ts, samples.Qs, samples.rs)
     return buf.getvalue()
@@ -285,9 +298,9 @@ def cmd_verify(args, obj) -> tuple[dict, dict]:
         raise InputError("verify input needs a tangent or a dimension n")
     t_end = _parse_t_end(obj, positive=True)
     h = args.dt
-    # per sample (at most t_end / h + 5) the time and 8 (n^2 + n) floats: 1 share for the RK4 state, 1 for the trajectory,
-    # 2 for the central differences, 4 for the residual's temporaries; verify_lax's blocks hold at most 6 block sizes
-    nbytes = 8.0 * (1 + 8 * (xi.n + 1) * xi.n) * (t_end / h + 5.0) + 6 * lax_mod.VERIFY_BLOCK_BYTES
+    # per sample (at most t_end / h + 5): the time with the grid check's three differences of it, and 2 (n^2 + n)
+    # floats for the RK4 state and the trajectory; the checks walk blocks, and hold at most 8 block budgets
+    nbytes = 8.0 * (4 + 2 * (xi.n + 1) * xi.n) * (t_end / h + 5.0) + 8 * geo.VERIFY_BLOCK_BYTES
     _require_memory(nbytes, f"verify on t_end = {t_end:g} at dt = {h:g}")
     # the flow's grid k h over whole steps is the geodesic's too
     samples = lax_mod.integrate("bilinear", xi, max(4, round(t_end / h)) * h, dt=h)

@@ -11,7 +11,10 @@ second-order equations
     sigma_ddot + mu_dot mu_dot^T - sigma_dot sigma^{-1} sigma_dot = 0,
     mu_ddot - sigma_dot sigma^{-1} mu_dot = 0,
 
-used here as a finite-difference correctness oracle.
+used here as a finite-difference correctness oracle.  The sampled geodesic
+and the oracle walk the samples in blocks of ``VERIFY_BLOCK_BYTES`` per
+``(block, n, n)`` stack, so their temporaries stay in cache and do not grow
+with the sample count.
 
 The inverse problem (log map) is solved in the fibre of the block-Cholesky
 lift.  Every lifted point over the target ``(sigma, mu)`` is
@@ -79,6 +82,10 @@ MAX_TRIAL_NORM = 40.0
 # S = 0 beyond it: from paper norm 16 on, an ungated seed can steer the Newton
 # away from the horizontal point (the README tabulates the reach against the gate).
 SEED_REACH = 10.0
+# The walks over sampled stacks (the sampled geodesic, its checks and
+# laxflow.verify_lax) take their samples in blocks of this many bytes per stack,
+# so the few stacks each holds stay in a 2 MiB per-core L2 cache
+VERIFY_BLOCK_BYTES = 256 * 1024
 
 
 class ShootingError(RuntimeError):
@@ -174,26 +181,45 @@ def trajectory(xi: Tangent, ts, basepoint: GaussianPoint | None = None) -> Geode
     return _sampled(w, u, ts, None if basepoint is None else normalize_to_identity(basepoint).inverse())
 
 
+def _blocks(size: int, sample_bytes: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of the blocks that cover ``range(size)``, each of ``VERIFY_BLOCK_BYTES // sample_bytes`` samples (at least one)."""
+    step = max(1, VERIFY_BLOCK_BYTES // sample_bytes)
+    return [(start, min(start + step, size)) for start in range(0, size, step)]
+
+
 def _sampled(w: np.ndarray, u: np.ndarray, ts, denorm: AffineMap | None) -> GeodesicTrajectory:
-    """:func:`trajectory` from the eigenpair ``(w, u)`` of the horizontal generator and the denormalizing map."""
+    """:func:`trajectory` from the eigenpair ``(w, u)`` of the horizontal generator and the denormalizing map.
+
+    The samples fill preallocated stacks in :func:`_blocks` of ``(block, n, n)``
+    stacks.  As for one pass over all samples, a non-finite sample fails, at
+    the first such time, before any Cholesky test.
+    """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = (len(w) - 1) // 2
+    sigmas, mus = np.empty((ts.size, n, n)), np.empty((ts.size, n))
+    blocks = _blocks(ts.size, 8 * n * n)
+    failed = None
     # A leading block that roundoff left singular fails like a covariance
     # that is not positive definite; overflow fails the finiteness check,
     # without numpy warnings.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(np.outer(ts, w))
-            # the point is read off the first n rows of the leading (n+1)-block of exp(t V) only
-            gs = np.einsum("ik,tk,jk->tij", u[:n], e, u[: n + 1])
-            sigmas = sym(np.linalg.inv(sym(gs[:, :, :n])))
-            mus = (sigmas @ gs[:, :, n, None])[..., 0]
-            if denorm is not None:
-                sigmas, mus = _apply_stacked(denorm, sigmas, mus)
-        finite = np.isfinite(sigmas).all(axis=(1, 2)) & np.isfinite(mus).all(axis=1)
-        if not finite.all():
-            raise ArithmeticError(f"geodesic stopped being finite at t = {ts[np.argmin(finite)]:.6g}")
-        np.linalg.cholesky(sigmas)
+            for start, stop in blocks:
+                e = np.exp(np.outer(ts[start:stop], w))
+                # the point is read off the first n rows of the leading (n+1)-block of exp(t V) only
+                gs = np.einsum("ik,tk,jk->tij", u[:n], e, u[: n + 1])
+                sigma = sym(np.linalg.inv(sym(gs[:, :, :n])))
+                mu = (sigma @ gs[:, :, n, None])[..., 0]
+                if denorm is not None:
+                    sigma, mu = _apply_stacked(denorm, sigma, mu)
+                sigmas[start:stop], mus[start:stop] = sigma, mu
+                finite = np.isfinite(sigma).all(axis=(1, 2)) & np.isfinite(mu).all(axis=1)
+                if failed is None and not finite.all():
+                    failed = ts[start + np.argmin(finite)]
+        if failed is not None:
+            raise ArithmeticError(f"geodesic stopped being finite at t = {failed:.6g}")
+        for start, stop in blocks:
+            np.linalg.cholesky(sigmas[start:stop])
     except np.linalg.LinAlgError as exc:
         raise NotSpdError("sigma is not positive definite") from exc
     return GeodesicTrajectory(ts=ts, sigmas=sigmas, mus=mus)
@@ -224,20 +250,6 @@ def _stencil_offset(ts: np.ndarray, h: float) -> int:
     return m
 
 
-def _central_differences(traj: GeodesicTrajectory, h: float):
-    """Central differences with step ``h``: the sigma and mu samples at the interior points and ``m`` steps to each side,
-    ``sigma_dot``, ``mu_dot``, ``sigma^{-1} sigma_dot`` and ``sigma^{-1} mu_dot`` (``NotSpdError`` for a singular sigma)."""
-    m = _stencil_offset(traj.ts, h)
-    lo, hi = m, len(traj.ts) - m
-    (s0, sm, sp), (mu0, mum, mup) = ((x[lo:hi], x[lo - m:hi - m], x[lo + m:hi + m]) for x in (traj.sigmas, traj.mus))
-    sd = (sp - sm) / (2.0 * h)
-    mud = (mup - mum) / (2.0 * h)
-    try:
-        return (s0, sm, sp), (mu0, mum, mup), sd, mud, np.linalg.solve(s0, sd), np.linalg.solve(s0, mud[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("a sampled sigma is singular") from exc
-
-
 def geodesic_residual(traj: GeodesicTrajectory, h: float) -> float:
     """Max finite-difference residual of the geodesic equations over the grid.
 
@@ -246,7 +258,7 @@ def geodesic_residual(traj: GeodesicTrajectory, h: float) -> float:
     returned value is the max over interior samples of the Frobenius norm of
     the covariance equation plus the norm of the mean equation.
     """
-    return _residual_from(_central_differences(traj, h), h)
+    return _geodesic_checks(traj, h, drifts=False)[0]
 
 
 def first_integrals(traj: GeodesicTrajectory, h: float) -> tuple[float, float]:
@@ -256,27 +268,47 @@ def first_integrals(traj: GeodesicTrajectory, h: float) -> tuple[float, float]:
     the first recovered value) are constant on geodesics; returns their max
     deviations from the values at the earliest usable sample.
     """
-    return _drifts_from(_central_differences(traj, h))
+    return tuple(_geodesic_checks(traj, h, residual=False)[1:])
 
 
-def _residual_from(differences, h: float) -> float:
-    """:func:`geodesic_residual` from the :func:`_central_differences` with step ``h``."""
-    (s0, sm, sp), (mu0, mum, mup), sd, mud, sinv_sd, sinv_mud = differences
-    sdd = (sp - 2.0 * s0 + sm) / (h * h)
-    mudd = (mup - 2.0 * mu0 + mum) / (h * h)
-    res_sigma = sdd + np.einsum("ti,tj->tij", mud, mud) - np.einsum("tik,tkj->tij", sd, sinv_sd)
-    res_mu = mudd - np.einsum("tik,tk->ti", sd, sinv_mud)
-    per_t = np.linalg.norm(res_sigma, axis=(1, 2)) + np.linalg.norm(res_mu, axis=1)
-    return float(np.max(per_t))
+def _geodesic_checks(traj: GeodesicTrajectory, h: float, residual: bool = True, drifts: bool = True) -> list[float]:
+    """``[residual, drift_a, drift_A]`` of :func:`geodesic_residual` and :func:`first_integrals` from one walk (``-inf`` where not asked for).
 
-
-def _drifts_from(differences) -> tuple[float, float]:
-    """:func:`first_integrals` from the :func:`_central_differences` of the trajectory."""
-    _, (mu0, _, _), _, _, sinv_sd, a_series = differences
-    big_a = sinv_sd + np.einsum("i,tj->tij", a_series[0], mu0)
-    drift_a = float(np.max(np.linalg.norm(a_series - a_series[0], axis=1)))
-    drift_big_a = float(np.max(np.linalg.norm(big_a - big_a[0], axis=(1, 2))))
-    return drift_a, drift_big_a
+    The interior samples are taken in :func:`_blocks` of ``(block, n, n)``
+    stacks, each read with its ``m`` samples of stencil on both sides; the
+    drifts are measured from the first centre's values, kept from the first
+    block.  ``np.maximum``, unlike Python's ``max``, keeps a NaN from any
+    block, and every value has the bits of one pass over all samples.  A
+    singular sigma is a ``NotSpdError``.
+    """
+    m = _stencil_offset(traj.ts, h)
+    worst = np.full(3, -np.inf)
+    for start, stop in _blocks(len(traj.ts) - 2 * m, 8 * traj.mus.shape[1] ** 2):
+        lo, hi = start + m, stop + m  # the block's centres
+        (s0, sm, sp), (mu0, mum, mup) = ((x[lo:hi], x[lo - m:hi - m], x[lo + m:hi + m]) for x in (traj.sigmas, traj.mus))
+        sd = (sp - sm) / (2.0 * h)
+        mud = (mup - mum) / (2.0 * h)
+        try:
+            sinv_sd, sinv_mud = np.linalg.solve(s0, sd), np.linalg.solve(s0, mud[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise NotSpdError("a sampled sigma is singular") from exc
+        if residual:
+            # (sp - 2 s0 + sm) / h^2 + mud mud^T - sd sinv_sd, operation by operation in place: same bits, fewer stacks live
+            res_sigma = sp - 2.0 * s0
+            res_sigma += sm
+            res_sigma /= h * h
+            res_sigma += np.einsum("ti,tj->tij", mud, mud)
+            res_sigma -= np.einsum("tik,tkj->tij", sd, sinv_sd)
+            res_mu = (mup - 2.0 * mu0 + mum) / (h * h) - np.einsum("tik,tk->ti", sd, sinv_mud)
+            worst[0] = np.maximum(worst[0], np.max(np.linalg.norm(res_sigma, axis=(1, 2)) + np.linalg.norm(res_mu, axis=1)))
+        if drifts:
+            if start == 0:
+                a = sinv_mud[0].copy()
+                big_a0 = sinv_sd[0] + np.outer(a, mu0[0])
+            big_a = sinv_sd + np.einsum("i,tj->tij", a, mu0)
+            worst[1] = np.maximum(worst[1], np.max(np.linalg.norm(sinv_mud - a, axis=1)))
+            worst[2] = np.maximum(worst[2], np.max(np.linalg.norm(big_a - big_a0, axis=(1, 2))))
+    return worst.tolist()
 
 
 @lru_cache(maxsize=16)

@@ -41,12 +41,12 @@ sides read fixed ``(Q, r)`` views of the state (updated in place) or stage
 buffer and write into fixed views of the slope buffers, and each state is
 copied into one row of a single array.  It returns the stacks
 (:class:`LaxSamples`), which :func:`verify_lax` reads in blocks of
-``VERIFY_BLOCK_BYTES`` per Lax stack, so its working set stays in cache and
-does not grow with the sample count.  :func:`verify_checks` runs all nine
-checks of ``gaussgeo verify`` (geodesic equations, first integrals, the
-lift's exchange symmetry and block structure, the Lax equation,
-isospectrality and the closed form) on a geodesic and flow that the caller
-samples on that grid.
+``geodesic.VERIFY_BLOCK_BYTES`` per Lax stack, so its working set stays in
+cache and does not grow with the sample count.  :func:`verify_checks` runs
+all nine checks of ``gaussgeo verify`` (geodesic equations, first
+integrals, the lift's exchange symmetry and block structure, the Lax
+equation, isospectrality and the closed form) on a geodesic and flow that
+the caller samples on that grid.
 """
 
 from __future__ import annotations
@@ -59,16 +59,13 @@ import numpy as np
 
 from .matcore import _block_ldl, _require_memory, check_special_symmetry, special_structure_residuals, sym
 from .manifold import Tangent
-from .geodesic import GeodesicTrajectory, _central_differences, _drifts_from, _residual_from, _stencil_offset, ambient_exponentials, lifted_exponential
+from .geodesic import GeodesicTrajectory, _blocks, _geodesic_checks, _stencil_offset, ambient_exponentials, lifted_exponential
 from .sympair import horizontal_lift, split_orthogonal
 
 DEFAULT_DT = 1e-3
 CONSISTENCY_TOL = 1e-10
 # integrate looks at the newest state for a blow-up once per this many steps
 FINITE_CHECK_STEPS = 256
-# verify_lax takes its samples in blocks of this many bytes per Lax stack, so the
-# five stacks it holds stay in a 2 MiB per-core L2 cache
-VERIFY_BLOCK_BYTES = 256 * 1024
 # 0.5 as a 0-d array, so rhs_riccati converts no float per call
 _HALF = np.array(0.5)
 _HALF.flags.writeable = False
@@ -289,16 +286,16 @@ def verify_lax(samples: LaxSamples, a0: np.ndarray, h: float) -> tuple[float, fl
     spectral drift is the worst deviation of ``trace(L^k)`` from its initial
     value for k up to the matrix order.  ``M`` is :func:`build_L`'s stack
     with the r-borders zeroed.  The samples are taken in blocks of
-    ``VERIFY_BLOCK_BYTES`` per Lax stack (at least one sample), so the working
-    set does not grow with the sample count; every per-sample value has the
-    bits of one pass over all samples, and a NaN in any block is the result.
+    ``geodesic.VERIFY_BLOCK_BYTES`` per Lax stack (at least one sample), so
+    the working set does not grow with the sample count; every per-sample
+    value has the bits of one pass over all samples, and a NaN in any block
+    is the result.
     """
     m = _stencil_offset(samples.ts, h)
     size, n = samples.Qs.shape[0], samples.Qs.shape[-1]
-    block = max(1, VERIFY_BLOCK_BYTES // (8 * (2 * n + 1) ** 2))
     comm_residual = drift = -np.inf
-    for start in range(0, size, block):
-        comm, traces = _lax_block(samples, a0, h, m, start, min(start + block, size))
+    for start, stop in _blocks(size, 8 * (2 * n + 1) ** 2):
+        comm, traces = _lax_block(samples, a0, h, m, start, stop)
         if start == 0:
             initial = traces[:, :1]
         # np.maximum, unlike Python's max, keeps a NaN from any block
@@ -310,15 +307,14 @@ def verify_lax(samples: LaxSamples, a0: np.ndarray, h: float) -> tuple[float, fl
 def verify_checks(xi: Tangent, traj: GeodesicTrajectory, samples: LaxSamples, h: float) -> dict[str, float]:
     """The nine checks of ``gaussgeo verify`` on the geodesic ``traj`` and the flow ``samples`` of ``xi``, built (and perturbed) by the caller.
 
-    Both are sampled on the flow's grid ``k * h``.  One central-difference
-    pass (step ``h``) gives the geodesic residual and both drifts; the lifted
-    matrices at every ``(T - 1) // 40``-th grid time give the exchange
-    symmetry, determinant and block-factor checks; :func:`verify_lax` and
-    the closed form at the last grid time check the flow.
+    Both are sampled on the flow's grid ``k * h``.  One walk over the central
+    differences (step ``h``), in cache-sized blocks, gives the geodesic
+    residual and both drifts; the lifted matrices at every
+    ``(T - 1) // 40``-th grid time give the exchange symmetry, determinant
+    and block-factor checks; :func:`verify_lax` and the closed form at the
+    last grid time check the flow.
     """
-    differences = _central_differences(traj, h)
-    values = {"geodesic_residual": _residual_from(differences, h)}
-    values["first_integral_drift_a"], values["first_integral_drift_A"] = _drifts_from(differences)
+    values = dict(zip(("geodesic_residual", "first_integral_drift_a", "first_integral_drift_A"), _geodesic_checks(traj, h)))
     ambient = ambient_exponentials(xi, traj.ts[:: max(1, (len(traj.ts) - 1) // 40)])
     values["exchange_symmetry"] = float(np.max(check_special_symmetry(ambient)))
     values["det_drift"] = float(np.max(np.abs(np.linalg.det(ambient) - 1.0)))

@@ -26,6 +26,32 @@ def write_json(tmp_path, name, obj):
     return str(path)
 
 
+def guarded_peak(tmp_path, capsys, monkeypatch, argv, obj, warm):
+    """``(tracemalloc peak, bytes each of the CLI's memory guards counted)`` of one run of ``argv`` on ``obj``, which exits 0 or 1.
+
+    A first run on the small input ``warm`` takes the one-time imports out of the measure.
+    """
+    run(capsys, [*argv, "--input", write_json(tmp_path, "warm.json", warm)])
+    counted = []
+    guard = cli._require_memory
+
+    def counting_guard(nbytes, what):
+        counted.append(nbytes)
+        guard(nbytes, what)
+
+    monkeypatch.setattr(cli, "_require_memory", counting_guard)
+    path = write_json(tmp_path, "in.json", obj)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main([*argv, "--input", path])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1), capsys.readouterr().err
+    return peak, counted
+
+
 def point_json(sigma, mu):
     sigma = np.atleast_2d(np.array(sigma, dtype=float))
     mu = np.atleast_1d(np.array(mu, dtype=float))
@@ -367,6 +393,14 @@ class TestShoot:
         assert out == ""
         assert "numerical failure" in err and "finite" in err
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_memory_guard_counts_the_csv_text(self, tmp_path, capsys, monkeypatch, n):
+        # the CSV text, built in a StringIO and copied by getvalue, is most of what shoot holds
+        tangent = {"tangent": tangent_json(np.eye(n), np.ones(n))}
+        peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["shoot", "--steps", "2000"], {**tangent, "t_end": 1.0}, {**tangent, "t_grid": [0.0]})
+        assert len(counted) == 1
+        assert peak <= counted[0]
+
 
 class TestJsonCommands:
     def test_dist_identical_points_is_zero(self, tmp_path, capsys):
@@ -435,6 +469,14 @@ class TestLax:
         assert all(float(r[1]) == 0.7 for r in rows)
         assert all(float(r[2]) == 0.0 for r in rows)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_memory_guard_counts_the_csv_text(self, tmp_path, capsys, monkeypatch, n):
+        # the guard of integrate counts the state array only; the CLI's counts its text too
+        tangent = {"tangent": tangent_json(np.eye(n), np.ones(n))}
+        peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["lax"], {**tangent, "t_end": 2.0}, {**tangent, "t_end": 0.01})
+        assert len(counted) == 1
+        assert peak <= counted[0]
+
 
 class TestVerify:
     def test_zero_tangent_all_pass(self, tmp_path, capsys):
@@ -502,29 +544,11 @@ class TestVerify:
         assert code == 0, err
         assert json.loads(out)["results"]["t_end"] == 3.0
 
-    @pytest.mark.parametrize("t_end", [2, 8])
-    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("t_end", [0.5, 2, 8])
+    @pytest.mark.parametrize("n", [1, 3, 5, 8])
     def test_memory_guard_counts_the_peak(self, tmp_path, capsys, monkeypatch, n, t_end):
-        # the bytes the guard checks for are at least the run's tracemalloc peak (so also per
-        # sample); a first run on a short interval takes the one-time imports out of the measure
-        run(capsys, ["verify", "--input", write_json(tmp_path, "warm.json", {"n": n, "t_end": 0.01})])
-        counted = []
-        guard = cli._require_memory
-
-        def counting_guard(nbytes, what):
-            counted.append(nbytes)
-            guard(nbytes, what)
-
-        monkeypatch.setattr(cli, "_require_memory", counting_guard)
-        path = write_json(tmp_path, "in.json", {"n": n, "t_end": t_end})
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            code = main(["verify", "--input", path])
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert code in (0, 1), capsys.readouterr().err
+        # the bytes the guard checks for are at least the run's tracemalloc peak (so also per sample)
+        peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["verify"], {"n": n, "t_end": t_end}, {"n": n, "t_end": 0.01})
         assert len(counted) == 1
         assert peak <= counted[0]
 

@@ -30,6 +30,7 @@ from gaussgeo import (
 import gaussgeo.ahm as ahm_mod
 import gaussgeo.manifold as manifold
 from gaussgeo.geodesic import (
+    GeodesicTrajectory,
     _fibre_jacobian,
     _fibre_log,
     _fibre_newton,
@@ -47,7 +48,16 @@ from gaussgeo.ahm import interpolate
 from gaussgeo.manifold import _apply_stacked
 from gaussgeo.matcore import _spectral, block_cholesky, check_special_symmetry, spd_inv, sym, sym_exp
 from gaussgeo.cli import write_samples_csv
-from util import integrate_geodesic_ode, packed_rows, random_point, random_tangent, recovered_initial_direction, reference_sampled, spd_log
+from util import (
+    integrate_geodesic_ode,
+    packed_rows,
+    random_point,
+    random_tangent,
+    recovered_initial_direction,
+    reference_geodesic_checks,
+    reference_sampled,
+    spd_log,
+)
 
 
 class TestExpMap:
@@ -777,6 +787,85 @@ class TestSampledRows:
                 assert got.ts.tobytes() == want.ts.tobytes()
                 assert got.sigmas.tobytes() == want.sigmas.tobytes()
                 assert got.mus.tobytes() == want.mus.tobytes()
+
+
+BLOCK_BUDGETS = pytest.mark.parametrize("samples_per_block", [1, 7, None], ids=["one-sample", "seven-samples", "default"])
+
+
+def block_budget(monkeypatch, samples_per_block, n):
+    """Set the walks' block budget to ``samples_per_block`` (n, n) stacks (``None``: keep the default); the samples per block."""
+    if samples_per_block is not None:
+        monkeypatch.setattr(geodesic, "VERIFY_BLOCK_BYTES", samples_per_block * 8 * n * n)
+    return max(1, geodesic.VERIFY_BLOCK_BYTES // (8 * n * n))
+
+
+def as_bytes(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestBlockWalks:
+    @BLOCK_BUDGETS
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_checks_keep_the_bits_of_one_pass(self, n, samples_per_block, monkeypatch):
+        # a fault at the middle sample, or at the first centre of the second block, reaches the
+        # blocks beside it through their halos; at h = 2e-3 the halo is two samples, wider than one block
+        block = block_budget(monkeypatch, samples_per_block, n)
+        size = 2001 if samples_per_block is None else 201  # the default makes 2 blocks at n = 5, 4 at n = 8
+        clean = trajectory(random_tangent(np.random.default_rng(190 + n), n), np.arange(size) * 1e-3)
+        for h, m in ((1e-3, 1), (2e-3, 2)):
+            for fault in (None, size // 2, min(m + block, size - 1)):
+                traj = GeodesicTrajectory(clean.ts, clean.sigmas.copy(), clean.mus.copy())
+                if fault is not None:
+                    traj.sigmas[fault] += 1e-3 * np.eye(n)
+                    traj.mus[fault] += 1e-3
+                got = (geodesic_residual(traj, h), *first_integrals(traj, h))
+                assert as_bytes(*got) == as_bytes(*reference_geodesic_checks(traj, h))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_non_finite_sample_in_the_last_block_is_reported(self, n, bad, monkeypatch):
+        # the blocks' maxima are combined with np.maximum: Python's max would drop a NaN that
+        # the last block reports, and a broken geodesic would pass
+        block_budget(monkeypatch, 7, n)
+        clean = trajectory(random_tangent(np.random.default_rng(200 + n), n), np.arange(2001) * 1e-3)
+        for sample in (1999, 2000):
+            traj = GeodesicTrajectory(clean.ts, clean.sigmas.copy(), clean.mus.copy())
+            traj.sigmas[sample, 0, 0] = bad
+            traj.mus[sample, 0] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = (geodesic_residual(traj, 1e-3), *first_integrals(traj, 1e-3))
+                want = reference_geodesic_checks(traj, 1e-3)
+            assert np.isnan(want[0]) and not np.isfinite(want).any()
+            # a NaN's sign bit follows the SIMD path numpy takes for a stack's shape, so NaNs compare as NaNs
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @BLOCK_BUDGETS
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_sampled_keeps_the_bits_of_one_pass(self, n, samples_per_block, monkeypatch):
+        # the 2001-sample verify grid, the 7 and 1 samples of interpolate and midpoint_N, with and without a base point
+        block_budget(monkeypatch, samples_per_block, n)
+        rng = np.random.default_rng(210 + n)
+        w, u = matcore.sym_eigen(horizontal_lift(random_tangent(rng, n)))
+        denorm = normalize_to_identity(random_point(rng, n)).inverse()
+        for ts in (np.arange(2001) * 1e-3, np.linspace(0.0, 1.0, 7), 0.5):
+            for base in (None, denorm):
+                got, want = geodesic._sampled(w, u, ts, base), reference_sampled(w, u, ts, base)
+                assert got.ts.tobytes() == want.ts.tobytes()
+                assert got.sigmas.tobytes() == want.sigmas.tobytes()
+                assert got.mus.tobytes() == want.mus.tobytes()
+
+    @BLOCK_BUDGETS
+    def test_sampled_fails_at_the_first_non_finite_time(self, samples_per_block, monkeypatch):
+        # t = 200 is finite but not positive definite and t = 1000 overflows: as for the whole
+        # stack, the finiteness check of every block comes before any Cholesky test
+        block_budget(monkeypatch, samples_per_block, 2)
+        w, u = matcore.sym_eigen(horizontal_lift(Tangent(np.array([[0.5, 0.1], [0.1, -0.3]]), np.array([0.4, 0.2]))))
+        ts = [0.0, 200.0, 1000.0]
+        for sampled in (geodesic._sampled, reference_sampled):
+            with pytest.raises(ArithmeticError, match="^geodesic stopped being finite at t = 1000$"):
+                sampled(w, u, ts, None)
+        with pytest.raises(NotSpdError):
+            geodesic._sampled(w, u, ts[:2], None)
 
 
 class TestTrajectoryCsv:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gaussgeo.geodesic as geodesic
 import gaussgeo.laxflow as laxflow
 from gaussgeo import (
     Tangent,
@@ -21,7 +22,7 @@ from gaussgeo.geodesic import ambient_exponentials
 from gaussgeo.matcore import block_cholesky, check_special_symmetry, special_structure_residuals
 from gaussgeo.laxflow import build_L, lax_pattern_residual, rhs_bilinear, rhs_riccati
 from gaussgeo.cli import _random_unit_tangent, write_samples_csv
-from util import build_M, random_sym, random_tangent, reference_verify_lax, sigma_algebra, state_from_L
+from util import build_M, random_sym, random_tangent, reference_geodesic_checks, reference_verify_lax, sigma_algebra, state_from_L
 
 
 def scalar_tangent(alpha=0.0, beta=1.0):
@@ -446,8 +447,8 @@ class TestVerifyLax:
         # the halo of the block before it; at h = 2e-3 the halo is two samples, wider than one block
         sample_bytes = 8 * (2 * n + 1) ** 2
         if samples_per_block is not None:
-            monkeypatch.setattr(laxflow, "VERIFY_BLOCK_BYTES", samples_per_block * sample_bytes)
-        block = max(1, laxflow.VERIFY_BLOCK_BYTES // sample_bytes)
+            monkeypatch.setattr(geodesic, "VERIFY_BLOCK_BYTES", samples_per_block * sample_bytes)
+        block = max(1, geodesic.VERIFY_BLOCK_BYTES // sample_bytes)
         xi = _random_unit_tangent(n, np.random.default_rng(160 + n))
         clean = integrate("bilinear", xi, 2.0)
         for fault in (len(clean.ts) // 2, min(block, len(clean.ts) - 1)):
@@ -504,6 +505,18 @@ class TestMemory:
         assert peaks[1] < samples.ts.size * 17 ** 2 * 8
         assert peaks[1] - peaks[0] <= 4 * 8 * 14000
 
+    def test_geodesic_walks_hold_less_than_one_more_stack(self):
+        # over 16,001 samples at n = 8 the trajectory and its checks work in cache-sized blocks:
+        # one pass over all samples held several (T, n, n) stacks of temporaries beside the samples
+        xi = _random_unit_tangent(8, np.random.default_rng(179))
+        samples = integrate("bilinear", xi, 16.0)
+        traj, peak = _peak_bytes(trajectory, xi, samples.ts)
+        stack = traj.sigmas.nbytes
+        assert peak - stack - traj.mus.nbytes < stack
+        for check in (geodesic_residual, first_integrals):
+            assert _peak_bytes(check, traj, 1e-3)[1] < stack
+        assert _peak_bytes(laxflow.verify_checks, xi, traj, samples, 1e-3)[1] < stack
+
     def test_integrate_holds_its_state_array_and_a_constant(self):
         # beyond the state and time arrays it returns, the loop holds a few buffers and a
         # window of the last finiteness check; a per-step object would grow with the steps
@@ -547,6 +560,25 @@ class TestVerifyChecks:
         assert list(got) == list(expected)
         assert all(type(v) is float for v in got.values())
         assert [np.float64(v).tobytes() for v in got.values()] == [np.float64(v).tobytes() for v in expected.values()]
+
+    @pytest.mark.parametrize("samples_per_block", [1, 7, None], ids=["one-sample", "seven-samples", "default"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_walks_keep_the_bits_of_one_pass(self, n, samples_per_block, monkeypatch):
+        # the geodesic checks and verify_lax share one block budget; whatever it is, the residual,
+        # both drifts and the Lax values have the bits of unblocked passes, with the fault that
+        # gaussgeo verify --perturb puts at the middle sample
+        if samples_per_block is not None:
+            monkeypatch.setattr(geodesic, "VERIFY_BLOCK_BYTES", samples_per_block * 8 * n * n)
+        xi = _random_unit_tangent(n, np.random.default_rng(150 + n))
+        samples = integrate("bilinear", xi, 0.2 if samples_per_block else 2.0)
+        traj = trajectory(xi, samples.ts)
+        traj.mus[len(traj.ts) // 2] += 1e-3
+        samples.Qs[len(samples.ts) // 2] += 1e-3
+        names = ("geodesic_residual", "first_integral_drift_a", "first_integral_drift_A", "lax_commutator_residual", "lax_spectral_drift")
+        for h in (1e-3, 2e-3):
+            got = laxflow.verify_checks(xi, traj, samples, h)
+            want = [*reference_geodesic_checks(traj, h), *reference_verify_lax(samples, xi.a0, h)]
+            assert np.array([got[name] for name in names]).tobytes() == np.array(want).tobytes()
 
 
 class TestCsv:

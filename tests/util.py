@@ -150,6 +150,25 @@ def reference_verify_lax(samples, a0, h):
     return comm_residual, float(np.max(np.abs(traces - traces[:, :1])))
 
 
+def reference_geodesic_checks(traj, h):
+    """``(geodesic_residual, *first_integrals)`` in one pass: every central difference over all interior samples at once, unblocked."""
+    m = _stencil_offset(traj.ts, h)
+    lo, hi = m, len(traj.ts) - m
+    (s0, sm, sp), (mu0, mum, mup) = ((x[lo:hi], x[lo - m:hi - m], x[lo + m:hi + m]) for x in (traj.sigmas, traj.mus))
+    sd = (sp - sm) / (2.0 * h)
+    mud = (mup - mum) / (2.0 * h)
+    sinv_sd, a_series = np.linalg.solve(s0, sd), np.linalg.solve(s0, mud[..., None])[..., 0]
+    sdd = (sp - 2.0 * s0 + sm) / (h * h)
+    mudd = (mup - 2.0 * mu0 + mum) / (h * h)
+    res_sigma = sdd + np.einsum("ti,tj->tij", mud, mud) - np.einsum("tik,tkj->tij", sd, sinv_sd)
+    res_mu = mudd - np.einsum("tik,tk->ti", sd, a_series)
+    residual = float(np.max(np.linalg.norm(res_sigma, axis=(1, 2)) + np.linalg.norm(res_mu, axis=1)))
+    big_a = sinv_sd + np.einsum("i,tj->tij", a_series[0], mu0)
+    drift_a = float(np.max(np.linalg.norm(a_series - a_series[0], axis=1)))
+    drift_big_a = float(np.max(np.linalg.norm(big_a - big_a[0], axis=(1, 2))))
+    return residual, drift_a, drift_big_a
+
+
 def reference_sampled(w, u, ts, denorm):
     """``geodesic._sampled`` from the whole leading (n+1)-block of ``exp(t V)``, with its checks."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
