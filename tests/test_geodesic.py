@@ -799,10 +799,6 @@ def block_budget(monkeypatch, samples_per_block, n):
     return max(1, geodesic.VERIFY_BLOCK_BYTES // (8 * n * n))
 
 
-def as_bytes(*values):
-    return np.array(values, dtype=float).tobytes()
-
-
 class TestBlockWalks:
     @BLOCK_BUDGETS
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -819,7 +815,7 @@ class TestBlockWalks:
                     traj.sigmas[fault] += 1e-3 * np.eye(n)
                     traj.mus[fault] += 1e-3
                 got = (geodesic_residual(traj, h), *first_integrals(traj, h))
-                assert as_bytes(*got) == as_bytes(*reference_geodesic_checks(traj, h))
+                assert np.array(got).tobytes() == np.array(reference_geodesic_checks(traj, h)).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("n", [1, 3, 8])
