@@ -298,9 +298,9 @@ def cmd_verify(args, obj) -> tuple[dict, dict]:
         raise InputError("verify input needs a tangent or a dimension n")
     t_end = _parse_t_end(obj, positive=True)
     h = args.dt
-    # per sample (at most t_end / h + 5): the time with the grid check's three differences of it, and 2 (n^2 + n)
-    # floats for the RK4 state and the trajectory; the checks walk blocks, and hold at most 8 block budgets
-    nbytes = 8.0 * (4 + 2 * (xi.n + 1) * xi.n) * (t_end / h + 5.0) + 8 * geo.VERIFY_BLOCK_BYTES
+    # per sample (at most t_end / h + 5): the time with the grid check's one array of differences of it, and
+    # 2 (n^2 + n) floats for the RK4 state and the trajectory; the checks walk blocks, and hold at most 8 block budgets
+    nbytes = 8.0 * (2 + 2 * (xi.n + 1) * xi.n) * (t_end / h + 5.0) + 8 * geo.VERIFY_BLOCK_BYTES
     _require_memory(nbytes, f"verify on t_end = {t_end:g} at dt = {h:g}")
     # the flow's grid k h over whole steps is the geodesic's too
     samples = lax_mod.integrate("bilinear", xi, max(4, round(t_end / h)) * h, dt=h)

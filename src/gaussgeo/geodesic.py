@@ -230,14 +230,22 @@ def _stencil_offset(ts: np.ndarray, h: float) -> int:
 
     Raises ``ValueError`` unless ``ts`` is a uniform increasing grid of at
     least three samples and ``h`` a positive multiple of its spacing that
-    fits inside the grid on both sides of some sample.
+    fits inside the grid on both sides of some sample.  A non-finite time
+    fails the uniformity test; a non-finite ``h`` is rejected too.
     """
     if ts.size < 3:
         raise ValueError("need at least three samples")
-    deltas = np.diff(ts)
-    spacing = float(deltas[0])
-    if spacing <= 0 or np.max(np.abs(deltas - spacing)) > 1e-9 * max(spacing, 1e-30):
+    # the spacings' deviations from the first, in the one array np.diff allocates; an infinite
+    # time makes an inf - inf there, whose NaN fails the test below
+    with np.errstate(invalid="ignore"):
+        deviations = np.diff(ts)
+        spacing = float(deviations[0])
+        np.abs(np.subtract(deviations, spacing, out=deviations), out=deviations)
+    # written as `not ... <=` so that a NaN deviation (from a non-finite time) fails
+    if not (spacing > 0 and np.max(deviations) <= 1e-9 * max(spacing, 1e-30)):
         raise ValueError("samples must lie on a uniform increasing grid")
+    if not math.isfinite(h):
+        raise ValueError(f"finite-difference step must be finite, got {h}")
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     m = int(round(h / spacing))

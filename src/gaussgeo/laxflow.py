@@ -77,9 +77,13 @@ def build_L(state: tuple[np.ndarray, np.ndarray], a0: np.ndarray) -> np.ndarray:
 
 
 def rhs_bilinear(q: np.ndarray, r: np.ndarray, neg_a0: np.ndarray, dq: np.ndarray, dr: np.ndarray) -> None:
-    """Right side of the bilinear form, (-r a0^T, Q r), into C-contiguous ``dq`` and ``dr``; ``r``, ``dr`` are ``(n, 1)`` columns; takes ``-a0`` as a ``(1, n)`` row."""
+    """Right side of the bilinear form, (-r a0^T, Q r), into C-contiguous ``dq`` and ``dr``; ``r``, ``dr`` are ``(n, 1)`` columns; takes ``-a0`` as a ``(1, n)`` row.
+
+    ``Q r`` goes through the method ``ndarray.dot``: the same C product and
+    BLAS call as ``np.dot``, without its Python-level dispatcher.
+    """
     np.multiply(r, neg_a0, dq)
-    np.dot(q, r, dr)
+    q.dot(r, dr)
 
 
 def rhs_riccati(
@@ -89,13 +93,14 @@ def rhs_riccati(
 
     The terms pass between ``dq`` and the ``(n, n)`` buffer ``scratch``, so
     no ufunc writes into one of its inputs: numpy runs an aliased ufunc on a
-    one-element array about twice as slowly.
+    one-element array about twice as slowly.  The products go through the
+    method ``ndarray.dot``, as in :func:`rhs_bilinear`.
     """
-    np.dot(q, q, scratch)
+    q.dot(q, scratch)
     np.subtract(scratch, a0_sq, dq)
     np.subtract(dq, two_a0a0, scratch)
     np.multiply(scratch, _HALF, dq)
-    np.dot(q, r, dr)
+    q.dot(r, dr)
 
 
 @dataclass(frozen=True)
@@ -271,10 +276,10 @@ def _lax_block(samples: LaxSamples, a0: np.ndarray, h: float, m: int, start: int
     # L^k = L^(k-1) L on the block's own samples, written into ms and one more buffer in turn
     own = ls[start - lo:stop - lo]
     powers, buffers = own, (ms[:len(own)], np.empty_like(own))
-    traces = [np.trace(own, axis1=1, axis2=2)]
+    traces = [own.trace(axis1=1, axis2=2)]
     for k in range(own.shape[1] - 1):
         powers = np.matmul(powers, own, out=buffers[k % 2])
-        traces.append(np.trace(powers, axis1=1, axis2=2))
+        traces.append(powers.trace(axis1=1, axis2=2))
     return comm_residual, np.stack(traces)
 
 

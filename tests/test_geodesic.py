@@ -256,6 +256,26 @@ class TestResiduals:
         with pytest.raises(ValueError, match="uniform"):
             geodesic_residual(ragged, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", [0, 5, -1], ids=["first", "inside", "last"])
+    def test_non_finite_time_fails_the_grid_check(self, where, bad):
+        # a NaN deviation from the spacing compares False with any bound, so a check written
+        # as `deviation > bound` let a NaN time through
+        traj = trajectory(random_tangent(np.random.default_rng(11), 1), np.linspace(0.0, 1.0, 11))
+        ts = traj.ts.copy()
+        ts[where] = bad
+        broken = GeodesicTrajectory(ts, traj.sigmas, traj.mus)
+        for check in (geodesic_residual, first_integrals):
+            with pytest.raises(ValueError, match="^samples must lie on a uniform increasing grid$"):
+                check(broken, 0.1)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_non_finite_step_rejected(self, h):
+        traj = trajectory(random_tangent(np.random.default_rng(11), 1), np.linspace(0.0, 1.0, 11))
+        for check in (geodesic_residual, first_integrals):
+            with pytest.raises(ValueError, match=f"^finite-difference step must be finite, got {h}$"):
+                check(traj, h)
+
     def test_first_integrals_fixed_mean(self):
         rng = np.random.default_rng(12)
         a_mat = random_tangent(rng, 2).A0

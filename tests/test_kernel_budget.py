@@ -10,7 +10,8 @@ budget here and says why in CHANGES.md; one that removes a call lowers it.
 The pairs are ``q = exp_map_from(p, xi, 1)``.  Their log maps take the fibre
 Newton and the polish; at norm 16 the Newton runs longer at n = 3 and 8.
 None of them reaches the chart-guess fallback, which starts beyond paper
-norm about 20.  At norm 16 ``midpoint_N`` (n = 1, 3) and ``interpolate``
+norm about 20; the README's far-sweep targets at norm 28 that it solves have
+budgets of their own.  At norm 16 ``midpoint_N`` (n = 1, 3) and ``interpolate``
 stop with an ``ArithmeticError``, because the mean iteration's limit leaves
 the slice (see ``test_envelope.py``), so those rows count the kernels up to
 it.  ``interpolate`` and ``midpoint_N`` sample the geodesic at 7 and 1
@@ -21,8 +22,9 @@ n = 8 ``trajectory`` and the geodesic checks walk four blocks.
 import numpy as np
 import pytest
 
+import gaussgeo.geodesic as geodesic
 import gaussgeo.laxflow as laxflow
-from gaussgeo import distance, exp_map, exp_map_from, integrate, interpolate, log_map, midpoint_N, trajectory
+from gaussgeo import GaussianPoint, distance, embed, exp_map, exp_map_from, integrate, interpolate, log_map, midpoint_N, trajectory
 from util import random_point, random_tangent
 
 KERNELS = ("eigh", "solve", "cholesky", "inv", "det", "svd", "lstsq")
@@ -43,6 +45,13 @@ BUDGETS = {
 }
 # the ops that stop with an ArithmeticError on their inputs, as (op, n, norm)
 RAISES = {("midpoint_N", 1, 16.0), ("midpoint_N", 3, 16.0), ("interpolate", 1, 16.0), ("interpolate", 3, 16.0), ("interpolate", 8, 16.0)}
+# README far-sweep targets q = exp_map(xi, 1) from the identity point, xi the draw-th (from 0) of
+# random_tangent at paper norm `norm` from default_rng(1000 + 10 norm + n), on which the fibre route
+# fails and the chart-guess fallback solves: at n = 1 in one shooting solve, at n = 2 after one path
+# subdivision (two _log_subdivided calls).  As (norm, n, draw): (eigh, solve, cholesky, inv, det) of
+# log_map and its _log_subdivided calls.  Far solves are not stable under a 1e-12 change of the target,
+# so these counts hold for these bits only.
+FALLBACK_BUDGETS = {(28.0, 1, 8): ((34, 18, 3, 0, 0), 1), (28.0, 2, 8): ((942, 187, 6, 0, 0), 2)}
 
 
 def calls(n, norm):
@@ -65,21 +74,27 @@ def calls(n, norm):
     }
 
 
-@pytest.mark.parametrize("norm", NORMS)
-@pytest.mark.parametrize("n", NS)
-def test_kernel_calls_match_the_budget(n, norm, monkeypatch):
-    ops = calls(n, norm)
-    tally = dict.fromkeys(KERNELS, 0)
+@pytest.fixture
+def tally(monkeypatch):
+    """Calls of each kernel, by name, since the test last zeroed them."""
+    counts = dict.fromkeys(KERNELS, 0)
 
     def counting(name, kernel):
         def counted(*args, **kwargs):
-            tally[name] += 1
+            counts[name] += 1
             return kernel(*args, **kwargs)
 
         return counted
 
     for name in KERNELS:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("n", NS)
+def test_kernel_calls_match_the_budget(n, norm, tally):
+    ops = calls(n, norm)
     got, want = {}, {}
     for op, call in ops.items():
         tally.update(dict.fromkeys(KERNELS, 0))
@@ -92,3 +107,27 @@ def test_kernel_calls_match_the_budget(n, norm, monkeypatch):
         got[op] = tuple(tally[name] for name in KERNELS)
         want[op] = BUDGETS[op][n][NORMS.index(norm)] + (0, 0)
     assert got == want
+
+
+@pytest.mark.parametrize("norm, n, draw", FALLBACK_BUDGETS, ids=lambda v: str(v))
+def test_fallback_kernel_calls_match_the_budget(norm, n, draw, tally, monkeypatch):
+    rng = np.random.default_rng(1000 + int(10 * norm) + n)
+    for _ in range(draw + 1):
+        xi = random_tangent(rng, n, norm)
+    p, q = GaussianPoint.identity(n), exp_map(xi, 1.0)
+    fallbacks = []
+    fallback = geodesic._log_subdivided
+
+    def counted(*args):
+        fallbacks.append(None)
+        return fallback(*args)
+
+    # the recursion looks the name up in the module, so the wrapper sees every level
+    monkeypatch.setattr(geodesic, "_log_subdivided", counted)
+    tally.update(dict.fromkeys(KERNELS, 0))
+    rec = log_map(p, q)
+    got = tuple(tally[name] for name in KERNELS), len(fallbacks)
+    ref = embed(q)
+    assert np.linalg.norm(embed(exp_map(rec, 1.0)) - ref) <= 1e-8 * np.linalg.norm(ref)
+    budget, subdivided = FALLBACK_BUDGETS[norm, n, draw]
+    assert got == (budget + (0, 0), subdivided)
