@@ -6,7 +6,7 @@ point ``{"n", "sigma", "mu"}``, tangent ``{"n", "A0", "a0"}``, pair
 ``{"p": point, "q": point}``.  Matrices are row-major nested arrays;
 symmetry is validated on parse and then enforced by averaging.
 
-Exit codes: 0 success, 1 check failure, 2 input error, 3 numerical failure.
+Exit codes: 0 success, 1 check failure, 2 input error or unwritable output, 3 numerical failure.
 Diagnostics level via the environment variable GAUSSGEO_LOG
 (error | info | debug).
 """
@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import logging
 import math
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -187,7 +187,7 @@ def tangent_to_json(xi: Tangent) -> dict:
 
 
 def write_samples_csv(fh, names: tuple[str, str], ts: np.ndarray, matrices: np.ndarray, vectors: np.ndarray) -> None:
-    """Write samples as CSV: t, row-major matrix entries, vector entries, one row per time of ``ts``.
+    """Write samples to ``fh`` as CSV, each row as it is formatted: t, row-major matrix entries, vector entries, one row per time of ``ts``.
 
     ``names`` label the matrix and the vector columns: ``("sigma", "mu")``
     gives the header ``t,sigma_11,...,sigma_nn,mu_1,...,mu_n``.
@@ -202,15 +202,13 @@ def write_samples_csv(fh, names: tuple[str, str], ts: np.ndarray, matrices: np.n
         writer.writerow([f"{v:.17g}" for v in (t, *matrix.ravel(), *vector)])
 
 
-def _require_csv_memory(rows: float, n: int, what: str) -> None:
-    """:func:`_require_memory` for ``rows`` CSV rows of a time, a matrix of order ``n`` and a vector.
+def _require_samples_memory(samples: float, floats: int, what: str) -> None:
+    """:func:`_require_memory` for ``samples`` of ``floats`` floats each and eight blocks of ``geodesic.VERIFY_BLOCK_BYTES``.
 
-    Per row: its ``1 + n^2 + n`` floats and three copies of their text at 25
-    characters a number at most (sign, 17 digits, point, exponent, separator):
-    the ``StringIO`` buffer and ``getvalue``'s overallocated copy, or then the
-    string and its encoded bytes.
+    The one rule of ``shoot``, ``lax`` and ``verify``.  A CSV row (``1 + n^2 +
+    n`` floats) is written as it is formatted, so its text is not counted.
     """
-    _require_memory(rows * (1 + n * n + n) * (8.0 + 3 * 25), what)
+    _require_memory(8.0 * floats * samples + 8 * geo.VERIFY_BLOCK_BYTES, what)
 
 
 def _t_grid(obj, steps: int, n: int) -> np.ndarray:
@@ -219,7 +217,7 @@ def _t_grid(obj, steps: int, n: int) -> np.ndarray:
         if "t_end" not in obj:
             raise InputError("input must provide t_grid (sample times) or t_end (with --steps)")
         t_end = _parse_t_end(obj, positive=True)
-        _require_csv_memory(steps + 1.0, n, f"shoot to t_end = {t_end:g} in {steps} steps")
+        _require_samples_memory(steps + 1.0, 1 + n * n + n, f"shoot to t_end = {t_end:g} in {steps} steps")
         return np.linspace(0.0, t_end, steps + 1)
     ts = _numbers(raw, "t_grid must be a numeric array")
     if ts.ndim != 1 or ts.size < 1:
@@ -228,19 +226,17 @@ def _t_grid(obj, steps: int, n: int) -> np.ndarray:
         raise InputError("t_grid must be finite")
     if np.any(np.diff(ts) < 0):
         raise InputError("t_grid must be nondecreasing")
-    _require_csv_memory(ts.size, n, f"shoot on {ts.size} times")
+    _require_samples_memory(ts.size, 1 + n * n + n, f"shoot on {ts.size} times")
     return ts
 
 
-def cmd_shoot(args, obj) -> str:
+def cmd_shoot(args, obj) -> Callable:
     _require_keys(obj, ("tangent",), "input")
     xi = parse_tangent(obj["tangent"])
     base = parse_point(obj["point"], "point") if "point" in obj else None
     ts = _t_grid(obj, args.steps, xi.n)
     traj = geo.trajectory(xi, ts, basepoint=base)
-    buf = io.StringIO()
-    write_samples_csv(buf, ("sigma", "mu"), traj.ts, traj.sigmas, traj.mus)
-    return buf.getvalue()
+    return lambda fh: write_samples_csv(fh, ("sigma", "mu"), traj.ts, traj.sigmas, traj.mus)
 
 
 def cmd_log(args, obj) -> tuple[dict, dict]:
@@ -268,15 +264,13 @@ def cmd_interp(args, obj) -> tuple[dict, dict]:
     return {"depth": depth, "points": [point_to_json(pt) for pt in points]}, {}
 
 
-def cmd_lax(args, obj) -> str:
+def cmd_lax(args, obj) -> Callable:
     _require_keys(obj, ("tangent",), "input")
     xi = parse_tangent(obj["tangent"])
     t_end = _parse_t_end(obj)
-    _require_csv_memory(t_end / args.dt + 2.0, xi.n, f"integrating to t_end = {t_end:g} at dt = {args.dt:g}")
+    _require_samples_memory(t_end / args.dt + 2.0, 1 + xi.n * xi.n + xi.n, f"integrating to t_end = {t_end:g} at dt = {args.dt:g}")
     samples = lax_mod.integrate(args.rhs, xi, t_end, dt=args.dt)
-    buf = io.StringIO()
-    write_samples_csv(buf, ("Q", "r"), samples.ts, samples.Qs, samples.rs)
-    return buf.getvalue()
+    return lambda fh: write_samples_csv(fh, ("Q", "r"), samples.ts, samples.Qs, samples.rs)
 
 
 def _random_unit_tangent(n: int, rng: np.random.Generator) -> Tangent:
@@ -299,9 +293,8 @@ def cmd_verify(args, obj) -> tuple[dict, dict]:
     t_end = _parse_t_end(obj, positive=True)
     h = args.dt
     # per sample (at most t_end / h + 5): the time with the grid check's one array of differences of it, and
-    # 2 (n^2 + n) floats for the RK4 state and the trajectory; the checks walk blocks, and hold at most 8 block budgets
-    nbytes = 8.0 * (2 + 2 * (xi.n + 1) * xi.n) * (t_end / h + 5.0) + 8 * geo.VERIFY_BLOCK_BYTES
-    _require_memory(nbytes, f"verify on t_end = {t_end:g} at dt = {h:g}")
+    # 2 (n^2 + n) floats for the RK4 state and the trajectory; the checks walk blocks
+    _require_samples_memory(t_end / h + 5.0, 2 + 2 * (xi.n + 1) * xi.n, f"verify on t_end = {t_end:g} at dt = {h:g}")
     # the flow's grid k h over whole steps is the geodesic's too
     samples = lax_mod.integrate("bilinear", xi, max(4, round(t_end / h)) * h, dt=h)
     traj = geo.trajectory(xi, samples.ts)
@@ -401,10 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and write its outcome: CSV text as it is, or ``(results, checks)`` as the JSON report.
+    """Run one subcommand and write its outcome, once computed, to stdout or the ``--output`` file.
 
-    ``checks`` maps a check name to ``(value, threshold)``.  The exit code is 1
-    when some value is not within its threshold (NaN included), else 0.
+    The outcome writes CSV rows as it formats them, or is ``(results, checks)``
+    for the JSON report, ``checks`` mapping a name to ``(value, threshold)``.
+    Exit 1 when some value is not within its threshold (NaN included), 2 when
+    the output cannot be written (a closed pipe included), else 0.
     """
     _setup_logging()
     parser = build_parser()
@@ -412,22 +407,25 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         obj = _load_input(args.input)
-        outcome = args.func(args, obj)
-        text, checks = outcome, {}
-        if not isinstance(outcome, str):
-            results, values = outcome
+        write, checks = args.func(args, obj), {}
+        if not callable(write):
+            results, values = write
             checks = {name: {"value": v, "threshold": t, "pass": bool(v <= t)} for name, (v, t) in values.items()}
             report = {"command": args.command, "inputs_digest": _digest(obj), "results": results, "checks": checks}
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.output == "-":
-            sys.stdout.write(text)
-        else:
-            try:
+            write = lambda fh: fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        try:
+            if args.output == "-":
+                write(sys.stdout)
+                sys.stdout.flush()
+            else:
                 with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print(f"gaussgeo: cannot write output: {exc}", file=sys.stderr)
-                return 2
+                    write(fh)
+        except OSError as exc:
+            if args.output == "-":
+                # the rest of the buffer goes nowhere, so the interpreter's flush at exit cannot fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"gaussgeo: cannot write output: {exc}", file=sys.stderr)
+            return 2
         return 0 if all(c["pass"] for c in checks.values()) else 1
     except InputError as exc:
         print(f"gaussgeo: input error: {exc}", file=sys.stderr)

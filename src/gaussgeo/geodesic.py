@@ -170,6 +170,8 @@ def trajectory(xi: Tangent, ts, basepoint: GaussianPoint | None = None) -> Geode
 
     Raises
     ------
+    ValueError
+        If a time is not finite (naming the first such time).
     ArithmeticError
         If a sample overflows (the times reach too far along the geodesic).
     NotSpdError
@@ -177,6 +179,10 @@ def trajectory(xi: Tangent, ts, basepoint: GaussianPoint | None = None) -> Geode
     """
     if basepoint is not None and xi.n != basepoint.n:
         raise ValueError(f"tangent and base point must share a dimension, got n = {xi.n} and n = {basepoint.n}")
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    finite = np.isfinite(ts)
+    if not finite.all():
+        raise ValueError(f"t must be finite, got {ts[np.argmin(finite)]}")
     w, u = sym_eigen(horizontal_lift(xi))
     return _sampled(w, u, ts, None if basepoint is None else normalize_to_identity(basepoint).inverse())
 

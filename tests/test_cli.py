@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import gaussgeo.cli as cli
 import gaussgeo.laxflow as laxflow
 from gaussgeo import horizontal_lift
 from gaussgeo.cli import VERIFY_THRESHOLDS, main
-from gaussgeo.geodesic import lifted_exponential
+from gaussgeo.geodesic import VERIFY_BLOCK_BYTES, lifted_exponential
 from util import random_tangent
 
 
@@ -29,8 +33,10 @@ def write_json(tmp_path, name, obj):
 def guarded_peak(tmp_path, capsys, monkeypatch, argv, obj, warm):
     """``(tracemalloc peak, bytes each of the CLI's memory guards counted)`` of one run of ``argv`` on ``obj``, which exits 0 or 1.
 
-    A first run on the small input ``warm`` takes the one-time imports out of the measure.
+    A first run on the small input ``warm`` takes the one-time imports out of the measure.  The output
+    goes to a file, because ``capsys`` would hold the printed text, which the program does not.
     """
+    argv = [*argv, "--output", str(tmp_path / "out")]
     run(capsys, [*argv, "--input", write_json(tmp_path, "warm.json", warm)])
     counted = []
     guard = cli._require_memory
@@ -264,6 +270,25 @@ class TestErrorsAndExitCodes:
         assert err.startswith("gaussgeo: cannot write output: ")
         assert err.count("\n") == 1 and err.endswith(f"{str(output)!r}\n")
 
+    @pytest.mark.parametrize("lines_read", [0, 2], ids=["before-the-header", "after-one-row"])
+    def test_closed_stdout_is_exit_2(self, lines_read):
+        # a reader that stops early (`| head -2`) leaves an output that cannot be written: one line on
+        # stderr, no traceback, and no second failure when the interpreter flushes stdout at exit
+        obj = {"tangent": tangent_json([[0.1]], [0.2]), "t_end": 1.0}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "gaussgeo.cli", "shoot", "--steps", "20000"]
+        with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            if not lines_read:
+                proc.stdout.close()  # before the input is sent, so before anything is written
+            proc.stdin.write(json.dumps(obj).encode())
+            proc.stdin.close()
+            lines = [proc.stdout.readline() for _ in range(lines_read)]
+            proc.stdout.close()  # about 1.6 MB are left to write, more than a pipe holds
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 2, err
+        assert [line[:2] for line in lines] == [b"t,", b"0,"][:lines_read]
+        assert err.startswith("gaussgeo: cannot write output: ") and err.count("\n") == 1
+
     def test_singular_leading_pivot_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # Far along a unit geodesic (n = 2, t ~ 105) the leading pivot of the
         # lifted exponential passes its Cholesky test yet is singular to LU.
@@ -395,11 +420,22 @@ class TestShoot:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_memory_guard_counts_the_csv_text(self, tmp_path, capsys, monkeypatch, n):
-        # the CSV text, built in a StringIO and copied by getvalue, is most of what shoot holds
+        # the rows are written as they are formatted, so the samples and _sampled's blocks are what shoot holds
         tangent = {"tangent": tangent_json(np.eye(n), np.ones(n))}
         peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["shoot", "--steps", "2000"], {**tangent, "t_end": 1.0}, {**tangent, "t_grid": [0.0]})
         assert len(counted) == 1
         assert peak <= counted[0]
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 8])
+    def test_peak_grows_by_the_samples_only(self, tmp_path, capsys, monkeypatch, n):
+        # added rows add their 1 + n^2 + n floats, not their text; at n = 1 a whole run fits in one of _sampled's
+        # blocks, so the block budget is allowed on top, and the text of fewer than 18,000 rows would fit under it
+        added = 18000 if n == 1 else 6000
+        tangent = {"tangent": tangent_json(np.eye(n), np.ones(n))}
+        warm = {**tangent, "t_grid": [0.0]}
+        argvs = [["shoot", "--steps", str(steps)] for steps in (2000, 2000 + added)]
+        peaks = [guarded_peak(tmp_path, capsys, monkeypatch, argv, {**tangent, "t_end": 1.0}, warm)[0] for argv in argvs]
+        assert peaks[1] - peaks[0] <= added * 8 * (1 + n * n + n) + 8 * VERIFY_BLOCK_BYTES
 
 
 class TestJsonCommands:
@@ -438,12 +474,24 @@ class TestJsonCommands:
         assert abs(payload["results"]["tangent"]["A0"][0][0] - 2.0) <= 1e-8
         assert payload["results"]["residual"] <= 1e-10
 
-    def test_output_file_gets_the_printed_bytes(self, tmp_path, capsys):
-        obj = {"p": point_json([[1.0]], [0.0]), "q": point_json([[math.e ** 2]], [0.5])}
+    XI = tangent_json([[0.3, 0.1], [0.1, -0.2]], [0.4, 0.2])
+
+    @pytest.mark.parametrize(
+        "argv, obj",
+        [
+            (["dist"], {"p": point_json([[1.0]], [0.0]), "q": point_json([[math.e ** 2]], [0.5])}),
+            (["shoot", "--steps", "50"], {"tangent": XI, "t_end": 1.5}),
+            (["shoot"], {"tangent": XI, "point": point_json([[2.0, 0.3], [0.3, 1.0]], [1.0, -1.0]), "t_grid": [0.0, 0.25, 0.25, 1.0, 3.0]}),
+            (["lax", "--dt", "0.01"], {"tangent": XI, "t_end": 0.5}),
+            (["lax", "--dt", "0.01", "--rhs", "riccati"], {"tangent": XI, "t_end": 0.5}),
+        ],
+        ids=["dist", "shoot-t_end", "shoot-t_grid", "lax-bilinear", "lax-riccati"],
+    )
+    def test_output_file_gets_the_printed_bytes(self, tmp_path, capsys, argv, obj):
         path = write_json(tmp_path, "in.json", obj)
-        out_path = tmp_path / "report.json"
-        assert run(capsys, ["dist", "--input", path, "--output", str(out_path)]) == (0, "", "")
-        code, printed, _ = run(capsys, ["dist", "--input", path])
+        out_path = tmp_path / "out"
+        assert run(capsys, [*argv, "--input", path, "--output", str(out_path)]) == (0, "", "")
+        code, printed, _ = run(capsys, [*argv, "--input", path])
         assert code == 0
         assert out_path.read_bytes() == printed.encode("utf-8")
 
@@ -471,11 +519,22 @@ class TestLax:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_memory_guard_counts_the_csv_text(self, tmp_path, capsys, monkeypatch, n):
-        # the guard of integrate counts the state array only; the CLI's counts its text too
+        # the guard of integrate counts the state array only; the CLI's adds the block budget, and no text
         tangent = {"tangent": tangent_json(np.eye(n), np.ones(n))}
         peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["lax"], {**tangent, "t_end": 2.0}, {**tangent, "t_end": 0.01})
         assert len(counted) == 1
         assert peak <= counted[0]
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 8])
+    def test_peak_grows_by_the_samples_only(self, tmp_path, capsys, monkeypatch, n):
+        # added steps add the 1 + n^2 + n floats of their states, not their text (at n = 1 the text of fewer
+        # than 18,000 rows would fit under the block budget)
+        added = 18000 if n == 1 else 6000
+        tangent = {"tangent": tangent_json(np.eye(n), np.ones(n))}
+        warm = {**tangent, "t_end": 0.01}
+        objs = [{**tangent, "t_end": t_end} for t_end in (2.0, 2.0 + added * 1e-3)]
+        peaks = [guarded_peak(tmp_path, capsys, monkeypatch, ["lax"], obj, warm)[0] for obj in objs]
+        assert peaks[1] - peaks[0] <= added * 8 * (1 + n * n + n) + 8 * VERIFY_BLOCK_BYTES
 
 
 class TestVerify:

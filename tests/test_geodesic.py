@@ -116,13 +116,19 @@ class TestExpMap:
 class TestExpMapTime:
     XI = Tangent(np.array([[0.3, 0.1], [0.1, -0.2]]), np.array([0.4, 0.2]))
     CALLS = {"exp_map": exp_map, "exp_map_from": lambda xi, t: exp_map_from(GaussianPoint.identity(2), xi, t)}
+    # trajectory checks its times at its boundary too; far along, its samples stop being positive definite before they overflow
+    TIME_CALLS = {
+        **CALLS,
+        "trajectory": lambda xi, t: trajectory(xi, [0.0, t]),
+        "trajectory_from": lambda xi, t: trajectory(xi, [0.0, t], basepoint=GaussianPoint.identity(2)),
+    }
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("call", sorted(TIME_CALLS))
     def test_rejects_non_finite_time(self, call, t):
-        with pytest.raises(ValueError, match="^t must be finite"):
-            self.CALLS[call](self.XI, t)
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+            self.TIME_CALLS[call](self.XI, t)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t", [1e3, -1e3, 1e308])
