@@ -138,8 +138,8 @@ def interpolate(
     _require_iteration(tol, max_iter)
     _require_count(depth, "depth")
     order = 2 * p.n + 1
-    # past depth 64 no address space holds the points
-    _require_memory(8 * order * order * (2 ** min(depth, 64) + 1), f"interpolation to depth {depth}")
+    # per point (none past depth 64 fits an address space): about five lifted stacks and the point (tracemalloc)
+    _require_memory(2 ** min(depth, 64) + 1, 6 * order * order + 32, f"interpolation to depth {depth}")
     count = 2 ** depth
     if p.close_to(q):
         return [p] * count + [q]

@@ -12,7 +12,7 @@ second-order equations
     mu_ddot - sigma_dot sigma^{-1} mu_dot = 0,
 
 used here as a finite-difference correctness oracle.  The sampled geodesic
-and the oracle walk the samples in blocks of ``VERIFY_BLOCK_BYTES`` per
+and the oracle walk the samples in blocks of ``matcore.VERIFY_BLOCK_BYTES`` per
 ``(block, n, n)`` stack, so their temporaries stay in cache and do not grow
 with the sample count.
 
@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matcore import NotSpdError, _block_ldl, _positive, _require_iteration, _spectral, spd_inv, special_structure_residuals, sym, sym_eigen, sym_exp
+from .matcore import VERIFY_BLOCK_BYTES, NotSpdError, _block_ldl, _positive, _require_iteration, _spectral, spd_inv, special_structure_residuals, sym, sym_eigen, sym_exp
 from .manifold import (
     AffineMap,
     GaussianPoint,
@@ -82,10 +82,6 @@ MAX_TRIAL_NORM = 40.0
 # S = 0 beyond it: from paper norm 16 on, an ungated seed can steer the Newton
 # away from the horizontal point (the README tabulates the reach against the gate).
 SEED_REACH = 10.0
-# The walks over sampled stacks (the sampled geodesic, its checks and
-# laxflow.verify_lax) take their samples in blocks of this many bytes per stack,
-# so the few stacks each holds stay in a 2 MiB per-core L2 cache
-VERIFY_BLOCK_BYTES = 256 * 1024
 
 
 class ShootingError(RuntimeError):

@@ -41,7 +41,7 @@ sides read fixed ``(Q, r)`` views of the state (updated in place) or stage
 buffer and write into fixed views of the slope buffers, and each state is
 copied into one row of a single array.  It returns the stacks
 (:class:`LaxSamples`), which :func:`verify_lax` reads in blocks of
-``geodesic.VERIFY_BLOCK_BYTES`` per Lax stack, so its working set stays in
+``matcore.VERIFY_BLOCK_BYTES`` per Lax stack, so its working set stays in
 cache and does not grow with the sample count.  :func:`verify_checks` runs
 all nine checks of ``gaussgeo verify`` (geodesic equations, first
 integrals, the lift's exchange symmetry and block structure, the Lax
@@ -164,7 +164,7 @@ def integrate(rhs: str, xi: Tangent, t_end: float, dt: float = DEFAULT_DT) -> La
         raise ValueError(f"unknown right side {rhs!r}; expected 'bilinear' or 'riccati'")
     n = xi.n
     nn = n * n
-    _require_memory(8.0 * (t_end / dt + 2.0) * (nn + n + 1), f"integrating to t_end = {t_end:g} at dt = {dt:g}")
+    _require_memory(t_end / dt + 2.0, nn + n + 1, f"integrating to t_end = {t_end:g} at dt = {dt:g}")
     # full steps of dt, then a shorter last one unless what is left is a rounding sliver
     full = math.floor(t_end / dt)
     steps = full + (t_end - full * dt > 1e-12 * max(1.0, t_end))
@@ -291,7 +291,7 @@ def verify_lax(samples: LaxSamples, a0: np.ndarray, h: float) -> tuple[float, fl
     spectral drift is the worst deviation of ``trace(L^k)`` from its initial
     value for k up to the matrix order.  ``M`` is :func:`build_L`'s stack
     with the r-borders zeroed.  The samples are taken in blocks of
-    ``geodesic.VERIFY_BLOCK_BYTES`` per Lax stack (at least one sample), so
+    ``matcore.VERIFY_BLOCK_BYTES`` per Lax stack (at least one sample), so
     the working set does not grow with the sample count; every per-sample
     value has the bits of one pass over all samples, and a NaN in any block
     is the result.

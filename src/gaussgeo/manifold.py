@@ -280,21 +280,24 @@ def fisher_numeric(p: GaussianPoint, x: Tangent, y: Tangent, nodes: int = 20) ->
     Tensor-product Gauss-Hermite estimate of the expected product of the
     score functions along ``x`` and ``y`` under the distribution ``p``.
     Exact for the (polynomial) Gaussian scores once ``nodes`` exceeds the
-    degree; restricted to n <= 3 by the tensorized cost.
+    degree; restricted to n <= 3 by the tensorized cost.  A rule that does not
+    fit double precision (from 371 nodes on) is a ``ValueError``, not a NaN.
     """
     n = p.n
     if n > FISHER_QUAD_MAX_DIM:
         raise ValueError(f"quadrature oracle supports n <= {FISHER_QUAD_MAX_DIM}, got n = {n}")
     if x.n != n or y.n != n:
         raise ValueError("tangent dimension does not match the base point")
-    # the (nodes, nodes) companion matrix of hermgauss, then the nodes**n points and their weights
-    _require_memory(8.0 * max(float(nodes) ** 2, float(nodes) ** n * (n + 1)), f"quadrature with {nodes} nodes in {n} dimensions")
-    z, w = np.polynomial.hermite.hermgauss(nodes)
-    grids = np.meshgrid(*([z] * n), indexing="ij")
-    zpts = np.stack([g.ravel() for g in grids], axis=-1)
+    # the (nodes, nodes) companion matrix of hermgauss, then the nodes**n points: about 4.4 (n + 1) floats each (tracemalloc)
+    _require_memory(max(float(nodes) ** 2, float(nodes) ** n), 5 * (n + 1), f"quadrature with {nodes} nodes in {n} dimensions")
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            z, w = np.polynomial.hermite.hermgauss(nodes)
+    except FloatingPointError as exc:
+        raise ValueError(f"the Gauss-Hermite rule with {nodes} nodes is not representable in double precision") from exc
+    zpts = np.stack([g.ravel() for g in np.meshgrid(*([z] * n), indexing="ij")], axis=-1)
     weights = np.ones(zpts.shape[0])
-    wgrids = np.meshgrid(*([w] * n), indexing="ij")
-    for g in wgrids:
+    for g in np.meshgrid(*([w] * n), indexing="ij"):
         weights = weights * g.ravel()
     weights /= np.pi ** (n / 2.0)
     pts = p.mu + np.sqrt(2.0) * zpts @ spd_power(p.sigma, 0.5).T

@@ -25,6 +25,9 @@ import numpy as np
 # Relative Frobenius tolerance of membership in the symmetric slice (double
 # precision, O(n^3) error growth, matrix orders <= ~50).
 SYM_TOL = 1e-10
+# The walks over sampled stacks (the sampled geodesic, its checks and laxflow.verify_lax) take their
+# samples in blocks of this many bytes per stack, so the few stacks each holds stay in a 2 MiB L2 cache
+VERIFY_BLOCK_BYTES = 256 * 1024
 
 
 class EigenError(RuntimeError):
@@ -61,12 +64,14 @@ def _first_failure(ok) -> int | None:
     return None if all(flags) else flags.index(False)
 
 
-def _require_memory(nbytes: float, what: str) -> None:
-    """``ValueError`` when ``what`` needs more bytes than the machine's physical memory.
+def _require_memory(samples: float, floats: float, what: str) -> None:
+    """``ValueError`` when ``what``, ``samples`` of ``floats`` floats each and eight blocks of ``VERIFY_BLOCK_BYTES``, exceeds physical memory.
 
-    Callers check before they allocate, so an impossible request is an input
-    error, not a ``MemoryError`` (or an overflow of the index size) part way in.
+    The one rule of every memory guard.  Callers check before they allocate, so
+    an impossible request is an input error, not a ``MemoryError`` (or an
+    overflow of the index size) part way in.
     """
+    nbytes = 8.0 * floats * samples + 8 * VERIFY_BLOCK_BYTES
     try:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):

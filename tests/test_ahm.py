@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -373,6 +374,19 @@ class TestInterpolate:
         arrays[which] = np.diag([1.0, -1.0])
         with pytest.raises(NotSpdError, match=f"^{which} is not positive definite$"):
             ahm_midpoint(arrays["P"], arrays["Q"])
+
+    def test_crosscheck_failure_names_the_point(self, monkeypatch):
+        # the sampled reference moved by 1e-6 in the mean: the mean iteration's point no longer agrees with it
+        sampled = ahm_mod._sampled
+
+        def shifted(*args):
+            reference = sampled(*args)
+            return dataclasses.replace(reference, mus=reference.mus + 1e-6)
+
+        monkeypatch.setattr(ahm_mod, "_sampled", shifted)
+        p, q = GaussianPoint(np.eye(1), np.zeros(1)), GaussianPoint(np.array([[math.e ** 2]]), np.zeros(1))
+        with pytest.raises(ArithmeticError, match=r"^mean-iteration point at t=0\.5 disagrees with the exponential by 1\.000e-06$"):
+            interpolate(p, q, 1)
 
     def test_one_batched_crosscheck(self, monkeypatch):
         # the cross-check samples the trajectory once, from interpolate's own eigendecomposition

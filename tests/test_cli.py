@@ -10,11 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gaussgeo.ahm as ahm
 import gaussgeo.cli as cli
 import gaussgeo.laxflow as laxflow
+import gaussgeo.manifold as manifold
 from gaussgeo import horizontal_lift
 from gaussgeo.cli import VERIFY_THRESHOLDS, main
-from gaussgeo.geodesic import VERIFY_BLOCK_BYTES, lifted_exponential
+from gaussgeo.geodesic import lifted_exponential
+from gaussgeo.matcore import VERIFY_BLOCK_BYTES, _require_memory
 from util import random_tangent
 
 
@@ -30,22 +33,23 @@ def write_json(tmp_path, name, obj):
     return str(path)
 
 
-def guarded_peak(tmp_path, capsys, monkeypatch, argv, obj, warm):
-    """``(tracemalloc peak, bytes each of the CLI's memory guards counted)`` of one run of ``argv`` on ``obj``, which exits 0 or 1.
+def guarded_peak(tmp_path, capsys, monkeypatch, argv, obj, warm, modules):
+    """``(tracemalloc peak, bytes each memory guard of ``modules`` counted)`` of one run of ``argv`` on ``obj``, which exits 0 or 1.
 
-    A first run on the small input ``warm`` takes the one-time imports out of the measure.  The output
+    ``modules`` are those whose binding of ``matcore._require_memory`` the command's guards call.  A
+    first run on the small input ``warm`` takes the one-time imports out of the measure.  The output
     goes to a file, because ``capsys`` would hold the printed text, which the program does not.
     """
     argv = [*argv, "--output", str(tmp_path / "out")]
     run(capsys, [*argv, "--input", write_json(tmp_path, "warm.json", warm)])
     counted = []
-    guard = cli._require_memory
 
-    def counting_guard(nbytes, what):
-        counted.append(nbytes)
-        guard(nbytes, what)
+    def counting_guard(samples, floats, what):
+        counted.append(8.0 * floats * samples + 8 * VERIFY_BLOCK_BYTES)
+        _require_memory(samples, floats, what)
 
-    monkeypatch.setattr(cli, "_require_memory", counting_guard)
+    for module in modules:
+        monkeypatch.setattr(module, "_require_memory", counting_guard)
     path = write_json(tmp_path, "in.json", obj)
     tracemalloc.start()
     try:
@@ -110,9 +114,13 @@ class TestErrorsAndExitCodes:
             (["lax"], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": math.nan}),
             (["lax"], {"tangent": tangent_json([[0.1]], [math.inf])}),
             (["shoot"], {"tangent": tangent_json([[0.1]], [0.2]), "t_grid": [0.0, math.inf]}),
+            (["shoot"], {"tangent": tangent_json([[0.1]], [0.2]), "t_grid": [0.0, math.inf, math.inf]}),
             (["verify"], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": math.inf}),
         ],
-        ids=["dist-inf-mu", "midpoint-inf-mu", "dist-nan-mu", "lax-nan-t_end", "lax-inf-a0", "shoot-inf-t_grid", "verify-inf-t_end"],
+        ids=[
+            "dist-inf-mu", "midpoint-inf-mu", "dist-nan-mu", "lax-nan-t_end", "lax-inf-a0", "shoot-inf-t_grid",
+            "shoot-repeated-inf-t_grid", "verify-inf-t_end",
+        ],
     )
     def test_non_finite_input_is_input_error(self, tmp_path, capsys, argv, obj):
         path = write_json(tmp_path, "in.json", obj)
@@ -258,6 +266,36 @@ class TestErrorsAndExitCodes:
         assert out == ""
         assert err.startswith(f"gaussgeo: input error: {what} needs ")
         assert err.endswith(" bytes of physical memory\n")
+
+    XI = tangent_json([[0.1]], [0.2])
+
+    @pytest.mark.parametrize(
+        "argv, obj, message",
+        [
+            (["lax"], {"tangent": {"n": 1, "A0": [[0.1]], "a0": [0.2, 0.3]}}, "tangent.a0 must have length 1, got shape (2,)"),
+            (["shoot"], {"tangent": XI, "t_end": 0.0}, "t_end must be positive"),
+            (["verify"], {"tangent": XI, "t_end": -1.0}, "t_end must be positive"),
+            (["shoot"], {"tangent": XI}, "input must provide t_grid (sample times) or t_end (with --steps)"),
+            (["shoot"], {"tangent": XI, "t_grid": []}, "t_grid must be a non-empty 1-d array"),
+            (["shoot"], {"tangent": XI, "t_grid": [[0.0, 1.0]]}, "t_grid must be a non-empty 1-d array"),
+            (["shoot"], {"tangent": XI, "t_grid": [0.0, 1.0, 0.5]}, "t_grid must be nondecreasing"),
+            (["verify"], {"t_end": 1.0}, "verify input needs a tangent or a dimension n"),
+        ],
+        ids=[
+            "a0-length", "shoot-zero-t_end", "verify-negative-t_end", "shoot-no-times", "empty-t_grid", "2d-t_grid",
+            "decreasing-t_grid", "verify-no-tangent",
+        ],
+    )
+    def test_input_error_message(self, tmp_path, capsys, argv, obj, message):
+        code, out, err = run(capsys, [*argv, "--input", write_json(tmp_path, "in.json", obj)])
+        assert (code, out) == (2, "")
+        assert err == f"gaussgeo: input error: {message}\n"
+
+    def test_unreadable_input_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, ["dist", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"gaussgeo: input error: cannot read input: [Errno 2] No such file or directory: {str(path)!r}\n"
 
     @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys, where):
@@ -422,7 +460,9 @@ class TestShoot:
     def test_memory_guard_counts_the_csv_text(self, tmp_path, capsys, monkeypatch, n):
         # the rows are written as they are formatted, so the samples and _sampled's blocks are what shoot holds
         tangent = {"tangent": tangent_json(np.eye(n), np.ones(n))}
-        peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["shoot", "--steps", "2000"], {**tangent, "t_end": 1.0}, {**tangent, "t_grid": [0.0]})
+        peak, counted = guarded_peak(
+            tmp_path, capsys, monkeypatch, ["shoot", "--steps", "2000"], {**tangent, "t_end": 1.0}, {**tangent, "t_grid": [0.0]}, [cli]
+        )
         assert len(counted) == 1
         assert peak <= counted[0]
 
@@ -434,7 +474,7 @@ class TestShoot:
         tangent = {"tangent": tangent_json(np.eye(n), np.ones(n))}
         warm = {**tangent, "t_grid": [0.0]}
         argvs = [["shoot", "--steps", str(steps)] for steps in (2000, 2000 + added)]
-        peaks = [guarded_peak(tmp_path, capsys, monkeypatch, argv, {**tangent, "t_end": 1.0}, warm)[0] for argv in argvs]
+        peaks = [guarded_peak(tmp_path, capsys, monkeypatch, argv, {**tangent, "t_end": 1.0}, warm, [cli])[0] for argv in argvs]
         assert peaks[1] - peaks[0] <= added * 8 * (1 + n * n + n) + 8 * VERIFY_BLOCK_BYTES
 
 
@@ -495,6 +535,14 @@ class TestJsonCommands:
         assert code == 0
         assert out_path.read_bytes() == printed.encode("utf-8")
 
+    @pytest.mark.parametrize("n, depth", [(1, 13), (3, 11), (8, 10)])
+    def test_interp_memory_guards_count_the_peak(self, tmp_path, capsys, monkeypatch, n, depth):
+        # interpolate's guard counts its lifted stacks, the CLI's the report and its points; at n = 1 the report sets the peak
+        pair = {"p": point_json(np.eye(n), np.zeros(n)), "q": point_json(2.0 * np.eye(n), 0.5 * np.ones(n))}
+        peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["interp"], {**pair, "depth": depth}, {**pair, "depth": 1}, [ahm, cli])
+        assert len(counted) == 2
+        assert peak <= max(counted)
+
     def test_interp_depth_two(self, tmp_path, capsys):
         obj = {"p": point_json([[1.0]], [0.0]), "q": point_json([[math.e ** 2]], [0.0]), "depth": 2}
         path = write_json(tmp_path, "in.json", obj)
@@ -519,9 +567,9 @@ class TestLax:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_memory_guard_counts_the_csv_text(self, tmp_path, capsys, monkeypatch, n):
-        # the guard of integrate counts the state array only; the CLI's adds the block budget, and no text
+        # lax's one guard is integrate's: the state array and the block budget, and no text
         tangent = {"tangent": tangent_json(np.eye(n), np.ones(n))}
-        peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["lax"], {**tangent, "t_end": 2.0}, {**tangent, "t_end": 0.01})
+        peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["lax"], {**tangent, "t_end": 2.0}, {**tangent, "t_end": 0.01}, [laxflow])
         assert len(counted) == 1
         assert peak <= counted[0]
 
@@ -533,7 +581,7 @@ class TestLax:
         tangent = {"tangent": tangent_json(np.eye(n), np.ones(n))}
         warm = {**tangent, "t_end": 0.01}
         objs = [{**tangent, "t_end": t_end} for t_end in (2.0, 2.0 + added * 1e-3)]
-        peaks = [guarded_peak(tmp_path, capsys, monkeypatch, ["lax"], obj, warm)[0] for obj in objs]
+        peaks = [guarded_peak(tmp_path, capsys, monkeypatch, ["lax"], obj, warm, [laxflow])[0] for obj in objs]
         assert peaks[1] - peaks[0] <= added * 8 * (1 + n * n + n) + 8 * VERIFY_BLOCK_BYTES
 
 
@@ -607,7 +655,7 @@ class TestVerify:
     @pytest.mark.parametrize("n", [1, 3, 5, 8])
     def test_memory_guard_counts_the_peak(self, tmp_path, capsys, monkeypatch, n, t_end):
         # the bytes the guard checks for are at least the run's tracemalloc peak (so also per sample)
-        peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["verify"], {"n": n, "t_end": t_end}, {"n": n, "t_end": 0.01})
+        peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["verify"], {"n": n, "t_end": t_end}, {"n": n, "t_end": 0.01}, [cli])
         assert len(counted) == 1
         assert peak <= counted[0]
 
@@ -629,6 +677,40 @@ class TestFisherCheck:
         payload = json.loads(out)
         assert payload["results"]["max_deviation"] == 0.5
         assert payload["checks"] == {"fisher_agreement": {"value": 0.5, "threshold": 1e-6, "pass": False}}
+
+    @pytest.mark.parametrize("nodes", [371, 400])
+    def test_rule_beyond_double_precision_is_input_error(self, tmp_path, capsys, nodes):
+        # numpy's rule overflows from 371 nodes on (NaN weights from 372): one line, no warning, no silent pass
+        code, out, err = run(capsys, ["fisher-check", "--input", write_json(tmp_path, "in.json", {"n": 1, "nodes": nodes})])
+        assert (code, out) == (2, "")
+        assert err == f"gaussgeo: input error: the Gauss-Hermite rule with {nodes} nodes is not representable in double precision\n"
+
+    def test_largest_rule_passes(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["fisher-check", "--input", write_json(tmp_path, "in.json", {"n": 1, "nodes": 370})])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["max_deviation"] <= 1e-12
+
+    def test_nan_deviation_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        # the running maximum keeps a NaN from the oracle, which Python's max would drop as if it agreed
+        oracle, calls = cli.fisher_numeric, []
+
+        def first_nan(*args, **kwargs):
+            calls.append(args)
+            return math.nan if len(calls) == 1 else oracle(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fisher_numeric", first_nan)
+        code, out, _ = run(capsys, ["fisher-check", "--input", write_json(tmp_path, "in.json", {"n": 1})])
+        assert (code, len(calls)) == (1, 4)
+        payload = json.loads(out)
+        assert math.isnan(payload["results"]["max_deviation"])
+        assert payload["checks"]["fisher_agreement"]["pass"] is False
+
+    @pytest.mark.parametrize("n, nodes", [(2, 200), (3, 30)])
+    def test_memory_guard_counts_the_peak(self, tmp_path, capsys, monkeypatch, n, nodes):
+        # fisher_numeric's guard runs once per pair of basis tangents and counts one call's peak
+        peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["fisher-check"], {"n": n, "nodes": nodes}, {"n": n, "nodes": 2}, [manifold])
+        assert len(counted) == (n * (n + 1) // 2 + n) ** 2
+        assert peak <= max(counted)
 
     @pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
     @pytest.mark.parametrize("subcommand", ["fisher-check", "shoot", "lax", "verify"])

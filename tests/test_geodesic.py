@@ -275,11 +275,32 @@ class TestResiduals:
             with pytest.raises(ValueError, match="^samples must lie on a uniform increasing grid$"):
                 check(broken, 0.1)
 
-    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
-    def test_non_finite_step_rejected(self, h):
+    @pytest.mark.parametrize(
+        "h, message",
+        [
+            pytest.param(math.nan, "finite-difference step must be finite, got nan", id="nan"),
+            pytest.param(math.inf, "finite-difference step must be finite, got inf", id="inf"),
+            pytest.param(-math.inf, "finite-difference step must be finite, got -inf", id="-inf"),
+            pytest.param(0.0, "finite-difference step must be positive", id="zero"),
+            pytest.param(-0.1, "finite-difference step must be positive", id="negative"),
+        ],
+    )
+    def test_non_finite_step_rejected(self, h, message):
         traj = trajectory(random_tangent(np.random.default_rng(11), 1), np.linspace(0.0, 1.0, 11))
         for check in (geodesic_residual, first_integrals):
-            with pytest.raises(ValueError, match=f"^finite-difference step must be finite, got {h}$"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check(traj, h)
+
+    @pytest.mark.parametrize(
+        "samples, h, message",
+        [(2, 0.1, "need at least three samples"), (3, 0.2, "sampled range too short for the requested finite-difference step")],
+        ids=["two-samples", "shorter-than-the-stencil"],
+    )
+    def test_short_grid_rejected(self, samples, h, message):
+        # spacing 0.1: a step of 0.2 takes two samples on each side, five in all
+        traj = trajectory(random_tangent(np.random.default_rng(11), 1), 0.1 * np.arange(samples))
+        for check in (geodesic_residual, first_integrals):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 check(traj, h)
 
     def test_first_integrals_fixed_mean(self):

@@ -273,9 +273,19 @@ class TestIntegrate:
         extra = calls(2000) - calls(1000)
         assert 4 * 1000 <= extra <= 4 * 1000 + 8
 
-    @pytest.mark.parametrize("t_end, dt", [(math.nan, 0.1), (1.0, math.inf), (1.0, math.nan)])
-    def test_non_finite_times_rejected(self, t_end, dt):
-        with pytest.raises(ValueError, match="must be finite"):
+    @pytest.mark.parametrize(
+        "t_end, dt, message",
+        [
+            pytest.param(math.nan, 0.1, "t_end and dt must be finite, got nan and 0.1", id="nan-0.1"),
+            pytest.param(1.0, math.inf, "t_end and dt must be finite, got 1.0 and inf", id="1.0-inf"),
+            pytest.param(1.0, math.nan, "t_end and dt must be finite, got 1.0 and nan", id="1.0-nan"),
+            pytest.param(1.0, 0.0, "dt must be positive", id="zero-dt"),
+            pytest.param(1.0, -0.1, "dt must be positive", id="negative-dt"),
+            pytest.param(-1.0, 0.1, "t_end must be nonnegative", id="negative-t_end"),
+        ],
+    )
+    def test_non_finite_times_rejected(self, t_end, dt, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             integrate("bilinear", scalar_tangent(), t_end, dt=dt)
 
     @pytest.mark.parametrize("t_end, dt", [(1e12, 1e-3), (1e300, 1e-300)])

@@ -255,6 +255,19 @@ class TestFisherNumeric:
         with pytest.raises(ValueError, match="n <= 3"):
             fisher_numeric(p, x, x)
 
+    def test_rejects_tangent_of_another_dimension(self):
+        with pytest.raises(ValueError, match="^tangent dimension does not match the base point$"):
+            fisher_numeric(GaussianPoint.identity(2), Tangent.zero(2), Tangent.zero(1))
+
+    @pytest.mark.parametrize("nodes", [371, 400])
+    def test_rule_beyond_double_precision_rejected(self, nodes):
+        # numpy's rule overflows from 371 nodes on and has NaN weights from 372; 370 nodes are exact
+        p = GaussianPoint.identity(1)
+        x = Tangent(np.zeros((1, 1)), np.array([1.0]))
+        assert abs(fisher_numeric(p, x, x, nodes=370) - 1.0) <= 1e-12
+        with pytest.raises(ValueError, match=f"^the Gauss-Hermite rule with {nodes} nodes is not representable in double precision$"):
+            fisher_numeric(p, x, x, nodes=nodes)
+
     def test_nonidentity_point_scaling(self):
         # univariate N(mu, s^2): info for mu is 1/s^2, for s^2 it is 1/(2 s^4)
         p = GaussianPoint(np.array([[4.0]]), np.array([0.7]))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gaussgeo.matcore import (
+    EigenError,
     NotSpdError,
     block_cholesky,
     check_special_symmetry,
@@ -53,6 +54,14 @@ class TestSymEigen:
             assert np.linalg.norm(v @ np.diag(w) @ v.T - s) <= 1e-12 * scale
             assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-12
             assert np.all(np.diff(w) >= -1e-14)
+
+    def test_nonconvergence_is_eigen_error(self, monkeypatch):
+        def failing(s):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(EigenError, match=r"^symmetric eigensolver did not converge \(off-diagonal norm 1\.414e\+00\)$"):
+            sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def _bad(order, kind):
@@ -275,6 +284,11 @@ class TestSpecialSymmetry:
 
     def test_identity_is_exact(self):
         assert check_special_symmetry(np.eye(5)) == 0.0
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_order_must_be_odd_and_at_least_three(self, order):
+        with pytest.raises(ValueError, match=f"^order must be odd and >= 3, got {order}$"):
+            check_special_symmetry(np.eye(order))
 
     def test_lifted_geodesics_satisfy_it(self):
         rng = np.random.default_rng(50)
