@@ -26,7 +26,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .matcore import EigenError, NotSpdError, _require_memory, sym
-from .manifold import GaussianPoint, Tangent, embed, fisher_numeric, metric_at_identity, tangent_norm
+from .manifold import FISHER_NODES, GaussianPoint, Tangent, _fisher_gram, _hermite_rule, embed, metric_at_identity, tangent_norm
 from . import geodesic as geo
 from .geodesic import ShootingError
 from . import ahm as ahm_mod
@@ -302,19 +302,17 @@ def cmd_verify(args, obj) -> tuple[dict, dict]:
 def cmd_fisher_check(args, obj) -> tuple[dict, dict]:
     _require_keys(obj, ("n",), "input")
     n = _positive_int(obj["n"], "n")
-    nodes = _positive_int(obj.get("nodes", 20), "nodes")
-    identity = GaussianPoint.identity(n)
+    nodes = _positive_int(obj.get("nodes", FISHER_NODES), "nodes")
+    k = n * (n + 1) // 2 + n
+    # one rule for every pair, checked before the basis is built
+    rule = _hermite_rule(n, nodes, k)
     # the packed coordinate basis: upper-triangle entries of A0, then a0
-    basis = [geo._unpack(e, n) for e in np.eye(n * (n + 1) // 2 + n)]
-
-    worst = 0.0
-    for x in basis:
-        for y in basis:
-            numeric = fisher_numeric(identity, x, y, nodes=nodes)
-            closed = metric_at_identity(x, y, convention="fisher")
-            # np.maximum keeps a NaN, which Python's max would drop
-            worst = float(np.maximum(worst, abs(numeric - closed)))
-    results = {"n": n, "nodes": nodes, "basis_size": len(basis), "max_deviation": worst}
+    basis = [geo._unpack(e, n) for e in np.eye(k)]
+    numeric = _fisher_gram(GaussianPoint.identity(n), basis, rule)
+    closed = np.array([[metric_at_identity(x, y, convention="fisher") for y in basis] for x in basis])
+    # np.max keeps a NaN, which Python's max would drop
+    worst = float(np.max(np.abs(numeric - closed)))
+    results = {"n": n, "nodes": nodes, "basis_size": k, "max_deviation": worst}
     return results, {"fisher_agreement": (worst, FISHER_CHECK_THRESHOLD)}
 
 

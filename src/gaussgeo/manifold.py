@@ -32,10 +32,8 @@ from .matcore import _first_failure, _frobenius, _positive, _require_memory, _sy
 # entry carries accumulated error.
 CONSISTENCY_TOL = 1e-8
 
-# Relative tolerance under which GaussianPoint.close_to takes two points for one.
-CLOSE_TOL = 1e-12
-
-FISHER_QUAD_MAX_DIM = 3
+# Nodes per axis of the default Gauss-Hermite rule: a product of two scores has degree 4, and 3 nodes are exact to degree 5.
+FISHER_NODES = 3
 
 
 def _vectors(vectors, matrices: np.ndarray, field: str, what: str) -> np.ndarray:
@@ -82,12 +80,8 @@ class GaussianPoint:
         return GaussianPoint(np.eye(n), np.zeros(n))
 
     def close_to(self, other: "GaussianPoint") -> bool:
-        scale = max(1.0, float(np.linalg.norm(self.sigma)), float(np.linalg.norm(self.mu)))
-        return (
-            other.n == self.n
-            and np.linalg.norm(self.sigma - other.sigma) <= CLOSE_TOL * scale
-            and np.linalg.norm(self.mu - other.mu) <= CLOSE_TOL * scale
-        )
+        """Whether ``other`` is this point exactly (equal ``sigma`` and ``mu``): a tolerance scaled by the mean would take a narrow pair with a large mean, far apart in the metric, for one point."""
+        return np.array_equal(self.sigma, other.sigma) and np.array_equal(self.mu, other.mu)
 
 
 @dataclass(frozen=True)
@@ -265,40 +259,48 @@ def normalize_to_identity(p: GaussianPoint) -> AffineMap:
     return AffineMap(A=a, b=-a @ p.mu)
 
 
-def _score(p: GaussianPoint, x: Tangent, pts: np.ndarray) -> np.ndarray:
-    # Directional derivative of log-density along (sigma_dot, mu_dot) = (A0, a0),
-    # evaluated at sample points (rows of pts).
-    theta = spd_inv(p.sigma)
-    u = (pts - p.mu) @ theta
-    const = -0.5 * float(np.trace(theta @ x.A0))
-    return const + u @ x.a0 + 0.5 * np.einsum("ij,ij->i", u @ x.A0, u)
+def _hermite_rule(n: int, nodes: int, columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor Gauss-Hermite rule of ``nodes`` nodes per axis for expectations under ``N(0, I_n)``: points ``z`` (rows) and weights.
 
-
-def fisher_numeric(p: GaussianPoint, x: Tangent, y: Tangent, nodes: int = 20) -> float:
-    """Quadrature oracle for the Fisher metric.
-
-    Tensor-product Gauss-Hermite estimate of the expected product of the
-    score functions along ``x`` and ``y`` under the distribution ``p``.
-    Exact for the (polynomial) Gaussian scores once ``nodes`` exceeds the
-    degree; restricted to n <= 3 by the tensorized cost.  A rule that does not
-    fit double precision (from 371 nodes on) is a ``ValueError``, not a NaN.
+    ``ValueError`` first unless it and ``columns`` score columns (for as many
+    tangents) fit in physical memory, and the rule in double precision.
     """
-    n = p.n
-    if n > FISHER_QUAD_MAX_DIM:
-        raise ValueError(f"quadrature oracle supports n <= {FISHER_QUAD_MAX_DIM}, got n = {n}")
-    if x.n != n or y.n != n:
-        raise ValueError("tangent dimension does not match the base point")
-    # the (nodes, nodes) companion matrix of hermgauss, then the nodes**n points: about 4.4 (n + 1) floats each (tracemalloc)
-    _require_memory(max(float(nodes) ** 2, float(nodes) ** n), 5 * (n + 1), f"quadrature with {nodes} nodes in {n} dimensions")
+    # a row per point (or entry of hermgauss's (nodes, nodes) companion matrix): its scores, weighted scores, node and
+    # sample; five per tangent, for fisher-check's basis and closed form (tracemalloc); powers capped where refused anyway
+    rows = min(max(nodes**2, nodes ** min(n, 64)), 2**64) + 5 * columns
+    _require_memory(rows, 2 * columns + 3 * n + 16, f"quadrature with {nodes} nodes in {n} dimensions")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             z, w = np.polynomial.hermite.hermgauss(nodes)
     except FloatingPointError as exc:
         raise ValueError(f"the Gauss-Hermite rule with {nodes} nodes is not representable in double precision") from exc
-    zpts = np.stack([g.ravel() for g in np.meshgrid(*([z] * n), indexing="ij")], axis=-1)
-    weights = np.ones(zpts.shape[0])
-    for g in np.meshgrid(*([w] * n), indexing="ij"):
-        weights = weights * g.ravel()
-    weights /= np.pi ** (n / 2.0)
-    pts = p.mu + np.sqrt(2.0) * zpts @ spd_power(p.sigma, 0.5).T
-    return float(np.sum(weights * _score(p, x, pts) * _score(p, y, pts)))
+    index = np.indices((nodes,) * n).reshape(n, -1).T
+    return z[index], np.prod(w[index], axis=1) / np.pi ** (n / 2.0)
+
+
+def _fisher_gram(p: GaussianPoint, tangents: list[Tangent], rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``S^T diag(w) S``, the Fisher metric of ``p`` on each pair of ``tangents`` by the rule ``(z, w)`` of :func:`_hermite_rule`.
+
+    ``S`` has a row per point and a column per tangent ``(A0, a0)``: the score
+    ``-trace(theta A0) / 2 + u^T a0 + u^T A0 u / 2`` at ``x = mu + sqrt(2) sigma^{1/2} z``,
+    with ``theta = sigma^{-1}`` and ``u = theta (x - mu) = sqrt(2) sigma^{-1/2} z``.
+    """
+    z, w = rule
+    a_mats = np.stack([x.A0 for x in tangents])
+    u = np.sqrt(2.0) * z @ spd_power(p.sigma, -0.5, name="sigma")
+    scores = u @ np.stack([x.a0 for x in tangents]).T
+    scores += 0.5 * np.einsum("pi,kij,pj->pk", u, a_mats, u)
+    scores -= 0.5 * np.einsum("ij,kji->k", spd_inv(p.sigma), a_mats)
+    return scores.T @ (w[:, None] * scores)
+
+
+def fisher_numeric(p: GaussianPoint, x: Tangent, y: Tangent, nodes: int = FISHER_NODES) -> float:
+    """Quadrature oracle for the Fisher metric, in any dimension: the tensor Gauss-Hermite estimate of the expected product of the scores along ``x`` and ``y`` under ``p``.
+
+    The scores are quadratic in the sample, so the default 3 nodes per axis
+    are exact up to rounding.  The ``nodes**n`` points must fit in physical
+    memory, and the rule in double precision (to 370 nodes); else ``ValueError``.
+    """
+    if x.n != p.n or y.n != p.n:
+        raise ValueError("tangent dimension does not match the base point")
+    return float(_fisher_gram(p, [x, y], _hermite_rule(p.n, nodes, 2))[0, 1])

@@ -243,6 +243,15 @@ class TestMidpointN:
         mid = midpoint_N(p, p)
         assert np.array_equal(mid.sigma, p.sigma) and np.array_equal(mid.mu, p.mu)
 
+    def test_narrow_pair_with_large_mean(self):
+        # distinct points are never taken for one: the midpoint lies between them, not at p
+        p = GaussianPoint(np.array([[1e-12]]), np.array([1e4]))
+        q = GaussianPoint(np.array([[1e-12]]), np.array([10000.000000005]))
+        mid = midpoint_N(p, q)
+        # the reflection mu -> mu_p + mu_q - mu swaps the points, so the mean is halfway; the geodesic bulges in sigma
+        assert abs(mid.mu[0] - 0.5 * (p.mu[0] + q.mu[0])) <= 1e-3 * (q.mu[0] - p.mu[0])
+        assert mid.sigma[0, 0] > p.sigma[0, 0]
+
     def test_scalar_fixed_mean(self):
         p = GaussianPoint(np.array([[1.0]]), np.array([0.0]))
         q = GaussianPoint(np.array([[math.e ** 2]]), np.array([0.0]))

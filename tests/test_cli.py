@@ -488,6 +488,13 @@ class TestJsonCommands:
         assert payload["command"] == "dist"
         assert payload["results"]["distance"] == 0.0
 
+    def test_dist_narrow_pair_with_large_mean(self, tmp_path, capsys):
+        # two distinct points, 5e-9 apart at a spread of 1e-6, are 5.0e-3 apart in the metric, not one point
+        obj = {"p": point_json([[1e-12]], [1e4]), "q": point_json([[1e-12]], [10000.000000005])}
+        code, out, err = run(capsys, ["dist", "--input", write_json(tmp_path, "in.json", obj), "--metric", "fisher"])
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["results"]["distance"] - 5.0e-3) <= 1e-5
+
     def test_dist_closed_form_both_conventions(self, tmp_path, capsys):
         obj = {"p": point_json([[1.0]], [0.0]), "q": point_json([[math.e ** 2]], [0.0])}
         path = write_json(tmp_path, "in.json", obj)
@@ -661,17 +668,21 @@ class TestVerify:
 
 
 class TestFisherCheck:
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_agreement(self, tmp_path, capsys, n):
+        # the default rule, 3 nodes per axis, is exact for the products of two scores (degree 4)
         path = write_json(tmp_path, "in.json", {"n": n})
         code, out, _ = run(capsys, ["fisher-check", "--input", path])
         assert code == 0
         payload = json.loads(out)
         assert payload["checks"]["fisher_agreement"]["pass"]
-        assert payload["results"]["max_deviation"] <= 1e-6
+        assert payload["results"]["nodes"] == 3
+        assert payload["results"]["max_deviation"] <= 1e-14
 
-    def test_too_few_nodes_fail_the_check(self, tmp_path, capsys):
-        path = write_json(tmp_path, "in.json", {"n": 1, "nodes": 2})
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_too_few_nodes_fail_the_check(self, tmp_path, capsys, n):
+        # 2 nodes per axis are exact to degree 3 only: the check can fail in every dimension
+        path = write_json(tmp_path, "in.json", {"n": n, "nodes": 2})
         code, out, _ = run(capsys, ["fisher-check", "--input", path])
         assert code == 1
         payload = json.loads(out)
@@ -691,26 +702,40 @@ class TestFisherCheck:
         assert json.loads(out)["results"]["max_deviation"] <= 1e-12
 
     def test_nan_deviation_fails_the_check(self, tmp_path, capsys, monkeypatch):
-        # the running maximum keeps a NaN from the oracle, which Python's max would drop as if it agreed
-        oracle, calls = cli.fisher_numeric, []
+        # the maximum over the Gram matrix keeps a NaN entry, which Python's max would drop as if it agreed
+        gram, calls = cli._fisher_gram, []
 
-        def first_nan(*args, **kwargs):
+        def first_nan(*args):
             calls.append(args)
-            return math.nan if len(calls) == 1 else oracle(*args, **kwargs)
+            numeric = gram(*args)
+            numeric[0, 0] = math.nan
+            return numeric
 
-        monkeypatch.setattr(cli, "fisher_numeric", first_nan)
+        monkeypatch.setattr(cli, "_fisher_gram", first_nan)
         code, out, _ = run(capsys, ["fisher-check", "--input", write_json(tmp_path, "in.json", {"n": 1})])
-        assert (code, len(calls)) == (1, 4)
+        assert (code, len(calls)) == (1, 1)
         payload = json.loads(out)
         assert math.isnan(payload["results"]["max_deviation"])
         assert payload["checks"]["fisher_agreement"]["pass"] is False
 
-    @pytest.mark.parametrize("n, nodes", [(2, 200), (3, 30)])
+    @pytest.mark.parametrize("n, nodes", [(2, 200), (3, 30), (5, 3), (8, 3)])
     def test_memory_guard_counts_the_peak(self, tmp_path, capsys, monkeypatch, n, nodes):
-        # fisher_numeric's guard runs once per pair of basis tangents and counts one call's peak
+        # one guard, before the rule is built, counts the grid, the scores and the basis
         peak, counted = guarded_peak(tmp_path, capsys, monkeypatch, ["fisher-check"], {"n": n, "nodes": nodes}, {"n": n, "nodes": 2}, [manifold])
-        assert len(counted) == (n * (n + 1) // 2 + n) ** 2
-        assert peak <= max(counted)
+        assert len(counted) == 1
+        assert peak <= counted[0]
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_one_rule_per_run(self, tmp_path, capsys, monkeypatch, n):
+        rule, calls = np.polynomial.hermite.hermgauss, []
+
+        def counting_rule(nodes):
+            calls.append(nodes)
+            return rule(nodes)
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting_rule)
+        code, _, _ = run(capsys, ["fisher-check", "--input", write_json(tmp_path, "in.json", {"n": n})])
+        assert (code, calls) == (0, [3])
 
     @pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
     @pytest.mark.parametrize("subcommand", ["fisher-check", "shoot", "lax", "verify"])

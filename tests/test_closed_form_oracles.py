@@ -28,6 +28,15 @@ def test_univariate_distance():
         assert abs(distance(p, q, convention="fisher") - oracle) <= 1e-10 * oracle
 
 
+def test_univariate_narrow_pair_with_large_mean():
+    # distinct points are never taken for one: at a spread of 1e-6 a mean 5e-9 away is 5.0e-3 off. The bound
+    # admits the chart's cancellation, about eps |sigma^{-1/2} mu| = 1e-6 of the normalized mean (2e-4 of the distance)
+    p = GaussianPoint(np.array([[1e-12]]), np.array([1e4]))
+    q = GaussianPoint(np.array([[1e-12]]), np.array([10000.000000005]))
+    oracle = oracles.univariate_distance(1e-12, 1e4, 1e-12, 10000.000000005)
+    assert abs(distance(p, q, convention="fisher") - oracle) <= 1e-3 * oracle
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_equal_mean_distance(n):
     rng = np.random.default_rng(81 + n)

@@ -797,6 +797,14 @@ class TestDistance:
         p = random_point(rng, 2)
         assert distance(p, p) == 0.0
 
+    def test_mean_beyond_the_norm_range_is_not_zero(self):
+        # the norm of a mean of 1e160 overflows; such a pair is solved, and fails, rather than taken for one point.
+        # The solve's overflow warnings are silenced here: they are the error contract's to turn into a typed error
+        p = GaussianPoint(np.eye(1), np.array([1e160]))
+        q = GaussianPoint(np.eye(1), np.array([1.0]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ShootingError):
+            distance(p, q)
+
     def test_scalar_fixed_mean_values(self):
         p = GaussianPoint(np.array([[1.0]]), np.array([0.0]))
         q = GaussianPoint(np.array([[math.e ** 2]]), np.array([0.0]))

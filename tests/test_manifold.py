@@ -249,11 +249,17 @@ class TestFisherNumeric:
             closed = metric_at_identity(x, y, "fisher")
             assert abs(numeric - closed) <= 1e-6 * max(1.0, abs(closed))
 
-    def test_rejects_large_dimension(self):
-        p = GaussianPoint.identity(4)
-        x = Tangent.zero(4)
-        with pytest.raises(ValueError, match="n <= 3"):
-            fisher_numeric(p, x, x)
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_pins_fisher_convention_off_the_identity(self, n):
+        # the metric at p is the identity's on the tangents moved by normalize_to_identity's A = sigma^{-1/2}
+        rng = np.random.default_rng(95 + n)
+        p = random_point(rng, n)
+        a = normalize_to_identity(p).A
+        for _ in range(3):
+            x, y = random_tangent(rng, n), random_tangent(rng, n)
+            moved = [Tangent(a @ t.A0 @ a, a @ t.a0) for t in (x, y)]
+            closed = metric_at_identity(*moved, "fisher")
+            assert abs(fisher_numeric(p, x, y) - closed) <= 1e-12 * max(1.0, abs(closed))
 
     def test_rejects_tangent_of_another_dimension(self):
         with pytest.raises(ValueError, match="^tangent dimension does not match the base point$"):
