@@ -266,9 +266,9 @@ def _hermite_rule(n: int, nodes: int, columns: int) -> tuple[np.ndarray, np.ndar
     tangents) fit in physical memory, and the rule in double precision.
     """
     # a row per point (or entry of hermgauss's (nodes, nodes) companion matrix): its scores, weighted scores, node and
-    # sample; five per tangent, for fisher-check's basis and closed form (tracemalloc); powers capped where refused anyway
-    rows = min(max(nodes**2, nodes ** min(n, 64)), 2**64) + 5 * columns
-    _require_memory(rows, 2 * columns + 3 * n + 16, f"quadrature with {nodes} nodes in {n} dimensions")
+    # sample; five per tangent, for fisher-check's basis and closed form (tracemalloc); counts capped where refused anyway
+    rows = min(max(nodes**2, nodes ** min(n, 64)) + 5 * columns, 2**64)
+    _require_memory(rows, min(2 * columns + 3 * n + 16, 2**64), f"quadrature with {nodes} nodes in {n} dimensions")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             z, w = np.polynomial.hermite.hermgauss(nodes)

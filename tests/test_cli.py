@@ -255,8 +255,10 @@ class TestErrorsAndExitCodes:
             (["verify"], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": 1e12}, "verify on t_end = 1e+12 at dt = 0.001"),
             (["shoot", "--steps", str(10**17)], {"tangent": tangent_json([[0.1]], [0.2]), "t_end": 1.0}, f"shoot to t_end = 1 in {10**17} steps"),
             (["fisher-check"], {"n": 3, "nodes": 10**7}, "quadrature with 10000000 nodes in 3 dimensions"),
+            (["fisher-check"], {"n": 1000}, "quadrature with 3 nodes in 1000 dimensions"),
+            (["fisher-check"], {"n": 1e200}, f"quadrature with 3 nodes in {int(1e200)} dimensions"),
         ],
-        ids=["interp-depth-64", "lax-t_end-1e12", "verify-t_end-1e12", "shoot-steps-1e17", "fisher-nodes-1e7"],
+        ids=["interp-depth-64", "lax-t_end-1e12", "verify-t_end-1e12", "shoot-steps-1e17", "fisher-nodes-1e7", "fisher-n-1000", "fisher-n-1e200"],
     )
     def test_requests_beyond_memory_are_input_errors(self, tmp_path, capsys, argv, obj, what):
         # refused before anything is allocated: no MemoryError, no index-size overflow
