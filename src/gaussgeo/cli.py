@@ -25,8 +25,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .matcore import EigenError, NotSpdError, _require_memory, sym
-from .manifold import FISHER_NODES, GaussianPoint, Tangent, _fisher_gram, _hermite_rule, embed, metric_at_identity, tangent_norm
+from .matcore import EigenError, NotSpdError, _require_memory, require_symmetric, sym
+from .manifold import FISHER_NODES, GaussianPoint, Tangent, _fisher_gram, _hermite_rule, embed, tangent_norm
 from . import geodesic as geo
 from .geodesic import ShootingError
 from . import ahm as ahm_mod
@@ -116,12 +116,7 @@ def _parse_matrix(raw, n: int, name: str) -> np.ndarray:
     mat = _numbers(raw, f"{name} must be a nested numeric array")
     if mat.shape != (n, n):
         raise InputError(f"{name} must be {n}x{n}, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise InputError(f"{name} must be finite")
-    scale = max(1.0, float(np.linalg.norm(mat)))
-    if np.linalg.norm(mat - mat.T) > INPUT_SYMMETRY_TOL * scale:
-        raise InputError(f"{name} must be symmetric within {INPUT_SYMMETRY_TOL:.0e} (relative)")
-    return sym(mat)
+    return require_symmetric(mat, INPUT_SYMMETRY_TOL, name)
 
 
 def _parse_vector(raw, n: int, name: str) -> np.ndarray:
@@ -309,7 +304,8 @@ def cmd_fisher_check(args, obj) -> tuple[dict, dict]:
     # the packed coordinate basis: upper-triangle entries of A0, then a0
     basis = [geo._unpack(e, n) for e in np.eye(k)]
     numeric = _fisher_gram(GaussianPoint.identity(n), basis, rule)
-    closed = np.array([[metric_at_identity(x, y, convention="fisher") for y in basis] for x in basis])
+    e = np.array([x.embedded().ravel() for x in basis])
+    closed = 0.5 * e @ e.T  # the fisher metric trace(x y) / 2 of every pair, exact: the embedded entries are 0 and +-1
     # np.max keeps a NaN, which Python's max would drop
     worst = float(np.max(np.abs(numeric - closed)))
     results = {"n": n, "nodes": nodes, "basis_size": k, "max_deviation": worst}

@@ -130,8 +130,8 @@ def _lifted_point(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(sigma, mu)`` of the lifted geodesic matrix ``g``, an exactly symmetric ``exp(V)`` from ``_spectral``, after :func:`exp_map`'s validation.
 
     The point is read off the verified pivot (1,1), whose inverse serves both
-    the structure check and ``sigma``.  :func:`exp_map` and the shooting
-    solver's validation of its converged tangent share it.
+    the structure check and ``sigma``, SPD by the pivot's and the inverse's
+    tests.  :func:`exp_map` and the shooting solver's validation share it.
     """
     n = (g.shape[0] - 1) // 2
     m, d = _block_ldl(g)
@@ -141,7 +141,7 @@ def _lifted_point(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not worst <= STRUCTURE_TOL * np.maximum(1.0, np.linalg.norm(g)) < math.inf:
         raise ArithmeticError(f"lifted geodesic lost its block structure: residual {worst:.3e}")
     sigma, mu = read_embedded(g[: n + 1, : n + 1], sigma)
-    return _positive(sigma, "sigma"), _vectors(mu, sigma, "mu", "mean")
+    return sigma, _vectors(mu, sigma, "mu", "mean")
 
 
 def exp_map_from(p: GaussianPoint, xi: Tangent, t: float) -> GaussianPoint:
@@ -218,12 +218,12 @@ def _sampled(w: np.ndarray, u: np.ndarray, ts, denorm: AffineMap | None) -> Geod
                 finite = np.isfinite(sigma).all(axis=(1, 2)) & np.isfinite(mu).all(axis=1)
                 if failed is None and not finite.all():
                     failed = ts[start + np.argmin(finite)]
-        if failed is not None:
-            raise ArithmeticError(f"geodesic stopped being finite at t = {failed:.6g}")
-        for start, stop in blocks:
-            np.linalg.cholesky(sigmas[start:stop])
     except np.linalg.LinAlgError as exc:
         raise NotSpdError("sigma is not positive definite") from exc
+    if failed is not None:
+        raise ArithmeticError(f"geodesic stopped being finite at t = {failed:.6g}")
+    for start, stop in blocks:
+        _positive(sigmas[start:stop], "sigma")
     return GeodesicTrajectory(ts=ts, sigmas=sigmas, mus=mus)
 
 

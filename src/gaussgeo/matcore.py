@@ -10,8 +10,8 @@ geodesic submanifold used by the lift.
 All functions are pure and operate on plain ``numpy.ndarray`` values.  Input
 is checked by ``require_symmetric``, ``require_spd``, ``block_cholesky`` and
 ``check_special_symmetry`` only; the spectral kernels trust their caller.
-Nominally symmetric results are re-symmetrized by averaging with the
-transpose so that roundoff drift never contaminates positivity checks.
+Every Cholesky test is ``_positive``.  Symmetric results are re-symmetrized
+by averaging with the transpose so roundoff never contaminates positivity.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def check_special_symmetry(g: np.ndarray):
     submanifold realized inside the determinant-one SPD matrices of order
     2n+1.  A stack of matrices (leading axis) gives one residual per
     matrix, each with the bits of its own call; an error names the first
-    matrix that fails.
+    matrix that fails.  Positivity is the inverse's eigenvalue test.
     """
     return _special_symmetry(g)[0]
 
@@ -207,13 +207,12 @@ def _special_symmetry(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`check_special_symmetry` and the Frobenius norm of each matrix, which its symmetry test takes."""
     name = "symmetry-check input"
     g, norm = _symmetric(_matrices(g, name, ndim=3), 1e-10, name)
-    _positive(g, name)
     m = g.shape[-1]
     if m % 2 == 0 or m < 3:
         raise ValueError(f"order must be odd and >= 3, got {m}")
     order = _exchange_order((m - 1) // 2)
     # J g^{-1} J by indexing: the products with the permutation J are exact, so the bits are the same
-    return _frobenius(spd_inv(g)[..., order, :][..., order] - g), norm
+    return _frobenius(spd_power(g, -1.0, name)[..., order, :][..., order] - g), norm
 
 
 def block_cholesky(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,11 +247,7 @@ def _block_ldl(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = g[:n, :n]
     b = g[:n, n]
     c = g[:n, n + 1:]
-    d11 = sym(a)
-    try:
-        np.linalg.cholesky(d11)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("pivot block (1,1) is not positive definite") from exc
+    d11 = _positive(sym(a), "pivot block (1,1)")
 
     # First Schur complement: eliminate the leading n-by-n pivot.  Far along
     # a geodesic the pivot can pass its Cholesky test yet be singular to LU.
@@ -268,11 +263,7 @@ def _block_ldl(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotSpdError(f"pivot block (2,2) lost positivity: {s11:.3e}")
 
     # Second stage: eliminate the scalar pivot of the trailing Schur block.
-    d33 = sym(s22 - s12[:, None] * s12 / s11)
-    try:
-        np.linalg.cholesky(d33)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("pivot block (3,3) is not positive definite") from exc
+    d33 = _positive(sym(s22 - s12[:, None] * s12 / s11), "pivot block (3,3)")
 
     lower = np.eye(m)
     lower[n, :n] = ainv_b

@@ -129,6 +129,22 @@ class TestErrorsAndExitCodes:
         assert out == ""
         assert "input error" in err and "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, obj, field, norm",
+        [
+            (["dist"], {"p": point_json([[1.0, math.nan], [math.nan, 1.0]], [0.0, 0.0]), "q": point_json(np.eye(2), [0.0, 0.0])}, "p.sigma", "nan"),
+            (["dist"], {"p": point_json([[math.inf]], [0.0]), "q": point_json([[2.0]], [0.0])}, "p.sigma", "inf"),
+            (["lax"], {"tangent": tangent_json([[math.nan]], [0.2])}, "tangent.A0", "nan"),
+        ],
+        ids=["dist-nan-sigma", "dist-inf-sigma", "lax-nan-A0"],
+    )
+    def test_non_finite_matrix_is_input_error(self, tmp_path, capsys, argv, obj, field, norm):
+        # the parsers' finiteness and symmetry test is matcore.require_symmetric, which names the field
+        path = write_json(tmp_path, "in.json", obj)
+        code, out, err = run(capsys, [*argv, "--input", path])
+        assert (code, out) == (2, "")
+        assert err == f"gaussgeo: input error: {field} has a non-finite Frobenius norm ({norm})\n"
+
     @pytest.mark.parametrize("command", ["shoot", "lax", "verify"])
     @pytest.mark.parametrize(
         "t_end", [[1.0], None, {"t": 1.0}, True, "0.5"], ids=["list", "null", "object", "bool", "numeric-string"]

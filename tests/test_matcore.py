@@ -160,6 +160,34 @@ def test_every_public_name_is_used_or_documented():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def _cholesky_sites(tree: ast.AST, scope: str = "<module>") -> list[str]:
+    """The enclosing function of every reference to ``cholesky`` (an attribute, a name or an import) under ``tree``."""
+    sites = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            sites += _cholesky_sites(node, node.name)
+            continue
+        named = [alias.name for alias in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+        if (
+            (isinstance(node, ast.Attribute) and node.attr == "cholesky")
+            or (isinstance(node, ast.Name) and node.id == "cholesky")
+            or any(name.split(".")[-1] == "cholesky" for name in named)
+        ):
+            sites.append(scope)
+        sites += _cholesky_sites(node, scope)
+    return sites
+
+
+def test_cholesky_runs_only_in_the_positivity_test():
+    # every positivity test by Cholesky is matcore._positive: a test written out by hand again fails here
+    sites = [
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for scope in _cholesky_sites(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sites == ["matcore._positive"]
+
+
 class TestSymExp:
     def test_zero(self):
         assert np.allclose(sym_exp(np.zeros((3, 3))), np.eye(3), atol=1e-15)
@@ -289,6 +317,19 @@ class TestSpecialSymmetry:
     def test_order_must_be_odd_and_at_least_three(self, order):
         with pytest.raises(ValueError, match=f"^order must be odd and >= 3, got {order}$"):
             check_special_symmetry(np.eye(order))
+
+    @pytest.mark.parametrize("call", [check_special_symmetry, submersion_project])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    def test_indefinite_input_is_not_spd(self, call, stacked):
+        # positivity is the eigenvalue test of the inverse the residual takes; it names the input and the first matrix's lowest eigenvalue
+        g = np.diag([1.0, -2.0, 1.0])
+        with pytest.raises(NotSpdError, match=r"^symmetry-check input has a nonpositive eigenvalue -2\.000e\+00; not SPD$"):
+            call(np.array([np.eye(3), g]) if stacked else g)
+
+    @pytest.mark.parametrize("call", [check_special_symmetry, submersion_project])
+    def test_even_order_fails_the_order_test_before_positivity(self, call):
+        with pytest.raises(ValueError, match="^order must be odd and >= 3, got 2$"):
+            call(np.diag([1.0, -1.0]))
 
     def test_lifted_geodesics_satisfy_it(self):
         rng = np.random.default_rng(50)
